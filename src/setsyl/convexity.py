@@ -446,7 +446,11 @@ def convexity_fuzz(
     carries a standalone reproducer script.  The report is a pure function
     of the arguments.
     """
+    _require(vars >= 1, "fuzz variable count must be at least 1")
     _require(vars <= 4, "fuzz variable count capped at 4 by the oracle guard")
+    _require(lits >= 0, "fuzz literal count must be nonnegative")
+    _require(iters >= 0, "fuzz iteration count must be nonnegative")
+    _require(rank_bound >= 1, "fuzz rank bound must be at least 1")
     _require(rank_bound <= 3, "fuzz rank bound capped at 3 by the oracle guard")
     checked = skipped = implied_count = 0
     violations: List[FuzzViolation] = []

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Tuple
 
-from .errors import BoundTooLargeError
+from .errors import BoundTooLargeError, ParseError
 
 MAX_RANK_BOUND = 4
+MAX_BRACE_DEPTH = 256
 
 _UNIVERSE_SIZES = {0: 1, 1: 2, 2: 4, 3: 16, 4: 65536}
 
@@ -90,36 +91,56 @@ def nested_singleton(depth: int) -> HFSet:
 
 
 def braces(s: HFSet) -> str:
-    return "{" + ",".join(braces(c) for c in s.children) + "}"
+    """s in braces notation; iterative, so a set of any rank prints."""
+    out: List[str] = []
+    todo: List[object] = [s]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, str):
+            out.append(t)
+            continue
+        out.append("{")
+        todo.append("}")
+        for i in range(len(t.children) - 1, -1, -1):
+            todo.append(t.children[i])
+            if i:
+                todo.append(",")
+    return "".join(out)
 
 
 def parse_braces(text: str) -> HFSet:
-    """Inverse of braces(); whitespace is ignored, duplicates collapse."""
+    """Inverse of braces(); whitespace is ignored, duplicates collapse.
+
+    Malformed text raises ValueError.  Nesting deeper than MAX_BRACE_DEPTH
+    raises ParseError: the canonical order compares sets by recursing
+    through their members, which overflows the interpreter stack on sets
+    a few hundred levels deep.
+    """
     s = "".join(text.split())
-    pos = 0
-
-    def node() -> HFSet:
-        nonlocal pos
-        if pos >= len(s) or s[pos] != "{":
-            raise ValueError(f"expected '{{' at offset {pos} in {text!r}")
-        pos += 1
-        children = []
-        if pos < len(s) and s[pos] == "}":
-            pos += 1
-            return hf()
-        while True:
-            children.append(node())
-            if pos < len(s) and s[pos] == ",":
-                pos += 1
-                continue
-            if pos < len(s) and s[pos] == "}":
-                pos += 1
-                return hf(children)
+    open_sets: List[List[HFSet]] = []
+    out = None
+    for pos, c in enumerate(s):
+        if out is not None:
+            raise ValueError(f"trailing characters after set in {text!r}")
+        prev = s[pos - 1] if pos else ","
+        if c == "{" and prev in "{,":
+            if len(open_sets) == MAX_BRACE_DEPTH:
+                raise ParseError(f"set nested deeper than {MAX_BRACE_DEPTH} levels", 1, pos + 1)
+            open_sets.append([])
+        elif c == "}" and prev in "{}":
+            done = hf(open_sets.pop())
+            if open_sets:
+                open_sets[-1].append(done)
+            else:
+                out = done
+        elif c == "," and prev == "}":
+            continue
+        elif prev == "}":
             raise ValueError(f"expected ',' or '}}' at offset {pos} in {text!r}")
-
-    out = node()
-    if pos != len(s):
-        raise ValueError(f"trailing characters after set in {text!r}")
+        else:
+            raise ValueError(f"expected '{{' at offset {pos} in {text!r}")
+    if out is None:
+        raise ValueError(f"unterminated set in {text!r}")
     return out
 
 

@@ -46,6 +46,11 @@ from .formulas import (
     ATOM_TYPES,
 )
 
+# Deepest parenthesis nesting a script may use.  The parser and the later
+# passes over formulas and terms recurse once or more per level, so deeper
+# input is refused here rather than overflowing the interpreter stack.
+MAX_NESTING = 200
+
 _IDENT = re.compile(r"[A-Za-z_'][A-Za-z0-9_']*\Z")
 _NUMBER = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
 
@@ -104,6 +109,7 @@ class _Reader:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Optional[_Token]:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -119,6 +125,12 @@ class _Reader:
                 frozenset({expected} if expected else set()),
             )
         self.pos += 1
+        if t.text == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise _fail(t, f"nesting deeper than {MAX_NESTING} levels")
+        elif t.text == ")":
+            self.depth -= 1
         return t
 
     def expect(self, text: str) -> _Token:

@@ -14,8 +14,13 @@ is decided in three layers:
    variables no place can tell apart, and the containment edges it induces
    must be acyclic, since sets are well founded.
 3. From an admissible sigma a concrete hereditarily finite model is built
-   bottom-up, seeding every place with fresh high-rank tag sets ("junk") so
-   that distinct places stay extensionally distinct.
+   bottom-up, seeding every place with fresh tag sets ("junk") so that
+   distinct places stay extensionally distinct.  Every tag has the same
+   rank, top + 1, where top is at least len(vars) + 3: junk-free values
+   have rank at most len(vars) and any value holding a tag has rank at
+   least top + 2, so no tag equals an element value.  Tags differ from one
+   another by the bits of their index, so the model's rank does not grow
+   with the number of places.
 
 The search is deterministic and exhaustive, so exhaustion proves
 unsatisfiability.  Every produced model is re-verified literal by literal
@@ -34,11 +39,10 @@ from .normalize import NormalizedConjunction, normalize
 
 DEFAULT_SOLVE_BUDGET = 10_000_000
 
-# Junk tag depth layout: tags for place index k, copy i sit at rank
-# base + k * _PLACE_STRIDE + i, where base exceeds any rank reachable by
-# junk-free construction (at most one rank per variable).
-_PLACE_STRIDE = 3
 _COPIES = 2
+# The rank of a tag's largest member is rounded up to a multiple of this, so
+# that conjunctions with nearby variable counts share one interned tag family.
+_TAG_TOP_STEP = 16
 
 
 @dataclass(frozen=True)
@@ -140,29 +144,45 @@ class Unsat:
 SolveResult = Union[Sat, Unsat]
 
 
+def _junk_tags(nvars: int, count: int) -> List[HFSet]:
+    """count distinct tag sets, all of rank top + 1 with top >= nvars + 3.
+
+    Tag j is {N(top)} | {N(b) : bit b of j is set}, N(d) being the nested
+    singleton of rank d.  Every bit b is below top, so N(top) alone sets
+    the rank and distinct indices give distinct sets.
+    """
+    if count == 0:
+        return []
+    nbits = (count - 1).bit_length()
+    top = -(-max(nvars + 3, nbits) // _TAG_TOP_STEP) * _TAG_TOP_STEP
+    head = nested_singleton(top)
+    low = [nested_singleton(b) for b in range(nbits)]
+    return [
+        hf([head] + [s for b, s in enumerate(low) if j >> b & 1])
+        for j in range(count)
+    ]
+
+
 def build_model(witness: SolverWitness) -> SetAssignment:
     """Construct the assignment a solver witness describes.
 
     Each variable's value collects the element-variable values whose place
-    puts them inside it, plus one tag per junk entry whose place holds the
-    variable.  Tag ranks start above anything junk-free construction can
-    reach, so tags never collide with element values.
+    puts them inside it, plus the tag of each junk entry whose place holds
+    the variable.  Junk-free values have rank at most len(vars), every tag
+    has rank top + 1 >= len(vars) + 4, and any value holding a tag has rank
+    at least top + 2; so no tag equals an element value.  Tag j holds
+    nested singletons for the set bits of j, so tags are pairwise distinct.
+    The model's rank is at most top + 1 + len(vars), and top grows with
+    the junk count only once log2 of it exceeds len(vars) + 3.
     """
     sig = dict(witness.sigma)
-    base = len(witness.vars) + 4
-    place_index: Dict[Place, int] = {}
-    for p, _ in witness.junk:
-        place_index.setdefault(p, len(place_index))
-    tags = {
-        (p, i): nested_singleton(base + place_index[p] * _PLACE_STRIDE + i)
-        for p, i in witness.junk
-    }
+    tags = _junk_tags(len(witness.vars), len(witness.junk))
 
     vals: Dict[str, HFSet] = {}
 
     def settle(v: str) -> None:
         members = [vals[u] for u in witness.topo if sig[u].holds(v)]
-        members.extend(tags[p, i] for p, i in witness.junk if p.holds(v))
+        members.extend(t for t, (p, _) in zip(tags, witness.junk) if p.holds(v))
         vals[v] = hf(members)
 
     for u in witness.topo:

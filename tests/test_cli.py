@@ -9,6 +9,10 @@ from jsonschema import Draft7Validator
 import setsyl.cli as cli
 from setsyl.cli import main
 from setsyl.errors import InvariantViolation
+from setsyl.formulas import and_
+from setsyl.hf import SetAssignment, parse_braces
+from setsyl.oracle import eval_formula
+from setsyl.sexpr import parse_script
 
 SCHEMA_DIR = os.path.join(os.path.dirname(cli.__file__), "schemas")
 FIXTURE = os.path.join(os.path.dirname(os.path.dirname(__file__)), "fixtures",
@@ -71,6 +75,21 @@ def test_solve_json_validates(tmp_path, capsys):
     doc = json.loads(out)
     val.validate(doc)
     assert doc["verdict"] == "unsat" and doc["model"] is None
+
+
+def test_solve_model_with_junk_prints_and_satisfies_script(tmp_path, capsys):
+    text = (
+        "(assert (not (= v1 v0)))\n"
+        "(assert (not (= v2 v0)))\n"
+        "(assert (not (subset (inter v2 v2) (setminus v0 v3))))\n"
+        "(assert (subset (setminus v2 v2) (setminus v1 v2)))\n"
+    )
+    code, out, _ = run(capsys, "solve", script(tmp_path, text), "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verdict"] == "sat"
+    model = SetAssignment({k: parse_braces(v) for k, v in doc["model"].items()})
+    assert eval_formula(and_(*parse_script(text).asserts), model)
 
 
 def test_solve_mixed_theories_json(tmp_path, capsys):
@@ -274,6 +293,10 @@ def test_fuzz_guard_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "fuzz-convexity", "--vars", "9", "--iters", "1")
     assert code == 2
     assert "capped" in err
+    for flags in (("--vars", "0"), ("--iters", "-5"), ("--lits", "-1")):
+        code, out, err = run(capsys, "fuzz-convexity", *flags)
+        assert code == 2, flags
+        assert out == "" and len(err.splitlines()) == 1, flags
 
 
 # --------------------------------------------------------- nonconvex-demo
@@ -317,6 +340,21 @@ def test_parse_error_is_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "solve", f)
     assert code == 2
     assert "error:" in err
+
+
+def test_deep_nesting_is_usage_error(tmp_path, capsys):
+    term = "x"
+    for _ in range(3000):
+        term = f"(union {term} y)"
+    code, out, err = run(capsys, "solve", script(tmp_path, f"(assert (= z {term}))\n"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    deep = "{" * 3000 + "}" * 3000
+    f = script(tmp_path, f"(set-option :base x={deep},y={deep})\n(assert (subset x y))\n")
+    code, out, err = run(capsys, "witness", f, "--eq", "x=y")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_no_arguments_usage(capsys):

@@ -295,6 +295,14 @@ def test_fuzz_guards():
         convexity_fuzz(vars=5, lits=3, iters=1, seed=0, rank_bound=2)
     with pytest.raises(PreconditionError):
         convexity_fuzz(vars=3, lits=3, iters=1, seed=0, rank_bound=4)
+    for bad in (
+        dict(vars=0, lits=3, iters=1, rank_bound=2),
+        dict(vars=3, lits=-1, iters=1, rank_bound=2),
+        dict(vars=3, lits=3, iters=-5, rank_bound=2),
+        dict(vars=3, lits=3, iters=1, rank_bound=0),
+    ):
+        with pytest.raises(PreconditionError):
+            convexity_fuzz(seed=0, **bad)
 
 
 def test_write_reproducers(tmp_path):

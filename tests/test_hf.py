@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from setsyl.errors import ParseError
 from setsyl.hf import (
+    MAX_BRACE_DEPTH,
     HFSet,
     SetAssignment,
     big_inter,
@@ -57,9 +59,17 @@ def test_braces_round_trip():
 
 
 def test_parse_braces_rejects_garbage():
-    for bad in ("", "{", "{}}", "{},{}", "x"):
+    for bad in ("", "{", "{}}", "{},{}", "x", "{,}", "{{},}", "{{}{}}"):
         with pytest.raises(ValueError):
             parse_braces(bad)
+
+
+def test_deep_sets_print_and_parse_within_the_depth_limit():
+    deep = nested_singleton(5000)
+    assert braces(deep) == "{" * 5001 + "}" * 5001
+    assert parse_braces(braces(nested_singleton(MAX_BRACE_DEPTH - 1))).rank == MAX_BRACE_DEPTH - 1
+    with pytest.raises(ParseError):
+        parse_braces(braces(deep))
 
 
 # operations -----------------------------------------------------------------

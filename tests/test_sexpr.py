@@ -21,7 +21,13 @@ from setsyl.formulas import (
     Subset,
     Var,
 )
-from setsyl.sexpr import parse_formula, parse_script, print_formula, print_script
+from setsyl.sexpr import (
+    MAX_NESTING,
+    parse_formula,
+    parse_script,
+    print_formula,
+    print_script,
+)
 
 
 def test_parse_simple_script():
@@ -63,6 +69,21 @@ def test_parse_errors_carry_position():
         parse_script("(assert (in x y)")
     with pytest.raises(ParseError):
         parse_script("(frobnicate x)")
+
+
+def test_nesting_limit_applies_to_terms_and_formulas():
+    def term(depth):
+        return "(union " * depth + "x" + " y)" * depth
+
+    def formula(depth):
+        return "(not " * depth + "(in x y)" + ")" * depth
+
+    assert parse_formula(f"(= z {term(MAX_NESTING - 1)})")
+    assert parse_formula(formula(MAX_NESTING - 1))
+    for text in (f"(= z {term(3000)})", formula(3000)):
+        with pytest.raises(ParseError) as ei:
+            parse_formula(text)
+        assert ei.value.line == 1 and "nesting" in str(ei.value)
 
 
 def test_arity_checked_at_parse_time():

@@ -143,6 +143,24 @@ def test_junk_separates_otherwise_equal_sets():
     assert res.model["y"] is not res.model["z"]
 
 
+def test_junk_tags_share_one_rank_whatever_their_count():
+    a = Place(frozenset({"a"}))
+    ranks = set()
+    for count in (2, 2000):
+        w = SolverWitness(
+            vars=("a", "b", "c"),
+            merge=(("a",), ("b",), ("c",)),
+            sigma=(),
+            junk=tuple((a, i) for i in range(count)),
+            topo=(),
+        )
+        tags = build_model(w)["a"].children
+        assert len(tags) == count
+        ranks |= {t.rank for t in tags}
+    assert len(ranks) == 1
+    assert ranks.pop() > len(w.vars) + 3
+
+
 def test_solve_budget_trips():
     nc = normalize([Subset(x, y), Subset(y, z), Not(Eq(x, z))])
     with pytest.raises(ResourceLimitError):

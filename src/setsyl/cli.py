@@ -1,15 +1,18 @@
 """Command-line entry point for batch solving, fuzzing, and demos.
 
 Verdicts and reports go to stdout, diagnostics to stderr.  Exit codes:
-0 a verdict or report was produced; 2 parse or usage error; 3 a resource
-limit was hit; 4 an internal invariant was violated.  Every command is
-deterministic given its input file, flags, and seed.
+0 a verdict or report was produced (also when the reader of stdout closes
+it early); 2 parse or usage error; 3 a resource limit was hit; 4 an
+internal invariant was violated or any other exception escaped, reported
+as one line.  Every command is deterministic given its input file, flags,
+and seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -649,7 +652,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (say, `| head`); what it read is
+        # all it wanted.  Point stdout at devnull so the flush at shutdown
+        # does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except _USAGE_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -658,6 +669,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
     except InvariantViolation as e:
         print(f"internal invariant violation: {e}", file=sys.stderr)
+        return 4
+    except Exception as e:
+        detail = " ".join(str(e).split())
+        print(f"internal error: {type(e).__name__}: {detail}", file=sys.stderr)
         return 4
 
 

@@ -15,7 +15,6 @@ that order (only the discovery order of propagated pairs may differ).
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -42,6 +41,7 @@ from .formulas import (
     free_vars,
     is_literal,
     literal_atom,
+    max_fresh_index,
 )
 from .hf import SetAssignment
 from .lists import ListState, list_check, list_implied
@@ -50,8 +50,6 @@ from .normalize import split_disjuncts
 from .solver import DEFAULT_SOLVE_BUDGET, implied_equalities, normalize, solve
 
 THEORIES = ("mls", "lra", "list")
-
-_FRESH_P = re.compile(r"_p([0-9]+)\Z")
 
 
 def _top_theory(t: Term) -> Optional[str]:
@@ -87,12 +85,7 @@ class TheoryProblem:
 
 class _Purifier:
     def __init__(self, taken: Iterable[str]):
-        top = 1
-        for name in taken:
-            m = _FRESH_P.match(name)
-            if m:
-                top = max(top, int(m.group(1)) + 1)
-        self._next = top
+        self._next = max_fresh_index("_p", taken) + 1
         self.memo: Dict[Term, Var] = {}
         self.parts: Dict[str, List[Formula]] = {t: [] for t in THEORIES}
         self.defs: List[Formula] = []
@@ -248,8 +241,17 @@ class MlsTheory:
         return res.is_sat
 
     def implied_equalities(self, shared: Sequence[str]) -> Tuple[Tuple[str, str], ...]:
+        """Probe only the pairs the last model equates.
+
+        That model was verified against the asserted literals, so a pair
+        it separates is not implied and needs no probe.  Without a model
+        (the literals were unsatisfiable) every pair is probed.
+        """
         present = [v for v in shared if v in self._nc.vars]
-        pairs = tuple(combinations(present, 2))
+        m = self._model
+        pairs = tuple(
+            (a, b) for a, b in combinations(present, 2) if m is None or m[a] == m[b]
+        )
         return implied_equalities(self._nc, pairs, budget=self._budget)
 
     def model_fragment(self) -> Mapping[str, str]:

@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import os
 import random
-import re
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import InvariantViolation, PreconditionError
-from .formulas import Eq, Not, Var, or_
+from .formulas import Eq, Not, Var, max_fresh_index, or_
 from .hf import HFSet, SetAssignment, hf, nested_singleton, set_union
 from .normalize import NormalizedConjunction, normalize
 from .oracle import oracle_implies
@@ -73,11 +72,7 @@ def pad_vars(
             missing.setdefault(v)
     if not missing:
         return nc
-    top = 0
-    for v in list(nc.vars) + names:
-        m = re.match(r"_g([0-9]+)\Z", v)
-        if m:
-            top = max(top, int(m.group(1)))
+    top = max_fresh_index("_g", list(nc.vars) + names)
     mems = list(nc.memberships)
     for v in missing:
         top += 1

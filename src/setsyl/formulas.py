@@ -232,6 +232,20 @@ def term_vars(t: Term) -> list:
     return list(acc)
 
 
+def max_fresh_index(prefix: str, names: Iterable[str]) -> int:
+    """The largest n with prefix + n (decimal digits) among names, else 0.
+
+    Minters of fresh names such as _g1 or _p1 count on from here, so a
+    minted name never clashes with one the input already uses.
+    """
+    top = 0
+    for name in names:
+        digits = name[len(prefix):]
+        if name.startswith(prefix) and digits.isascii() and digits.isdigit():
+            top = max(top, int(digits))
+    return top
+
+
 def _term_signatures(t: Term, acc: set) -> None:
     if isinstance(t, Empty):
         acc.add(MLS)

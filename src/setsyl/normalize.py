@@ -17,7 +17,6 @@ equisatisfiability constructively instead of re-searching.
 
 from __future__ import annotations
 
-import re
 from functools import cached_property
 from itertools import product as _iterproduct
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -45,12 +44,11 @@ from .formulas import (
     is_atom,
     is_literal,
     literal_atom,
+    max_fresh_index,
     nnf,
 )
 from .hf import SetAssignment, hf, set_diff, set_inter, set_union
 from .oracle import eval_term
-
-_FRESH_RE = re.compile(r"_g([0-9]+)\Z")
 
 
 class NormalizedConjunction:
@@ -187,12 +185,7 @@ PLAN_SYMDIFF_MIN = "symdiff_min"
 
 class _Normalizer:
     def __init__(self, taken: Iterable[str]):
-        top = 0
-        for name in taken:
-            m = _FRESH_RE.match(name)
-            if m:
-                top = max(top, int(m.group(1)))
-        self.counter = top
+        self.counter = max_fresh_index("_g", taken)
         self.mems: List[Tuple[str, str]] = []
         self.diffs: List[Tuple[str, str, str]] = []
         self.plan: List[tuple] = []

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from jsonschema import Draft7Validator
@@ -373,6 +375,37 @@ def test_invariant_violation_exit_code(monkeypatch, capsys):
     code, _, err = run(capsys, "fuzz-convexity", "--iters", "1")
     assert code == 4
     assert "invariant" in err
+
+
+def test_unexpected_exception_is_one_line_exit_4(monkeypatch, capsys):
+    def boom(*a, **k):
+        raise RuntimeError("synthetic\nsecond line")
+
+    monkeypatch.setattr(cli, "cmd_fuzz", boom)
+    code, out, err = run(capsys, "fuzz-convexity", "--iters", "1")
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: RuntimeError: synthetic second line\n"
+
+
+def test_reader_closing_stdout_early_exits_zero(tmp_path):
+    # Far more output than a pipe buffers, so the writer sees the closed pipe.
+    f = script(tmp_path, "".join(f"(assert (in a{i} b{i}))\n" for i in range(6000)))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "setsyl.cli", "normalize", f],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert first == b"(assert (in a0 b0))\n"
+    assert err == b""
 
 
 # ------------------------------------------------------------ determinism

@@ -1,9 +1,12 @@
 """Purification and equality propagation across the three theories."""
 
+import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setsyl.combine import (
     CombinedSat,
@@ -16,6 +19,7 @@ from setsyl.combine import (
     purify,
     solve_combined,
 )
+from setsyl.convexity import random_normalized_conjunction
 from setsyl.errors import (
     InvariantViolation,
     NonConvexPluginError,
@@ -43,7 +47,8 @@ from setsyl.formulas import (
     literal_atom,
 )
 from setsyl.normalize import normalize
-from setsyl.solver import solve
+from setsyl.sexpr import parse_script
+from setsyl.solver import implied_equalities, solve
 
 x, y, z, u, v, w = Var("x"), Var("y"), Var("z"), Var("u"), Var("v"), Var("w")
 
@@ -202,6 +207,22 @@ def test_list_plugin_roundtrip():
     assert p.assert_literals([AtomPred(cons(x, y))]) is False
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 6))
+def test_mls_implied_matches_probing_every_pair(seed, nlits):
+    # The plugin skips the pairs its verified model separates; probing
+    # every pair must find nothing more.
+    lits = random_normalized_conjunction(random.Random(seed), 4, nlits).literals()
+    nc = normalize(lits)
+    names = ["a", "b", "c", "d"]
+    present = [v for v in names if v in nc.vars]
+    plugin = MlsTheory()
+    plugin.assert_literals(lits)
+    assert plugin.implied_equalities(names) == implied_equalities(
+        nc, tuple(combinations(present, 2))
+    )
+
+
 def test_plugin_metadata():
     for cls, name in ((MlsTheory, "mls"), (LraTheory, "lra"), (ListTheory, "list")):
         plugin = cls()
@@ -279,6 +300,37 @@ def test_chained_propagation_through_two_theories():
     assert isinstance(res, CombinedUnsat)
     assert res.culprit == "list"
     assert res.rounds >= 1
+
+
+def _chain_script(n):
+    lines = []
+    for i in range(n - 1):
+        lines.append(f"(assert (subset x{i} x{i + 1}))")
+        lines.append(f"(assert (<= x{i} x{i + 1}))")
+    lines.append(f"(assert (subset x{n - 1} x0))")
+    lines.append(f"(assert (not (= (car x0) (car x{n - 1}))))")
+    return "\n".join(lines)
+
+
+def test_chain_of_eight_propagates_every_pair():
+    # Sets force x0 = ... = x7; arithmetic then holds all 28 pairs as
+    # equalities, which once made elimination blow up.
+    res = solve_combined(parse_script(_chain_script(8)).asserts)
+    assert isinstance(res, CombinedUnsat)
+    assert res.culprit == "list"
+    names = [f"x{i}" for i in range(8)]
+    assert sorted(res.propagated) == list(combinations(names, 2))
+
+
+def test_deeply_nested_sum_is_sat():
+    # Purification names each of the 24 nested sums with an equality row.
+    t = "(+ a b)"
+    for _ in range(24):
+        t = f"(+ {t} b)"
+    res = solve_combined(parse_script(f"(assert (<= c {t}))").asserts)
+    assert res.is_sat
+    vals = res.fragments["lra"]
+    assert vals["c"] <= vals["a"] + 25 * vals["b"]
 
 
 def test_propagate_requires_covering_plugins():

@@ -29,6 +29,7 @@ from setsyl.formulas import (
     is_atom,
     is_literal,
     literal_atom,
+    max_fresh_index,
     nnf,
     or_,
     term_vars,
@@ -89,6 +90,13 @@ def test_free_vars_first_occurrence_order():
     assert free_vars(f) == ["y", "x", "z"]
     assert term_vars(SetOp("inter", z, x)) == ["z", "x"]
     assert free_vars(Eq(EMPTY, EMPTY)) == []
+
+
+def test_max_fresh_index_reads_only_prefix_and_ascii_digits():
+    assert max_fresh_index("_g", []) == 0
+    assert max_fresh_index("_g", ["_g3", "x", "_g12", "_p40", "_g", "_g2a"]) == 12
+    assert max_fresh_index("_g", ["_g007", "a_g9", "_g\u0661"]) == 7
+    assert max_fresh_index("_p", ["_p0"]) == 0
 
 
 def test_classify_atom_tags():

@@ -1,6 +1,7 @@
 """Exact rational arithmetic over weak inequalities and disequalities."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -248,9 +249,7 @@ _lits = st.one_of(
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(_lits, min_size=0, max_size=5))
-def test_check_and_sample_agree(picks):
+def _literals(picks, split_eq=False):
     lits = []
     for kind, a, b in picks:
         if kind == "le":
@@ -258,12 +257,77 @@ def test_check_and_sample_agree(picks):
         elif kind == "lt":
             lits.append(Not(Leq(b, a)))
         elif kind == "eq":
-            lits.append(Eq(a, b))
+            lits.extend((Leq(a, b), Leq(b, a)) if split_eq else (Eq(a, b),))
         else:
             lits.append(Not(Eq(a, b)))
-    s = LraState.from_literals(lits)
+    return lits
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_lits, min_size=0, max_size=5))
+def test_check_and_sample_agree(picks):
+    s = LraState.from_literals(_literals(picks))
     if lra_check(s):
         _holds(s, lra_sample(s))
     else:
         with pytest.raises(InvariantViolation):
             lra_sample(s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_lits, min_size=0, max_size=5))
+def test_equalities_written_as_two_inequalities_change_nothing(picks):
+    # Equality rows are substituted away, their two halves are eliminated.
+    whole = LraState.from_literals(_literals(picks))
+    split = LraState.from_literals(_literals(picks, split_eq=True))
+    assert lra_check(whole) == lra_check(split)
+    assert lra_implied(whole, ["x", "y", "z"]) == lra_implied(split, ["x", "y", "z"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_lits, min_size=0, max_size=5))
+def test_implied_matches_probing_every_pair(picks):
+    # lra_implied skips the pairs its sample point separates; probing
+    # both strict separations of every pair must find nothing more.
+    s = LraState.from_literals(_literals(picks))
+    rows = _literals([p for p in picks if p[0] != "ne"])
+    present = [v for v in ("x", "y", "z") if v in s.vars()]
+    expect = tuple(
+        (a, b)
+        for a, b in combinations(present, 2)
+        if not lra_check(LraState.from_literals(rows + [Not(Leq(Var(b), Var(a)))]))
+        and not lra_check(LraState.from_literals(rows + [Not(Leq(Var(a), Var(b)))]))
+    )
+    assert lra_implied(s, ["x", "y", "z"]) == expect
+
+
+def test_dominated_rows_leave_check_and_sample_alone():
+    tight = state(Leq(rc(0), x), Leq(x, rc(1)), Leq(y, x))
+    loose = state(
+        Leq(rc(0), x),
+        Leq(x, rc(1)),
+        Leq(y, x),
+        Leq(x, rc(2)),
+        Leq(plus(x, x), rc(2)),
+        Leq(plus(y, rc(-5)), x),
+        Leq(x, rc(1)),
+    )
+    assert lra_check(loose) is True
+    assert lra_sample(loose) == lra_sample(tight)
+
+
+def test_substituted_equalities_reach_the_sample():
+    # Each equality is solved for its least name, x and then y; both come
+    # back from their definitions after the inequalities are sampled.
+    # The rows alone sample x = 3, which puts y on the excluded value 8.
+    s = state(Eq(z, plus(x, rc(1))), Eq(y, plus(z, z)), Leq(rc(2), x), Not(Eq(y, rc(8))))
+    val = lra_sample(s)
+    assert set(val) == {"x", "y", "z"}
+    assert val["y"] != 8
+    assert val["z"] == val["x"] + 1 and val["y"] == 2 * val["z"]
+    _holds(s, val)
+
+
+def test_ground_equality_after_substitution():
+    assert lra_check(state(Eq(x, y), Eq(y, plus(x, rc(1))))) is False
+    assert lra_check(state(Eq(x, y), Eq(y, x), Not(Leq(y, z)))) is True

@@ -212,7 +212,6 @@ def cmd_solve(args) -> int:
         w = sat_res.witness
         doc["witness"] = {
             "vars": list(w.vars),
-            "merge": [list(g) for g in w.merge],
             "sigma": [[name, sorted(place.trues)] for name, place in w.sigma],
             "junk": [[sorted(place.trues), copies] for place, copies in w.junk],
             "topo": list(w.topo),

@@ -369,8 +369,11 @@ def minimize_equalities(
         else:
             break
 
+    # The last pass probed every pair the model equates and found it
+    # implied; a pair the model separates is falsified by the model itself,
+    # which satisfies padded, so it needs no probe.
     classification = tuple(
-        Implied() if not probe(pair).is_sat else Falsifiable(model) for pair in pairs
+        Implied() if model[a] == model[b] else Falsifiable(model) for a, b in pairs
     )
     return model, EqualitySet(pairs, classification, steps)
 

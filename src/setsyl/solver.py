@@ -22,6 +22,30 @@ is decided in three layers:
    another by the bits of their index, so the model's rank does not grow
    with the number of places.
 
+Before any place is enumerated, solve applies two reductions.
+
+* Membership cycles.  Each "x in y" forces rank(x) < rank(y), and HF sets
+  are well founded, so no model has a chain x1 in x2 in ... in x1 (a
+  self-membership being the shortest).  A cycle in the graph of
+  membership literals refutes the conjunction outright.
+* Components.  Variables are connected when a literal mentions both; the
+  literals split into the components of that relation, and no literal
+  spans two of them.  Each component is searched on its own places, under
+  one shared budget, and picks its own junk (none, else its maximal junk).
+  The conjunction is satisfiable iff every component is: a model of the
+  whole restricts to each part, and the merged witness below builds a
+  model of the whole from the parts.  The merged witness concatenates the
+  components' sigma, junk and topo over all the variables.  A component's
+  places hold only its own variables, so in the merged build a variable
+  collects only element values and junk tags of its own component.  Each
+  component's part of the model is therefore its own model with the tags
+  relabelled injectively: tags stay pairwise distinct and all of rank
+  top + 1 >= len(vars) + 4, which still exceeds every junk-free value, so
+  the equalities and memberships between the component's values do not
+  change.  The merged model is re-verified against the whole conjunction
+  all the same.  A connected conjunction is its own single component and
+  takes the search unchanged.
+
 The search is deterministic and exhaustive, so exhaustion proves
 unsatisfiability.  Every produced model is re-verified literal by literal
 before it is returned.
@@ -30,7 +54,7 @@ before it is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import InvariantViolation, ResourceLimitError
 from .formulas import Eq, Not, Var
@@ -101,16 +125,74 @@ def _enumerate_places(nc: NormalizedConjunction, budget: _Budget) -> List[Place]
     return out
 
 
+def _components(nc: NormalizedConjunction) -> List[NormalizedConjunction]:
+    """nc split into its variable-connected components, by first variable.
+
+    A connected (or empty) conjunction comes back as [nc] itself.
+    """
+    # group[v] is the set of variables connected to v so far, shared by all
+    # of them; a literal merges the smaller of two groups into the larger.
+    group: Dict[str, Set[str]] = {}
+    for lit in nc.memberships + nc.differences:
+        g = group.get(lit[0])
+        if g is None:
+            g = group[lit[0]] = {lit[0]}
+        for v in lit[1:]:
+            h = group.get(v)
+            if h is None:
+                g.add(v)
+                group[v] = g
+            elif h is not g:
+                if len(h) > len(g):
+                    g, h = h, g
+                g |= h
+                for u in h:
+                    group[u] = g
+    if not group or len(group[nc.vars[0]]) == len(group):
+        return [nc]
+    parts = {id(group[v]): ([], []) for v in nc.vars}
+    for m in nc.memberships:
+        parts[id(group[m[0]])][0].append(m)
+    for d in nc.differences:
+        parts[id(group[d[0]])][1].append(d)
+    return [NormalizedConjunction(mems, diffs) for mems, diffs in parts.values()]
+
+
+def _has_membership_cycle(nc: NormalizedConjunction) -> bool:
+    """Whether the x -> y edges of the literals "x in y" close a cycle.
+
+    Kahn's algorithm: peel off variables with no incoming edge; any
+    variable left over lies on or behind a cycle (a self-loop included).
+    """
+    succ: Dict[str, List[str]] = {}
+    indeg: Dict[str, int] = {}
+    for x, y in nc.memberships:
+        succ.setdefault(x, []).append(y)
+        indeg.setdefault(x, 0)
+        indeg[y] = indeg.get(y, 0) + 1
+    ready = [v for v, d in indeg.items() if d == 0]
+    peeled = 0
+    while ready:
+        peeled += 1
+        for w in succ.get(ready.pop(), ()):
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                ready.append(w)
+    return peeled < len(indeg)
+
+
 def enumerate_places(
     nc: NormalizedConjunction, budget: Optional[int] = None
 ) -> List[Place]:
-    """All boolean valuations consistent with the difference literals.
+    """The places solve searches: each component's, component after component.
 
-    Deterministic order: variables in nc.vars order, False tried before
-    True.  The all-False valuation is always a place, so the list is never
-    empty.
+    A component's places are the boolean valuations of its variables
+    consistent with its difference literals, in deterministic order:
+    variables in vars order, False tried before True.  The all-False
+    valuation is always a place, so the list is never empty.
     """
-    return _enumerate_places(nc, _Budget(budget))
+    meter = _Budget(budget)
+    return [p for part in _components(nc) for p in _enumerate_places(part, meter)]
 
 
 @dataclass(frozen=True)
@@ -118,7 +200,6 @@ class SolverWitness:
     """Everything needed to rebuild a model without re-searching."""
 
     vars: Tuple[str, ...]
-    merge: Tuple[Tuple[str, ...], ...]
     sigma: Tuple[Tuple[str, Place], ...]
     junk: Tuple[Tuple[Place, int], ...]
     topo: Tuple[str, ...]
@@ -238,16 +319,15 @@ def _has_cycle(assigned: Sequence[str], sig: Dict[str, Place]) -> bool:
     return any(color.get(u, 0) == 0 and visit(u) for u in assigned)
 
 
-def solve(
-    nc: NormalizedConjunction, budget: Optional[int] = DEFAULT_SOLVE_BUDGET
-) -> SolveResult:
-    """Decide a normalized conjunction; Sat carries a verified model.
+def _search(
+    nc: NormalizedConjunction, meter: _Budget
+) -> Optional[Tuple[SolverWitness, Optional[SetAssignment]]]:
+    """Search the placements of nc; None when no placement is admissible.
 
-    budget caps the total count of search steps (place-enumeration nodes,
-    placement attempts, model builds); exceeding it raises
-    ResourceLimitError.  None means unbounded.
+    The witness of the first admissible placement comes with its verified
+    junk-free model, or, when the junk-free build fails, with maximal junk
+    and no model: the caller builds and verifies that one.
     """
-    meter = _Budget(budget)
     places = _enumerate_places(nc, meter)
 
     elems: List[str] = list(dict.fromkeys(x for x, _ in nc.memberships))
@@ -276,29 +356,25 @@ def solve(
             if all(p.holds(y) for u in group for y in targets[u])
         ]
         if not cand:
-            return Unsat()
+            return None
         candidates.append(cand)
 
-    merge = tuple((v,) for v in nc.vars)
-    maximal_junk = tuple((p, i) for p in places for i in range(_COPIES))
     sig: Dict[str, Place] = {}
 
-    def leaf() -> Optional[Sat]:
+    def leaf() -> Tuple[SolverWitness, Optional[SetAssignment]]:
         topo = _kahn(elems, sig)
         if topo is None:
             raise InvariantViolation("acyclic placement has no build order")
         sigma = tuple((u, sig[u]) for u in elems)
-        for junk in ((), maximal_junk):
-            meter.spend("building candidate models")
-            witness = SolverWitness(
-                vars=nc.vars, merge=merge, sigma=sigma, junk=junk, topo=topo
-            )
-            model = build_model(witness)
-            if satisfies(nc, model):
-                return Sat(model, witness)
-        raise InvariantViolation("admissible placement built a non-model")
+        meter.spend("building candidate models")
+        witness = SolverWitness(vars=nc.vars, sigma=sigma, junk=(), topo=topo)
+        model = build_model(witness)
+        if satisfies(nc, model):
+            return witness, model
+        maximal_junk = tuple((p, i) for p in places for i in range(_COPIES))
+        return SolverWitness(nc.vars, sigma, maximal_junk, topo), None
 
-    def descend(i: int) -> Optional[Sat]:
+    def descend(i: int) -> Optional[Tuple[SolverWitness, Optional[SetAssignment]]]:
         if i == len(classes):
             return leaf()
         for p in candidates[i]:
@@ -313,8 +389,41 @@ def solve(
                 del sig[u]
         return None
 
-    found = descend(0)
-    return found if found is not None else Unsat()
+    return descend(0)
+
+
+def solve(
+    nc: NormalizedConjunction, budget: Optional[int] = DEFAULT_SOLVE_BUDGET
+) -> SolveResult:
+    """Decide a normalized conjunction; Sat carries a verified model.
+
+    budget caps the total count of search steps (place-enumeration nodes,
+    placement attempts, model builds) over all components; exceeding it
+    raises ResourceLimitError.  None means unbounded.
+    """
+    if _has_membership_cycle(nc):
+        return Unsat()
+    meter = _Budget(budget)
+    found = []
+    for part in _components(nc):
+        hit = _search(part, meter)
+        if hit is None:
+            return Unsat()
+        found.append(hit)
+    if len(found) == 1 and found[0][1] is not None:
+        witness, model = found[0]
+        return Sat(model, witness)
+    witness = SolverWitness(
+        vars=nc.vars,
+        sigma=tuple(s for w, _ in found for s in w.sigma),
+        junk=tuple(j for w, _ in found for j in w.junk),
+        topo=tuple(u for w, _ in found for u in w.topo),
+    )
+    meter.spend("building candidate models")
+    model = build_model(witness)
+    if not satisfies(nc, model):
+        raise InvariantViolation("admissible placement built a non-model")
+    return Sat(model, witness)
 
 
 def implied_equalities(

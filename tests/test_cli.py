@@ -17,8 +17,8 @@ from setsyl.oracle import eval_formula
 from setsyl.sexpr import parse_script
 
 SCHEMA_DIR = os.path.join(os.path.dirname(cli.__file__), "schemas")
-FIXTURE = os.path.join(os.path.dirname(os.path.dirname(__file__)), "fixtures",
-                       "enlargement.syl")
+FIXTURES = os.path.join(os.path.dirname(os.path.dirname(__file__)), "fixtures")
+FIXTURE = os.path.join(FIXTURES, "enlargement.syl")
 
 
 def schema(name: str) -> Draft7Validator:
@@ -409,6 +409,31 @@ def test_reader_closing_stdout_early_exits_zero(tmp_path):
 
 
 # ------------------------------------------------------------ determinism
+
+
+def test_two_component_witness_validates_and_repeats_across_hash_seeds():
+    fixture = os.path.join(FIXTURES, "two_components.syl")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    docs = []
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "setsyl.cli", "solve", "--witness", "--json", fixture],
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+            timeout=120,
+        )
+        assert proc.returncode == 0 and proc.stderr == b""
+        doc = json.loads(proc.stdout)
+        schema("solve").validate(doc)
+        docs.append(doc)
+    assert docs[0]["verdict"] == "sat"
+    assert docs[0]["witness"]["full_model"] == docs[1]["witness"]["full_model"]
+    with open(fixture) as fh:
+        text = fh.read()
+    full = docs[0]["witness"]["full_model"]
+    model = SetAssignment({k: parse_braces(v) for k, v in full.items()})
+    assert eval_formula(and_(*parse_script(text).asserts), model)
 
 
 def test_repeat_runs_are_byte_identical(tmp_path, capsys):

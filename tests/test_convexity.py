@@ -21,7 +21,7 @@ from setsyl.convexity import (
     write_reproducers,
 )
 from setsyl.errors import PreconditionError
-from setsyl.formulas import Eq, In, SetOp, Subset, Var, or_
+from setsyl.formulas import Eq, In, Not, SetOp, Subset, Var, or_
 from setsyl.oracle import oracle_implies
 from setsyl.hf import SetAssignment, braces, hf, parse_braces
 from setsyl.normalize import NormalizedConjunction, normalize
@@ -222,6 +222,25 @@ def test_minimize_agrees_with_implied_equalities():
         padded = pad_vars(nc, pairs)
         _, eqs = minimize_equalities(nc, pairs)
         assert eqs.implied_pairs() == implied_equalities(padded, pairs)
+
+
+def test_minimize_classifies_separated_pairs_without_probing(monkeypatch):
+    import setsyl.convexity as convexity
+
+    phi = normalize([Subset(x, y), Subset(y, z)])
+    pairs = [("x", "y"), ("y", "z"), ("x", "z")]
+    # every pair falsifiable, by a direct probe of each
+    for a, b in pairs:
+        assert solve(normalize(phi.literals() + [Not(Eq(Var(a), Var(b)))])).is_sat
+    calls = []
+    monkeypatch.setattr(
+        convexity, "solve", lambda *args, **kw: calls.append(1) or solve(*args, **kw)
+    )
+    model, eqs = minimize_equalities(phi, pairs)
+    assert eqs.classification == tuple(Falsifiable(model) for _ in pairs)
+    assert all(model[a] != model[b] for a, b in pairs)
+    # the start solve plus one probe per enlargement, not one per pair
+    assert len(calls) == 1 + eqs.enlargements < 1 + len(pairs)
 
 
 def test_minimize_foreign_variable_is_padded():

@@ -1,9 +1,12 @@
 """The place/placement/junk decision procedure for normalized conjunctions."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from setsyl.convexity import random_normalized_conjunction
 from setsyl.errors import ResourceLimitError
 from setsyl.formulas import Eq, In, Not, SetOp, Subset, Var
 from setsyl.normalize import NormalizedConjunction, normalize
@@ -83,7 +86,6 @@ def test_witness_fields_describe_the_model():
     res = solve(nc)
     w = res.witness
     assert w.vars == ("x", "y")
-    assert w.merge == (("x",), ("y",))
     assert dict(w.sigma)["x"].holds("y")
     assert w.topo == ("x",)
     rebuilt = build_model(w)
@@ -149,7 +151,6 @@ def test_junk_tags_share_one_rank_whatever_their_count():
     for count in (2, 2000):
         w = SolverWitness(
             vars=("a", "b", "c"),
-            merge=(("a",), ("b",), ("c",)),
             sigma=(),
             junk=tuple((a, i) for i in range(count)),
             topo=(),
@@ -182,6 +183,104 @@ def test_sat_unsat_flags():
     assert Sat.is_sat.fget is not None
     assert solve(normalize([In(x, y)])).is_sat is True
     assert Unsat().is_sat is False
+
+
+# ------------------------------------------------ cycles and components
+
+
+def test_hidden_membership_cycle_is_refuted_before_any_place():
+    # 12 variables, one component; places alone would cost thousands of steps
+    nc = NormalizedConjunction(
+        memberships=[("a", "b"), ("p", "q"), ("b", "c"), ("r", "s"), ("c", "a")],
+        differences=[("q", "a", "r"), ("s", "t", "u"), ("u", "v", "w"), ("w", "k", "c")],
+    )
+    assert len(nc.vars) >= 10
+    assert solve(nc, budget=1) == Unsat()
+
+
+def test_twelve_independent_memberships_are_sat():
+    nc = NormalizedConjunction([(f"x{i}", f"y{i}") for i in range(12)])
+    res = solve(nc)
+    assert res.is_sat
+    assert satisfies(nc, res.model)
+    assert eval_formula(nc.to_formula(), res.model)
+    assert build_model(res.witness) == res.model
+    assert res.witness.vars == nc.vars
+    assert res.witness.topo == tuple(f"x{i}" for i in range(12))
+
+
+def test_components_share_one_budget():
+    parts = [NormalizedConjunction([(f"x{i}", f"y{i}")]) for i in range(6)]
+    whole = NormalizedConjunction([m for p in parts for m in p.memberships])
+    for part in parts:
+        assert solve(part, budget=20).is_sat
+    with pytest.raises(ResourceLimitError):
+        solve(whole, budget=20)
+
+
+def test_enumerate_places_lists_each_component_in_turn():
+    nc = NormalizedConjunction([("x", "y"), ("a", "b")])
+    places = enumerate_places(nc)
+    assert [p.sorted_trues() for p in places] == [
+        (), ("y",), ("x",), ("x", "y"), (), ("b",), ("a",), ("a", "b")
+    ]
+
+
+def _renamed(nc, name):
+    return NormalizedConjunction(
+        [tuple(map(name, m)) for m in nc.memberships],
+        [tuple(map(name, d)) for d in nc.differences],
+    )
+
+
+def _joined(parts):
+    return NormalizedConjunction(
+        [m for p in parts for m in p.memberships],
+        [d for p in parts for d in p.differences],
+    )
+
+
+# (variable count, literal count, seed) of each part, drawn the way
+# random_normalized_conjunction draws fuzz conjunctions
+_part_specs = st.lists(
+    st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(0, 2**32)),
+    min_size=2,
+    max_size=3,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_part_specs, st.randoms(use_true_random=False))
+def test_disjoint_parts_solve_as_their_conjunction(specs, rnd):
+    parts = [
+        _renamed(
+            random_normalized_conjunction(random.Random(seed), nvars, nlits),
+            lambda v, i=i: f"{v}{i}",
+        )
+        for i, (nvars, nlits, seed) in enumerate(specs)
+    ]
+    whole = _joined(parts)
+    res = solve(whole)
+    assert res.is_sat == all(solve(p).is_sat for p in parts)
+    if len(whole.vars) <= 4:
+        assert oracle_sat(whole.to_formula(), 2).is_sat <= res.is_sat
+    if res.is_sat:
+        assert satisfies(whole, res.model)
+        assert eval_formula(whole.to_formula(), res.model)
+        assert build_model(res.witness) == res.model
+
+    # metamorphic: permuted literals and renamed variables keep the verdict
+    mems, diffs = list(whole.memberships), list(whole.differences)
+    rnd.shuffle(mems)
+    rnd.shuffle(diffs)
+    fresh = [f"v{k}" for k in range(len(whole.vars))]
+    rnd.shuffle(fresh)
+    rename = dict(zip(whole.vars, fresh))
+    moved = _renamed(NormalizedConjunction(mems, diffs), rename.__getitem__)
+    again = solve(moved)
+    assert again.is_sat == res.is_sat
+    if again.is_sat:
+        assert satisfies(moved, again.model)
 
 
 # ------------------------------------------------------ implied equalities

@@ -16,7 +16,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .combine import THEORIES, solve_combined
 from .convexity import (
@@ -63,13 +63,11 @@ from .formulas import (
     literal_atom,
     or_,
 )
-from .hf import SetAssignment, braces, hf, parse_braces
+from .hf import MAX_RANK_BOUND, SetAssignment, braces, hf, parse_braces
 from .normalize import dnf_split, normalize
 from .oracle import bounded_models, nonconvexity_schema, oracle_implies, oracle_sat
 from .sexpr import parse_script, print_formula
 from .solver import DEFAULT_SOLVE_BUDGET, solve
-
-MAX_RANK = 4
 
 _EQ_FLAG = re.compile(r"([A-Za-z_'][A-Za-z0-9_']*)=([A-Za-z_'][A-Za-z0-9_']*)\Z")
 
@@ -84,8 +82,10 @@ def _read_script(path: str):
 
 
 def _check_rank(rank: int) -> int:
-    if rank < 1 or rank > MAX_RANK:
-        raise BoundTooLargeError(f"rank bound must be between 1 and {MAX_RANK}, got {rank}")
+    if rank < 1 or rank > MAX_RANK_BOUND:
+        raise BoundTooLargeError(
+            f"rank bound must be between 1 and {MAX_RANK_BOUND}, got {rank}"
+        )
     return rank
 
 
@@ -119,10 +119,6 @@ def _emit(doc: dict, as_json: bool, lines: Sequence[str]) -> None:
     else:
         for line in lines:
             print(line)
-
-
-def _model_strings(m: SetAssignment) -> Dict[str, str]:
-    return m.to_strings()
 
 
 # solve ------------------------------------------------------------------
@@ -202,11 +198,11 @@ def cmd_solve(args) -> int:
         "command": "solve",
         "engine": "mls",
         "verdict": "sat",
-        "model": _model_strings(model),
+        "model": model.to_strings(),
         "witness": None,
     }
     lines = ["sat"]
-    for k, v in sorted(_model_strings(model).items()):
+    for k, v in sorted(model.to_strings().items()):
         lines.append(f"{k} = {v}")
     if args.witness:
         w = sat_res.witness
@@ -215,7 +211,7 @@ def cmd_solve(args) -> int:
             "sigma": [[name, sorted(place.trues)] for name, place in w.sigma],
             "junk": [[sorted(place.trues), copies] for place, copies in w.junk],
             "topo": list(w.topo),
-            "full_model": _model_strings(sat_res.model),
+            "full_model": sat_res.model.to_strings(),
         }
         lines.append(f"witness: topo = {', '.join(w.topo) or '(none)'}")
         for name, place in w.sigma:
@@ -267,10 +263,10 @@ def cmd_oracle(args) -> int:
             "command": "oracle",
             "rank_bound": rank,
             "verdict": "sat",
-            "model": _model_strings(res.model),
+            "model": res.model.to_strings(),
         }
         lines = [f"sat within rank {rank}"]
-        for k, v in sorted(_model_strings(res.model).items()):
+        for k, v in sorted(res.model.to_strings().items()):
             lines.append(f"{k} = {v}")
     else:
         doc = {"command": "oracle", "rank_bound": rank, "verdict": "unsat", "model": None}

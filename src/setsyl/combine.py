@@ -46,8 +46,8 @@ from .formulas import (
 from .hf import SetAssignment
 from .lists import ListState, list_check, list_implied
 from .lra import LraState, lra_check, lra_implied, lra_sample
-from .normalize import split_disjuncts
-from .solver import DEFAULT_SOLVE_BUDGET, implied_equalities, normalize, solve
+from .normalize import normalize, split_disjuncts
+from .solver import DEFAULT_SOLVE_BUDGET, implied_equalities, solve
 
 THEORIES = ("mls", "lra", "list")
 
@@ -241,18 +241,8 @@ class MlsTheory:
         return res.is_sat
 
     def implied_equalities(self, shared: Sequence[str]) -> Tuple[Tuple[str, str], ...]:
-        """Probe only the pairs the last model equates.
-
-        That model was verified against the asserted literals, so a pair
-        it separates is not implied and needs no probe.  Without a model
-        (the literals were unsatisfiable) every pair is probed.
-        """
         present = [v for v in shared if v in self._nc.vars]
-        m = self._model
-        pairs = tuple(
-            (a, b) for a, b in combinations(present, 2) if m is None or m[a] == m[b]
-        )
-        return implied_equalities(self._nc, pairs, budget=self._budget)
+        return implied_equalities(self._nc, combinations(present, 2), budget=self._budget)
 
     def model_fragment(self) -> Mapping[str, str]:
         return self._model.restrict(v for v in self._vars if v in self._model).to_strings()

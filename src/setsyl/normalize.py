@@ -18,8 +18,7 @@ equisatisfiability constructively instead of re-searching.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product as _iterproduct
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import InvariantViolation, UnsupportedAtomError
 from .formulas import (
@@ -124,39 +123,53 @@ def _check_mls_atom(a: Atom) -> None:
         )
 
 
-def split_disjuncts(f: Formula) -> List[List[Formula]]:
+def split_disjuncts(f: Formula) -> Iterator[List[Formula]]:
     """Structural disjunctive normal form, agnostic to atom theory.
 
     Purely syntactic: no semantic pruning, so contradictory conjunctions
     survive (downstream solvers report them unsatisfiable).  Literals are
-    deduplicated within each conjunction.
+    deduplicated within each conjunction.  The conjunctions are generated
+    one at a time, so a caller that stops at the first satisfiable one
+    never builds the rest of the product.
     """
-    g = nnf(f)
+    return _disjuncts(nnf(f))
 
-    def walk(h: Formula) -> List[List[Formula]]:
-        if is_literal(h):
-            return [[h]]
-        if isinstance(h, Or):
-            out: List[List[Formula]] = []
-            for p in h.parts:
-                out.extend(walk(p))
-            return out
-        if isinstance(h, And):
-            out = []
-            for combo in _iterproduct(*(walk(p) for p in h.parts)):
-                merged: Dict[Formula, None] = {}
-                for lits in combo:
-                    for lit in lits:
-                        merged.setdefault(lit)
-                out.append(list(merged))
-            return out
+
+def _disjuncts(h: Formula) -> Iterator[List[Formula]]:
+    if is_literal(h):
+        yield [h]
+    elif isinstance(h, Or):
+        for p in h.parts:
+            yield from _disjuncts(p)
+    elif isinstance(h, And):
+        # The product over the parts, first part slowest, walked with one
+        # iterator per part on an explicit stack: a script's top-level And
+        # may have thousands of parts.
+        parts = h.parts
+        stack = [_disjuncts(parts[0])]
+        picked: List[List[Formula]] = []
+        while stack:
+            lits = next(stack[-1], None)
+            if lits is None:
+                stack.pop()
+                if picked:
+                    picked.pop()
+                continue
+            picked.append(lits)
+            if len(picked) == len(parts):
+                yield list(dict.fromkeys(lit for ls in picked for lit in ls))
+                picked.pop()
+            else:
+                stack.append(_disjuncts(parts[len(picked)]))
+    else:
         raise TypeError(f"unexpected formula after nnf: {h!r}")
 
-    return walk(g)
 
+def dnf_split(f: Formula) -> Iterator[List[Formula]]:
+    """split_disjuncts restricted to the set fragment's atoms.
 
-def dnf_split(f: Formula) -> List[List[Formula]]:
-    """split_disjuncts restricted to the set fragment's atoms."""
+    The atoms are checked at call time, before any conjunction is made.
+    """
     def check(g: Formula) -> None:
         if is_atom(g):
             _check_mls_atom(g)

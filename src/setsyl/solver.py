@@ -49,17 +49,43 @@ Before any place is enumerated, solve applies two reductions.
 The search is deterministic and exhaustive, so exhaustion proves
 unsatisfiability.  Every produced model is re-verified literal by literal
 before it is returned.
+
+Implied equalities are read off one decision and the place list.  The
+signature of a variable is the tuple of its truth values over the places
+solve searches (each component's, component after component).  When nc is
+satisfiable, "x = y" holds in every model of nc iff x and y have equal
+signatures:
+
+(<=) The variables whose values contain a given element of a model form a
+     boolean valuation that satisfies every difference literal pointwise,
+     so on each component it is one of that component's places: every
+     element lies in exactly one place of each component.  If x and y
+     share a component, an element lies in x's value iff its place holds
+     x, iff that place holds y, iff it lies in y's value.  If they do not,
+     equal signatures mean no place holds either, so both values are
+     empty.  Either way the two values are equal.
+(=>) Let a place p hold x but not y.  solve found an admissible placement,
+     and the maximal-junk build of that placement, with tags in every
+     place of every component, is a model, which the search relies on.
+     It puts p's tags into exactly the variables p holds, and no tag equals
+     an element value or another tag, so p's tags lie in x's value and not
+     in y's.
+
+When nc is unsatisfiable every pair is implied.  A variable nc does not
+mention is unconstrained, so it is implied equal only to itself.  This is
+the convexity of the theory in its cheapest form: one decision answers
+every pair, and no pair needs a refutation probe of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import InvariantViolation, ResourceLimitError
-from .formulas import Eq, Not, Var
 from .hf import HFSet, SetAssignment, hf, nested_singleton, set_diff
-from .normalize import NormalizedConjunction, normalize
+from .normalize import NormalizedConjunction
 
 DEFAULT_SOLVE_BUDGET = 10_000_000
 
@@ -158,27 +184,35 @@ def _components(nc: NormalizedConjunction) -> List[NormalizedConjunction]:
     return [NormalizedConjunction(mems, diffs) for mems, diffs in parts.values()]
 
 
-def _has_membership_cycle(nc: NormalizedConjunction) -> bool:
-    """Whether the x -> y edges of the literals "x in y" close a cycle.
+def _topo_order(succ: Dict[str, List[str]]) -> Optional[Tuple[str, ...]]:
+    """The keys of succ ordered so that u comes before every v in succ[u].
 
-    Kahn's algorithm: peel off variables with no incoming edge; any
-    variable left over lies on or behind a cycle (a self-loop included).
+    Kahn's algorithm, always taking the ready key that comes first in
+    succ's order; None when the edges close a cycle, a self-loop included.
+    Every successor must itself be a key.
     """
-    succ: Dict[str, List[str]] = {}
-    indeg: Dict[str, int] = {}
-    for x, y in nc.memberships:
-        succ.setdefault(x, []).append(y)
-        indeg.setdefault(x, 0)
-        indeg[y] = indeg.get(y, 0) + 1
-    ready = [v for v, d in indeg.items() if d == 0]
-    peeled = 0
+    nodes = list(succ)
+    index = {u: i for i, u in enumerate(nodes)}
+    indeg = [0] * len(nodes)
+    for vs in succ.values():
+        for v in vs:
+            indeg[index[v]] += 1
+    ready = [i for i, d in enumerate(indeg) if d == 0]
+    order: List[str] = []
     while ready:
-        peeled += 1
-        for w in succ.get(ready.pop(), ()):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-    return peeled < len(indeg)
+        u = nodes[heappop(ready)]
+        order.append(u)
+        for v in succ[u]:
+            j = index[v]
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                heappush(ready, j)
+    return tuple(order) if len(order) == len(nodes) else None
+
+
+def _signatures(places: Sequence[Place], names: Iterable[str]) -> Dict[str, Tuple[bool, ...]]:
+    """Each name's signature: which of the places hold it, in place order."""
+    return {u: tuple(p.holds(u) for p in places) for u in names}
 
 
 def enumerate_places(
@@ -285,40 +319,6 @@ def satisfies(nc: NormalizedConjunction, model: SetAssignment) -> bool:
     return True
 
 
-def _kahn(elems: Sequence[str], sig: Dict[str, Place]) -> Optional[Tuple[str, ...]]:
-    remaining = list(elems)
-    done: List[str] = []
-    placed = set()
-    while remaining:
-        for v in remaining:
-            if all(u in placed for u in elems if u != v and sig[u].holds(v)):
-                done.append(v)
-                placed.add(v)
-                remaining.remove(v)
-                break
-        else:
-            return None
-    return tuple(done)
-
-
-def _has_cycle(assigned: Sequence[str], sig: Dict[str, Place]) -> bool:
-    if any(sig[u].holds(u) for u in assigned):
-        return True
-    color: Dict[str, int] = {}
-
-    def visit(u: str) -> bool:
-        color[u] = 1
-        for v in assigned:
-            if v in sig and sig[u].holds(v):
-                c = color.get(v, 0)
-                if c == 1 or (c == 0 and visit(v)):
-                    return True
-        color[u] = 2
-        return False
-
-    return any(color.get(u, 0) == 0 and visit(u) for u in assigned)
-
-
 def _search(
     nc: NormalizedConjunction, meter: _Budget
 ) -> Optional[Tuple[SolverWitness, Optional[SetAssignment]]]:
@@ -335,10 +335,10 @@ def _search(
     for x, y in nc.memberships:
         targets[x].append(y)
 
-    # Variables no place distinguishes must share a placement: the junk
-    # seeding makes their values extensionally equal, so differing
+    # Variables with equal signatures are equal in every model (see the
+    # module docstring), so they must share a placement: differing
     # placements would put one value in conflicting sets.
-    signature = {u: tuple(p.holds(u) for p in places) for u in elems}
+    signature = _signatures(places, elems)
     classes: List[List[str]] = []
     by_sig: Dict[tuple, List[str]] = {}
     for u in elems:
@@ -361,10 +361,7 @@ def _search(
 
     sig: Dict[str, Place] = {}
 
-    def leaf() -> Tuple[SolverWitness, Optional[SetAssignment]]:
-        topo = _kahn(elems, sig)
-        if topo is None:
-            raise InvariantViolation("acyclic placement has no build order")
+    def leaf(topo: Tuple[str, ...]) -> Tuple[SolverWitness, Optional[SetAssignment]]:
         sigma = tuple((u, sig[u]) for u in elems)
         meter.spend("building candidate models")
         witness = SolverWitness(vars=nc.vars, sigma=sigma, junk=(), topo=topo)
@@ -374,22 +371,28 @@ def _search(
         maximal_junk = tuple((p, i) for p in places for i in range(_COPIES))
         return SolverWitness(nc.vars, sigma, maximal_junk, topo), None
 
-    def descend(i: int) -> Optional[Tuple[SolverWitness, Optional[SetAssignment]]]:
+    def descend(
+        i: int, topo: Tuple[str, ...]
+    ) -> Optional[Tuple[SolverWitness, Optional[SetAssignment]]]:
         if i == len(classes):
-            return leaf()
+            return leaf(topo)
         for p in candidates[i]:
             meter.spend("searching placements")
             for u in classes[i]:
                 sig[u] = p
-            if not _has_cycle([u for g in classes[: i + 1] for u in g], sig):
-                hit = descend(i + 1)
+            # u is built before v when sigma puts u inside v; once every
+            # class is placed, this order over elems is the witness's topo.
+            placed = [u for u in elems if u in sig]
+            order = _topo_order({u: [v for v in placed if sig[u].holds(v)] for u in placed})
+            if order is not None:
+                hit = descend(i + 1, order)
                 if hit is not None:
                     return hit
             for u in classes[i]:
                 del sig[u]
         return None
 
-    return descend(0)
+    return descend(0, ())
 
 
 def solve(
@@ -401,7 +404,11 @@ def solve(
     placement attempts, model builds) over all components; exceeding it
     raises ResourceLimitError.  None means unbounded.
     """
-    if _has_membership_cycle(nc):
+    edges: Dict[str, List[str]] = {}
+    for x, y in nc.memberships:
+        edges.setdefault(x, []).append(y)
+        edges.setdefault(y, [])
+    if _topo_order(edges) is None:
         return Unsat()
     meter = _Budget(budget)
     found = []
@@ -433,12 +440,17 @@ def implied_equalities(
 ) -> Tuple[Tuple[str, str], ...]:
     """The pairs (x, y) whose equality holds in every model of nc.
 
-    Each pair is tested by refuting nc together with "x != y"; the theory
-    is convex, so pairwise tests capture every disjunction of equalities.
+    nc is decided once; when it is satisfiable, a pair is implied iff its
+    two sides are one name or have equal signatures over enumerate_places
+    (see the module docstring for why).  budget caps the decision and the
+    place listing, each on its own.
     """
-    out: List[Tuple[str, str]] = []
-    for x, y in pairs:
-        probe = normalize(nc.literals() + [Not(Eq(Var(x), Var(y)))])
-        if not solve(probe, budget=budget).is_sat:
-            out.append((x, y))
-    return tuple(out)
+    pairs = list(pairs)
+    if not solve(nc, budget=budget).is_sat:
+        return tuple(pairs)
+    signature = _signatures(enumerate_places(nc, budget), nc.vars)
+    return tuple(
+        (x, y)
+        for x, y in pairs
+        if x == y or (x in signature and signature.get(y) == signature[x])
+    )

@@ -151,6 +151,21 @@ def test_solve_disjunction_splits(tmp_path, capsys):
     assert out.splitlines()[0] == "sat"
 
 
+def test_solve_stops_at_the_first_sat_branch(tmp_path, capsys):
+    # 2^40 branches; the first one is sat and the rest are never built.
+    text = "".join(f"(assert (or (in a{i} b{i}) (subset a{i} c{i})))\n" for i in range(40))
+    code, out, _ = run(capsys, "solve", script(tmp_path, text))
+    assert code == 0
+    assert out.splitlines()[0] == "sat"
+
+
+def test_solve_three_thousand_asserts(tmp_path, capsys):
+    text = "".join(f"(assert (subset a{i} b{i}))\n" for i in range(3000))
+    code, out, _ = run(capsys, "solve", script(tmp_path, text))
+    assert code == 0
+    assert out.splitlines()[0] == "sat"
+
+
 # -------------------------------------------------------------- normalize
 
 

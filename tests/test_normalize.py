@@ -165,9 +165,13 @@ def test_equality_and_hash():
 
 def test_dnf_split_products():
     f = and_(or_(In(x, y), In(y, x)), or_(In(x, z), In(z, x)))
-    branches = dnf_split(f)
-    assert len(branches) == 4
-    assert all(len(b) == 2 for b in branches)
+    branches = list(dnf_split(f))
+    assert branches == [
+        [In(x, y), In(x, z)],
+        [In(x, y), In(z, x)],
+        [In(y, x), In(x, z)],
+        [In(y, x), In(z, x)],
+    ]
 
 
 def test_dnf_split_rejects_extension_atoms():
@@ -177,7 +181,14 @@ def test_dnf_split_rejects_extension_atoms():
 
 def test_split_disjuncts_is_theory_agnostic():
     f = or_(Eq(x, ExtOp("pow", (y,))), In(x, y))
-    assert len(split_disjuncts(f)) == 2
+    assert len(list(split_disjuncts(f))) == 2
+
+
+def test_split_is_lazy():
+    # 2^40 conjunctions in all; the first comes without building the rest.
+    pairs = [(Var(f"a{i}"), Var(f"b{i}")) for i in range(40)]
+    f = and_(*(or_(In(a, b), In(b, a)) for a, b in pairs))
+    assert next(split_disjuncts(f)) == [In(a, b) for a, b in pairs]
 
 
 def test_normalize_formula_splits():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setsyl.convexity import random_normalized_conjunction
+from setsyl.convexity import minimize_equalities, random_normalized_conjunction
 from setsyl.errors import ResourceLimitError
 from setsyl.formulas import Eq, In, Not, SetOp, Subset, Var
 from setsyl.normalize import NormalizedConjunction, normalize
@@ -311,6 +311,40 @@ def test_implied_equalities_budget_passthrough():
     nc = normalize([Subset(x, y), Subset(y, x)])
     with pytest.raises(ResourceLimitError):
         implied_equalities(nc, [("x", "y")], budget=2)
+
+
+def _probe_implied(nc, pairs):
+    """Reference: the pairs (a, b) for which nc together with a != b is unsat."""
+    return tuple(
+        (a, b)
+        for a, b in pairs
+        if not solve(normalize(nc.literals() + [Not(Eq(Var(a), Var(b)))])).is_sat
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 4), st.integers(0, 6))
+def test_signature_rule_matches_probes_and_minimization(seed, nvars, nlits):
+    nc = random_normalized_conjunction(random.Random(seed), nvars, nlits)
+    # every pair over nc's variables and one it does not mention, x = x included
+    names = list(nc.vars) + ["z"]
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i:]]
+    implied = implied_equalities(nc, pairs)
+    assert implied == _probe_implied(nc, pairs)
+    assert minimize_equalities(nc, pairs)[1].implied_pairs() == implied
+
+    res = solve(nc)
+    if res.is_sat:
+        # The maximal-junk build of the found placement is a model that
+        # separates exactly the pairs that are not implied.
+        w = res.witness
+        junk = tuple((p, i) for p in enumerate_places(nc) for i in range(2))
+        full = build_model(SolverWitness(w.vars, w.sigma, junk, w.topo))
+        assert satisfies(nc, full)
+        mentioned = [(a, b) for a, b in pairs if "z" not in (a, b)]
+        assert tuple((a, b) for a, b in mentioned if full[a] == full[b]) == tuple(
+            pair for pair in implied if "z" not in pair
+        )
 
 
 # ------------------------------------------------------- random agreement

@@ -47,7 +47,7 @@ from .hf import SetAssignment
 from .lists import ListState, list_check, list_implied
 from .lra import LraState, lra_check, lra_implied, lra_sample
 from .normalize import normalize, split_disjuncts
-from .solver import DEFAULT_SOLVE_BUDGET, implied_equalities, solve
+from .solver import DEFAULT_SOLVE_BUDGET, _decide, _implied
 
 THEORIES = ("mls", "lra", "list")
 
@@ -226,7 +226,7 @@ class MlsTheory:
     def __init__(self, budget: Optional[int] = DEFAULT_SOLVE_BUDGET):
         self._budget = budget
         self._nc = None
-        self._model = None
+        self._decision = None
         self._vars: Tuple[str, ...] = ()
 
     def assert_literals(self, literals: Sequence[Formula]) -> bool:
@@ -236,16 +236,17 @@ class MlsTheory:
                 acc.setdefault(v)
         self._vars = tuple(acc)
         self._nc = normalize(list(literals))
-        res = solve(self._nc, budget=self._budget)
-        self._model = res.model if res.is_sat else None
-        return res.is_sat
+        # one decision per round: implied_equalities reads its places
+        self._decision = _decide(self._nc, self._budget)
+        return self._decision[0].is_sat
 
     def implied_equalities(self, shared: Sequence[str]) -> Tuple[Tuple[str, str], ...]:
         present = [v for v in shared if v in self._nc.vars]
-        return implied_equalities(self._nc, combinations(present, 2), budget=self._budget)
+        return _implied(self._nc, self._decision, combinations(present, 2))
 
     def model_fragment(self) -> Mapping[str, str]:
-        return self._model.restrict(v for v in self._vars if v in self._model).to_strings()
+        model = self._decision[0].model
+        return model.restrict(v for v in self._vars if v in model).to_strings()
 
 
 class LraTheory:

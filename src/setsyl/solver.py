@@ -7,7 +7,29 @@ is decided in three layers:
    difference literal read as a pointwise biconditional.  Each element of a
    would-be model occupies exactly one place (the set of variables it
    belongs to), so an unsatisfiable boolean layer refutes the conjunction
-   outright.
+   outright.  The places are listed by a depth-first search that decides
+   the variables in vars order, False before True, and after each decision
+   propagates the difference literals x <-> y & ~z it touches:
+
+     y = F or z = T forces x = F;       y = T and z = F forces x = T;
+     x = T forces y = T and z = F;      x = F and y = T forces z = T;
+     x = F and z = F forces y = F.
+
+   A variable already forced is not branched on, and a value forced both
+   ways ends the branch.  Each rule is a consequence of x <-> y & ~z, so a
+   forced value is the one every consistent completion of the branch
+   takes, and a contradiction means the branch has no consistent
+   completion: propagation cuts only subtrees without a place.  A literal
+   is looked at again whenever one of its variables is set, so at a full
+   valuation the first two rules have checked every literal, and every
+   leaf is a place.  The leaves are therefore exactly the consistent
+   valuations, in the order of a plain False-before-True enumeration of
+   vars, which checks each literal once its last variable is set.  A node
+   of the search sits at the first variable still unset; the prefix before
+   it is set and satisfies every literal inside it, so plain enumeration
+   visits that prefix's node too, and the search visits no more nodes.
+   The search keeps its pending decisions on a stack and undoes a branch
+   by popping the trail of variables it set, so no recursion is needed.
 2. A placement sigma maps each element variable (one that occurs on the
    left of a membership) to the place its value will occupy.  sigma must
    put x somewhere inside y for every "x in y", must be constant on
@@ -81,6 +103,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import compress, product
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import InvariantViolation, ResourceLimitError
@@ -125,29 +148,92 @@ class _Budget:
             raise ResourceLimitError(f"solver budget exhausted while {what}")
 
 
+def _difference_rules() -> Dict[tuple, Optional[Tuple[Tuple[int, bool], ...]]]:
+    """The unit rules of x <-> y & ~z, keyed by the values of (x, y, z).
+
+    A value is None while unset.  An entry lists the (slot, value) pairs
+    the rules of layer 1 force on unset slots, or is None when a rule
+    contradicts a set slot.
+    """
+    table = {}
+    for known in product((None, False, True), repeat=3):
+        x, y, z = known
+        need = []
+        if y is False or z is True:
+            need.append((0, False))
+        if y is True and z is False:
+            need.append((0, True))
+        if x is True:
+            need += [(1, True), (2, False)]
+        if x is False and y is True:
+            need.append((2, True))
+        if x is False and z is False:
+            need.append((1, False))
+        if any(known[s] is not None and known[s] is not c for s, c in need):
+            table[known] = None
+        else:
+            table[known] = tuple(dict.fromkeys((s, c) for s, c in need if known[s] is None))
+    return table
+
+
+_FORCES = _difference_rules()
+
+
 def _enumerate_places(nc: NormalizedConjunction, budget: _Budget) -> List[Place]:
+    """nc's places, by the propagating search of layer 1 (module docstring)."""
     order = nc.vars
+    n = len(order)
     pos = {v: i for i, v in enumerate(order)}
-    by_last: List[List[Tuple[str, str, str]]] = [[] for _ in order]
+    # watch[i]: the differences that mention variable i, as index triples
+    watch: List[List[Tuple[int, int, int]]] = [[] for _ in order]
     for d in nc.differences:
-        x, y, z = d
-        by_last[max(pos[x], pos[y], pos[z])].append(d)
+        t = (pos[d[0]], pos[d[1]], pos[d[2]])
+        for i in dict.fromkeys(t):
+            watch[i].append(t)
+    val: List[Optional[bool]] = [None] * n
+    trail: List[int] = []  # the variables set so far, in the order set
+
+    def assign(i: int, b: bool) -> bool:
+        """Set variable i to b and all it forces; False on a contradiction."""
+        val[i] = b
+        trail.append(i)
+        k = len(trail) - 1
+        while k < len(trail):  # trail[k:] is set but not yet propagated
+            for t in watch[trail[k]]:
+                forced = _FORCES[val[t[0]], val[t[1]], val[t[2]]]
+                if forced is None:
+                    return False
+                for slot, c in forced:
+                    w = t[slot]
+                    if val[w] is None:
+                        val[w] = c
+                        trail.append(w)
+                    elif val[w] is not c:  # x, y and z need not be distinct
+                        return False
+            k += 1
+        return True
 
     out: List[Place] = []
-    val: Dict[str, bool] = {}
+    # decisions still to try: (variable, value, trail length before it)
+    pending: List[Tuple[int, bool, int]] = []
 
-    def rec(i: int) -> None:
+    def visit(i: int) -> None:
         budget.spend("enumerating places")
-        if i == len(order):
-            out.append(Place(frozenset(v for v in order if val[v])))
-            return
-        for b in (False, True):
-            val[order[i]] = b
-            if all(val[x] == (val[y] and not val[z]) for x, y, z in by_last[i]):
-                rec(i + 1)
-        val.pop(order[i], None)
+        while i < n and val[i] is not None:
+            i += 1
+        if i == n:
+            out.append(Place(frozenset(compress(order, val))))
+        else:
+            pending.append((i, True, len(trail)))
+            pending.append((i, False, len(trail)))
 
-    rec(0)
+    visit(0)
+    while pending:
+        i, b, mark = pending.pop()
+        while len(trail) > mark:
+            val[trail.pop()] = None
+        if assign(i, b):
+            visit(i + 1)
     return out
 
 
@@ -291,20 +377,20 @@ def build_model(witness: SolverWitness) -> SetAssignment:
     the junk count only once log2 of it exceeds len(vars) + 3.
     """
     sig = dict(witness.sigma)
-    tags = _junk_tags(len(witness.vars), len(witness.junk))
-
+    members: Dict[str, List[HFSet]] = {v: [] for v in witness.vars}
+    for t, (p, _) in zip(_junk_tags(len(witness.vars), len(witness.junk)), witness.junk):
+        for v in p.trues:
+            members[v].append(t)
+    # topo puts every u before the variables sig[u] holds, so u's members
+    # are all collected when its turn comes.
     vals: Dict[str, HFSet] = {}
-
-    def settle(v: str) -> None:
-        members = [vals[u] for u in witness.topo if sig[u].holds(v)]
-        members.extend(t for t, (p, _) in zip(tags, witness.junk) if p.holds(v))
-        vals[v] = hf(members)
-
     for u in witness.topo:
-        settle(u)
+        vals[u] = hf(members[u])
+        for v in sig[u].trues:
+            members[v].append(vals[u])
     for v in witness.vars:
         if v not in vals:
-            settle(v)
+            vals[v] = hf(members[v])
     return SetAssignment(vals)
 
 
@@ -320,16 +406,14 @@ def satisfies(nc: NormalizedConjunction, model: SetAssignment) -> bool:
 
 
 def _search(
-    nc: NormalizedConjunction, meter: _Budget
+    nc: NormalizedConjunction, places: List[Place], meter: _Budget
 ) -> Optional[Tuple[SolverWitness, Optional[SetAssignment]]]:
-    """Search the placements of nc; None when no placement is admissible.
+    """Search the placements of nc over its places; None when none is admissible.
 
     The witness of the first admissible placement comes with its verified
     junk-free model, or, when the junk-free build fails, with maximal junk
     and no model: the caller builds and verifies that one.
     """
-    places = _enumerate_places(nc, meter)
-
     elems: List[str] = list(dict.fromkeys(x for x, _ in nc.memberships))
     targets: Dict[str, List[str]] = {u: [] for u in elems}
     for x, y in nc.memberships:
@@ -395,31 +479,33 @@ def _search(
     return descend(0, ())
 
 
-def solve(
-    nc: NormalizedConjunction, budget: Optional[int] = DEFAULT_SOLVE_BUDGET
-) -> SolveResult:
-    """Decide a normalized conjunction; Sat carries a verified model.
+def _decide(
+    nc: NormalizedConjunction, budget: Optional[int]
+) -> Tuple[SolveResult, List[Place]]:
+    """solve's verdict on nc with the places it searched.
 
-    budget caps the total count of search steps (place-enumeration nodes,
-    placement attempts, model builds) over all components; exceeding it
-    raises ResourceLimitError.  None means unbounded.
+    On Sat the places are enumerate_places(nc): each component's, component
+    after component.  On Unsat they are those listed before the refutation.
     """
     edges: Dict[str, List[str]] = {}
     for x, y in nc.memberships:
         edges.setdefault(x, []).append(y)
         edges.setdefault(y, [])
     if _topo_order(edges) is None:
-        return Unsat()
+        return Unsat(), []
     meter = _Budget(budget)
+    places: List[Place] = []
     found = []
     for part in _components(nc):
-        hit = _search(part, meter)
+        part_places = _enumerate_places(part, meter)
+        places += part_places
+        hit = _search(part, part_places, meter)
         if hit is None:
-            return Unsat()
+            return Unsat(), places
         found.append(hit)
     if len(found) == 1 and found[0][1] is not None:
         witness, model = found[0]
-        return Sat(model, witness)
+        return Sat(model, witness), places
     witness = SolverWitness(
         vars=nc.vars,
         sigma=tuple(s for w, _ in found for s in w.sigma),
@@ -430,7 +516,36 @@ def solve(
     model = build_model(witness)
     if not satisfies(nc, model):
         raise InvariantViolation("admissible placement built a non-model")
-    return Sat(model, witness)
+    return Sat(model, witness), places
+
+
+def solve(
+    nc: NormalizedConjunction, budget: Optional[int] = DEFAULT_SOLVE_BUDGET
+) -> SolveResult:
+    """Decide a normalized conjunction; Sat carries a verified model.
+
+    budget caps the total count of search steps (place-enumeration nodes,
+    placement attempts, model builds) over all components; exceeding it
+    raises ResourceLimitError.  None means unbounded.
+    """
+    return _decide(nc, budget)[0]
+
+
+def _implied(
+    nc: NormalizedConjunction,
+    decision: Tuple[SolveResult, List[Place]],
+    pairs: Iterable[Tuple[str, str]],
+) -> Tuple[Tuple[str, str], ...]:
+    """The pairs implied by nc, read off decision = _decide(nc, ...)."""
+    result, places = decision
+    if not result.is_sat:
+        return tuple(pairs)
+    signature = _signatures(places, nc.vars)
+    return tuple(
+        (x, y)
+        for x, y in pairs
+        if x == y or (x in signature and signature.get(y) == signature[x])
+    )
 
 
 def implied_equalities(
@@ -440,17 +555,9 @@ def implied_equalities(
 ) -> Tuple[Tuple[str, str], ...]:
     """The pairs (x, y) whose equality holds in every model of nc.
 
-    nc is decided once; when it is satisfiable, a pair is implied iff its
-    two sides are one name or have equal signatures over enumerate_places
-    (see the module docstring for why).  budget caps the decision and the
-    place listing, each on its own.
+    nc is decided once, and the places that decision searched give the
+    signatures: when nc is satisfiable, a pair is implied iff its two sides
+    are one name or have equal signatures (see the module docstring for
+    why).  budget caps the decision as it caps solve.
     """
-    pairs = list(pairs)
-    if not solve(nc, budget=budget).is_sat:
-        return tuple(pairs)
-    signature = _signatures(enumerate_places(nc, budget), nc.vars)
-    return tuple(
-        (x, y)
-        for x, y in pairs
-        if x == y or (x in signature and signature.get(y) == signature[x])
-    )
+    return _implied(nc, _decide(nc, budget), pairs)

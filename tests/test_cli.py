@@ -159,6 +159,15 @@ def test_solve_stops_at_the_first_sat_branch(tmp_path, capsys):
     assert out.splitlines()[0] == "sat"
 
 
+def test_solve_long_subset_chain(tmp_path, capsys):
+    # one component of 2401 variables after normalization; its places are
+    # listed without recursion
+    text = "".join(f"(assert (subset x{i} x{i + 1}))\n" for i in range(1200))
+    code, out, _ = run(capsys, "solve", script(tmp_path, text))
+    assert code == 0
+    assert out.splitlines()[0] == "sat"
+
+
 def test_solve_three_thousand_asserts(tmp_path, capsys):
     text = "".join(f"(assert (subset a{i} b{i}))\n" for i in range(3000))
     code, out, _ = run(capsys, "solve", script(tmp_path, text))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from setsyl import solver
 from setsyl.combine import (
     CombinedSat,
     CombinedUnsat,
@@ -187,6 +188,21 @@ def test_mls_plugin_roundtrip():
     assert set(frag) == {"x", "y"}
     assert frag["x"].startswith("{")
     assert p.assert_literals([In(x, y), In(y, x)]) is False
+
+
+def test_mls_plugin_lists_places_once_per_round(monkeypatch):
+    calls = []
+    listing = solver._enumerate_places
+    monkeypatch.setattr(
+        solver, "_enumerate_places", lambda nc, meter: calls.append(nc) or listing(nc, meter)
+    )
+    p = MlsTheory()
+    assert p.assert_literals([Subset(x, y), Subset(y, x)]) is True
+    assert p.implied_equalities(["x", "y", "w"]) == (("x", "y"),)
+    assert len(calls) == 1  # one connected component, listed by the one decision
+    # after an unsat assert every pair of mentioned variables is implied
+    assert p.assert_literals([In(x, y), Subset(y, z), In(z, x)]) is False
+    assert p.implied_equalities(["x", "y", "z", "w"]) == (("x", "y"), ("x", "z"), ("y", "z"))
 
 
 def test_lra_plugin_roundtrip():

@@ -1,6 +1,7 @@
 """The place/placement/junk decision procedure for normalized conjunctions."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -8,14 +9,20 @@ from hypothesis import strategies as st
 
 from setsyl.convexity import minimize_equalities, random_normalized_conjunction
 from setsyl.errors import ResourceLimitError
-from setsyl.formulas import Eq, In, Not, SetOp, Subset, Var
+from setsyl.formulas import EMPTY, Eq, In, Not, SetOp, Subset, Var
+from setsyl.hf import SetAssignment, hf
 from setsyl.normalize import NormalizedConjunction, normalize
 from setsyl.oracle import eval_formula, oracle_sat
 from setsyl.solver import (
+    _FORCES,
     Place,
     Sat,
     SolverWitness,
     Unsat,
+    _Budget,
+    _components,
+    _enumerate_places,
+    _junk_tags,
     build_model,
     enumerate_places,
     implied_equalities,
@@ -68,6 +75,85 @@ def test_enumerate_places_budget_trips():
     nc = normalize([In(x, y), In(y, z)])
     with pytest.raises(ResourceLimitError):
         enumerate_places(nc, budget=2)
+
+
+def test_difference_rules_force_what_every_completion_agrees_on():
+    # For each partial valuation of (x, y, z), the rule table forces exactly
+    # the values that all completions satisfying x <-> y & ~z share.
+    for known in product((None, False, True), repeat=3):
+        fits = [
+            v
+            for v in product((False, True), repeat=3)
+            if v[0] == (v[1] and not v[2])
+            and all(k is None or k == b for k, b in zip(known, v))
+        ]
+        if not fits:
+            assert _FORCES[known] is None
+            continue
+        agreed = {
+            (s, fits[0][s])
+            for s in range(3)
+            if known[s] is None and all(f[s] == fits[0][s] for f in fits)
+        }
+        assert set(_FORCES[known]) == agreed
+
+
+def _enumerate_places_by_testing(nc, budget):
+    """Reference: branch on every variable in vars order, False first, and
+    check each difference once its last variable is set."""
+    order = nc.vars
+    pos = {v: i for i, v in enumerate(order)}
+    by_last = [[] for _ in order]
+    for d in nc.differences:
+        by_last[max(pos[v] for v in d)].append(d)
+    out = []
+    val = {}
+
+    def rec(i):
+        budget.spend("enumerating places")
+        if i == len(order):
+            out.append(Place(frozenset(v for v in order if val[v])))
+            return
+        for b in (False, True):
+            val[order[i]] = b
+            if all(val[x] == (val[y] and not val[z]) for x, y, z in by_last[i]):
+                rec(i + 1)
+        del val[order[i]]
+
+    rec(0)
+    return out
+
+
+def _assert_places_match_generate_and_test(nc):
+    for part in _components(nc):
+        new, old = _Budget(10**9), _Budget(10**9)
+        assert _enumerate_places(part, new) == _enumerate_places_by_testing(part, old)
+        assert new.left >= old.left  # no more nodes visited
+
+
+_names = st.sampled_from(["x", "y", "z", "w", "v"])
+_terms = st.recursive(
+    st.one_of(_names.map(Var), st.just(EMPTY)),
+    lambda t: st.builds(SetOp, st.sampled_from(["union", "inter", "setminus"]), t, t),
+    max_leaves=3,
+)
+_script_literals = st.tuples(
+    st.sampled_from([In, Eq, Subset]), st.booleans(), _terms, _terms
+).map(lambda a: Not(a[0](a[2], a[3])) if a[1] else a[0](a[2], a[3]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 7), st.integers(0, 10))
+def test_places_match_generate_and_test_on_random_conjunctions(seed, nvars, nlits):
+    _assert_places_match_generate_and_test(
+        random_normalized_conjunction(random.Random(seed), nvars, nlits)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_script_literals, min_size=1, max_size=4))
+def test_places_match_generate_and_test_on_normalized_scripts(lits):
+    _assert_places_match_generate_and_test(normalize(lits))
 
 
 # ----------------------------------------------------------------- solve
@@ -160,6 +246,34 @@ def test_junk_tags_share_one_rank_whatever_their_count():
         ranks |= {t.rank for t in tags}
     assert len(ranks) == 1
     assert ranks.pop() > len(w.vars) + 3
+
+
+def _build_model_naively(w):
+    """Reference: each variable's value, from a scan of all of topo and junk."""
+    sig = dict(w.sigma)
+    tags = _junk_tags(len(w.vars), len(w.junk))
+    vals = {}
+    placed = set(w.topo)
+    for v in list(w.topo) + [v for v in w.vars if v not in placed]:
+        members = [vals[u] for u in w.topo if sig[u].holds(v)]
+        members += [t for t, (p, _) in zip(tags, w.junk) if p.holds(v)]
+        vals[v] = hf(members)
+    return SetAssignment(vals)
+
+
+def test_build_model_matches_naive_build_on_two_thousand_components():
+    # x_i in y_i, each i its own component; y_i != z_i on a few of them
+    # needs junk, so the witness carries both element values and tags.
+    lits = [In(Var(f"x{i}"), Var(f"y{i}")) for i in range(2000)]
+    lits += [Not(Eq(Var(f"y{i}"), Var(f"z{i}"))) for i in range(0, 2000, 500)]
+    nc = normalize(lits)
+    res = solve(nc)
+    assert res.is_sat and res.witness.junk
+    assert len(_components(nc)) == 2000
+    built = build_model(res.witness)
+    assert built == res.model
+    naive = _build_model_naively(res.witness)
+    assert built == naive and built.names() == naive.names()
 
 
 def test_solve_budget_trips():

@@ -209,7 +209,7 @@ def cmd_solve(args) -> int:
         doc["witness"] = {
             "vars": list(w.vars),
             "sigma": [[name, sorted(place.trues)] for name, place in w.sigma],
-            "junk": [[sorted(place.trues), copies] for place, copies in w.junk],
+            "junk": [sorted(place.trues) for place in w.junk],
             "topo": list(w.topo),
             "full_model": sat_res.model.to_strings(),
         }

@@ -174,27 +174,28 @@ def _schedule(f: Formula) -> Tuple[List[str], List[List[Formula]], List[Formula]
     parts = conjuncts(nnf(f))
     order: List[str] = []
     todo = list(free_vars(f))
-    part_vars = [set(free_vars(p)) for p in parts]
-    pending = list(range(len(parts)))
-    ground = [parts[i] for i in pending if not part_vars[i]]
-    pending = [i for i in pending if part_vars[i]]
+    # each conjunct's variables as a bitmask over todo's initial order
+    bit = {v: 1 << i for i, v in enumerate(todo)}
+    masks = [sum(bit[v] for v in free_vars(p)) for p in parts]
+    ground = [parts[i] for i, m in enumerate(masks) if not m]
+    pending = [i for i, m in enumerate(masks) if m]
     checks: List[List[Formula]] = []
-    bound: set = set()
+    bound = 0
     while todo:
         best = None
         best_rank = None
+        left = [masks[i] & ~bound for i in pending]  # what each has unbound
         for v in todo:
-            completes = sum(1 for i in pending if part_vars[i] <= bound | {v})
-            touches = sum(1 for i in pending if v in part_vars[i])
-            rank = (-completes, -touches)
+            b = bit[v]
+            # completes: b is all that is left; touches: b is among it
+            rank = (-left.count(b), -sum(1 for m in left if m & b))
             if best_rank is None or rank < best_rank:
                 best, best_rank = v, rank
         todo.remove(best)
-        bound.add(best)
+        bound |= bit[best]
         order.append(best)
-        here = [i for i in pending if part_vars[i] <= bound]
-        checks.append([parts[i] for i in here])
-        pending = [i for i in pending if i not in here]
+        checks.append([parts[i] for i in pending if not masks[i] & ~bound])
+        pending = [i for i in pending if masks[i] & ~bound]
     return order, checks, ground
 
 

@@ -36,13 +36,48 @@ is decided in three layers:
    variables no place can tell apart, and the containment edges it induces
    must be acyclic, since sets are well founded.
 3. From an admissible sigma a concrete hereditarily finite model is built
-   bottom-up, seeding every place with fresh tag sets ("junk") so that
-   distinct places stay extensionally distinct.  Every tag has the same
-   rank, top + 1, where top is at least len(vars) + 3: junk-free values
-   have rank at most len(vars) and any value holding a tag has rank at
-   least top + 2, so no tag equals an element value.  Tags differ from one
-   another by the bits of their index, so the model's rank does not grow
-   with the number of places.
+   bottom-up along topo: each variable's value collects the values of the
+   elements whose place holds it, plus one fresh tag set ("junk") for each
+   seeded place that holds it.  Every tag has the same rank, top + 1, where
+   top is at least len(vars) + 3: junk-free values have rank at most
+   len(vars) and any value holding a tag has rank at least top + 2, so no
+   tag equals a variable's value.  Tags differ from one another by the bits
+   of their index, so the model's rank does not grow with the tag count.
+
+   The junk-free build comes first and is returned when it verifies.  Two
+   element variables u and w collide when the junk-free build gives them
+   one value although sigma places them differently.  Seeding one tag in
+   each place of a list J gives a model whenever every collision is
+   separated by J, that is, some place of J holds exactly one of u and w:
+
+   * Memberships hold by construction: sigma puts x inside y for every
+     "x in y", so x's value is collected into y's.
+   * By extensionality "x = y setminus z" holds iff, for every member e of
+     the three values, the variables whose values hold e satisfy it as a
+     boolean valuation.  For a tag those variables form the tag's place.
+     For an element value they form the union of the places sigma gives
+     the elements of that value, which is a single place unless the value
+     is that of a collision.  So a difference literal can fail only at the
+     value of a collision.
+   * Adding tags never merges two distinct values, by induction over topo
+     on the later of two elements.  If u's and w's junk-free values
+     differ, one of them, say u's, holds the junk-free value of an earlier
+     element a that w's does not.  With the tags, u's value holds a's new
+     value.  If w's did too, it would be the new value of an earlier
+     element b whose junk-free value lies in w's and so differs from a's
+     (a's new value is no tag, by rank), and the induction hypothesis
+     keeps a's and b's new values apart.  So u's and w's new values differ.
+   * The tag of a place holding exactly one of u and w lies in exactly one
+     of their values, so the seeded build keeps every collision apart.
+     With the previous point it has no collision left, and it is a model.
+
+   A collision u, w lies in two classes (sigma is constant on a class),
+   whose signatures differ, so some place holds exactly one of them.  The
+   search seeds the first such place, in place order, for each collision
+   of the junk-free build that fails verification, builds once and
+   verifies once.  Seeding every place, the maximal junk, separates every
+   collision too, so by the same argument the maximal-junk build of any
+   admissible placement is a model.
 
 Before any place is enumerated, solve applies two reductions.
 
@@ -53,20 +88,22 @@ Before any place is enumerated, solve applies two reductions.
 * Components.  Variables are connected when a literal mentions both; the
   literals split into the components of that relation, and no literal
   spans two of them.  Each component is searched on its own places, under
-  one shared budget, and picks its own junk (none, else its maximal junk).
+  one shared budget, and picks its own junk (none when its junk-free
+  build verifies, else the places layer 3 chooses).
   The conjunction is satisfiable iff every component is: a model of the
   whole restricts to each part, and the merged witness below builds a
   model of the whole from the parts.  The merged witness concatenates the
   components' sigma, junk and topo over all the variables.  A component's
   places hold only its own variables, so in the merged build a variable
   collects only element values and junk tags of its own component.  Each
-  component's part of the model is therefore its own model with the tags
-  relabelled injectively: tags stay pairwise distinct and all of rank
-  top + 1 >= len(vars) + 4, which still exceeds every junk-free value, so
-  the equalities and memberships between the component's values do not
-  change.  The merged model is re-verified against the whole conjunction
-  all the same.  A connected conjunction is its own single component and
-  takes the search unchanged.
+  component's part of the model is therefore the build of its own witness
+  with the tags relabelled injectively: tags stay pairwise distinct and all
+  of rank top + 1 >= len(vars) + 4, which still exceeds every junk-free
+  value, so the equalities and memberships between the component's values
+  do not change, and that build is a model (verified when junk-free, by
+  layer 3 otherwise).  The merged model is re-verified against the whole
+  conjunction all the same.  A connected conjunction is its own single
+  component and takes the search unchanged.
 
 The search is deterministic and exhaustive, so exhaustion proves
 unsatisfiability.  Every produced model is re-verified literal by literal
@@ -87,11 +124,11 @@ signatures:
      equal signatures mean no place holds either, so both values are
      empty.  Either way the two values are equal.
 (=>) Let a place p hold x but not y.  solve found an admissible placement,
-     and the maximal-junk build of that placement, with tags in every
-     place of every component, is a model, which the search relies on.
-     It puts p's tags into exactly the variables p holds, and no tag equals
-     an element value or another tag, so p's tags lie in x's value and not
-     in y's.
+     and its maximal-junk build, one tag in every place of every component,
+     is a model by layer 3 and the merging argument above.  That build
+     puts p's tag into exactly the values of the variables p holds, and no
+     tag equals a variable's value or another tag, so p's tag lies in x's
+     value and not in y's.
 
 When nc is unsatisfiable every pair is implied.  A variable nc does not
 mention is unconstrained, so it is implied equal only to itself.  This is
@@ -103,7 +140,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import compress, product
+from itertools import combinations, compress, product
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import InvariantViolation, ResourceLimitError
@@ -112,7 +149,6 @@ from .normalize import NormalizedConjunction
 
 DEFAULT_SOLVE_BUDGET = 10_000_000
 
-_COPIES = 2
 # The rank of a tag's largest member is rounded up to a multiple of this, so
 # that conjunctions with nearby variable counts share one interned tag family.
 _TAG_TOP_STEP = 16
@@ -321,7 +357,7 @@ class SolverWitness:
 
     vars: Tuple[str, ...]
     sigma: Tuple[Tuple[str, Place], ...]
-    junk: Tuple[Tuple[Place, int], ...]
+    junk: Tuple[Place, ...]
     topo: Tuple[str, ...]
 
 
@@ -368,8 +404,8 @@ def build_model(witness: SolverWitness) -> SetAssignment:
     """Construct the assignment a solver witness describes.
 
     Each variable's value collects the element-variable values whose place
-    puts them inside it, plus the tag of each junk entry whose place holds
-    the variable.  Junk-free values have rank at most len(vars), every tag
+    puts them inside it, plus the tag of each junk place that holds the
+    variable.  Junk-free values have rank at most len(vars), every tag
     has rank top + 1 >= len(vars) + 4, and any value holding a tag has rank
     at least top + 2; so no tag equals an element value.  Tag j holds
     nested singletons for the set bits of j, so tags are pairwise distinct.
@@ -378,7 +414,7 @@ def build_model(witness: SolverWitness) -> SetAssignment:
     """
     sig = dict(witness.sigma)
     members: Dict[str, List[HFSet]] = {v: [] for v in witness.vars}
-    for t, (p, _) in zip(_junk_tags(len(witness.vars), len(witness.junk)), witness.junk):
+    for t, p in zip(_junk_tags(len(witness.vars), len(witness.junk)), witness.junk):
         for v in p.trues:
             members[v].append(t)
     # topo puts every u before the variables sig[u] holds, so u's members
@@ -411,8 +447,9 @@ def _search(
     """Search the placements of nc over its places; None when none is admissible.
 
     The witness of the first admissible placement comes with its verified
-    junk-free model, or, when the junk-free build fails, with maximal junk
-    and no model: the caller builds and verifies that one.
+    junk-free model, or, when the junk-free build fails, with the junk of
+    layer 3 (module docstring) and no model: the caller builds and
+    verifies that one.
     """
     elems: List[str] = list(dict.fromkeys(x for x, _ in nc.memberships))
     targets: Dict[str, List[str]] = {u: [] for u in elems}
@@ -452,8 +489,20 @@ def _search(
         model = build_model(witness)
         if satisfies(nc, model):
             return witness, model
-        maximal_junk = tuple((p, i) for p in places for i in range(_COPIES))
-        return SolverWitness(nc.vars, sigma, maximal_junk, topo), None
+        # The classes' placements, grouped by junk-free value: two differently
+        # placed classes in a group collide, and the first place where their
+        # signatures differ holds exactly one of them (layer 3).
+        by_value: Dict[HFSet, Dict[tuple, Place]] = {}
+        for u in elems:
+            by_value.setdefault(model[u], {}).setdefault(signature[u], sig[u])
+        seeds = {
+            next(k for k, (a, b) in enumerate(zip(s, t)) if a != b)
+            for group in by_value.values()
+            for (s, p), (t, q) in combinations(group.items(), 2)
+            if p != q
+        }
+        junk = tuple(places[k] for k in sorted(seeds))
+        return SolverWitness(nc.vars, sigma, junk, topo), None
 
     def descend(
         i: int, topo: Tuple[str, ...]

@@ -439,7 +439,7 @@ def test_two_component_witness_validates_and_repeats_across_hash_seeds():
     fixture = os.path.join(FIXTURES, "two_components.syl")
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    docs = []
+    outs, docs = [], []
     for seed in ("0", "1"):
         proc = subprocess.run(
             [sys.executable, "-m", "setsyl.cli", "solve", "--witness", "--json", fixture],
@@ -450,9 +450,13 @@ def test_two_component_witness_validates_and_repeats_across_hash_seeds():
         assert proc.returncode == 0 and proc.stderr == b""
         doc = json.loads(proc.stdout)
         schema("solve").validate(doc)
+        outs.append(proc.stdout)
         docs.append(doc)
+    assert outs[0] == outs[1]
     assert docs[0]["verdict"] == "sat"
-    assert docs[0]["witness"]["full_model"] == docs[1]["witness"]["full_model"]
+    # b != c needs one tag, in the first place holding exactly one of the
+    # two elements that the junk-free build gives one value
+    assert len(docs[0]["witness"]["junk"]) <= 1
     with open(fixture) as fh:
         text = fh.read()
     full = docs[0]["witness"]["full_model"]

@@ -1,7 +1,7 @@
 """The place/placement/junk decision procedure for normalized conjunctions."""
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from setsyl.convexity import minimize_equalities, random_normalized_conjunction
 from setsyl.errors import ResourceLimitError
-from setsyl.formulas import EMPTY, Eq, In, Not, SetOp, Subset, Var
+from setsyl.formulas import EMPTY, Eq, In, Not, SetOp, Subset, Var, and_
 from setsyl.hf import SetAssignment, hf
-from setsyl.normalize import NormalizedConjunction, normalize
+from setsyl.normalize import NormalizedConjunction, normalize, split_disjuncts
 from setsyl.oracle import eval_formula, oracle_sat
+from setsyl.sexpr import parse_script
 from setsyl.solver import (
     _FORCES,
     Place,
@@ -23,6 +24,7 @@ from setsyl.solver import (
     _components,
     _enumerate_places,
     _junk_tags,
+    _topo_order,
     build_model,
     enumerate_places,
     implied_equalities,
@@ -238,7 +240,7 @@ def test_junk_tags_share_one_rank_whatever_their_count():
         w = SolverWitness(
             vars=("a", "b", "c"),
             sigma=(),
-            junk=tuple((a, i) for i in range(count)),
+            junk=(a,) * count,
             topo=(),
         )
         tags = build_model(w)["a"].children
@@ -256,7 +258,7 @@ def _build_model_naively(w):
     placed = set(w.topo)
     for v in list(w.topo) + [v for v in w.vars if v not in placed]:
         members = [vals[u] for u in w.topo if sig[u].holds(v)]
-        members += [t for t, (p, _) in zip(tags, w.junk) if p.holds(v)]
+        members += [t for t, p in zip(tags, w.junk) if p.holds(v)]
         vals[v] = hf(members)
     return SetAssignment(vals)
 
@@ -363,16 +365,22 @@ _part_specs = st.lists(
 )
 
 
-@settings(max_examples=120, deadline=None)
-@given(_part_specs, st.randoms(use_true_random=False))
-def test_disjoint_parts_solve_as_their_conjunction(specs, rnd):
-    parts = [
+def _renamed_draws(specs):
+    """One random_normalized_conjunction draw per spec, part i's names
+    suffixed with i."""
+    return [
         _renamed(
             random_normalized_conjunction(random.Random(seed), nvars, nlits),
             lambda v, i=i: f"{v}{i}",
         )
         for i, (nvars, nlits, seed) in enumerate(specs)
     ]
+
+
+@settings(max_examples=120, deadline=None)
+@given(_part_specs, st.randoms(use_true_random=False))
+def test_disjoint_parts_solve_as_their_conjunction(specs, rnd):
+    parts = _renamed_draws(specs)
     whole = _joined(parts)
     res = solve(whole)
     assert res.is_sat == all(solve(p).is_sat for p in parts)
@@ -452,13 +460,164 @@ def test_signature_rule_matches_probes_and_minimization(seed, nvars, nlits):
         # The maximal-junk build of the found placement is a model that
         # separates exactly the pairs that are not implied.
         w = res.witness
-        junk = tuple((p, i) for p in enumerate_places(nc) for i in range(2))
+        junk = tuple(p for p in enumerate_places(nc) for _ in range(2))
         full = build_model(SolverWitness(w.vars, w.sigma, junk, w.topo))
         assert satisfies(nc, full)
         mentioned = [(a, b) for a, b in pairs if "z" not in (a, b)]
         assert tuple((a, b) for a, b in mentioned if full[a] == full[b]) == tuple(
             pair for pair in implied if "z" not in pair
         )
+
+
+# ---------------------------------------------------------- targeted junk
+
+
+def _first_admissible_placement(nc):
+    """Reference: the (sigma, topo) of each component's first acyclic
+    placement, the classes' candidate places tried in product order with
+    every cyclic prefix cut off; None when some component has none."""
+    edges = {}
+    for a, b in nc.memberships:
+        edges.setdefault(a, []).append(b)
+        edges.setdefault(b, [])
+    if _topo_order(edges) is None:
+        return None  # a membership cycle makes every placement cyclic
+    sigma, topo = [], []
+    for part in _components(nc):
+        places = enumerate_places(part)
+        elems = list(dict.fromkeys(u for u, _ in part.memberships))
+        classes = {}
+        for u in elems:
+            classes.setdefault(tuple(p.holds(u) for p in places), []).append(u)
+        groups = list(classes.values())
+
+        def order(sig):
+            placed = [u for u in elems if u in sig]
+            return _topo_order({u: [v for v in placed if sig[u].holds(v)] for u in placed})
+
+        def first(i, sig):
+            if order(sig) is None:
+                return None
+            if i == len(groups):
+                return sig
+            for p in places:
+                if all(p.holds(b) for a, b in part.memberships if a in groups[i]):
+                    hit = first(i + 1, {**sig, **dict.fromkeys(groups[i], p)})
+                    if hit is not None:
+                        return hit
+            return None
+
+        sig = first(0, {})
+        if sig is None:
+            return None
+        sigma += [(u, sig[u]) for u in elems]
+        topo += order(sig)
+    return tuple(sigma), tuple(topo)
+
+
+def _draw(seed, nvars, nlits):
+    return random_normalized_conjunction(random.Random(seed), nvars, nlits)
+
+
+def _with_disequalities(seed):
+    """A small random conjunction and "a != b" for two or three pairs drawn
+    from its variables and two unconstrained ones, normalized: the fresh
+    variables of a disequality often need junk."""
+    rng = random.Random(seed)
+    nc = random_normalized_conjunction(rng, rng.randint(1, 3), rng.randint(0, 2))
+    pairs = list(combinations(nc.vars + ("v", "w"), 2))
+    picked = rng.sample(pairs, min(len(pairs), rng.randint(2, 3)))
+    return normalize(nc.literals() + [Not(Eq(Var(a), Var(b))) for a, b in picked])
+
+
+_conjunctions = st.one_of(
+    st.integers(0, 2**32).map(_with_disequalities),
+    st.builds(_draw, st.integers(0, 2**32), st.integers(1, 4), st.integers(0, 6)),
+    _part_specs.map(lambda specs: _joined(_renamed_draws(specs))),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_conjunctions)
+def test_targeted_junk_keeps_the_placement_and_separates_collisions(nc):
+    res = solve(nc)
+    ref = _first_admissible_placement(nc)
+    assert res.is_sat == (ref is not None)
+    if not res.is_sat:
+        return
+    w = res.witness
+    assert (w.sigma, w.topo) == ref
+    assert satisfies(nc, res.model) and build_model(w) == res.model
+
+    free = build_model(SolverWitness(w.vars, w.sigma, (), w.topo))
+    assert (not w.junk) == satisfies(nc, free)
+    # junk places come once each, in place order
+    places = enumerate_places(nc)
+    index = [places.index(p) for p in w.junk]
+    assert index == sorted(set(index))
+    # each is the first place to hold exactly one side of a collision: two
+    # elements of one component that the junk-free build gives one value
+    # and sigma two places
+    part = {v: i for i, c in enumerate(_components(nc)) for v in c.vars}
+    sig = dict(w.sigma)
+    apart = [
+        next(p for p in places if p.holds(u) != p.holds(v))
+        for u, v in combinations(sig, 2)
+        if part[u] == part[v] and free[u] == free[v] and sig[u] != sig[v]
+    ]
+    assert set(w.junk) <= set(apart)
+
+
+# ------------------------------------------------------------ metamorphic
+
+
+def _spelled_out(nc, rng):
+    """A script for nc outside the normal form: each literal in one of a
+    few equivalent spellings."""
+    forms = []
+    for x, y in nc.memberships:
+        m = f"(in {x} {y})"
+        forms.append(rng.choice([m, f"(not (not {m}))", f"(or {m} {m})"]))
+    for x, y, z in nc.differences:
+        d = f"(setminus {y} {z})"
+        forms.append(
+            rng.choice([f"(= {x} {d})", f"(= {d} {x})", f"(and (subset {x} {d}) (subset {d} {x}))"])
+        )
+    return "".join(f"(assert {f})\n" for f in forms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 4), st.integers(1, 6))
+def test_verdict_survives_redundant_and_unnormalized_input(seed, nvars, nlits):
+    rng = random.Random(seed)
+    nc = random_normalized_conjunction(rng, nvars, nlits)
+    original = nc.to_formula()
+    verdict = solve(nc).is_sat
+
+    def agrees(results, script):
+        """The verdict of a script from its branches' results."""
+        for res in results:
+            if res.is_sat:
+                assert eval_formula(script, res.model)
+                assert eval_formula(original, res.model)
+                return verdict
+        return not verdict
+
+    lits = nc.literals()
+    # duplicated literals
+    doubled = lits + rng.sample(lits, rng.randint(1, len(lits)))
+    assert agrees([solve(normalize(doubled))], and_(*doubled))
+    # a literal the others imply
+    implied = [Subset(Var(v), Var(v)) for v in nc.vars]
+    for x, y in nc.memberships:
+        implied += [In(Var(x), Var(y)), Not(In(Var(y), Var(x))), Not(Eq(Var(y), EMPTY))]
+    implied += [Subset(Var(x), Var(y)) for x, y, _ in nc.differences]
+    more = lits + [rng.choice(implied)]
+    assert agrees([solve(normalize(more))], and_(*more))
+    # the same conjunction written out of normal form, through parse, DNF
+    # split and normalize
+    f = and_(*parse_script(_spelled_out(nc, rng)).asserts)
+    assert agrees((solve(normalize(branch)) for branch in split_disjuncts(f)), f)
 
 
 # ------------------------------------------------------- random agreement

@@ -236,7 +236,7 @@ class MlsTheory:
                 acc.setdefault(v)
         self._vars = tuple(acc)
         self._nc = normalize(list(literals))
-        # one decision per round: implied_equalities reads its places
+        # one decision per round; implied_equalities lists its places once, on its budget
         self._decision = _decide(self._nc, self._budget)
         return self._decision[0].is_sat
 

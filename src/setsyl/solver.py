@@ -30,11 +30,46 @@ is decided in three layers:
    visits that prefix's node too, and the search visits no more nodes.
    The search keeps its pending decisions on a stack and undoes a branch
    by popping the trail of variables it set, so no recursion is needed.
+
+   The same search answers queries.  Given a partial valuation A (the
+   assumptions), it first sets A's variables and propagates them, then
+   searches as above and yields each leaf as it reaches it, so a caller
+   draws only the places it reads.  A value propagated from A is the one
+   every place agreeing with A takes, and a contradiction means no place
+   agrees with A: propagation from a partial valuation cuts only subtrees
+   with no agreeing place.  So the leaves are exactly the places that
+   agree with A, and they come in place order, since the decisions still
+   go in vars order, False before True.  A query visits no more nodes than
+   the full listing.  The valuation V at a node of a query is closed under
+   the rules, free of contradictions, and sets every variable before the
+   node's position i.  A rule that fires on part of V fires on V, so the
+   full search, deciding each variable before i as V does, sets only
+   values of V, meets no contradiction, and reaches a node at or past i.
+   Two nodes of a query on different branches disagree on a variable
+   both set before their positions, and a node's descendants set its own
+   variable, so no two nodes of a query reach the same node of the full
+   search.
 2. A placement sigma maps each element variable (one that occurs on the
    left of a membership) to the place its value will occupy.  sigma must
    put x somewhere inside y for every "x in y", must be constant on
    variables no place can tell apart, and the containment edges it induces
    must be acyclic, since sets are well founded.
+
+   The search never lists the places; it asks the engine of layer 1.
+   (ii) Can u and v differ, that is, does some place hold one of them but
+   not the other?  The element variables no place tells apart form the
+   classes: each joins the first class whose first member it cannot
+   differ from.  (i) A class's candidates are the places that hold every
+   y of an "x in y" with x in the class, and no member of the class.  They
+   are drawn as the search first reads them and kept, so backtracking
+   reads them again without a query, and a class without a candidate
+   refutes the component.  Leaving out the places that hold a member is
+   sound: such a place gives that member an edge to itself, a cycle, so
+   no admissible placement uses it, and the first admissible placement in
+   the candidates' product order is the same with or without them.
+   (iii) The first place holding exactly one of u and w is the earlier, in
+   place order, of the first place holding u but not w and the first
+   holding w but not u; layer 3 seeds junk there.
 3. From an admissible sigma a concrete hereditarily finite model is built
    bottom-up along topo: each variable's value collects the values of the
    elements whose place holds it, plus one fresh tag set ("junk") for each
@@ -73,13 +108,13 @@ is decided in three layers:
 
    A collision u, w lies in two classes (sigma is constant on a class),
    whose signatures differ, so some place holds exactly one of them.  The
-   search seeds the first such place, in place order, for each collision
-   of the junk-free build that fails verification, builds once and
-   verifies once.  Seeding every place, the maximal junk, separates every
+   search seeds the first such place, in place order (query (iii) of layer
+   2), for each collision of the junk-free build that fails verification,
+   builds once and verifies once.  Seeding every place, the maximal junk, separates every
    collision too, so by the same argument the maximal-junk build of any
    admissible placement is a model.
 
-Before any place is enumerated, solve applies two reductions.
+Before the engine is asked anything, solve applies two reductions.
 
 * Membership cycles.  Each "x in y" forces rank(x) < rank(y), and HF sets
   are well founded, so no model has a chain x1 in x2 in ... in x1 (a
@@ -88,7 +123,8 @@ Before any place is enumerated, solve applies two reductions.
 * Components.  Variables are connected when a literal mentions both; the
   literals split into the components of that relation, and no literal
   spans two of them.  Each component is searched on its own places, under
-  one shared budget, and picks its own junk (none when its junk-free
+  one shared budget (the nodes of every query, the placements tried and
+  the models built), and picks its own junk (none when its junk-free
   build verifies, else the places layer 3 chooses).
   The conjunction is satisfiable iff every component is: a model of the
   whole restricts to each part, and the merged witness below builds a
@@ -110,10 +146,12 @@ unsatisfiability.  Every produced model is re-verified literal by literal
 before it is returned.
 
 Implied equalities are read off one decision and the place list.  The
-signature of a variable is the tuple of its truth values over the places
-solve searches (each component's, component after component).  When nc is
-satisfiable, "x = y" holds in every model of nc iff x and y have equal
-signatures:
+signature of a variable is the tuple of its truth values over
+enumerate_places(nc) (each component's places, component after
+component).  The places are listed only when the decision is Sat, once,
+on the decision's own meter, so one budget caps the decision and the
+listing together.  When nc is satisfiable, "x = y" holds in every model
+of nc iff x and y have equal signatures:
 
 (<=) The variables whose values contain a given element of a model form a
      boolean valuation that satisfies every difference literal pointwise,
@@ -141,7 +179,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import combinations, compress, product
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import InvariantViolation, ResourceLimitError
 from .hf import HFSet, SetAssignment, hf, nested_singleton, set_diff
@@ -215,8 +253,17 @@ def _difference_rules() -> Dict[tuple, Optional[Tuple[Tuple[int, bool], ...]]]:
 _FORCES = _difference_rules()
 
 
-def _enumerate_places(nc: NormalizedConjunction, budget: _Budget) -> List[Place]:
-    """nc's places, by the propagating search of layer 1 (module docstring)."""
+def _enumerate_places(
+    nc: NormalizedConjunction,
+    meter: _Budget,
+    assume: Sequence[Tuple[str, bool]] = (),
+) -> Iterator[Place]:
+    """nc's places that agree with assume, drawn lazily in place order.
+
+    assume is a partial valuation, as (variable, value) pairs; without it
+    every place comes.  This is the search of layer 1 (module docstring),
+    run from the valuation assume and its propagation.
+    """
     order = nc.vars
     n = len(order)
     pos = {v: i for i, v in enumerate(order)}
@@ -249,28 +296,55 @@ def _enumerate_places(nc: NormalizedConjunction, budget: _Budget) -> List[Place]
             k += 1
         return True
 
-    out: List[Place] = []
     # decisions still to try: (variable, value, trail length before it)
     pending: List[Tuple[int, bool, int]] = []
 
-    def visit(i: int) -> None:
-        budget.spend("enumerating places")
+    def visit(i: int) -> Optional[Place]:
+        """The node at the first unset variable from i on: its place when
+        every variable is set, else None with its two branches pending."""
+        meter.spend("enumerating places")
         while i < n and val[i] is not None:
             i += 1
         if i == n:
-            out.append(Place(frozenset(compress(order, val))))
-        else:
-            pending.append((i, True, len(trail)))
-            pending.append((i, False, len(trail)))
+            return Place(frozenset(compress(order, val)))
+        pending.append((i, True, len(trail)))
+        pending.append((i, False, len(trail)))
+        return None
 
-    visit(0)
+    for v, b in assume:
+        i = pos[v]
+        if val[i] is None:
+            if not assign(i, b):
+                return
+        elif val[i] is not b:
+            return
+    leaf = visit(0)
+    if leaf is not None:
+        yield leaf
     while pending:
         i, b, mark = pending.pop()
         while len(trail) > mark:
             val[trail.pop()] = None
         if assign(i, b):
-            visit(i + 1)
-    return out
+            leaf = visit(i + 1)
+            if leaf is not None:
+                yield leaf
+
+
+def _replay(source: Iterator[Place], drawn: List[Place]) -> Iterator[Place]:
+    """drawn, then what source yields, each appended to drawn as it comes.
+
+    Read again, it yields the same places without drawing them twice.
+    """
+    k = 0
+    while True:
+        if k == len(drawn):
+            p = next(source, None)
+            if p is None:
+                return
+            drawn.append(p)
+        yield drawn[k]
+        k += 1
 
 
 def _components(nc: NormalizedConjunction) -> List[NormalizedConjunction]:
@@ -340,7 +414,7 @@ def _signatures(places: Sequence[Place], names: Iterable[str]) -> Dict[str, Tupl
 def enumerate_places(
     nc: NormalizedConjunction, budget: Optional[int] = None
 ) -> List[Place]:
-    """The places solve searches: each component's, component after component.
+    """nc's places, each component's in turn: those implied_equalities reads.
 
     A component's places are the boolean valuations of its variables
     consistent with its difference literals, in deterministic order:
@@ -441,44 +515,67 @@ def satisfies(nc: NormalizedConjunction, model: SetAssignment) -> bool:
     return True
 
 
+def _splits(
+    nc: NormalizedConjunction, u: str, w: str, meter: _Budget
+) -> Iterator[Optional[Place]]:
+    """The first place holding u but not w, then the first holding w but
+    not u; None for either that does not exist.  Query (ii) of layer 2."""
+    for a, b in ((u, w), (w, u)):
+        yield next(_enumerate_places(nc, meter, ((a, True), (b, False))), None)
+
+
+def _classes(nc: NormalizedConjunction, elems: Sequence[str], meter: _Budget) -> List[List[str]]:
+    """elems grouped into the classes no place tells apart, by first member.
+
+    Each element joins the first class whose first member it cannot differ
+    from.  Such variables are equal in every model (module docstring), so
+    they must share a placement: differing placements would put one value
+    in conflicting sets.
+    """
+    classes: List[List[str]] = []
+    for u in elems:
+        for group in classes:
+            if all(p is None for p in _splits(nc, group[0], u, meter)):
+                group.append(u)
+                break
+        else:
+            classes.append([u])
+    return classes
+
+
+def _candidates(nc: NormalizedConjunction, group: Sequence[str], meter: _Budget) -> Iterator[Place]:
+    """The places a class may take: those holding every set a member of
+    group lies in, and no member of group.  Query (i) of layer 2."""
+    inside = set(group)
+    need = [(y, True) for x, y in nc.memberships if x in inside]
+    return _enumerate_places(nc, meter, need + [(u, False) for u in group])
+
+
 def _search(
-    nc: NormalizedConjunction, places: List[Place], meter: _Budget
+    nc: NormalizedConjunction, meter: _Budget
 ) -> Optional[Tuple[SolverWitness, Optional[SetAssignment]]]:
     """Search the placements of nc over its places; None when none is admissible.
 
-    The witness of the first admissible placement comes with its verified
-    junk-free model, or, when the junk-free build fails, with the junk of
-    layer 3 (module docstring) and no model: the caller builds and
-    verifies that one.
+    The places come from queries to the engine of layer 1, never from a
+    full listing.  The witness of the first admissible placement comes with
+    its verified junk-free model, or, when the junk-free build fails, with
+    the junk of layer 3 (module docstring) and no model: the caller builds
+    and verifies that one.
     """
     elems: List[str] = list(dict.fromkeys(x for x, _ in nc.memberships))
-    targets: Dict[str, List[str]] = {u: [] for u in elems}
-    for x, y in nc.memberships:
-        targets[x].append(y)
-
-    # Variables with equal signatures are equal in every model (see the
-    # module docstring), so they must share a placement: differing
-    # placements would put one value in conflicting sets.
-    signature = _signatures(places, elems)
-    classes: List[List[str]] = []
-    by_sig: Dict[tuple, List[str]] = {}
-    for u in elems:
-        group = by_sig.get(signature[u])
-        if group is None:
-            group = by_sig[signature[u]] = []
-            classes.append(group)
-        group.append(u)
-
-    candidates: List[List[Place]] = []
+    classes = _classes(nc, elems, meter)
+    # Each class's first candidate is drawn now, the rest as the search
+    # reads them; a class without one has no admissible placement.
+    candidates: List[Tuple[Iterator[Place], List[Place]]] = []
     for group in classes:
-        cand = [
-            p
-            for p in places
-            if all(p.holds(y) for u in group for y in targets[u])
-        ]
-        if not cand:
+        source = _candidates(nc, group, meter)
+        first = next(source, None)
+        if first is None:
             return None
-        candidates.append(cand)
+        candidates.append((source, [first]))
+
+    def place_order(p: Place) -> Tuple[bool, ...]:
+        return tuple(p.holds(v) for v in nc.vars)
 
     sig: Dict[str, Place] = {}
 
@@ -489,27 +586,26 @@ def _search(
         model = build_model(witness)
         if satisfies(nc, model):
             return witness, model
-        # The classes' placements, grouped by junk-free value: two differently
-        # placed classes in a group collide, and the first place where their
-        # signatures differ holds exactly one of them (layer 3).
-        by_value: Dict[HFSet, Dict[tuple, Place]] = {}
-        for u in elems:
-            by_value.setdefault(model[u], {}).setdefault(signature[u], sig[u])
-        seeds = {
-            next(k for k, (a, b) in enumerate(zip(s, t)) if a != b)
-            for group in by_value.values()
-            for (s, p), (t, q) in combinations(group.items(), 2)
-            if p != q
+        # The classes' representatives, grouped by junk-free value: two
+        # differently placed ones in a group collide, and the earlier of
+        # their splits is the first place that holds exactly one (layer 3).
+        by_value: Dict[HFSet, List[str]] = {}
+        for group in classes:
+            by_value.setdefault(model[group[0]], []).append(group[0])
+        junk = {
+            min((p for p in _splits(nc, u, w, meter) if p is not None), key=place_order)
+            for reps in by_value.values()
+            for u, w in combinations(reps, 2)
+            if sig[u] != sig[w]
         }
-        junk = tuple(places[k] for k in sorted(seeds))
-        return SolverWitness(nc.vars, sigma, junk, topo), None
+        return SolverWitness(nc.vars, sigma, tuple(sorted(junk, key=place_order)), topo), None
 
     def descend(
         i: int, topo: Tuple[str, ...]
     ) -> Optional[Tuple[SolverWitness, Optional[SetAssignment]]]:
         if i == len(classes):
             return leaf(topo)
-        for p in candidates[i]:
+        for p in _replay(*candidates[i]):
             meter.spend("searching placements")
             for u in classes[i]:
                 sig[u] = p
@@ -530,31 +626,25 @@ def _search(
 
 def _decide(
     nc: NormalizedConjunction, budget: Optional[int]
-) -> Tuple[SolveResult, List[Place]]:
-    """solve's verdict on nc with the places it searched.
-
-    On Sat the places are enumerate_places(nc): each component's, component
-    after component.  On Unsat they are those listed before the refutation.
-    """
+) -> Tuple[SolveResult, _Budget]:
+    """solve's verdict on nc with the meter it spent, which _implied goes on
+    spending."""
+    meter = _Budget(budget)
     edges: Dict[str, List[str]] = {}
     for x, y in nc.memberships:
         edges.setdefault(x, []).append(y)
         edges.setdefault(y, [])
     if _topo_order(edges) is None:
-        return Unsat(), []
-    meter = _Budget(budget)
-    places: List[Place] = []
+        return Unsat(), meter
     found = []
     for part in _components(nc):
-        part_places = _enumerate_places(part, meter)
-        places += part_places
-        hit = _search(part, part_places, meter)
+        hit = _search(part, meter)
         if hit is None:
-            return Unsat(), places
+            return Unsat(), meter
         found.append(hit)
     if len(found) == 1 and found[0][1] is not None:
         witness, model = found[0]
-        return Sat(model, witness), places
+        return Sat(model, witness), meter
     witness = SolverWitness(
         vars=nc.vars,
         sigma=tuple(s for w, _ in found for s in w.sigma),
@@ -565,7 +655,7 @@ def _decide(
     model = build_model(witness)
     if not satisfies(nc, model):
         raise InvariantViolation("admissible placement built a non-model")
-    return Sat(model, witness), places
+    return Sat(model, witness), meter
 
 
 def solve(
@@ -573,22 +663,28 @@ def solve(
 ) -> SolveResult:
     """Decide a normalized conjunction; Sat carries a verified model.
 
-    budget caps the total count of search steps (place-enumeration nodes,
-    placement attempts, model builds) over all components; exceeding it
-    raises ResourceLimitError.  None means unbounded.
+    budget caps the total count of search steps (the nodes the place
+    engine visits for its queries, placement attempts, model builds) over
+    all components; exceeding it raises ResourceLimitError.  None means
+    unbounded.  No place is listed: a component without memberships takes
+    one step.
     """
     return _decide(nc, budget)[0]
 
 
 def _implied(
     nc: NormalizedConjunction,
-    decision: Tuple[SolveResult, List[Place]],
+    decision: Tuple[SolveResult, _Budget],
     pairs: Iterable[Tuple[str, str]],
 ) -> Tuple[Tuple[str, str], ...]:
-    """The pairs implied by nc, read off decision = _decide(nc, ...)."""
-    result, places = decision
+    """The pairs implied by nc, read off decision = _decide(nc, ...).
+
+    On Sat, each component's places are listed once, on the decision's meter.
+    """
+    result, meter = decision
     if not result.is_sat:
         return tuple(pairs)
+    places = [p for part in _components(nc) for p in _enumerate_places(part, meter)]
     signature = _signatures(places, nc.vars)
     return tuple(
         (x, y)
@@ -604,9 +700,9 @@ def implied_equalities(
 ) -> Tuple[Tuple[str, str], ...]:
     """The pairs (x, y) whose equality holds in every model of nc.
 
-    nc is decided once, and the places that decision searched give the
-    signatures: when nc is satisfiable, a pair is implied iff its two sides
-    are one name or have equal signatures (see the module docstring for
-    why).  budget caps the decision as it caps solve.
+    nc is decided once and, when satisfiable, its places are listed once
+    for the signatures: a pair is implied iff its two sides are one name or
+    have equal signatures (see the module docstring for why).  budget caps
+    the decision and the listing together.
     """
     return _implied(nc, _decide(nc, budget), pairs)

@@ -138,7 +138,7 @@ def test_solve_extension_operators_rejected(tmp_path, capsys):
 
 
 def test_solve_budget_exhaustion_exit_code(tmp_path, capsys):
-    f = script(tmp_path, "(assert (subset x y))\n(assert (subset y z))\n")
+    f = script(tmp_path, "(assert (in x y))\n(assert (in y z))\n")
     code, _, err = run(capsys, "solve", f, "--budget", "2")
     assert code == 3
     assert "resource limit" in err

@@ -192,14 +192,18 @@ def test_mls_plugin_roundtrip():
 
 def test_mls_plugin_lists_places_once_per_round(monkeypatch):
     calls = []
-    listing = solver._enumerate_places
-    monkeypatch.setattr(
-        solver, "_enumerate_places", lambda nc, meter: calls.append(nc) or listing(nc, meter)
-    )
+    engine = solver._enumerate_places
+
+    def counting(nc, meter, assume=()):
+        if not assume:  # a full listing, not a query
+            calls.append(nc)
+        return engine(nc, meter, assume)
+
+    monkeypatch.setattr(solver, "_enumerate_places", counting)
     p = MlsTheory()
     assert p.assert_literals([Subset(x, y), Subset(y, x)]) is True
     assert p.implied_equalities(["x", "y", "w"]) == (("x", "y"),)
-    assert len(calls) == 1  # one connected component, listed by the one decision
+    assert len(calls) == 1  # one connected component, listed once for the implied pairs
     # after an unsat assert every pair of mentioned variables is implied
     assert p.assert_literals([In(x, y), Subset(y, z), In(z, x)]) is False
     assert p.implied_equalities(["x", "y", "z", "w"]) == (("x", "y"), ("x", "z"), ("y", "z"))

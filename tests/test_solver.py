@@ -21,9 +21,12 @@ from setsyl.solver import (
     SolverWitness,
     Unsat,
     _Budget,
+    _candidates,
+    _classes,
     _components,
     _enumerate_places,
     _junk_tags,
+    _splits,
     _topo_order,
     build_model,
     enumerate_places,
@@ -129,7 +132,7 @@ def _enumerate_places_by_testing(nc, budget):
 def _assert_places_match_generate_and_test(nc):
     for part in _components(nc):
         new, old = _Budget(10**9), _Budget(10**9)
-        assert _enumerate_places(part, new) == _enumerate_places_by_testing(part, old)
+        assert list(_enumerate_places(part, new)) == _enumerate_places_by_testing(part, old)
         assert new.left >= old.left  # no more nodes visited
 
 
@@ -329,9 +332,9 @@ def test_components_share_one_budget():
     parts = [NormalizedConjunction([(f"x{i}", f"y{i}")]) for i in range(6)]
     whole = NormalizedConjunction([m for p in parts for m in p.memberships])
     for part in parts:
-        assert solve(part, budget=20).is_sat
+        assert solve(part, budget=10).is_sat
     with pytest.raises(ResourceLimitError):
-        solve(whole, budget=20)
+        solve(whole, budget=10)
 
 
 def test_enumerate_places_lists_each_component_in_turn():
@@ -566,6 +569,114 @@ def test_targeted_junk_keeps_the_placement_and_separates_collisions(nc):
         if part[u] == part[v] and free[u] == free[v] and sig[u] != sig[v]
     ]
     assert set(w.junk) <= set(apart)
+
+
+# ------------------------------------------------ queries to the engine
+
+
+def _agree(place, assume):
+    """Whether place gives each variable of assume its value there."""
+    return all(place.holds(v) == b for v, b in assume)
+
+
+def _spent(query):
+    """The places a query yields, and the steps it took."""
+    meter = _Budget(10**9)
+    return list(query(meter)), 10**9 - meter.left
+
+
+def _reference_junk(nc, w):
+    """Reference: the junk of layer 3 for w's placement, from each
+    component's full listing.  A component whose junk-free build fails gets
+    the first place telling apart each collision, in place order."""
+    sig = dict(w.sigma)
+    junk = []
+    for part in _components(nc):
+        places = enumerate_places(part)
+        elems = list(dict.fromkeys(u for u, _ in part.memberships))
+        topo = tuple(u for u in w.topo if u in sig and u in part.vars)
+        free = build_model(SolverWitness(part.vars, tuple((u, sig[u]) for u in elems), (), topo))
+        if satisfies(part, free):
+            continue
+        seeds = {
+            next(k for k, p in enumerate(places) if p.holds(u) != p.holds(v))
+            for u, v in combinations(elems, 2)
+            if free[u] == free[v] and sig[u] != sig[v]
+        }
+        junk += [places[k] for k in sorted(seeds)]
+    return tuple(junk)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(_conjunctions, st.lists(_script_literals, min_size=1, max_size=4).map(normalize)),
+    st.randoms(use_true_random=False),
+)
+def test_queries_match_the_full_listing(nc, rnd):
+    for part in _components(nc):
+        places, cost = _spent(lambda m: _enumerate_places(part, m))
+        # place order is False before True over vars, which junk sorts by
+        assert places == sorted(places, key=lambda p: [p.holds(v) for v in part.vars])
+
+        picked = rnd.sample(part.vars, rnd.randint(0, len(part.vars)))
+        assume = [(v, rnd.random() < 0.5) for v in picked]
+        got, spent = _spent(lambda m: _enumerate_places(part, m, assume))
+        assert got == [p for p in places if _agree(p, assume)]
+        assert spent <= cost
+
+        elems = list(dict.fromkeys(u for u, _ in part.memberships))
+        by_signature = {}
+        for u in elems:
+            by_signature.setdefault(tuple(p.holds(u) for p in places), []).append(u)
+        classes = _classes(part, elems, _Budget(None))
+        assert classes == list(by_signature.values())
+        for group in classes:
+            got, spent = _spent(lambda m: _candidates(part, group, m))
+            need = [(y, True) for x, y in part.memberships if x in group]
+            assert got == [p for p in places if _agree(p, need + [(u, False) for u in group])]
+            assert spent <= cost
+
+        for u, w in combinations(part.vars, 2):
+            firsts = tuple(_splits(part, u, w, _Budget(None)))
+            assert firsts == tuple(
+                next((p for p in places if p.holds(a) and not p.holds(b)), None)
+                for a, b in ((u, w), (w, u))
+            )
+            apart = [k for k, p in enumerate(places) if p.holds(u) != p.holds(w)]
+            found = [places.index(p) for p in firsts if p is not None]
+            assert min(found, default=None) == min(apart, default=None)
+
+    res = solve(nc)
+    ref = _first_admissible_placement(nc)
+    assert res.is_sat == (ref is not None)
+    if res.is_sat:
+        assert (res.witness.sigma, res.witness.topo) == ref
+        assert res.witness.junk == _reference_junk(nc, res.witness)
+
+
+def test_member_of_a_set_built_from_itself_is_refuted_at_once():
+    # e in (e minus a) puts e inside itself.  The normal form has 656 places
+    # in one component; every place holding the targets of e's class also
+    # holds e, so that class has no candidate and no placement is tried.
+    script = parse_script(
+        "(assert (not (= b a)))"
+        "(assert (not (in d b)))"
+        "(assert (not (subset (inter b b) c)))"
+        "(assert (in c (setminus b a)))"
+        "(assert (in e (setminus e a)))"
+    )
+    nc = normalize(list(script.asserts))
+    assert len(enumerate_places(nc)) == 656
+    assert solve(nc, budget=10_000) == Unsat()
+
+
+def test_membership_chain_of_twenty_four_is_sat():
+    # v0 in v1 in ... in v23 has 2**24 places; the queries need a few thousand steps
+    nc = NormalizedConjunction([(f"v{i}", f"v{i + 1}") for i in range(23)])
+    res = solve(nc, budget=20_000)
+    assert res.is_sat
+    assert satisfies(nc, res.model)
+    assert eval_formula(nc.to_formula(), res.model)
 
 
 # ------------------------------------------------------------ metamorphic

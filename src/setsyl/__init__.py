@@ -10,8 +10,10 @@ equality propagation.
 """
 
 from .errors import (
+    DEFAULT_BUDGET,
     ArityError,
     BoundTooLargeError,
+    Budget,
     InvariantViolation,
     MixedAtomError,
     NonConvexPluginError,
@@ -19,7 +21,6 @@ from .errors import (
     ParseError,
     PreconditionError,
     ResourceLimitError,
-    SearchSpaceTooLargeError,
     SetsylError,
     UnboundVariableError,
     UnsupportedAtomError,
@@ -104,7 +105,6 @@ from .normalize import (
     split_disjuncts,
 )
 from .solver import (
-    DEFAULT_SOLVE_BUDGET,
     Place,
     Sat,
     SolverWitness,

@@ -28,7 +28,7 @@ from .convexity import (
     write_reproducers,
 )
 from .errors import (
-    ArityError,
+    DEFAULT_BUDGET,
     BoundTooLargeError,
     InvariantViolation,
     MixedAtomError,
@@ -37,7 +37,6 @@ from .errors import (
     ParseError,
     PreconditionError,
     ResourceLimitError,
-    SearchSpaceTooLargeError,
     UnboundVariableError,
     UnsupportedAtomError,
 )
@@ -67,7 +66,7 @@ from .hf import MAX_RANK_BOUND, SetAssignment, braces, hf, parse_braces
 from .normalize import dnf_split, normalize
 from .oracle import bounded_models, nonconvexity_schema, oracle_implies, oracle_sat
 from .sexpr import parse_script, print_formula
-from .solver import DEFAULT_SOLVE_BUDGET, solve
+from .solver import solve
 
 _EQ_FLAG = re.compile(r"([A-Za-z_'][A-Za-z0-9_']*)=([A-Za-z_'][A-Za-z0-9_']*)\Z")
 
@@ -311,7 +310,7 @@ def _parse_assignment(text: str) -> SetAssignment:
 
 
 def _first_model(f: Formula, names: Sequence[str], rank: int) -> Optional[SetAssignment]:
-    for m in bounded_models(f, rank, max_assignments=None, node_budget=10**8):
+    for m in bounded_models(f, rank):
         return m.restrict([v for v in names if v in m])
     return None
 
@@ -478,11 +477,10 @@ def cmd_nonconvex(args) -> int:
     if kind == "probe":
         big, pairs = nonconvexity_schema(phi, xbar, k)
         disj = or_(*[Eq(Var(a), Var(b)) for a, b in pairs])
-        imp = oracle_implies(big, disj, rank, max_assignments=None, node_budget=10**8)
+        imp = oracle_implies(big, disj, rank)
         implied = imp.implied
         for a, b in pairs:
-            r = oracle_implies(big, Eq(Var(a), Var(b)), rank, max_assignments=None,
-                               node_budget=10**8)
+            r = oracle_implies(big, Eq(Var(a), Var(b)), rank)
             cases.append(
                 {
                     "label": f"{a} = {b}",
@@ -494,10 +492,10 @@ def cmd_nonconvex(args) -> int:
     else:
         disjuncts = [Eq(Var("x"), EMPTY), Eq(Var("y"), EMPTY)]
         disj = or_(*disjuncts)
-        imp = oracle_implies(phi, disj, rank, max_assignments=None, node_budget=10**8)
+        imp = oracle_implies(phi, disj, rank)
         implied = imp.implied
         for d in disjuncts:
-            r = oracle_implies(phi, d, rank, max_assignments=None, node_budget=10**8)
+            r = oracle_implies(phi, d, rank)
             cases.append(
                 {
                     "label": print_formula(d),
@@ -570,8 +568,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="decide a conjunction (set or mixed theories)")
     sp.add_argument("file", help="s-expression script (.syl)")
-    sp.add_argument("--budget", type=int, default=DEFAULT_SOLVE_BUDGET,
-                    help="search-node budget for the set solver")
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                    help="step budget for the set solver")
     sp.add_argument("--plugins", default=None,
                     help="comma-separated plugin order, e.g. mls,lra,list")
     sp.add_argument("--witness", action="store_true",
@@ -623,9 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _USAGE_ERRORS = (
-    UsageError,
     ParseError,
-    ArityError,
     MixedAtomError,
     UnsupportedAtomError,
     UnboundVariableError,
@@ -636,7 +632,6 @@ _USAGE_ERRORS = (
     FileNotFoundError,
     IsADirectoryError,
     PermissionError,
-    UnicodeDecodeError,
     ValueError,
 )
 
@@ -659,7 +654,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _USAGE_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ResourceLimitError, SearchSpaceTooLargeError) as e:
+    except ResourceLimitError as e:
         print(f"resource limit: {e}", file=sys.stderr)
         return 3
     except InvariantViolation as e:

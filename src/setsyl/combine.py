@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Iterable, List, Mapping, Optional, Protocol, Sequence, Tuple, Union
 
-from .errors import InvariantViolation, NonConvexPluginError, UnsupportedAtomError
+from .errors import DEFAULT_BUDGET, InvariantViolation, NonConvexPluginError, UnsupportedAtomError
 from .formulas import (
     ArithOp,
     AtomPred,
@@ -47,7 +47,7 @@ from .hf import SetAssignment
 from .lists import ListState, list_check, list_implied
 from .lra import LraState, lra_check, lra_implied, lra_sample
 from .normalize import normalize, split_disjuncts
-from .solver import DEFAULT_SOLVE_BUDGET, _decide, _implied
+from .solver import _decide, _implied
 
 THEORIES = ("mls", "lra", "list")
 
@@ -223,7 +223,7 @@ class MlsTheory:
     name = "mls"
     is_convex = True
 
-    def __init__(self, budget: Optional[int] = DEFAULT_SOLVE_BUDGET):
+    def __init__(self, budget: Optional[int] = DEFAULT_BUDGET):
         self._budget = budget
         self._nc = None
         self._decision = None
@@ -387,7 +387,7 @@ PLUGIN_FACTORIES = {
 def solve_combined(
     asserts: Sequence[Formula],
     plugin_names: Sequence[str] = THEORIES,
-    budget: Optional[int] = DEFAULT_SOLVE_BUDGET,
+    budget: Optional[int] = DEFAULT_BUDGET,
 ) -> CombinedResult:
     """Decide a mixed-theory assertion set; disjunctions split upstream.
 

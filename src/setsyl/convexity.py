@@ -28,13 +28,13 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .errors import InvariantViolation, PreconditionError
+from .errors import DEFAULT_BUDGET, InvariantViolation, PreconditionError
 from .formulas import Eq, Not, Var, max_fresh_index, or_
 from .hf import HFSet, SetAssignment, hf, nested_singleton, set_union
 from .normalize import NormalizedConjunction, normalize
 from .oracle import oracle_implies
 from .sexpr import print_formula
-from .solver import DEFAULT_SOLVE_BUDGET, Unsat, satisfies, solve
+from .solver import Unsat, satisfies, solve
 
 
 @dataclass(frozen=True)
@@ -325,7 +325,7 @@ class EqualitySet:
 def minimize_equalities(
     nc: NormalizedConjunction,
     pairs: Sequence[Tuple[str, str]],
-    budget: Optional[int] = DEFAULT_SOLVE_BUDGET,
+    budget: Optional[int] = DEFAULT_BUDGET,
 ):
     """Classify each equality pair and exhibit one simultaneous countermodel.
 
@@ -445,11 +445,11 @@ def convexity_fuzz(
     of the arguments.
     """
     _require(vars >= 1, "fuzz variable count must be at least 1")
-    _require(vars <= 4, "fuzz variable count capped at 4 by the oracle guard")
+    _require(vars <= 4, "fuzz variable count capped at 4 to keep the oracle searches small")
     _require(lits >= 0, "fuzz literal count must be nonnegative")
     _require(iters >= 0, "fuzz iteration count must be nonnegative")
     _require(rank_bound >= 1, "fuzz rank bound must be at least 1")
-    _require(rank_bound <= 3, "fuzz rank bound capped at 3 by the oracle guard")
+    _require(rank_bound <= 3, "fuzz rank bound capped at 3 to keep the oracle searches small")
     checked = skipped = implied_count = 0
     violations: List[FuzzViolation] = []
     for i in range(iters):

@@ -1,6 +1,19 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one search budget.
+
+Every exponential search (the solver's place engine, placement search and
+model builds; the oracle's enumeration of bounded assignments) spends steps
+from a Budget, DEFAULT_BUDGET of them unless the caller passes another
+limit or None for no limit.  Running out raises ResourceLimitError, the only
+exhaustion error, which names the layer that was running and the count of
+steps reached.  It lives here, beside the errors, so that the oracle stays
+independent of the solver.
+"""
 
 from __future__ import annotations
+
+from typing import Optional
+
+DEFAULT_BUDGET = 10_000_000
 
 
 class SetsylError(Exception):
@@ -37,12 +50,40 @@ class BoundTooLargeError(SetsylError):
     """Universe enumeration requested beyond the supported rank."""
 
 
-class SearchSpaceTooLargeError(SetsylError):
-    """Bounded model search refused: the assignment space exceeds the guard."""
-
-
 class ResourceLimitError(SetsylError):
-    """Solver candidate budget exhausted before a verdict was reached."""
+    """A search spent its whole budget before reaching a verdict.
+
+    layer names the stage that was running, count the steps reached (past
+    limit by the last charge).
+    """
+
+    def __init__(self, layer: str, count: int, limit: int):
+        self.layer = layer
+        self.count = count
+        self.limit = limit
+        super().__init__(
+            f"budget of {limit} steps exhausted while {layer} ({count} steps reached)"
+        )
+
+
+class Budget:
+    """A count of search steps shared by every stage of one search.
+
+    spend charges steps to the named layer and raises ResourceLimitError
+    once the total exceeds the limit; a limit of None never runs out.
+    """
+
+    __slots__ = ("limit", "left")
+
+    def __init__(self, limit: Optional[int]):
+        self.limit = self.left = limit
+
+    def spend(self, layer: str, steps: int = 1) -> None:
+        if self.left is None:
+            return
+        self.left -= steps
+        if self.left < 0:
+            raise ResourceLimitError(layer, self.limit - self.left, self.limit)
 
 
 class NonConvexPluginError(SetsylError):

@@ -7,7 +7,9 @@ so it decides any set formula up to the rank bound by construction.  It is
 the reference the fast solver is tested against, and it is deliberately
 simple: the only cleverness is scheduling each conjunct at the first depth
 where all its variables are bound, which prunes the search without
-changing what it visits.
+changing what it visits.  Every search spends one step budget, charged per
+expanded node, and raises ResourceLimitError when it runs out; there is no
+refusal by the size of the assignment space.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
+    DEFAULT_BUDGET,
+    Budget,
     InvariantViolation,
-    SearchSpaceTooLargeError,
     UnboundVariableError,
     UnsupportedAtomError,
 )
@@ -57,8 +60,6 @@ from .hf import (
     set_union,
     unordered_cross,
 )
-
-DEFAULT_ASSIGNMENT_GUARD = 10**8
 
 
 class _BigInterUndefined(Exception):
@@ -200,20 +201,19 @@ def _schedule(f: Formula) -> Tuple[List[str], List[List[Formula]], List[Formula]
 
 
 def bounded_models(
-    f: Formula,
-    rank_bound: int,
-    max_assignments: int = DEFAULT_ASSIGNMENT_GUARD,
-    node_budget: Optional[int] = None,
+    f: Formula, rank_bound: int, budget: Optional[int] = DEFAULT_BUDGET
 ) -> Iterator[SetAssignment]:
     """Yield every assignment of free_vars(f) into the rank-bounded universe
     that satisfies f, in a fixed order (variables scheduled greedily, values
-    in canonical universe order)."""
+    in canonical universe order).
+
+    budget caps the assignments tried: each node the search expands is
+    charged up front for every universe value it will try, and running out
+    raises ResourceLimitError.  None means unbounded.
+    """
     universe = enumerate_universe(rank_bound)
-    names = free_vars(f)
-    if max_assignments is not None and len(universe) ** len(names) > max_assignments:
-        raise SearchSpaceTooLargeError(
-            f"{len(universe)}^{len(names)} assignments exceed the guard {max_assignments}"
-        )
+    width = len(universe)
+    meter = Budget(budget)
     order, checks, ground = _schedule(f)
     partial: Dict[str, HFSet] = {}
     wrapped = SetAssignment(partial)
@@ -222,18 +222,14 @@ def bounded_models(
         if not eval_formula(g, wrapped):
             return
     n = len(order)
-    nodes = 0
 
     def descend(depth: int) -> Iterator[SetAssignment]:
-        nonlocal nodes
         if depth == n:
             yield SetAssignment(partial)
             return
+        meter.spend("searching bounded models", width)
         name = order[depth]
         for value in universe:
-            nodes += 1
-            if node_budget is not None and nodes > node_budget:
-                raise SearchSpaceTooLargeError(f"node budget {node_budget} exhausted")
             partial[name] = value
             if all(eval_formula(c, wrapped) for c in checks[depth]):
                 yield from descend(depth + 1)
@@ -245,16 +241,12 @@ def bounded_models(
     yield from descend(0)
 
 
-def oracle_sat(
-    f: Formula,
-    rank_bound: int,
-    max_assignments: int = DEFAULT_ASSIGNMENT_GUARD,
-    node_budget: Optional[int] = None,
-):
+def oracle_sat(f: Formula, rank_bound: int, budget: Optional[int] = DEFAULT_BUDGET):
     """Exhaustive bounded satisfiability: BoundedSat with the first model in
     search order, or NoModelWithinBound.  A returned model is re-verified
-    with eval_formula before it leaves this function."""
-    for m in bounded_models(f, rank_bound, max_assignments, node_budget):
+    with eval_formula before it leaves this function.  budget is as for
+    bounded_models."""
+    for m in bounded_models(f, rank_bound, budget):
         if not eval_formula(f, m):
             raise InvariantViolation("bounded search produced a non-model")
         return BoundedSat(m)
@@ -262,18 +254,14 @@ def oracle_sat(
 
 
 def oracle_implies(
-    f: Formula,
-    g: Formula,
-    rank_bound: int,
-    max_assignments: int = DEFAULT_ASSIGNMENT_GUARD,
-    node_budget: Optional[int] = None,
+    f: Formula, g: Formula, rank_bound: int, budget: Optional[int] = DEFAULT_BUDGET
 ):
     """Bounded implication: does every model of f within the bound satisfy g?
 
     The verdict is explicitly bounded; ImpliedWithinBound(k) says nothing
     about models of rank above k.
     """
-    res = oracle_sat(and_(f, Not(g)), rank_bound, max_assignments, node_budget)
+    res = oracle_sat(and_(f, Not(g)), rank_bound, budget)
     if res.is_sat:
         return Countermodel(res.model)
     return ImpliedWithinBound(rank_bound)

@@ -181,11 +181,9 @@ from heapq import heappop, heappush
 from itertools import combinations, compress, product
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from .errors import InvariantViolation, ResourceLimitError
+from .errors import DEFAULT_BUDGET, Budget, InvariantViolation
 from .hf import HFSet, SetAssignment, hf, nested_singleton, set_diff
 from .normalize import NormalizedConjunction
-
-DEFAULT_SOLVE_BUDGET = 10_000_000
 
 # The rank of a tag's largest member is rounded up to a multiple of this, so
 # that conjunctions with nearby variable counts share one interned tag family.
@@ -206,20 +204,6 @@ class Place:
 
     def __repr__(self) -> str:
         return "Place({" + ", ".join(self.sorted_trues()) + "})"
-
-
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, limit: Optional[int]):
-        self.left = limit
-
-    def spend(self, what: str) -> None:
-        if self.left is None:
-            return
-        self.left -= 1
-        if self.left < 0:
-            raise ResourceLimitError(f"solver budget exhausted while {what}")
 
 
 def _difference_rules() -> Dict[tuple, Optional[Tuple[Tuple[int, bool], ...]]]:
@@ -255,7 +239,7 @@ _FORCES = _difference_rules()
 
 def _enumerate_places(
     nc: NormalizedConjunction,
-    meter: _Budget,
+    meter: Budget,
     assume: Sequence[Tuple[str, bool]] = (),
 ) -> Iterator[Place]:
     """nc's places that agree with assume, drawn lazily in place order.
@@ -421,7 +405,7 @@ def enumerate_places(
     variables in vars order, False tried before True.  The all-False
     valuation is always a place, so the list is never empty.
     """
-    meter = _Budget(budget)
+    meter = Budget(budget)
     return [p for part in _components(nc) for p in _enumerate_places(part, meter)]
 
 
@@ -516,7 +500,7 @@ def satisfies(nc: NormalizedConjunction, model: SetAssignment) -> bool:
 
 
 def _splits(
-    nc: NormalizedConjunction, u: str, w: str, meter: _Budget
+    nc: NormalizedConjunction, u: str, w: str, meter: Budget
 ) -> Iterator[Optional[Place]]:
     """The first place holding u but not w, then the first holding w but
     not u; None for either that does not exist.  Query (ii) of layer 2."""
@@ -524,7 +508,7 @@ def _splits(
         yield next(_enumerate_places(nc, meter, ((a, True), (b, False))), None)
 
 
-def _classes(nc: NormalizedConjunction, elems: Sequence[str], meter: _Budget) -> List[List[str]]:
+def _classes(nc: NormalizedConjunction, elems: Sequence[str], meter: Budget) -> List[List[str]]:
     """elems grouped into the classes no place tells apart, by first member.
 
     Each element joins the first class whose first member it cannot differ
@@ -543,7 +527,7 @@ def _classes(nc: NormalizedConjunction, elems: Sequence[str], meter: _Budget) ->
     return classes
 
 
-def _candidates(nc: NormalizedConjunction, group: Sequence[str], meter: _Budget) -> Iterator[Place]:
+def _candidates(nc: NormalizedConjunction, group: Sequence[str], meter: Budget) -> Iterator[Place]:
     """The places a class may take: those holding every set a member of
     group lies in, and no member of group.  Query (i) of layer 2."""
     inside = set(group)
@@ -552,7 +536,7 @@ def _candidates(nc: NormalizedConjunction, group: Sequence[str], meter: _Budget)
 
 
 def _search(
-    nc: NormalizedConjunction, meter: _Budget
+    nc: NormalizedConjunction, meter: Budget
 ) -> Optional[Tuple[SolverWitness, Optional[SetAssignment]]]:
     """Search the placements of nc over its places; None when none is admissible.
 
@@ -626,10 +610,10 @@ def _search(
 
 def _decide(
     nc: NormalizedConjunction, budget: Optional[int]
-) -> Tuple[SolveResult, _Budget]:
+) -> Tuple[SolveResult, Budget]:
     """solve's verdict on nc with the meter it spent, which _implied goes on
     spending."""
-    meter = _Budget(budget)
+    meter = Budget(budget)
     edges: Dict[str, List[str]] = {}
     for x, y in nc.memberships:
         edges.setdefault(x, []).append(y)
@@ -659,7 +643,7 @@ def _decide(
 
 
 def solve(
-    nc: NormalizedConjunction, budget: Optional[int] = DEFAULT_SOLVE_BUDGET
+    nc: NormalizedConjunction, budget: Optional[int] = DEFAULT_BUDGET
 ) -> SolveResult:
     """Decide a normalized conjunction; Sat carries a verified model.
 
@@ -674,7 +658,7 @@ def solve(
 
 def _implied(
     nc: NormalizedConjunction,
-    decision: Tuple[SolveResult, _Budget],
+    decision: Tuple[SolveResult, Budget],
     pairs: Iterable[Tuple[str, str]],
 ) -> Tuple[Tuple[str, str], ...]:
     """The pairs implied by nc, read off decision = _decide(nc, ...).
@@ -696,7 +680,7 @@ def _implied(
 def implied_equalities(
     nc: NormalizedConjunction,
     pairs: Iterable[Tuple[str, str]],
-    budget: Optional[int] = DEFAULT_SOLVE_BUDGET,
+    budget: Optional[int] = DEFAULT_BUDGET,
 ) -> Tuple[Tuple[str, str], ...]:
     """The pairs (x, y) whose equality holds in every model of nc.
 

@@ -119,9 +119,7 @@ def _model_pairs(nc, rank):
     """For each variable pair, one model equating it and one separating it."""
     pairs = list(combinations(nc.vars, 2))
     eq, neq = {}, {}
-    for m in bounded_models(
-        nc.to_formula(), rank, max_assignments=None, node_budget=10**7
-    ):
+    for m in bounded_models(nc.to_formula(), rank, budget=10**7):
         for p in pairs:
             a, b = p
             if m[a] is m[b]:

@@ -141,7 +141,9 @@ def test_solve_budget_exhaustion_exit_code(tmp_path, capsys):
     f = script(tmp_path, "(assert (in x y))\n(assert (in y z))\n")
     code, _, err = run(capsys, "solve", f, "--budget", "2")
     assert code == 3
-    assert "resource limit" in err
+    assert err.splitlines() == [
+        "resource limit: budget of 2 steps exhausted while enumerating places (3 steps reached)"
+    ]
 
 
 def test_solve_disjunction_splits(tmp_path, capsys):
@@ -345,6 +347,15 @@ def test_nonconvex_demo_json(capsys):
     assert doc["pinned_padding"] is True
     assert doc["k"] == 2
     assert all(c["refuted"] for c in doc["cases"])
+
+
+def test_nonconvex_demo_pins_padding_at_rank_four(capsys):
+    # The pinned-padding search tries 65536^3 assignments in principle but
+    # prunes to three expanded nodes, well inside the default budget.
+    code, out, err = run(capsys, "nonconvex-demo", "--theory", "mlsp", "--rank", "4", "--json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["passed"] is True and doc["pinned_padding"] is True
 
 
 def test_nonconvex_demo_requires_theory(capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setsyl.errors import SearchSpaceTooLargeError, UnboundVariableError
+from setsyl.errors import ResourceLimitError, UnboundVariableError
 from setsyl.formulas import (
     EMPTY,
     Eq,
@@ -19,6 +19,7 @@ from setsyl.formulas import (
 )
 from setsyl.hf import SetAssignment, enumerate_universe, hf, is_subset
 from setsyl.oracle import (
+    BoundedSat,
     bounded_models,
     eval_formula,
     eval_term,
@@ -88,16 +89,26 @@ def test_bounded_models_deterministic_order():
     assert a == b
 
 
-def test_assignment_guard_trips():
+def test_pruned_search_over_a_huge_space_finds_a_model():
+    # 16^16 assignments, but scheduling prunes each membership at once.
     f = and_(*[In(Var(f"v{i}"), Var(f"w{i}")) for i in range(8)])
-    with pytest.raises(SearchSpaceTooLargeError):
-        oracle_sat(f, 3, max_assignments=10**6)
+    res = oracle_sat(f, 3)
+    assert isinstance(res, BoundedSat)
+    assert eval_formula(f, res.model)
 
 
-def test_node_budget_trips():
+def test_oracle_budget_exhaustion_names_layer_and_count():
+    # Each expanded node is charged for all 16 values of the rank-3 universe.
     f = and_(In(x, y), In(y, z), Not(Eq(x, z)))
-    with pytest.raises(SearchSpaceTooLargeError):
-        list(bounded_models(f, 3, node_budget=3))
+    with pytest.raises(ResourceLimitError) as caught:
+        list(bounded_models(f, 3, budget=40))
+    err = caught.value
+    assert (err.layer, err.count, err.limit) == ("searching bounded models", 48, 40)
+    assert str(err) == (
+        "budget of 40 steps exhausted while searching bounded models (48 steps reached)"
+    )
+    with pytest.raises(ResourceLimitError):
+        oracle_implies(f, Eq(x, y), 3, 40)
 
 
 def test_oracle_implies_positive_and_negative():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setsyl.convexity import minimize_equalities, random_normalized_conjunction
-from setsyl.errors import ResourceLimitError
+from setsyl.errors import Budget, ResourceLimitError
 from setsyl.formulas import EMPTY, Eq, In, Not, SetOp, Subset, Var, and_
 from setsyl.hf import SetAssignment, hf
 from setsyl.normalize import NormalizedConjunction, normalize, split_disjuncts
@@ -20,7 +20,6 @@ from setsyl.solver import (
     Sat,
     SolverWitness,
     Unsat,
-    _Budget,
     _candidates,
     _classes,
     _components,
@@ -78,8 +77,11 @@ def test_place_holds_and_repr():
 
 def test_enumerate_places_budget_trips():
     nc = normalize([In(x, y), In(y, z)])
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError) as caught:
         enumerate_places(nc, budget=2)
+    err = caught.value
+    assert (err.layer, err.count, err.limit) == ("enumerating places", 3, 2)
+    assert "enumerating places" in str(err) and "3 steps" in str(err)
 
 
 def test_difference_rules_force_what_every_completion_agrees_on():
@@ -131,7 +133,7 @@ def _enumerate_places_by_testing(nc, budget):
 
 def _assert_places_match_generate_and_test(nc):
     for part in _components(nc):
-        new, old = _Budget(10**9), _Budget(10**9)
+        new, old = Budget(10**9), Budget(10**9)
         assert list(_enumerate_places(part, new)) == _enumerate_places_by_testing(part, old)
         assert new.left >= old.left  # no more nodes visited
 
@@ -581,7 +583,7 @@ def _agree(place, assume):
 
 def _spent(query):
     """The places a query yields, and the steps it took."""
-    meter = _Budget(10**9)
+    meter = Budget(10**9)
     return list(query(meter)), 10**9 - meter.left
 
 
@@ -628,7 +630,7 @@ def test_queries_match_the_full_listing(nc, rnd):
         by_signature = {}
         for u in elems:
             by_signature.setdefault(tuple(p.holds(u) for p in places), []).append(u)
-        classes = _classes(part, elems, _Budget(None))
+        classes = _classes(part, elems, Budget(None))
         assert classes == list(by_signature.values())
         for group in classes:
             got, spent = _spent(lambda m: _candidates(part, group, m))
@@ -637,7 +639,7 @@ def test_queries_match_the_full_listing(nc, rnd):
             assert spent <= cost
 
         for u, w in combinations(part.vars, 2):
-            firsts = tuple(_splits(part, u, w, _Budget(None)))
+            firsts = tuple(_splits(part, u, w, Budget(None)))
             assert firsts == tuple(
                 next((p for p in places if p.holds(a) and not p.holds(b)), None)
                 for a, b in ((u, w), (w, u))

@@ -1,11 +1,11 @@
 """Exception types shared across the toolkit, and the one search budget.
 
-Every exponential search (the solver's place engine, placement search and
-model builds; the oracle's enumeration of bounded assignments) spends steps
-from a Budget, DEFAULT_BUDGET of them unless the caller passes another
-limit or None for no limit.  Running out raises ResourceLimitError, the only
-exhaustion error, which names the layer that was running and the count of
-steps reached.  It lives here, beside the errors, so that the oracle stays
+Every exponential search (the solver's place engine, whose queries also
+meter the placement, and its model builds; the oracle's enumeration of
+bounded assignments) spends steps from a Budget, DEFAULT_BUDGET of them
+unless the caller passes another limit or None for no limit.  Running out
+raises ResourceLimitError, the only exhaustion error, which names the layer
+that was running and the count of steps reached.  It lives here, beside the errors, so that the oracle stays
 independent of the solver.
 """
 

@@ -55,29 +55,49 @@ is decided in three layers:
    variables no place can tell apart, and the containment edges it induces
    must be acyclic, since sets are well founded.
 
-   The search never lists the places; it asks the engine of layer 1.
-   (ii) Can u and v differ, that is, does some place hold one of them but
-   not the other?  The element variables no place tells apart form the
-   classes: each joins the first class whose first member it cannot
-   differ from.  (i) A class's candidates are the places that hold every
-   y of an "x in y" with x in the class, and no member of the class.  They
-   are drawn as the search first reads them and kept, so backtracking
-   reads them again without a query, and a class without a candidate
-   refutes the component.  Leaving out the places that hold a member is
-   sound: such a place gives that member an edge to itself, a cycle, so
-   no admissible placement uses it, and the first admissible placement in
-   the candidates' product order is the same with or without them.
+   The search never lists the places; it asks the engine of layer 1, one
+   engine per component, whose index is built once.  (i) Can u and v
+   differ, that is, does some place hold one of them but not the other?
+   The element variables no place tells apart form the classes: each joins
+   the first class whose first member it cannot differ from.  Members of a
+   class are held by the same places, so the edges of a placement run
+   between classes: C -> D when C's place holds the members of D, and C
+   must be built before D.  A class's targets are the y of every "x in y"
+   with x in the class.
+
+   (ii) The placement is found by greedy peeling.  While classes are left,
+   take the first class, in class order, with a place that holds every
+   target of the class and no element of any class left, the class itself
+   included: one query, with those values as assumptions.  Give the class
+   the first such place, in place order, and remove it.  When no class
+   left has such a place, the component is unsatisfiable.
+
+   An admissible placement exists iff greedy peeling succeeds.  If it
+   succeeds, a class's place holds elements only of classes peeled before
+   it, so every edge runs from a class to one peeled earlier; in the
+   reverse peel order every edge runs forward, the edges are acyclic, and
+   that order, each class's members in a row, is the witness's topo.
+   Conversely, let sigma be admissible, with its classes in an order in
+   which every edge runs forward.  The class sigma builds last has no
+   edge, so its place holds every target of the class and no element at
+   all: that class is eligible before anything is peeled.  Eligibility
+   only widens as classes are removed, since a removal only drops
+   assumptions, and after any removals the class left that sigma builds
+   last has edges only to classes built after it, none of them left, so
+   it is eligible too.  So peeling stops only when no class is left.  A
+   component with k classes takes at most k(k + 1)/2 peel queries.
    (iii) The first place holding exactly one of u and w is the earlier, in
    place order, of the first place holding u but not w and the first
    holding w but not u; layer 3 seeds junk there.
-3. From an admissible sigma a concrete hereditarily finite model is built
-   bottom-up along topo: each variable's value collects the values of the
-   elements whose place holds it, plus one fresh tag set ("junk") for each
-   seeded place that holds it.  Every tag has the same rank, top + 1, where
-   top is at least len(vars) + 3: junk-free values have rank at most
-   len(vars) and any value holding a tag has rank at least top + 2, so no
-   tag equals a variable's value.  Tags differ from one another by the bits
-   of their index, so the model's rank does not grow with the tag count.
+3. From an admissible sigma, such as the peeled one, a concrete
+   hereditarily finite model is built bottom-up along topo: each
+   variable's value collects the values of the elements whose place holds
+   it, plus one fresh tag set ("junk") for each seeded place that holds
+   it.  Every tag has the same rank, top + 1, where top is at least
+   len(vars) + 3: junk-free values have rank at most len(vars) and any
+   value holding a tag has rank at least top + 2, so no tag equals a
+   variable's value.  Tags differ from one another by the bits of their
+   index, so the model's rank does not grow with the tag count.
 
    The junk-free build comes first and is returned when it verifies.  Two
    element variables u and w collide when the junk-free build gives them
@@ -110,9 +130,9 @@ is decided in three layers:
    whose signatures differ, so some place holds exactly one of them.  The
    search seeds the first such place, in place order (query (iii) of layer
    2), for each collision of the junk-free build that fails verification,
-   builds once and verifies once.  Seeding every place, the maximal junk, separates every
-   collision too, so by the same argument the maximal-junk build of any
-   admissible placement is a model.
+   builds once and verifies once.  Seeding every place, the maximal junk,
+   separates every collision too, so by the same argument the maximal-junk
+   build of any admissible placement is a model.
 
 Before the engine is asked anything, solve applies two reductions.
 
@@ -122,10 +142,10 @@ Before the engine is asked anything, solve applies two reductions.
   membership literals refutes the conjunction outright.
 * Components.  Variables are connected when a literal mentions both; the
   literals split into the components of that relation, and no literal
-  spans two of them.  Each component is searched on its own places, under
-  one shared budget (the nodes of every query, the placements tried and
-  the models built), and picks its own junk (none when its junk-free
-  build verifies, else the places layer 3 chooses).
+  spans two of them.  Each component is peeled on its own places, under
+  one shared budget (the nodes of every query and the models built), and
+  picks its own junk (none when its junk-free build verifies, else the
+  places layer 3 chooses).
   The conjunction is satisfiable iff every component is: a model of the
   whole restricts to each part, and the merged witness below builds a
   model of the whole from the parts.  The merged witness concatenates the
@@ -139,19 +159,19 @@ Before the engine is asked anything, solve applies two reductions.
   do not change, and that build is a model (verified when junk-free, by
   layer 3 otherwise).  The merged model is re-verified against the whole
   conjunction all the same.  A connected conjunction is its own single
-  component and takes the search unchanged.
+  component and is peeled as a whole.
 
-The search is deterministic and exhaustive, so exhaustion proves
-unsatisfiability.  Every produced model is re-verified literal by literal
-before it is returned.
+Peeling is deterministic and complete (layer 2), so a component none of
+whose classes can be peeled proves unsatisfiability.  Every produced
+model is re-verified literal by literal before it is returned.
 
 Implied equalities are read off one decision and the place list.  The
 signature of a variable is the tuple of its truth values over
 enumerate_places(nc) (each component's places, component after
 component).  The places are listed only when the decision is Sat, once,
-on the decision's own meter, so one budget caps the decision and the
-listing together.  When nc is satisfiable, "x = y" holds in every model
-of nc iff x and y have equal signatures:
+by the decision's engines and on its meter, so one budget caps the
+decision and the listing together.  When nc is satisfiable, "x = y" holds
+in every model of nc iff x and y have equal signatures:
 
 (<=) The variables whose values contain a given element of a model form a
      boolean valuation that satisfies every difference literal pointwise,
@@ -177,7 +197,6 @@ every pair, and no pair needs a refutation probe of its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from itertools import combinations, compress, product
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
@@ -237,98 +256,117 @@ def _difference_rules() -> Dict[tuple, Optional[Tuple[Tuple[int, bool], ...]]]:
 _FORCES = _difference_rules()
 
 
-def _enumerate_places(
-    nc: NormalizedConjunction,
-    meter: Budget,
-    assume: Sequence[Tuple[str, bool]] = (),
-) -> Iterator[Place]:
-    """nc's places that agree with assume, drawn lazily in place order.
+class _Engine:
+    """The search of layer 1 over one component's places (module docstring).
 
-    assume is a partial valuation, as (variable, value) pairs; without it
-    every place comes.  This is the search of layer 1 (module docstring),
-    run from the valuation assume and its propagation.
+    The variable index and the watch lists are built once; every query
+    about the component goes through them, metered by meter.
     """
-    order = nc.vars
-    n = len(order)
-    pos = {v: i for i, v in enumerate(order)}
-    # watch[i]: the differences that mention variable i, as index triples
-    watch: List[List[Tuple[int, int, int]]] = [[] for _ in order]
-    for d in nc.differences:
-        t = (pos[d[0]], pos[d[1]], pos[d[2]])
-        for i in dict.fromkeys(t):
-            watch[i].append(t)
-    val: List[Optional[bool]] = [None] * n
-    trail: List[int] = []  # the variables set so far, in the order set
 
-    def assign(i: int, b: bool) -> bool:
-        """Set variable i to b and all it forces; False on a contradiction."""
-        val[i] = b
-        trail.append(i)
-        k = len(trail) - 1
-        while k < len(trail):  # trail[k:] is set but not yet propagated
-            for t in watch[trail[k]]:
-                forced = _FORCES[val[t[0]], val[t[1]], val[t[2]]]
-                if forced is None:
-                    return False
-                for slot, c in forced:
-                    w = t[slot]
-                    if val[w] is None:
-                        val[w] = c
-                        trail.append(w)
-                    elif val[w] is not c:  # x, y and z need not be distinct
+    def __init__(self, nc: NormalizedConjunction, meter: Budget) -> None:
+        self.nc = nc
+        self.meter = meter
+        self.pos = {v: i for i, v in enumerate(nc.vars)}
+        # watch[i]: the differences that mention variable i, as index triples
+        self.watch: List[List[Tuple[int, int, int]]] = [[] for _ in nc.vars]
+        for d in nc.differences:
+            t = (self.pos[d[0]], self.pos[d[1]], self.pos[d[2]])
+            for i in dict.fromkeys(t):
+                self.watch[i].append(t)
+
+    def places(self, assume: Sequence[Tuple[str, bool]] = ()) -> Iterator[Place]:
+        """The places that agree with assume, drawn lazily in place order.
+
+        assume is a partial valuation, as (variable, value) pairs; without
+        it every place comes.  The search starts from the valuation assume
+        and its propagation.
+        """
+        order, pos, watch, meter = self.nc.vars, self.pos, self.watch, self.meter
+        n = len(order)
+        val: List[Optional[bool]] = [None] * n
+        trail: List[int] = []  # the variables set so far, in the order set
+
+        def assign(i: int, b: bool) -> bool:
+            """Set variable i to b and all it forces; False on a contradiction."""
+            val[i] = b
+            trail.append(i)
+            k = len(trail) - 1
+            while k < len(trail):  # trail[k:] is set but not yet propagated
+                for t in watch[trail[k]]:
+                    forced = _FORCES[val[t[0]], val[t[1]], val[t[2]]]
+                    if forced is None:
                         return False
-            k += 1
-        return True
+                    for slot, c in forced:
+                        w = t[slot]
+                        if val[w] is None:
+                            val[w] = c
+                            trail.append(w)
+                        elif val[w] is not c:  # x, y and z need not be distinct
+                            return False
+                k += 1
+            return True
 
-    # decisions still to try: (variable, value, trail length before it)
-    pending: List[Tuple[int, bool, int]] = []
+        # decisions still to try: (variable, value, trail length before it)
+        pending: List[Tuple[int, bool, int]] = []
 
-    def visit(i: int) -> Optional[Place]:
-        """The node at the first unset variable from i on: its place when
-        every variable is set, else None with its two branches pending."""
-        meter.spend("enumerating places")
-        while i < n and val[i] is not None:
-            i += 1
-        if i == n:
-            return Place(frozenset(compress(order, val)))
-        pending.append((i, True, len(trail)))
-        pending.append((i, False, len(trail)))
-        return None
+        def visit(i: int) -> Optional[Place]:
+            """The node at the first unset variable from i on: its place when
+            every variable is set, else None with its two branches pending."""
+            meter.spend("enumerating places")
+            while i < n and val[i] is not None:
+                i += 1
+            if i == n:
+                return Place(frozenset(compress(order, val)))
+            pending.append((i, True, len(trail)))
+            pending.append((i, False, len(trail)))
+            return None
 
-    for v, b in assume:
-        i = pos[v]
-        if val[i] is None:
-            if not assign(i, b):
+        for v, b in assume:
+            i = pos[v]
+            if val[i] is None:
+                if not assign(i, b):
+                    return
+            elif val[i] is not b:
                 return
-        elif val[i] is not b:
-            return
-    leaf = visit(0)
-    if leaf is not None:
-        yield leaf
-    while pending:
-        i, b, mark = pending.pop()
-        while len(trail) > mark:
-            val[trail.pop()] = None
-        if assign(i, b):
-            leaf = visit(i + 1)
-            if leaf is not None:
-                yield leaf
+        leaf = visit(0)
+        if leaf is not None:
+            yield leaf
+        while pending:
+            i, b, mark = pending.pop()
+            while len(trail) > mark:
+                val[trail.pop()] = None
+            if assign(i, b):
+                leaf = visit(i + 1)
+                if leaf is not None:
+                    yield leaf
 
+    def first(self, assume: Sequence[Tuple[str, bool]]) -> Optional[Place]:
+        """The first place that agrees with assume, or None."""
+        return next(self.places(assume), None)
 
-def _replay(source: Iterator[Place], drawn: List[Place]) -> Iterator[Place]:
-    """drawn, then what source yields, each appended to drawn as it comes.
+    def splits(self, u: str, w: str) -> Iterator[Optional[Place]]:
+        """The first place holding u but not w, then the first holding w but
+        not u; None for either that does not exist.  Query (i) of layer 2."""
+        for a, b in ((u, w), (w, u)):
+            yield self.first(((a, True), (b, False)))
 
-    Read again, it yields the same places without drawing them twice.
-    """
-    k = 0
-    while True:
-        if k == len(drawn):
-            p = next(source, None)
-            if p is None:
-                return
-            drawn.append(p)
-        yield drawn[k]
-        k += 1
+    def classes(self, elems: Sequence[str]) -> List[List[str]]:
+        """elems grouped into the classes no place tells apart, by first member.
+
+        Each element joins the first class whose first member it cannot
+        differ from.  Such variables are equal in every model (module
+        docstring), so they must share a placement: differing placements
+        would put one value in conflicting sets.
+        """
+        classes: List[List[str]] = []
+        for u in elems:
+            for group in classes:
+                if all(p is None for p in self.splits(group[0], u)):
+                    group.append(u)
+                    break
+            else:
+                classes.append([u])
+        return classes
 
 
 def _components(nc: NormalizedConjunction) -> List[NormalizedConjunction]:
@@ -364,30 +402,23 @@ def _components(nc: NormalizedConjunction) -> List[NormalizedConjunction]:
     return [NormalizedConjunction(mems, diffs) for mems, diffs in parts.values()]
 
 
-def _topo_order(succ: Dict[str, List[str]]) -> Optional[Tuple[str, ...]]:
-    """The keys of succ ordered so that u comes before every v in succ[u].
-
-    Kahn's algorithm, always taking the ready key that comes first in
-    succ's order; None when the edges close a cycle, a self-loop included.
-    Every successor must itself be a key.
-    """
-    nodes = list(succ)
-    index = {u: i for i, u in enumerate(nodes)}
-    indeg = [0] * len(nodes)
+def _acyclic(succ: Dict[str, List[str]]) -> bool:
+    """Whether the edges from each key u to every v in succ[u] close no
+    cycle, a self-loop included.  Kahn's algorithm; every successor must
+    itself be a key."""
+    indeg = dict.fromkeys(succ, 0)
     for vs in succ.values():
         for v in vs:
-            indeg[index[v]] += 1
-    ready = [i for i, d in enumerate(indeg) if d == 0]
-    order: List[str] = []
+            indeg[v] += 1
+    ready = [u for u, d in indeg.items() if d == 0]
+    done = 0
     while ready:
-        u = nodes[heappop(ready)]
-        order.append(u)
-        for v in succ[u]:
-            j = index[v]
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                heappush(ready, j)
-    return tuple(order) if len(order) == len(nodes) else None
+        done += 1
+        for v in succ[ready.pop()]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                ready.append(v)
+    return done == len(succ)
 
 
 def _signatures(places: Sequence[Place], names: Iterable[str]) -> Dict[str, Tuple[bool, ...]]:
@@ -406,7 +437,7 @@ def enumerate_places(
     valuation is always a place, so the list is never empty.
     """
     meter = Budget(budget)
-    return [p for part in _components(nc) for p in _enumerate_places(part, meter)]
+    return [p for part in _components(nc) for p in _Engine(part, meter).places()]
 
 
 @dataclass(frozen=True)
@@ -499,136 +530,90 @@ def satisfies(nc: NormalizedConjunction, model: SetAssignment) -> bool:
     return True
 
 
-def _splits(
-    nc: NormalizedConjunction, u: str, w: str, meter: Budget
-) -> Iterator[Optional[Place]]:
-    """The first place holding u but not w, then the first holding w but
-    not u; None for either that does not exist.  Query (ii) of layer 2."""
-    for a, b in ((u, w), (w, u)):
-        yield next(_enumerate_places(nc, meter, ((a, True), (b, False))), None)
+def _search(
+    engine: _Engine,
+) -> Optional[Tuple[SolverWitness, Optional[SetAssignment]]]:
+    """Peel the classes of engine's component; None when it is unsat.
 
-
-def _classes(nc: NormalizedConjunction, elems: Sequence[str], meter: Budget) -> List[List[str]]:
-    """elems grouped into the classes no place tells apart, by first member.
-
-    Each element joins the first class whose first member it cannot differ
-    from.  Such variables are equal in every model (module docstring), so
-    they must share a placement: differing placements would put one value
-    in conflicting sets.
+    The places come from queries to the engine, never from a full listing.
+    The witness of the peeled placement comes with its verified junk-free
+    model, or, when the junk-free build fails, with the junk of layer 3
+    (module docstring) and no model: the caller builds and verifies that
+    one.
     """
-    classes: List[List[str]] = []
-    for u in elems:
-        for group in classes:
-            if all(p is None for p in _splits(nc, group[0], u, meter)):
-                group.append(u)
+    nc, meter = engine.nc, engine.meter
+    elems: List[str] = list(dict.fromkeys(x for x, _ in nc.memberships))
+    classes = engine.classes(elems)
+    of = {u: k for k, group in enumerate(classes) for u in group}
+    targets: List[List[Tuple[str, bool]]] = [[] for _ in classes]
+    for x, y in nc.memberships:
+        targets[of[x]].append((y, True))
+    sig: Dict[str, Place] = {}
+    left = list(range(len(classes)))  # the unpeeled classes, in class order
+    peeled: List[int] = []
+    while left:
+        # the first class with a place holding its targets and no unpeeled element
+        unpeeled = [(u, False) for k in left for u in classes[k]]
+        for k in left:
+            p = engine.first(targets[k] + unpeeled)
+            if p is not None:
                 break
         else:
-            classes.append([u])
-    return classes
-
-
-def _candidates(nc: NormalizedConjunction, group: Sequence[str], meter: Budget) -> Iterator[Place]:
-    """The places a class may take: those holding every set a member of
-    group lies in, and no member of group.  Query (i) of layer 2."""
-    inside = set(group)
-    need = [(y, True) for x, y in nc.memberships if x in inside]
-    return _enumerate_places(nc, meter, need + [(u, False) for u in group])
-
-
-def _search(
-    nc: NormalizedConjunction, meter: Budget
-) -> Optional[Tuple[SolverWitness, Optional[SetAssignment]]]:
-    """Search the placements of nc over its places; None when none is admissible.
-
-    The places come from queries to the engine of layer 1, never from a
-    full listing.  The witness of the first admissible placement comes with
-    its verified junk-free model, or, when the junk-free build fails, with
-    the junk of layer 3 (module docstring) and no model: the caller builds
-    and verifies that one.
-    """
-    elems: List[str] = list(dict.fromkeys(x for x, _ in nc.memberships))
-    classes = _classes(nc, elems, meter)
-    # Each class's first candidate is drawn now, the rest as the search
-    # reads them; a class without one has no admissible placement.
-    candidates: List[Tuple[Iterator[Place], List[Place]]] = []
-    for group in classes:
-        source = _candidates(nc, group, meter)
-        first = next(source, None)
-        if first is None:
             return None
-        candidates.append((source, [first]))
+        for u in classes[k]:
+            sig[u] = p
+        left.remove(k)
+        peeled.append(k)
+    # a class's place holds elements of earlier-peeled classes only, so
+    # the reverse peel order builds every element before the sets holding it
+    topo = tuple(u for k in reversed(peeled) for u in classes[k])
 
     def place_order(p: Place) -> Tuple[bool, ...]:
         return tuple(p.holds(v) for v in nc.vars)
 
-    sig: Dict[str, Place] = {}
-
-    def leaf(topo: Tuple[str, ...]) -> Tuple[SolverWitness, Optional[SetAssignment]]:
-        sigma = tuple((u, sig[u]) for u in elems)
-        meter.spend("building candidate models")
-        witness = SolverWitness(vars=nc.vars, sigma=sigma, junk=(), topo=topo)
-        model = build_model(witness)
-        if satisfies(nc, model):
-            return witness, model
-        # The classes' representatives, grouped by junk-free value: two
-        # differently placed ones in a group collide, and the earlier of
-        # their splits is the first place that holds exactly one (layer 3).
-        by_value: Dict[HFSet, List[str]] = {}
-        for group in classes:
-            by_value.setdefault(model[group[0]], []).append(group[0])
-        junk = {
-            min((p for p in _splits(nc, u, w, meter) if p is not None), key=place_order)
-            for reps in by_value.values()
-            for u, w in combinations(reps, 2)
-            if sig[u] != sig[w]
-        }
-        return SolverWitness(nc.vars, sigma, tuple(sorted(junk, key=place_order)), topo), None
-
-    def descend(
-        i: int, topo: Tuple[str, ...]
-    ) -> Optional[Tuple[SolverWitness, Optional[SetAssignment]]]:
-        if i == len(classes):
-            return leaf(topo)
-        for p in _replay(*candidates[i]):
-            meter.spend("searching placements")
-            for u in classes[i]:
-                sig[u] = p
-            # u is built before v when sigma puts u inside v; once every
-            # class is placed, this order over elems is the witness's topo.
-            placed = [u for u in elems if u in sig]
-            order = _topo_order({u: [v for v in placed if sig[u].holds(v)] for u in placed})
-            if order is not None:
-                hit = descend(i + 1, order)
-                if hit is not None:
-                    return hit
-            for u in classes[i]:
-                del sig[u]
-        return None
-
-    return descend(0, ())
+    sigma = tuple((u, sig[u]) for u in elems)
+    meter.spend("building candidate models")
+    witness = SolverWitness(vars=nc.vars, sigma=sigma, junk=(), topo=topo)
+    model = build_model(witness)
+    if satisfies(nc, model):
+        return witness, model
+    # The classes' representatives, grouped by junk-free value: two
+    # differently placed ones in a group collide, and the earlier of
+    # their splits is the first place that holds exactly one (layer 3).
+    by_value: Dict[HFSet, List[str]] = {}
+    for group in classes:
+        by_value.setdefault(model[group[0]], []).append(group[0])
+    junk = {
+        min((p for p in engine.splits(u, w) if p is not None), key=place_order)
+        for reps in by_value.values()
+        for u, w in combinations(reps, 2)
+        if sig[u] != sig[w]
+    }
+    return SolverWitness(nc.vars, sigma, tuple(sorted(junk, key=place_order)), topo), None
 
 
 def _decide(
     nc: NormalizedConjunction, budget: Optional[int]
-) -> Tuple[SolveResult, Budget]:
-    """solve's verdict on nc with the meter it spent, which _implied goes on
-    spending."""
+) -> Tuple[SolveResult, List[_Engine]]:
+    """solve's verdict on nc with the engines of nc's components, which
+    _implied goes on querying on the same meter."""
     meter = Budget(budget)
     edges: Dict[str, List[str]] = {}
     for x, y in nc.memberships:
         edges.setdefault(x, []).append(y)
         edges.setdefault(y, [])
-    if _topo_order(edges) is None:
-        return Unsat(), meter
-    found = []
+    if not _acyclic(edges):
+        return Unsat(), []
+    engines, found = [], []
     for part in _components(nc):
-        hit = _search(part, meter)
+        engines.append(_Engine(part, meter))
+        hit = _search(engines[-1])
         if hit is None:
-            return Unsat(), meter
+            return Unsat(), engines
         found.append(hit)
     if len(found) == 1 and found[0][1] is not None:
         witness, model = found[0]
-        return Sat(model, witness), meter
+        return Sat(model, witness), engines
     witness = SolverWitness(
         vars=nc.vars,
         sigma=tuple(s for w, _ in found for s in w.sigma),
@@ -639,7 +624,7 @@ def _decide(
     model = build_model(witness)
     if not satisfies(nc, model):
         raise InvariantViolation("admissible placement built a non-model")
-    return Sat(model, witness), meter
+    return Sat(model, witness), engines
 
 
 def solve(
@@ -648,8 +633,8 @@ def solve(
     """Decide a normalized conjunction; Sat carries a verified model.
 
     budget caps the total count of search steps (the nodes the place
-    engine visits for its queries, placement attempts, model builds) over
-    all components; exceeding it raises ResourceLimitError.  None means
+    engine visits for its queries, which meter the peeling, and the model
+    builds) over all components; exceeding it raises ResourceLimitError.  None means
     unbounded.  No place is listed: a component without memberships takes
     one step.
     """
@@ -658,17 +643,18 @@ def solve(
 
 def _implied(
     nc: NormalizedConjunction,
-    decision: Tuple[SolveResult, Budget],
+    decision: Tuple[SolveResult, List[_Engine]],
     pairs: Iterable[Tuple[str, str]],
 ) -> Tuple[Tuple[str, str], ...]:
     """The pairs implied by nc, read off decision = _decide(nc, ...).
 
-    On Sat, each component's places are listed once, on the decision's meter.
+    On Sat, each component's places are listed once, by the decision's
+    engines and on its meter.
     """
-    result, meter = decision
+    result, engines = decision
     if not result.is_sat:
         return tuple(pairs)
-    places = [p for part in _components(nc) for p in _enumerate_places(part, meter)]
+    places = [p for engine in engines for p in engine.places()]
     signature = _signatures(places, nc.vars)
     return tuple(
         (x, y)

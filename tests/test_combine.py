@@ -192,14 +192,14 @@ def test_mls_plugin_roundtrip():
 
 def test_mls_plugin_lists_places_once_per_round(monkeypatch):
     calls = []
-    engine = solver._enumerate_places
+    places = solver._Engine.places
 
-    def counting(nc, meter, assume=()):
+    def counting(engine, assume=()):
         if not assume:  # a full listing, not a query
-            calls.append(nc)
-        return engine(nc, meter, assume)
+            calls.append(engine.nc)
+        return places(engine, assume)
 
-    monkeypatch.setattr(solver, "_enumerate_places", counting)
+    monkeypatch.setattr(solver._Engine, "places", counting)
     p = MlsTheory()
     assert p.assert_literals([Subset(x, y), Subset(y, x)]) is True
     assert p.implied_equalities(["x", "y", "w"]) == (("x", "y"),)

@@ -20,13 +20,9 @@ from setsyl.solver import (
     Sat,
     SolverWitness,
     Unsat,
-    _candidates,
-    _classes,
     _components,
-    _enumerate_places,
+    _Engine,
     _junk_tags,
-    _splits,
-    _topo_order,
     build_model,
     enumerate_places,
     implied_equalities,
@@ -134,7 +130,7 @@ def _enumerate_places_by_testing(nc, budget):
 def _assert_places_match_generate_and_test(nc):
     for part in _components(nc):
         new, old = Budget(10**9), Budget(10**9)
-        assert list(_enumerate_places(part, new)) == _enumerate_places_by_testing(part, old)
+        assert list(_Engine(part, new).places()) == _enumerate_places_by_testing(part, old)
         assert new.left >= old.left  # no more nodes visited
 
 
@@ -477,17 +473,22 @@ def test_signature_rule_matches_probes_and_minimization(seed, nvars, nlits):
 # ---------------------------------------------------------- targeted junk
 
 
-def _first_admissible_placement(nc):
-    """Reference: the (sigma, topo) of each component's first acyclic
-    placement, the classes' candidate places tried in product order with
-    every cyclic prefix cut off; None when some component has none."""
-    edges = {}
-    for a, b in nc.memberships:
-        edges.setdefault(a, []).append(b)
-        edges.setdefault(b, [])
-    if _topo_order(edges) is None:
-        return None  # a membership cycle makes every placement cyclic
-    sigma, topo = [], []
+def _has_cycle(succ):
+    """Whether the edges from each key to the keys in its list close a cycle."""
+    left = set(succ)
+    while True:
+        sinks = {u for u in left if not left.intersection(succ[u])}
+        if not sinks:
+            return bool(left)
+        left -= sinks
+
+
+def _list_first_sat(nc):
+    """Reference verdict: the placement search over each component's full
+    listing.  The classes are the elements of equal signature.  Each class
+    tries, in product order, the places that hold every set a member lies
+    in, told apart only by the elements they hold, and every prefix whose
+    containment edges close a cycle is cut off."""
     for part in _components(nc):
         places = enumerate_places(part)
         elems = list(dict.fromkeys(u for u, _ in part.memberships))
@@ -495,29 +496,46 @@ def _first_admissible_placement(nc):
         for u in elems:
             classes.setdefault(tuple(p.holds(u) for p in places), []).append(u)
         groups = list(classes.values())
+        options = []
+        for group in groups:
+            need = {b for a, b in part.memberships if a in group}
+            options.append(list(dict.fromkeys(
+                frozenset(u for u in elems if p.holds(u)) for p in places if need <= p.trues
+            )))
+        of = {u: i for i, group in enumerate(groups) for u in group}
 
-        def order(sig):
-            placed = [u for u in elems if u in sig]
-            return _topo_order({u: [v for v in placed if sig[u].holds(v)] for u in placed})
+        def fits(held):
+            return not _has_cycle({i: {of[u] for u in h} for i, h in enumerate(held)})
 
-        def first(i, sig):
-            if order(sig) is None:
-                return None
-            if i == len(groups):
-                return sig
-            for p in places:
-                if all(p.holds(b) for a, b in part.memberships if a in groups[i]):
-                    hit = first(i + 1, {**sig, **dict.fromkeys(groups[i], p)})
-                    if hit is not None:
-                        return hit
-            return None
+        def first(held):
+            if not fits(held):
+                return False
+            if len(held) == len(groups):
+                return True
+            return any(first(held + [h]) for h in options[len(held)])
 
-        sig = first(0, {})
-        if sig is None:
-            return None
-        sigma += [(u, sig[u]) for u in elems]
-        topo += order(sig)
-    return tuple(sigma), tuple(topo)
+        if not first([]):
+            return False
+    return True
+
+
+def _assert_admissible(nc, w):
+    """w's placement is admissible: each element sits in a place of its
+    component that holds every set it lies in, elements no place tells
+    apart share their place, and topo lists the elements, each before the
+    elements its place holds."""
+    sig = dict(w.sigma)
+    for part in _components(nc):
+        places = enumerate_places(part)
+        elems = list(dict.fromkeys(u for u, _ in part.memberships))
+        assert all(sig[u] in places for u in elems)
+        assert all(sig[a].holds(b) for a, b in part.memberships)
+        for u, v in combinations(elems, 2):
+            if all(p.holds(u) == p.holds(v) for p in places):
+                assert sig[u] == sig[v]
+    assert len(sig) == len(w.sigma) and sorted(w.topo) == sorted(sig)
+    at = {u: i for i, u in enumerate(w.topo)}
+    assert all(at[u] < at[v] for u in sig for v in sig if sig[u].holds(v))
 
 
 def _draw(seed, nvars, nlits):
@@ -546,12 +564,11 @@ _conjunctions = st.one_of(
 @given(_conjunctions)
 def test_targeted_junk_keeps_the_placement_and_separates_collisions(nc):
     res = solve(nc)
-    ref = _first_admissible_placement(nc)
-    assert res.is_sat == (ref is not None)
+    assert res.is_sat == _list_first_sat(nc)
     if not res.is_sat:
         return
     w = res.witness
-    assert (w.sigma, w.topo) == ref
+    _assert_admissible(nc, w)
     assert satisfies(nc, res.model) and build_model(w) == res.model
 
     free = build_model(SolverWitness(w.vars, w.sigma, (), w.topo))
@@ -616,30 +633,26 @@ def _reference_junk(nc, w):
 )
 def test_queries_match_the_full_listing(nc, rnd):
     for part in _components(nc):
-        places, cost = _spent(lambda m: _enumerate_places(part, m))
+        engine = _Engine(part, Budget(None))
+        places, cost = _spent(lambda m: _Engine(part, m).places())
         # place order is False before True over vars, which junk sorts by
         assert places == sorted(places, key=lambda p: [p.holds(v) for v in part.vars])
 
         picked = rnd.sample(part.vars, rnd.randint(0, len(part.vars)))
         assume = [(v, rnd.random() < 0.5) for v in picked]
-        got, spent = _spent(lambda m: _enumerate_places(part, m, assume))
+        got, spent = _spent(lambda m: _Engine(part, m).places(assume))
         assert got == [p for p in places if _agree(p, assume)]
         assert spent <= cost
+        assert engine.first(assume) == next(iter(got), None)
 
         elems = list(dict.fromkeys(u for u, _ in part.memberships))
         by_signature = {}
         for u in elems:
             by_signature.setdefault(tuple(p.holds(u) for p in places), []).append(u)
-        classes = _classes(part, elems, Budget(None))
-        assert classes == list(by_signature.values())
-        for group in classes:
-            got, spent = _spent(lambda m: _candidates(part, group, m))
-            need = [(y, True) for x, y in part.memberships if x in group]
-            assert got == [p for p in places if _agree(p, need + [(u, False) for u in group])]
-            assert spent <= cost
+        assert engine.classes(elems) == list(by_signature.values())
 
         for u, w in combinations(part.vars, 2):
-            firsts = tuple(_splits(part, u, w, Budget(None)))
+            firsts = tuple(engine.splits(u, w))
             assert firsts == tuple(
                 next((p for p in places if p.holds(a) and not p.holds(b)), None)
                 for a, b in ((u, w), (w, u))
@@ -649,10 +662,9 @@ def test_queries_match_the_full_listing(nc, rnd):
             assert min(found, default=None) == min(apart, default=None)
 
     res = solve(nc)
-    ref = _first_admissible_placement(nc)
-    assert res.is_sat == (ref is not None)
+    assert res.is_sat == _list_first_sat(nc)
     if res.is_sat:
-        assert (res.witness.sigma, res.witness.topo) == ref
+        _assert_admissible(nc, res.witness)
         assert res.witness.junk == _reference_junk(nc, res.witness)
 
 
@@ -679,6 +691,32 @@ def test_membership_chain_of_twenty_four_is_sat():
     assert res.is_sat
     assert satisfies(nc, res.model)
     assert eval_formula(nc.to_formula(), res.model)
+
+
+def _acyclic_draw(rng, n):
+    """n variables, n/2 to n memberships "vi in vj" with i < j, and n/4 to
+    n/2 differences over three distinct variables: no membership cycle
+    refutes the draw before the placement is decided."""
+    names = [f"v{i}" for i in range(n)]
+    mems = [
+        tuple(names[i] for i in sorted(rng.sample(range(n), 2)))
+        for _ in range(rng.randint(n // 2, n))
+    ]
+    diffs = [tuple(rng.sample(names, 3)) for _ in range(rng.randint(n // 4, n // 2))]
+    return NormalizedConjunction(mems, diffs)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8] + list(range(10, 25)))
+def test_acyclic_draws_are_decided_within_budget(n):
+    # A backtracking search over the product of the classes' candidate
+    # places runs out of 10**5 steps on some of these draws, sat ones too.
+    for d in range(14):
+        nc = _acyclic_draw(random.Random(f"acyclic/{n}/{d}"), n)
+        res = solve(nc, budget=10**5)
+        if res.is_sat:
+            assert satisfies(nc, res.model)
+        if n <= 8:
+            assert res.is_sat == _list_first_sat(nc)
 
 
 # ------------------------------------------------------------ metamorphic

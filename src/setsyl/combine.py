@@ -47,7 +47,7 @@ from .hf import SetAssignment
 from .lists import ListState, list_check, list_implied
 from .lra import LraState, lra_check, lra_implied, lra_sample
 from .normalize import normalize, split_disjuncts
-from .solver import _decide, _implied
+from .solver import _decide
 
 THEORIES = ("mls", "lra", "list")
 
@@ -236,16 +236,17 @@ class MlsTheory:
                 acc.setdefault(v)
         self._vars = tuple(acc)
         self._nc = normalize(list(literals))
-        # one decision per round; implied_equalities lists its places once, on its budget
+        # one decision per round; implied_equalities asks its engines split
+        # queries, on its budget, and lists no places
         self._decision = _decide(self._nc, self._budget)
-        return self._decision[0].is_sat
+        return self._decision.result.is_sat
 
     def implied_equalities(self, shared: Sequence[str]) -> Tuple[Tuple[str, str], ...]:
         present = [v for v in shared if v in self._nc.vars]
-        return _implied(self._nc, self._decision, combinations(present, 2))
+        return self._decision.implied(combinations(present, 2))
 
     def model_fragment(self) -> Mapping[str, str]:
-        model = self._decision[0].model
+        model = self._decision.result.model
         return model.restrict(v for v in self._vars if v in model).to_strings()
 
 

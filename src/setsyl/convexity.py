@@ -29,12 +29,12 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import DEFAULT_BUDGET, InvariantViolation, PreconditionError
-from .formulas import Eq, Not, Var, max_fresh_index, or_
+from .formulas import Eq, Var, max_fresh_index, or_
 from .hf import HFSet, SetAssignment, hf, nested_singleton, set_union
-from .normalize import NormalizedConjunction, normalize
+from .normalize import NormalizedConjunction
 from .oracle import oracle_implies
 from .sexpr import print_formula
-from .solver import Unsat, satisfies, solve
+from .solver import Unsat, _decide, satisfies
 
 
 @dataclass(frozen=True)
@@ -334,34 +334,36 @@ def minimize_equalities(
     itself is unsatisfiable (then every pair is vacuously implied).  The
     descent performs at most len(pairs) enlargements: each one falsifies a
     designated equality for good, since enlargement preserves disequalities.
+
+    The conjunction is decided once.  A pair's probe is one split query on
+    that decision and, when the pair has a split place, one separating
+    build (the `solver` module docstring); budget is one meter for the
+    decision and every probe.
     """
     pairs = tuple((a, b) for a, b in pairs)
     _require(len(pairs) > 0, "equality set must be nonempty")
     padded = pad_vars(nc, pairs)
 
-    start = solve(padded, budget=budget)
-    if not start.is_sat:
+    decision = _decide(padded, budget)
+    if not decision.result.is_sat:
         eqs = EqualitySet(pairs, tuple(Implied() for _ in pairs), 0)
         return Unsat(), eqs
 
-    probes: Dict[Tuple[str, str], object] = {}
+    # pair -> a model of padded separating it, or None when it is implied
+    probes: Dict[Tuple[str, str], Optional[SetAssignment]] = {}
 
-    def probe(pair: Tuple[str, str]):
-        hit = probes.get(pair)
-        if hit is None:
-            lits = list(padded.literals())
-            lits.append(Not(Eq(Var(pair[0]), Var(pair[1]))))
-            hit = probes[pair] = solve(normalize(lits), budget=budget)
-        return hit
+    def probe(pair: Tuple[str, str]) -> Optional[SetAssignment]:
+        if pair not in probes:
+            probes[pair] = decision.separating(*pair)
+        return probes[pair]
 
-    model = start.model
+    model = decision.result.model
     steps = 0
     while True:
         for pair in pairs:
             a, b = pair
-            if model[a] == model[b] and probe(pair).is_sat:
-                separating = probe(pair).model.restrict(padded.vars)
-                model, _ = enlarge(padded, model.restrict(padded.vars), separating, a, b)
+            if model[a] == model[b] and probe(pair) is not None:
+                model, _ = enlarge(padded, model, probe(pair), a, b)
                 steps += 1
                 if steps > len(pairs):
                     raise InvariantViolation("equality descent failed to terminate")

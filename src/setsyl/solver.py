@@ -127,12 +127,15 @@ is decided in three layers:
      With the previous point it has no collision left, and it is a model.
 
    A collision u, w lies in two classes (sigma is constant on a class),
-   whose signatures differ, so some place holds exactly one of them.  The
-   search seeds the first such place, in place order (query (iii) of layer
-   2), for each collision of the junk-free build that fails verification,
-   builds once and verifies once.  Seeding every place, the maximal junk,
-   separates every collision too, so by the same argument the maximal-junk
-   build of any admissible placement is a model.
+   and no two classes hold the same places, so some place holds exactly
+   one of u and w.  J is found from the classes' representatives: their
+   collisions go in class order, a collision that a place already in J
+   separates is skipped, and any other adds the first place, in place
+   order, holding exactly one of the two (query (iii) of layer 2).  Every
+   collision is then separated by J.  Each place added splits a group of
+   colliding representatives that the earlier places hold alike, so J
+   has fewer places than there are colliding classes.  When the junk-free build fails
+   verification, the search seeds J, builds once and verifies once.
 
 Before the engine is asked anything, solve applies two reductions.
 
@@ -165,38 +168,64 @@ Peeling is deterministic and complete (layer 2), so a component none of
 whose classes can be peeled proves unsatisfiability.  Every produced
 model is re-verified literal by literal before it is returned.
 
-Implied equalities are read off one decision and the place list.  The
-signature of a variable is the tuple of its truth values over
-enumerate_places(nc) (each component's places, component after
-component).  The places are listed only when the decision is Sat, once,
-by the decision's engines and on its meter, so one budget caps the
-decision and the listing together.  When nc is satisfiable, "x = y" holds
-in every model of nc iff x and y have equal signatures:
+Implied equalities and separating models come from one decision and at
+most one split query per pair; no place is listed.  Let a and b be
+variables of a satisfiable nc.  Their split place is
+
+* if they share a component, the earlier in place order of the first
+  place holding a but not b and the first holding b but not a: the first
+  place holding exactly one of them (query (iii) of layer 2);
+* otherwise the first place of a's component holding a or, when there is
+  none, the first place of b's component holding b.
+
+The queries go to the decision's engines, on its meter, so one budget
+caps the decision and every query.  "a = b" holds in every model of nc
+iff a and b have no split place:
 
 (<=) The variables whose values contain a given element of a model form a
      boolean valuation that satisfies every difference literal pointwise,
      so on each component it is one of that component's places: every
-     element lies in exactly one place of each component.  If x and y
-     share a component, an element lies in x's value iff its place holds
-     x, iff that place holds y, iff it lies in y's value.  If they do not,
-     equal signatures mean no place holds either, so both values are
-     empty.  Either way the two values are equal.
-(=>) Let a place p hold x but not y.  solve found an admissible placement,
-     and its maximal-junk build, one tag in every place of every component,
-     is a model by layer 3 and the merging argument above.  That build
-     puts p's tag into exactly the values of the variables p holds, and no
-     tag equals a variable's value or another tag, so p's tag lies in x's
-     value and not in y's.
+     element lies in exactly one place of each component.  If a and b
+     share a component and no place holds exactly one of them, an element
+     lies in a's value iff its place holds a, iff that place holds b, iff
+     it lies in b's value.  If they do not share one, no place holds a or
+     b, so both values are empty.  Either way the two values are equal.
+(=>) Let p be the split place.  It holds exactly one of a and b, since a
+     place holds only variables of its own component.  Let J be the
+     collision junk of p's component (layer 3), and seed J and p there,
+     every other component keeping the junk of the decision's witness.
+     J separates every collision of the component's junk-free build, so
+     J with p does too, and by layer 3 and the merging argument above the
+     build is a model.  p's tag lies in exactly the values of the
+     variables p holds, and no tag equals a variable's value or another
+     tag, so the tag lies in one of a's and b's values and not in the
+     other: they differ.  J is seeded even when the junk-free build
+     verified, so that the argument of layer 3, which asks for every
+     collision to be separated, covers the build as it stands.
 
-When nc is unsatisfiable every pair is implied.  A variable nc does not
-mention is unconstrained, so it is implied equal only to itself.  This is
-the convexity of the theory in its cheapest form: one decision answers
-every pair, and no pair needs a refutation probe of its own.
+That build, made once and verified (InvariantViolation if it is not a
+model separating a and b), is the separating model minimize_equalities
+enlarges along.  implied_equalities needs no build.  Implied equality is
+an equivalence, so it groups the variables into classes, comparing each
+with the first variable h of each class found so far, and only where the
+decision's model gives both one value: that model satisfies nc, so a pair
+it separates is not implied.  A comparison needs no search either when h
+and the variable share a component and the propagation of h = True sets
+the variable True and that of h = False sets it False, a contradiction
+counting as either: a propagated value is the one every place agreeing
+with the assumption takes (layer 1), so no place holds exactly one of
+them.  Each head is propagated once per value.  When nc is unsatisfiable
+every pair is implied.  A variable nc does not mention is unconstrained,
+so it is implied equal only to itself.  This is the convexity of the
+theory in its cheapest form: one decision and at most one refutation
+query per pair, with no enumeration of models or places and no probe
+conjunction of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, compress, product
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
@@ -274,16 +303,11 @@ class _Engine:
             for i in dict.fromkeys(t):
                 self.watch[i].append(t)
 
-    def places(self, assume: Sequence[Tuple[str, bool]] = ()) -> Iterator[Place]:
-        """The places that agree with assume, drawn lazily in place order.
-
-        assume is a partial valuation, as (variable, value) pairs; without
-        it every place comes.  The search starts from the valuation assume
-        and its propagation.
-        """
-        order, pos, watch, meter = self.nc.vars, self.pos, self.watch, self.meter
-        n = len(order)
-        val: List[Optional[bool]] = [None] * n
+    def _start(self, assume: Sequence[Tuple[str, bool]]):
+        """The valuation that sets assume and propagates it, with its trail
+        and the assign that extends both; None on a contradiction."""
+        watch = self.watch
+        val: List[Optional[bool]] = [None] * len(self.nc.vars)
         trail: List[int] = []  # the variables set so far, in the order set
 
         def assign(i: int, b: bool) -> bool:
@@ -306,6 +330,35 @@ class _Engine:
                 k += 1
             return True
 
+        for v, b in assume:
+            i = self.pos[v]
+            if val[i] is None:
+                if not assign(i, b):
+                    return None
+            elif val[i] is not b:
+                return None
+        return val, trail, assign
+
+    def forced(self, assume: Sequence[Tuple[str, bool]]) -> Optional[List[Optional[bool]]]:
+        """The values, by variable index, that assume sets and propagates,
+        None where unset; None when no place agrees with assume.  Every
+        place that agrees with assume takes these values (layer 1)."""
+        start = self._start(assume)
+        return None if start is None else start[0]
+
+    def places(self, assume: Sequence[Tuple[str, bool]] = ()) -> Iterator[Place]:
+        """The places that agree with assume, drawn lazily in place order.
+
+        assume is a partial valuation, as (variable, value) pairs; without
+        it every place comes.  The search starts from the valuation assume
+        and its propagation.
+        """
+        start = self._start(assume)
+        if start is None:
+            return
+        val, trail, assign = start
+        order, meter = self.nc.vars, self.meter
+        n = len(order)
         # decisions still to try: (variable, value, trail length before it)
         pending: List[Tuple[int, bool, int]] = []
 
@@ -321,13 +374,6 @@ class _Engine:
             pending.append((i, False, len(trail)))
             return None
 
-        for v, b in assume:
-            i = pos[v]
-            if val[i] is None:
-                if not assign(i, b):
-                    return
-            elif val[i] is not b:
-                return
         leaf = visit(0)
         if leaf is not None:
             yield leaf
@@ -421,16 +467,13 @@ def _acyclic(succ: Dict[str, List[str]]) -> bool:
     return done == len(succ)
 
 
-def _signatures(places: Sequence[Place], names: Iterable[str]) -> Dict[str, Tuple[bool, ...]]:
-    """Each name's signature: which of the places hold it, in place order."""
-    return {u: tuple(p.holds(u) for p in places) for u in names}
-
-
 def enumerate_places(
     nc: NormalizedConjunction, budget: Optional[int] = None
 ) -> List[Place]:
-    """nc's places, each component's in turn: those implied_equalities reads.
+    """nc's places, each component's in turn.
 
+    The solver itself lists no places; this full listing serves as the
+    reference the queries are tested against and for benchmark probes.
     A component's places are the boolean valuations of its variables
     consistent with its difference literals, in deterministic order:
     variables in vars order, False tried before True.  The all-False
@@ -530,16 +573,75 @@ def satisfies(nc: NormalizedConjunction, model: SetAssignment) -> bool:
     return True
 
 
-def _search(
-    engine: _Engine,
-) -> Optional[Tuple[SolverWitness, Optional[SetAssignment]]]:
+def _merged(
+    nc: NormalizedConjunction, parts: Sequence["_Part"], junk: Sequence[Sequence[Place]]
+) -> SolverWitness:
+    """The witness over nc.vars of the parts' placements, part k seeding junk[k]."""
+    return SolverWitness(
+        vars=nc.vars,
+        sigma=tuple(s for part in parts for s in part.witness.sigma),
+        junk=tuple(p for seeds in junk for p in seeds),
+        topo=tuple(u for part in parts for u in part.witness.topo),
+    )
+
+
+@dataclass(eq=False)
+class _Part:
+    """One component's peeled placement as a junk-free witness, its build,
+    and whether that build verifies.
+
+    The collision junk J of layer 3 is found at most once: when the
+    junk-free build fails, or when a separating build needs it.
+    """
+
+    engine: _Engine
+    classes: List[List[str]]
+    witness: SolverWitness
+    free: SetAssignment
+    verified: bool
+    _collisions: Optional[Tuple[Place, ...]] = None
+
+    def order(self, p: Place) -> Tuple[bool, ...]:
+        """p's key in place order, False before True over the part's vars."""
+        return tuple(p.holds(v) for v in self.engine.nc.vars)
+
+    def collisions(self) -> Tuple[Place, ...]:
+        """J: places separating every collision of the junk-free build, in place order.
+
+        The classes' representatives are grouped by junk-free value, and
+        two differently placed ones in a group collide.  The pairs go in
+        class order; a pair that a place already chosen separates is
+        skipped, and any other gets the earlier of its splits, the first
+        place holding exactly one of the two (query (iii) of layer 2).
+        """
+        if self._collisions is None:
+            sig = dict(self.witness.sigma)
+            by_value: Dict[HFSet, List[str]] = {}
+            for group in self.classes:
+                by_value.setdefault(self.free[group[0]], []).append(group[0])
+            chosen: List[Place] = []
+            held = {group[0]: 0 for group in self.classes}  # bit j: chosen[j] holds it
+            for reps in by_value.values():
+                for u, w in combinations(reps, 2):
+                    if sig[u] != sig[w] and held[u] == held[w]:
+                        p = min((p for p in self.engine.splits(u, w) if p is not None), key=self.order)
+                        for r in held:
+                            if p.holds(r):
+                                held[r] |= 1 << len(chosen)
+                        chosen.append(p)
+            self._collisions = tuple(sorted(chosen, key=self.order))
+        return self._collisions
+
+    @property
+    def junk(self) -> Tuple[Place, ...]:
+        """The junk solve seeds: none when the junk-free build verifies, else J."""
+        return () if self.verified else self.collisions()
+
+
+def _search(engine: _Engine) -> Optional[_Part]:
     """Peel the classes of engine's component; None when it is unsat.
 
     The places come from queries to the engine, never from a full listing.
-    The witness of the peeled placement comes with its verified junk-free
-    model, or, when the junk-free build fails, with the junk of layer 3
-    (module docstring) and no model: the caller builds and verifies that
-    one.
     """
     nc, meter = engine.nc, engine.meter
     elems: List[str] = list(dict.fromkeys(x for x, _ in nc.memberships))
@@ -567,64 +669,130 @@ def _search(
     # a class's place holds elements of earlier-peeled classes only, so
     # the reverse peel order builds every element before the sets holding it
     topo = tuple(u for k in reversed(peeled) for u in classes[k])
-
-    def place_order(p: Place) -> Tuple[bool, ...]:
-        return tuple(p.holds(v) for v in nc.vars)
-
     sigma = tuple((u, sig[u]) for u in elems)
     meter.spend("building candidate models")
     witness = SolverWitness(vars=nc.vars, sigma=sigma, junk=(), topo=topo)
-    model = build_model(witness)
-    if satisfies(nc, model):
-        return witness, model
-    # The classes' representatives, grouped by junk-free value: two
-    # differently placed ones in a group collide, and the earlier of
-    # their splits is the first place that holds exactly one (layer 3).
-    by_value: Dict[HFSet, List[str]] = {}
-    for group in classes:
-        by_value.setdefault(model[group[0]], []).append(group[0])
-    junk = {
-        min((p for p in engine.splits(u, w) if p is not None), key=place_order)
-        for reps in by_value.values()
-        for u, w in combinations(reps, 2)
-        if sig[u] != sig[w]
-    }
-    return SolverWitness(nc.vars, sigma, tuple(sorted(junk, key=place_order)), topo), None
+    free = build_model(witness)
+    return _Part(engine, classes, witness, free, satisfies(nc, free))
 
 
-def _decide(
-    nc: NormalizedConjunction, budget: Optional[int]
-) -> Tuple[SolveResult, List[_Engine]]:
-    """solve's verdict on nc with the engines of nc's components, which
-    _implied goes on querying on the same meter."""
+class _Decision:
+    """solve's verdict on nc, kept to answer equality questions about nc.
+
+    On Sat, parts holds each component's engine and peeled placement, and
+    the split queries and separating builds run on the decision's meter.
+    """
+
+    def __init__(
+        self, nc: NormalizedConjunction, meter: Budget, result: SolveResult, parts: List[_Part]
+    ) -> None:
+        self.nc, self.meter, self.result, self.parts = nc, meter, result, parts
+
+    @cached_property
+    def of(self) -> Dict[str, int]:
+        """Each variable of nc, mapped to the index of its part."""
+        return {v: k for k, part in enumerate(self.parts) for v in part.engine.nc.vars}
+
+    def split(self, a: str, b: str) -> Optional[Tuple[int, Place]]:
+        """The split place of two variables of a Sat nc, with the index of
+        its part; None when a = b is implied (module docstring)."""
+        i, j = self.of[a], self.of[b]
+        if i == j:
+            found = [p for p in self.parts[i].engine.splits(a, b) if p is not None]
+            return (i, min(found, key=self.parts[i].order)) if found else None
+        for k, v in ((i, a), (j, b)):
+            p = self.parts[k].engine.first(((v, True),))
+            if p is not None:
+                return k, p
+        return None
+
+    def implied(self, pairs: Iterable[Tuple[str, str]]) -> Tuple[Tuple[str, str], ...]:
+        """The pairs whose equality holds in every model of nc.
+
+        A pair is implied when nc is unsat, when its sides are one name,
+        or when both are variables of nc with no split place.  Each
+        variable is compared with the first variable of each class found
+        so far that the model gives its value, by propagation first and
+        by the split query only when that decides nothing (module
+        docstring).
+        """
+        if not self.result.is_sat:
+            return tuple(pairs)
+        model = self.result.model
+        # a head's forced values under head = True and under head = False
+        forces: Dict[str, Tuple[Optional[List[Optional[bool]]], ...]] = {}
+
+        def equal(h: str, v: str) -> bool:
+            """Whether h = v is implied, for two variables the model equates."""
+            k = self.of[h]
+            if self.of[v] == k:
+                engine = self.parts[k].engine
+                if h not in forces:
+                    forces[h] = (engine.forced(((h, True),)), engine.forced(((h, False),)))
+                i = engine.pos[v]
+                if all(f is None or f[i] is b for f, b in zip(forces[h], (True, False))):
+                    return True
+            return self.split(h, v) is None
+
+        first: Dict[str, str] = {}  # variable -> the first variable of its class
+        heads: List[str] = []
+
+        def head(v: str) -> str:
+            if v not in first:
+                first[v] = next((h for h in heads if model[h] is model[v] and equal(h, v)), v)
+                if first[v] == v:
+                    heads.append(v)
+            return first[v]
+
+        return tuple(
+            (x, y)
+            for x, y in pairs
+            if x == y or (x in model and y in model and head(x) == head(y))
+        )
+
+    def separating(self, a: str, b: str) -> Optional[SetAssignment]:
+        """A verified model of a Sat nc in which a and b differ, or None
+        when a = b is implied.
+
+        The decision's witness, with the junk of the split place p's part
+        replaced by J and p, is built once (module docstring).
+        """
+        hit = self.split(a, b)
+        if hit is None:
+            return None
+        k, p = hit
+        junk = [part.junk for part in self.parts]
+        junk[k] = sorted({*self.parts[k].collisions(), p}, key=self.parts[k].order)
+        self.meter.spend("building candidate models")
+        model = build_model(_merged(self.nc, self.parts, junk))
+        if not satisfies(self.nc, model) or model[a] is model[b]:
+            raise InvariantViolation("separating build is not a model that splits its pair")
+        return model
+
+
+def _decide(nc: NormalizedConjunction, budget: Optional[int]) -> _Decision:
+    """solve's verdict on nc, kept with the parts of nc's components."""
     meter = Budget(budget)
     edges: Dict[str, List[str]] = {}
     for x, y in nc.memberships:
         edges.setdefault(x, []).append(y)
         edges.setdefault(y, [])
     if not _acyclic(edges):
-        return Unsat(), []
-    engines, found = [], []
-    for part in _components(nc):
-        engines.append(_Engine(part, meter))
-        hit = _search(engines[-1])
-        if hit is None:
-            return Unsat(), engines
-        found.append(hit)
-    if len(found) == 1 and found[0][1] is not None:
-        witness, model = found[0]
-        return Sat(model, witness), engines
-    witness = SolverWitness(
-        vars=nc.vars,
-        sigma=tuple(s for w, _ in found for s in w.sigma),
-        junk=tuple(j for w, _ in found for j in w.junk),
-        topo=tuple(u for w, _ in found for u in w.topo),
-    )
+        return _Decision(nc, meter, Unsat(), [])
+    parts = []
+    for comp in _components(nc):
+        part = _search(_Engine(comp, meter))
+        if part is None:
+            return _Decision(nc, meter, Unsat(), [])
+        parts.append(part)
+    if len(parts) == 1 and parts[0].verified:
+        return _Decision(nc, meter, Sat(parts[0].free, parts[0].witness), parts)
+    witness = _merged(nc, parts, [part.junk for part in parts])
     meter.spend("building candidate models")
     model = build_model(witness)
     if not satisfies(nc, model):
         raise InvariantViolation("admissible placement built a non-model")
-    return Sat(model, witness), engines
+    return _Decision(nc, meter, Sat(model, witness), parts)
 
 
 def solve(
@@ -638,29 +806,7 @@ def solve(
     unbounded.  No place is listed: a component without memberships takes
     one step.
     """
-    return _decide(nc, budget)[0]
-
-
-def _implied(
-    nc: NormalizedConjunction,
-    decision: Tuple[SolveResult, List[_Engine]],
-    pairs: Iterable[Tuple[str, str]],
-) -> Tuple[Tuple[str, str], ...]:
-    """The pairs implied by nc, read off decision = _decide(nc, ...).
-
-    On Sat, each component's places are listed once, by the decision's
-    engines and on its meter.
-    """
-    result, engines = decision
-    if not result.is_sat:
-        return tuple(pairs)
-    places = [p for engine in engines for p in engine.places()]
-    signature = _signatures(places, nc.vars)
-    return tuple(
-        (x, y)
-        for x, y in pairs
-        if x == y or (x in signature and signature.get(y) == signature[x])
-    )
+    return _decide(nc, budget).result
 
 
 def implied_equalities(
@@ -670,9 +816,10 @@ def implied_equalities(
 ) -> Tuple[Tuple[str, str], ...]:
     """The pairs (x, y) whose equality holds in every model of nc.
 
-    nc is decided once and, when satisfiable, its places are listed once
-    for the signatures: a pair is implied iff its two sides are one name or
-    have equal signatures (see the module docstring for why).  budget caps
-    the decision and the listing together.
+    nc is decided once and, when satisfiable, a pair of two variables of
+    nc is implied iff it has no split place, found by at most one split
+    query (see the module docstring for why).  A pair of one name is
+    implied, and a pair with a name nc does not mention is not.  budget
+    caps the decision and the queries together.
     """
-    return _implied(nc, _decide(nc, budget), pairs)
+    return _decide(nc, budget).implied(pairs)

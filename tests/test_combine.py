@@ -190,7 +190,7 @@ def test_mls_plugin_roundtrip():
     assert p.assert_literals([In(x, y), In(y, x)]) is False
 
 
-def test_mls_plugin_lists_places_once_per_round(monkeypatch):
+def test_mls_plugin_lists_no_places(monkeypatch):
     calls = []
     places = solver._Engine.places
 
@@ -203,7 +203,9 @@ def test_mls_plugin_lists_places_once_per_round(monkeypatch):
     p = MlsTheory()
     assert p.assert_literals([Subset(x, y), Subset(y, x)]) is True
     assert p.implied_equalities(["x", "y", "w"]) == (("x", "y"),)
-    assert len(calls) == 1  # one connected component, listed once for the implied pairs
+    assert p.assert_literals([In(x, y), Subset(y, z)]) is True
+    assert p.implied_equalities(["x", "y", "z"]) == ()
+    assert calls == []  # the decision and the split queries all assume values
     # after an unsat assert every pair of mentioned variables is implied
     assert p.assert_literals([In(x, y), Subset(y, z), In(z, x)]) is False
     assert p.implied_equalities(["x", "y", "z", "w"]) == (("x", "y"), ("x", "z"), ("y", "z"))

@@ -225,22 +225,28 @@ def test_minimize_agrees_with_implied_equalities():
 
 
 def test_minimize_classifies_separated_pairs_without_probing(monkeypatch):
-    import setsyl.convexity as convexity
+    from setsyl import solver
 
     phi = normalize([Subset(x, y), Subset(y, z)])
     pairs = [("x", "y"), ("y", "z"), ("x", "z")]
     # every pair falsifiable, by a direct probe of each
     for a, b in pairs:
         assert solve(normalize(phi.literals() + [Not(Eq(Var(a), Var(b)))])).is_sat
-    calls = []
-    monkeypatch.setattr(
-        convexity, "solve", lambda *args, **kw: calls.append(1) or solve(*args, **kw)
-    )
+    builds = []
+    separating = solver._Decision.separating
+
+    def counting(decision, a, b):
+        model = separating(decision, a, b)
+        if model is not None:
+            builds.append((a, b))
+        return model
+
+    monkeypatch.setattr(solver._Decision, "separating", counting)
     model, eqs = minimize_equalities(phi, pairs)
     assert eqs.classification == tuple(Falsifiable(model) for _ in pairs)
     assert all(model[a] != model[b] for a, b in pairs)
-    # the start solve plus one probe per enlargement, not one per pair
-    assert len(calls) == 1 + eqs.enlargements < 1 + len(pairs)
+    # one separating build per enlargement, not one per pair
+    assert len(builds) == eqs.enlargements < len(pairs)
 
 
 def test_minimize_foreign_variable_is_padded():

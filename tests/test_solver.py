@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setsyl.convexity import minimize_equalities, random_normalized_conjunction
+from setsyl.convexity import minimize_equalities, pad_vars, random_normalized_conjunction
 from setsyl.errors import Budget, ResourceLimitError
 from setsyl.formulas import EMPTY, Eq, In, Not, SetOp, Subset, Var, and_
 from setsyl.hf import SetAssignment, hf
@@ -21,7 +21,9 @@ from setsyl.solver import (
     SolverWitness,
     Unsat,
     _components,
+    _decide,
     _Engine,
+    _search,
     _junk_tags,
     build_model,
     enumerate_places,
@@ -431,9 +433,13 @@ def test_implied_equalities_mixed_pairs():
 
 
 def test_implied_equalities_budget_passthrough():
-    nc = normalize([Subset(x, y), Subset(y, x)])
-    with pytest.raises(ResourceLimitError):
-        implied_equalities(nc, [("x", "y")], budget=2)
+    # the decision takes one step and the pair's split query a second, on
+    # the same meter: a budget the decision alone fits runs out in the query
+    nc = normalize([Subset(x, y)])
+    assert solve(nc, budget=1).is_sat
+    with pytest.raises(ResourceLimitError) as caught:
+        implied_equalities(nc, [("x", "y")], budget=1)
+    assert (caught.value.layer, caught.value.count) == ("enumerating places", 2)
 
 
 def _probe_implied(nc, pairs):
@@ -468,6 +474,92 @@ def test_signature_rule_matches_probes_and_minimization(seed, nvars, nlits):
         assert tuple((a, b) for a, b in mentioned if full[a] == full[b]) == tuple(
             pair for pair in implied if "z" not in pair
         )
+
+
+def _implied_by_signatures(nc, pairs):
+    """Reference: the signature rule over the full listing.  A variable's
+    signature is which places of enumerate_places(nc) hold it; a pair is
+    implied iff nc is unsat, its sides are one name, or both are variables
+    of nc with equal signatures."""
+    if not solve(nc).is_sat:
+        return tuple(pairs)
+    places = enumerate_places(nc)
+    signature = {v: tuple(p.holds(v) for p in places) for v in nc.vars}
+    return tuple(
+        (a, b)
+        for a, b in pairs
+        if a == b or (a in signature and signature.get(b) == signature[a])
+    )
+
+
+def _multi_component_draws(count):
+    """Seeded conjunctions of one to three renamed random parts."""
+    for seed in range(count):
+        rng = random.Random(f"split/{seed}")
+        specs = [
+            (rng.randint(1, 3), rng.randint(1, 4), rng.getrandbits(32))
+            for _ in range(rng.randint(1, 3))
+        ]
+        yield _joined(_renamed_draws(specs))
+
+
+def test_split_queries_match_the_signature_rule():
+    for nc in _multi_component_draws(400):
+        # every pair over nc's variables and a name it does not mention, (v, v) included
+        names = list(nc.vars) + ["q"]
+        pairs = [(a, b) for i, a in enumerate(names) for b in names[i:]]
+        assert implied_equalities(nc, pairs) == _implied_by_signatures(nc, pairs)
+
+
+def test_separating_models_satisfy_and_split_their_pairs():
+    rng = random.Random("separating")
+    draws = list(_multi_component_draws(150)) + [_with_disequalities(s) for s in range(150)]
+    for nc in draws:
+        names = list(nc.vars)
+        pairs = [(a, b) for i, a in enumerate(names) for b in names[i:]]
+        pairs = rng.sample(pairs, min(len(pairs), 12)) + [(names[0], "q")]
+        padded = pad_vars(nc, pairs)
+        decision = _decide(padded, None)
+        if not decision.result.is_sat:
+            continue
+        implied = implied_equalities(padded, pairs)
+        for a, b in pairs:
+            model = decision.separating(a, b)
+            assert (model is None) == ((a, b) in implied)
+            if model is not None:
+                assert satisfies(padded, model) and model[a] != model[b]
+                assert sorted(model.names()) == sorted(padded.vars)
+
+
+def test_implied_pairs_of_a_subset_cycle_need_no_search(monkeypatch):
+    # x0 <= x1 <= ... <= x11 <= x0 makes every pair implied.  One class
+    # holds all twelve; each comparison with its head is settled by
+    # propagating the head both ways, so no query searches.
+    names = [f"x{i}" for i in range(12)]
+    nc = normalize([Subset(Var(a), Var(b)) for a, b in zip(names, names[1:] + names[:1])])
+    decision = _decide(nc, None)
+    searches = []
+    places = _Engine.places
+
+    def counting(engine, assume=()):
+        searches.append(assume)
+        return places(engine, assume)
+
+    monkeypatch.setattr(_Engine, "places", counting)
+    pairs = list(combinations(names, 2))
+    assert decision.implied(pairs) == tuple(pairs)
+    assert searches == []
+
+
+def test_implied_pairs_of_a_forty_membership_chain_are_decided_within_budget():
+    # v0 in v1 in ... in v39 has 2**40 places; one split query per pair
+    # needs none of them listed
+    nc = NormalizedConjunction([(f"v{i}", f"v{i + 1}") for i in range(39)])
+    pairs = list(combinations(nc.vars, 2))
+    assert implied_equalities(nc, pairs, budget=10**5) == ()
+    assert implied_equalities(nc, [(v, v) for v in nc.vars], budget=10**5) == tuple(
+        (v, v) for v in nc.vars
+    )
 
 
 # ---------------------------------------------------------- targeted junk
@@ -606,8 +698,9 @@ def _spent(query):
 
 def _reference_junk(nc, w):
     """Reference: the junk of layer 3 for w's placement, from each
-    component's full listing.  A component whose junk-free build fails gets
-    the first place telling apart each collision, in place order."""
+    component's full listing.  A component whose junk-free build fails
+    takes the class representatives' collisions in class order, and for
+    each one no place taken so far tells apart, the first place that does."""
     sig = dict(w.sigma)
     junk = []
     for part in _components(nc):
@@ -617,11 +710,17 @@ def _reference_junk(nc, w):
         free = build_model(SolverWitness(part.vars, tuple((u, sig[u]) for u in elems), (), topo))
         if satisfies(part, free):
             continue
-        seeds = {
-            next(k for k, p in enumerate(places) if p.holds(u) != p.holds(v))
-            for u, v in combinations(elems, 2)
-            if free[u] == free[v] and sig[u] != sig[v]
-        }
+        reps = {}  # signature -> the first element with it, in class order
+        for u in elems:
+            reps.setdefault(tuple(p.holds(u) for p in places), u)
+        by_value = {}
+        for u in reps.values():
+            by_value.setdefault(free[u], []).append(u)
+        seeds = []
+        for group in by_value.values():
+            for u, v in combinations(group, 2):
+                if sig[u] != sig[v] and all(places[k].holds(u) == places[k].holds(v) for k in seeds):
+                    seeds.append(next(k for k, p in enumerate(places) if p.holds(u) != p.holds(v)))
         junk += [places[k] for k in sorted(seeds)]
     return tuple(junk)
 
@@ -691,6 +790,36 @@ def test_membership_chain_of_twenty_four_is_sat():
     assert res.is_sat
     assert satisfies(nc, res.model)
     assert eval_formula(nc.to_formula(), res.model)
+
+
+def _star(k):
+    """x_i in y_i and d_i = y_i minus y_(i+1): k classes in one component,
+    whose junk-free build gives every x_i the value {}."""
+    return NormalizedConjunction(
+        [(f"x{i}", f"y{i}") for i in range(k)],
+        [(f"d{i}", f"y{i}", f"y{i + 1}") for i in range(k - 1)],
+    )
+
+
+@pytest.mark.parametrize("k", [8, 24])
+def test_junk_step_on_the_star_makes_linear_split_queries(k, monkeypatch):
+    # All k(k - 1)/2 pairs of representatives collide; the place chosen
+    # for each of x0's collisions already tells the later pairs apart.
+    part = _search(_Engine(_star(k), Budget(None)))
+    assert not part.verified
+    calls = []
+    splits = _Engine.splits
+
+    def counting(engine, u, w):
+        calls.append((u, w))
+        return splits(engine, u, w)
+
+    monkeypatch.setattr(_Engine, "splits", counting)
+    assert len(part.collisions()) == k - 1
+    assert len(calls) == k - 1
+    monkeypatch.undo()
+    res = solve(_star(k))
+    assert res.witness.junk == part.collisions() and satisfies(_star(k), res.model)
 
 
 def _acyclic_draw(rng, n):

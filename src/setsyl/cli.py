@@ -15,8 +15,7 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .combine import THEORIES, solve_combined
 from .convexity import (
@@ -31,13 +30,8 @@ from .errors import (
     DEFAULT_BUDGET,
     BoundTooLargeError,
     InvariantViolation,
-    MixedAtomError,
-    NonConvexPluginError,
-    NonlinearTermError,
-    ParseError,
-    PreconditionError,
     ResourceLimitError,
-    UnboundVariableError,
+    SetsylError,
     UnsupportedAtomError,
 )
 from .formulas import (
@@ -59,7 +53,6 @@ from .formulas import (
     free_vars,
     is_atom,
     is_literal,
-    literal_atom,
     or_,
 )
 from .hf import MAX_RANK_BOUND, SetAssignment, braces, hf, parse_braces
@@ -92,6 +85,11 @@ def _check_budget(budget: Optional[int]) -> Optional[int]:
     if budget is not None and budget <= 0:
         raise UsageError("budget must be positive")
     return budget
+
+
+def _conjoin(asserts: Sequence[Formula]) -> Formula:
+    """The conjunction of a script's asserts; with none, a true formula."""
+    return and_(*asserts) if asserts else Eq(EMPTY, EMPTY)
 
 
 def _atom_tags(f: Formula) -> set:
@@ -134,7 +132,7 @@ def cmd_solve(args) -> int:
     script = _read_script(args.file)
     budget = _check_budget(args.budget)
     asserts = list(script.asserts)
-    f = and_(*asserts) if asserts else Eq(EMPTY, EMPTY)
+    f = _conjoin(asserts)
     tags = _atom_tags(f)
     if MLS_EXT in tags:
         raise UnsupportedAtomError(
@@ -224,8 +222,7 @@ def cmd_solve(args) -> int:
 
 def cmd_normalize(args) -> int:
     script = _read_script(args.file)
-    asserts = list(script.asserts)
-    f = and_(*asserts) if asserts else Eq(EMPTY, EMPTY)
+    f = _conjoin(script.asserts)
     ncs = [normalize(branch) for branch in dnf_split(f)]
     doc = {
         "command": "normalize",
@@ -254,8 +251,7 @@ def cmd_normalize(args) -> int:
 def cmd_oracle(args) -> int:
     script = _read_script(args.file)
     rank = _check_rank(args.rank)
-    asserts = list(script.asserts)
-    f = and_(*asserts) if asserts else Eq(EMPTY, EMPTY)
+    f = _conjoin(script.asserts)
     res = oracle_sat(f, rank)
     if res.is_sat:
         doc = {
@@ -472,38 +468,25 @@ def _demo_fixture(theory: str):
 def cmd_nonconvex(args) -> int:
     rank = _check_rank(args.rank)
     kind, phi, xbar, k = _demo_fixture(args.theory)
-    cases: List[dict] = []
-
     if kind == "probe":
         big, pairs = nonconvexity_schema(phi, xbar, k)
-        disj = or_(*[Eq(Var(a), Var(b)) for a, b in pairs])
-        imp = oracle_implies(big, disj, rank)
-        implied = imp.implied
-        for a, b in pairs:
-            r = oracle_implies(big, Eq(Var(a), Var(b)), rank)
-            cases.append(
-                {
-                    "label": f"{a} = {b}",
-                    "refuted": not r.implied,
-                    "countermodel": None if r.implied else r.model.to_strings(),
-                }
-            )
+        disjuncts = [(f"{a} = {b}", Eq(Var(a), Var(b))) for a, b in pairs]
         noun = "equality"
     else:
-        disjuncts = [Eq(Var("x"), EMPTY), Eq(Var("y"), EMPTY)]
-        disj = or_(*disjuncts)
-        imp = oracle_implies(phi, disj, rank)
-        implied = imp.implied
-        for d in disjuncts:
-            r = oracle_implies(phi, d, rank)
-            cases.append(
-                {
-                    "label": print_formula(d),
-                    "refuted": not r.implied,
-                    "countermodel": None if r.implied else r.model.to_strings(),
-                }
-            )
+        big = phi
+        disjuncts = [(print_formula(d), d) for d in (Eq(Var("x"), EMPTY), Eq(Var("y"), EMPTY))]
         noun = "disjunct"
+    implied = oracle_implies(big, or_(*[d for _, d in disjuncts]), rank).implied
+    cases: List[dict] = []
+    for label, d in disjuncts:
+        r = oracle_implies(big, d, rank)
+        cases.append(
+            {
+                "label": label,
+                "refuted": not r.implied,
+                "countermodel": None if r.implied else r.model.to_strings(),
+            }
+        )
 
     pinned = None
     if args.theory == "mlsp":
@@ -620,22 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_USAGE_ERRORS = (
-    ParseError,
-    MixedAtomError,
-    UnsupportedAtomError,
-    UnboundVariableError,
-    BoundTooLargeError,
-    PreconditionError,
-    NonConvexPluginError,
-    NonlinearTermError,
-    FileNotFoundError,
-    IsADirectoryError,
-    PermissionError,
-    ValueError,
-)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -651,15 +618,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # does not raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except _USAGE_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except ResourceLimitError as e:
         print(f"resource limit: {e}", file=sys.stderr)
         return 3
     except InvariantViolation as e:
         print(f"internal invariant violation: {e}", file=sys.stderr)
         return 4
+    except (SetsylError, FileNotFoundError, IsADirectoryError, PermissionError, ValueError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     except Exception as e:
         detail = " ".join(str(e).split())
         print(f"internal error: {type(e).__name__}: {detail}", file=sys.stderr)

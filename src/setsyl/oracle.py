@@ -15,7 +15,7 @@ refusal by the size of the assignment space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .errors import (
     DEFAULT_BUDGET,
@@ -42,7 +42,7 @@ from .formulas import (
     and_,
     conjuncts,
     free_vars,
-    is_atom,
+    max_fresh_index,
     nnf,
 )
 from .hf import (
@@ -270,22 +270,18 @@ def oracle_implies(
 def nonconvexity_schema(phi: Formula, xbar: str, k: int):
     """Pad phi with k+1 fresh members of xbar.
 
-    Returns (Phi, pairs) where Phi adds membership probes _m1.._m{k+1} of
-    xbar to phi and pairs lists the C(k+1, 2) candidate equalities among the
-    probe variables.  If xbar can hold at most k distinct elements, Phi
-    forces the disjunction of the pairs without forcing any single one,
-    which is exactly the shape a non-convex theory produces.
+    Returns (Phi, pairs) where Phi adds membership probes _m(t+1) ..
+    _m(t+k+1) of xbar to phi, t being the largest n of a name _mn in phi
+    (0 when there is none), and pairs lists the C(k+1, 2) candidate
+    equalities among the probe variables.  If xbar can hold at most k
+    distinct elements, Phi forces the disjunction of the pairs without
+    forcing any single one, which is exactly the shape a non-convex
+    theory produces.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    used = set(free_vars(phi))
-    names: List[str] = []
-    i = 1
-    while len(names) < k + 1:
-        cand = f"_m{i}"
-        if cand not in used:
-            names.append(cand)
-        i += 1
+    top = max_fresh_index("_m", free_vars(phi))
+    names = [f"_m{top + i}" for i in range(1, k + 2)]
     probes = [In(Var(nm), Var(xbar)) for nm in names]
     big = and_(*(conjuncts(phi) + probes))
     pairs = [(names[i], names[j]) for i in range(len(names)) for j in range(i + 1, len(names))]

@@ -58,12 +58,17 @@ is decided in three layers:
    The search never lists the places; it asks the engine of layer 1, one
    engine per component, whose index is built once.  (i) Can u and v
    differ, that is, does some place hold one of them but not the other?
-   The element variables no place tells apart form the classes: each joins
-   the first class whose first member it cannot differ from.  Members of a
-   class are held by the same places, so the edges of a placement run
-   between classes: C -> D when C's place holds the members of D, and C
-   must be built before D.  A class's targets are the y of every "x in y"
-   with x in the class.
+   The first such place found answers it.  The element variables no place
+   tells apart form the classes, each headed by its first member.  Every
+   place an answer finds is kept: a kept place p tells apart every two
+   variables it holds exactly one of, so a variable is asked only against
+   the head held by the same kept places as itself.  Either it joins that
+   class, or the answer keeps one more place, after which no head shares
+   its kept places, and it heads a new class.  So there are fewer
+   questions than elements.  Members of a class are held by the same places, so the
+   edges of a placement run between classes: C -> D when C's place holds
+   the members of D, and C must be built before D.  A class's targets are
+   the y of every "x in y" with x in the class.
 
    (ii) The placement is found by greedy peeling.  While classes are left,
    take the first class, in class order, with a place that holds every
@@ -168,9 +173,9 @@ Peeling is deterministic and complete (layer 2), so a component none of
 whose classes can be peeled proves unsatisfiability.  Every produced
 model is re-verified literal by literal before it is returned.
 
-Implied equalities and separating models come from one decision and at
-most one split query per pair; no place is listed.  Let a and b be
-variables of a satisfiable nc.  Their split place is
+Implied equalities and separating models come from one decision and
+split queries; no place is listed.  Let a and b be variables of a
+satisfiable nc.  Their split place is
 
 * if they share a component, the earlier in place order of the first
   place holding a but not b and the first holding b but not a: the first
@@ -190,10 +195,11 @@ iff a and b have no split place:
      lies in a's value iff its place holds a, iff that place holds b, iff
      it lies in b's value.  If they do not share one, no place holds a or
      b, so both values are empty.  Either way the two values are equal.
-(=>) Let p be the split place.  It holds exactly one of a and b, since a
-     place holds only variables of its own component.  Let J be the
-     collision junk of p's component (layer 3), and seed J and p there,
-     every other component keeping the junk of the decision's witness.
+(=>) Let p be any place holding exactly one of a and b, such as the
+     split place (a place holds only variables of its own component).
+     Let J be the collision junk of p's component (layer 3), and seed J
+     and p there, every other component keeping the junk of the
+     decision's witness.
      J separates every collision of the component's junk-free build, so
      J with p does too, and by layer 3 and the merging argument above the
      build is a model.  p's tag lies in exactly the values of the
@@ -206,10 +212,12 @@ iff a and b have no split place:
 That build, made once and verified (InvariantViolation if it is not a
 model separating a and b), is the separating model minimize_equalities
 enlarges along.  implied_equalities needs no build.  Implied equality is
-an equivalence, so it groups the variables into classes, comparing each
-with the first variable h of each class found so far, and only where the
-decision's model gives both one value: that model satisfies nc, so a pair
-it separates is not implied.  A comparison needs no search either when h
+an equivalence, so it groups the variables into classes as layer 2 (i)
+groups the elements, with the split place as the answer: by (=>), a kept
+place holding exactly one of two variables tells them apart.  A variable
+is compared only with the head h of the same kept places and the same
+value in the decision's model: that model satisfies nc, so a pair it
+separates is not implied.  A comparison needs no search either when h
 and the variable share a component and the propagation of h = True sets
 the variable True and that of h = False sets it False, a contradiction
 counting as either: a propagated value is the one every place agreeing
@@ -217,8 +225,8 @@ with the assumption takes (layer 1), so no place holds exactly one of
 them.  Each head is propagated once per value.  When nc is unsatisfiable
 every pair is implied.  A variable nc does not mention is unconstrained,
 so it is implied equal only to itself.  This is the convexity of the
-theory in its cheapest form: one decision and at most one refutation
-query per pair, with no enumeration of models or places and no probe
+theory in its cheapest form: one decision and fewer split queries than
+variables, with no enumeration of models or places and no probe
 conjunction of its own.
 """
 
@@ -227,7 +235,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, compress, product
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import DEFAULT_BUDGET, Budget, InvariantViolation
 from .hf import HFSet, SetAssignment, hf, nested_singleton, set_diff
@@ -390,29 +398,55 @@ class _Engine:
         """The first place that agrees with assume, or None."""
         return next(self.places(assume), None)
 
-    def splits(self, u: str, w: str) -> Iterator[Optional[Place]]:
+    def order(self, p: Place) -> Tuple[bool, ...]:
+        """p's key in place order, False before True over the vars."""
+        return tuple(p.holds(v) for v in self.nc.vars)
+
+    def splits(self, u: str, w: str) -> Iterator[Place]:
         """The first place holding u but not w, then the first holding w but
-        not u; None for either that does not exist.  Query (i) of layer 2."""
+        not u, each when it exists.  Query (i) of layer 2."""
         for a, b in ((u, w), (w, u)):
-            yield self.first(((a, True), (b, False)))
+            p = self.first(((a, True), (b, False)))
+            if p is not None:
+                yield p
 
-    def classes(self, elems: Sequence[str]) -> List[List[str]]:
-        """elems grouped into the classes no place tells apart, by first member.
+    def split(self, u: str, w: str) -> Optional[Place]:
+        """The first place holding exactly one of u and w, or None.  Query
+        (iii) of layer 2."""
+        return min(self.splits(u, w), key=self.order, default=None)
 
-        Each element joins the first class whose first member it cannot
-        differ from.  Such variables are equal in every model (module
-        docstring), so they must share a placement: differing placements
-        would put one value in conflicting sets.
-        """
-        classes: List[List[str]] = []
-        for u in elems:
-            for group in classes:
-                if all(p is None for p in self.splits(group[0], u)):
-                    group.append(u)
-                    break
-            else:
-                classes.append([u])
-        return classes
+
+def _group(names: Iterable[str], split: Callable, key: Optional[Callable] = None) -> List[List[str]]:
+    """names grouped into the classes split cannot tell apart, by first member.
+
+    split(h, v) is a place holding exactly one of h and v, or None when h
+    and v are in one class; two names of one class have one key.  Every
+    place split returns is kept, and a name is compared only with the
+    class head of its key that the same kept places hold, since a kept
+    place tells apart every two names it holds exactly one of.  A
+    comparison either settles the name or keeps one more place, after
+    which no head matches the name, so there are fewer comparisons than
+    names.
+    """
+    kept: List[Place] = []
+    # (key, signature) -> the class of that head, in class order; bit j of
+    # a signature: kept[j] holds the name
+    heads: Dict[Tuple[object, int], List[str]] = {}
+    for v in names:
+        k = key(v) if key else None
+        sig = sum(1 << j for j, p in enumerate(kept) if p.holds(v)) if kept else 0
+        group = heads.get((k, sig))
+        if group is not None:
+            p = split(group[0], v)
+            if p is None:
+                group.append(v)
+                continue
+            bit = 1 << len(kept)
+            kept.append(p)
+            heads = {(hk, hs | bit if p.holds(g[0]) else hs): g for (hk, hs), g in heads.items()}
+            sig |= bit if p.holds(v) else 0
+        heads[k, sig] = [v]
+    return list(heads.values())
 
 
 def _components(nc: NormalizedConjunction) -> List[NormalizedConjunction]:
@@ -601,10 +635,6 @@ class _Part:
     verified: bool
     _collisions: Optional[Tuple[Place, ...]] = None
 
-    def order(self, p: Place) -> Tuple[bool, ...]:
-        """p's key in place order, False before True over the part's vars."""
-        return tuple(p.holds(v) for v in self.engine.nc.vars)
-
     def collisions(self) -> Tuple[Place, ...]:
         """J: places separating every collision of the junk-free build, in place order.
 
@@ -624,12 +654,12 @@ class _Part:
             for reps in by_value.values():
                 for u, w in combinations(reps, 2):
                     if sig[u] != sig[w] and held[u] == held[w]:
-                        p = min((p for p in self.engine.splits(u, w) if p is not None), key=self.order)
+                        p = self.engine.split(u, w)
                         for r in held:
                             if p.holds(r):
                                 held[r] |= 1 << len(chosen)
                         chosen.append(p)
-            self._collisions = tuple(sorted(chosen, key=self.order))
+            self._collisions = tuple(sorted(chosen, key=self.engine.order))
         return self._collisions
 
     @property
@@ -645,7 +675,10 @@ def _search(engine: _Engine) -> Optional[_Part]:
     """
     nc, meter = engine.nc, engine.meter
     elems: List[str] = list(dict.fromkeys(x for x, _ in nc.memberships))
-    classes = engine.classes(elems)
+    if len(elems) < 2:  # most components: nothing to compare, and the call would cost more
+        classes = [[u] for u in elems]
+    else:
+        classes = _group(elems, lambda h, u: next(engine.splits(h, u), None))
     of = {u: k for k, group in enumerate(classes) for u in group}
     targets: List[List[Tuple[str, bool]]] = [[] for _ in classes]
     for x, y in nc.memberships:
@@ -698,8 +731,8 @@ class _Decision:
         its part; None when a = b is implied (module docstring)."""
         i, j = self.of[a], self.of[b]
         if i == j:
-            found = [p for p in self.parts[i].engine.splits(a, b) if p is not None]
-            return (i, min(found, key=self.parts[i].order)) if found else None
+            p = self.parts[i].engine.split(a, b)
+            return None if p is None else (i, p)
         for k, v in ((i, a), (j, b)):
             p = self.parts[k].engine.first(((v, True),))
             if p is not None:
@@ -710,20 +743,19 @@ class _Decision:
         """The pairs whose equality holds in every model of nc.
 
         A pair is implied when nc is unsat, when its sides are one name,
-        or when both are variables of nc with no split place.  Each
-        variable is compared with the first variable of each class found
-        so far that the model gives its value, by propagation first and
-        by the split query only when that decides nothing (module
-        docstring).
+        or when both are variables of nc with no split place.  The
+        variables are grouped with the model's value as key, each
+        comparison settled by propagation first and by the split query
+        only when that decides nothing (module docstring).
         """
+        pairs = tuple(pairs)
         if not self.result.is_sat:
-            return tuple(pairs)
+            return pairs
         model = self.result.model
         # a head's forced values under head = True and under head = False
         forces: Dict[str, Tuple[Optional[List[Optional[bool]]], ...]] = {}
 
-        def equal(h: str, v: str) -> bool:
-            """Whether h = v is implied, for two variables the model equates."""
+        def split(h: str, v: str) -> Optional[Place]:
             k = self.of[h]
             if self.of[v] == k:
                 engine = self.parts[k].engine
@@ -731,24 +763,13 @@ class _Decision:
                     forces[h] = (engine.forced(((h, True),)), engine.forced(((h, False),)))
                 i = engine.pos[v]
                 if all(f is None or f[i] is b for f, b in zip(forces[h], (True, False))):
-                    return True
-            return self.split(h, v) is None
+                    return None
+            hit = self.split(h, v)
+            return None if hit is None else hit[1]
 
-        first: Dict[str, str] = {}  # variable -> the first variable of its class
-        heads: List[str] = []
-
-        def head(v: str) -> str:
-            if v not in first:
-                first[v] = next((h for h in heads if model[h] is model[v] and equal(h, v)), v)
-                if first[v] == v:
-                    heads.append(v)
-            return first[v]
-
-        return tuple(
-            (x, y)
-            for x, y in pairs
-            if x == y or (x in model and y in model and head(x) == head(y))
-        )
+        names = dict.fromkeys(v for x, y in pairs if x != y and x in model and y in model for v in (x, y))
+        head = {v: group[0] for group in _group(names, split, model.__getitem__) for v in group}
+        return tuple((x, y) for x, y in pairs if head.get(x, x) == head.get(y, y))
 
     def separating(self, a: str, b: str) -> Optional[SetAssignment]:
         """A verified model of a Sat nc in which a and b differ, or None
@@ -762,7 +783,7 @@ class _Decision:
             return None
         k, p = hit
         junk = [part.junk for part in self.parts]
-        junk[k] = sorted({*self.parts[k].collisions(), p}, key=self.parts[k].order)
+        junk[k] = sorted({*self.parts[k].collisions(), p}, key=self.parts[k].engine.order)
         self.meter.spend("building candidate models")
         model = build_model(_merged(self.nc, self.parts, junk))
         if not satisfies(self.nc, model) or model[a] is model[b]:
@@ -817,9 +838,10 @@ def implied_equalities(
     """The pairs (x, y) whose equality holds in every model of nc.
 
     nc is decided once and, when satisfiable, a pair of two variables of
-    nc is implied iff it has no split place, found by at most one split
-    query (see the module docstring for why).  A pair of one name is
-    implied, and a pair with a name nc does not mention is not.  budget
-    caps the decision and the queries together.
+    nc is implied iff it has no split place; the variables are grouped
+    with fewer split queries than variables (see the module docstring
+    for why).  A pair of one name is implied, and a pair with a name nc
+    does not mention is not.  budget caps the decision and the queries
+    together.
     """
     return _decide(nc, budget).implied(pairs)

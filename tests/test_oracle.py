@@ -127,6 +127,9 @@ def test_nonconvexity_schema_shape():
     assert len(pairs) == 3
     assert names == {"_m1", "_m2", "_m3"}
     assert oracle_sat(big, 3).is_sat is True
+    # fresh names count on past the largest _m index phi already uses
+    _, pairs = nonconvexity_schema(Eq(x, ExtOp("pow", (Var("_m2"),))), "x", 2)
+    assert {n for p in pairs for n in p} == {"_m3", "_m4", "_m5"}
 
 
 @settings(max_examples=40, deadline=None)

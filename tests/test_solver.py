@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from setsyl import solver
 from setsyl.convexity import minimize_equalities, pad_vars, random_normalized_conjunction
 from setsyl.errors import Budget, ResourceLimitError
 from setsyl.formulas import EMPTY, Eq, In, Not, SetOp, Subset, Var, and_
@@ -23,6 +24,7 @@ from setsyl.solver import (
     _components,
     _decide,
     _Engine,
+    _group,
     _search,
     _junk_tags,
     build_model,
@@ -744,21 +746,23 @@ def test_queries_match_the_full_listing(nc, rnd):
         assert spent <= cost
         assert engine.first(assume) == next(iter(got), None)
 
+        signature = {v: tuple(p.holds(v) for p in places) for v in part.vars}
         elems = list(dict.fromkeys(u for u, _ in part.memberships))
-        by_signature = {}
-        for u in elems:
-            by_signature.setdefault(tuple(p.holds(u) for p in places), []).append(u)
-        assert engine.classes(elems) == list(by_signature.values())
+        for names, key in ((elems, None), (part.vars, lambda v: sum(signature[v]) % 2)):
+            by_signature = {}
+            for u in names:
+                by_signature.setdefault(signature[u], []).append(u)
+            classes = list(by_signature.values())
+            assert _group(names, lambda h, u: next(engine.splits(h, u), None), key) == classes
+            assert _group(names, engine.split, key) == classes
 
         for u, w in combinations(part.vars, 2):
-            firsts = tuple(engine.splits(u, w))
-            assert firsts == tuple(
+            firsts = [
                 next((p for p in places if p.holds(a) and not p.holds(b)), None)
                 for a, b in ((u, w), (w, u))
-            )
-            apart = [k for k, p in enumerate(places) if p.holds(u) != p.holds(w)]
-            found = [places.index(p) for p in firsts if p is not None]
-            assert min(found, default=None) == min(apart, default=None)
+            ]
+            assert list(engine.splits(u, w)) == [p for p in firsts if p is not None]
+            assert engine.split(u, w) == next((p for p in places if p.holds(u) != p.holds(w)), None)
 
     res = solve(nc)
     assert res.is_sat == _list_first_sat(nc)
@@ -802,11 +806,9 @@ def _star(k):
 
 
 @pytest.mark.parametrize("k", [8, 24])
-def test_junk_step_on_the_star_makes_linear_split_queries(k, monkeypatch):
-    # All k(k - 1)/2 pairs of representatives collide; the place chosen
-    # for each of x0's collisions already tells the later pairs apart.
-    part = _search(_Engine(_star(k), Budget(None)))
-    assert not part.verified
+def test_split_queries_on_the_star_are_linear(k, monkeypatch):
+    # The k elements form k classes; each grouping comparison that finds a
+    # place keeps it, so later elements are compared with one head at most.
     calls = []
     splits = _Engine.splits
 
@@ -815,11 +817,34 @@ def test_junk_step_on_the_star_makes_linear_split_queries(k, monkeypatch):
         return splits(engine, u, w)
 
     monkeypatch.setattr(_Engine, "splits", counting)
+    part = _search(_Engine(_star(k), Budget(None)))
+    assert len(part.classes) == k and len(calls) < k
+    assert not part.verified
+    # All k(k - 1)/2 pairs of representatives collide; the place chosen
+    # for each of x0's collisions already tells the later pairs apart.
+    calls.clear()
     assert len(part.collisions()) == k - 1
     assert len(calls) == k - 1
     monkeypatch.undo()
-    res = solve(_star(k))
-    assert res.witness.junk == part.collisions() and satisfies(_star(k), res.model)
+
+    nc = _star(k)
+    decision = _decide(nc, None)
+    compared, named = [], []
+    group = solver._group
+
+    def counting_group(names, split, key=None):
+        named.extend(names)
+        return group(names, lambda h, v: compared.append((h, v)) or split(h, v), key)
+
+    monkeypatch.setattr(solver, "_group", counting_group)
+    assert decision.implied(combinations(nc.vars, 2)) == ()
+    assert len(named) == len(nc.vars) and len(compared) < len(named)
+    # only pairs the decision's model leaves equal are compared
+    model = decision.result.model
+    assert all(model[h] is model[v] for h, v in compared)
+    monkeypatch.undo()
+    res = solve(nc)
+    assert res.witness.junk == part.collisions() and satisfies(nc, res.model)
 
 
 def _acyclic_draw(rng, n):

@@ -15,7 +15,8 @@ import json
 import os
 import re
 import sys
-from typing import List, Optional, Sequence
+from dataclasses import asdict
+from typing import Dict, List, Optional, Sequence
 
 from .combine import THEORIES, solve_combined
 from .convexity import (
@@ -39,25 +40,29 @@ from .formulas import (
     LIST,
     LRA,
     MLS_EXT,
-    And,
     Eq,
     ExtOp,
     Formula,
     Not,
-    Or,
     SetOp,
     Var,
     and_,
+    atoms,
     classify_atom,
     conjuncts,
     free_vars,
-    is_atom,
     is_literal,
     or_,
 )
 from .hf import MAX_RANK_BOUND, SetAssignment, braces, hf, parse_braces
 from .normalize import dnf_split, normalize
-from .oracle import bounded_models, nonconvexity_schema, oracle_implies, oracle_sat
+from .oracle import (
+    bounded_models,
+    eval_formula,
+    nonconvexity_schema,
+    oracle_implies,
+    oracle_sat,
+)
 from .sexpr import parse_script, print_formula
 from .solver import solve
 
@@ -92,24 +97,6 @@ def _conjoin(asserts: Sequence[Formula]) -> Formula:
     return and_(*asserts) if asserts else Eq(EMPTY, EMPTY)
 
 
-def _atom_tags(f: Formula) -> set:
-    tags = set()
-
-    def walk(g: Formula) -> None:
-        if is_atom(g):
-            tags.add(classify_atom(g))
-        elif isinstance(g, Not):
-            walk(g.body)
-        elif isinstance(g, (And, Or)):
-            for p in g.parts:
-                walk(p)
-        else:
-            raise UsageError(f"not a formula: {g!r}")
-
-    walk(f)
-    return tags
-
-
 def _emit(doc: dict, as_json: bool, lines: Sequence[str]) -> None:
     if as_json:
         print(json.dumps(doc, indent=2, sort_keys=True))
@@ -133,7 +120,7 @@ def cmd_solve(args) -> int:
     budget = _check_budget(args.budget)
     asserts = list(script.asserts)
     f = _conjoin(asserts)
-    tags = _atom_tags(f)
+    tags = {classify_atom(a) for a in atoms(f)}
     if MLS_EXT in tags:
         raise UnsupportedAtomError(
             "extension operators are outside the decision procedure; "
@@ -305,12 +292,6 @@ def _parse_assignment(text: str) -> SetAssignment:
     return SetAssignment(out)
 
 
-def _first_model(f: Formula, names: Sequence[str], rank: int) -> Optional[SetAssignment]:
-    for m in bounded_models(f, rank):
-        return m.restrict([v for v in names if v in m])
-    return None
-
-
 def cmd_witness(args) -> int:
     script = _read_script(args.file)
     rank = _check_rank(args.rank)
@@ -325,20 +306,17 @@ def cmd_witness(args) -> int:
     nc = pad_vars(normalize(lits), [(x, y)])
 
     opts = script.option_map()
-    if "base" in opts:
-        base = _parse_assignment(opts["base"])
-    else:
-        base = _first_model(and_(nc.to_formula(), Eq(Var(x), Var(y))), nc.vars, rank)
-        if base is None:
-            raise UsageError(f"no model with {x} = {y} within rank {rank}")
-    if "separating" in opts:
-        separating = _parse_assignment(opts["separating"])
-    else:
-        separating = _first_model(
-            and_(nc.to_formula(), Not(Eq(Var(x), Var(y)))), nc.vars, rank
-        )
-        if separating is None:
-            raise UsageError(f"no model with {x} != {y} within rank {rank}")
+    eq = Eq(Var(x), Var(y))
+    models = {}
+    for key, goal, rel in (("base", eq, "="), ("separating", Not(eq), "!=")):
+        if key in opts:
+            models[key] = _parse_assignment(opts[key])
+            continue
+        res = oracle_sat(and_(nc.to_formula(), goal), rank)
+        if not res.is_sat:
+            raise UsageError(f"no model with {x} {rel} {y} within rank {rank}")
+        models[key] = res.model
+    base, separating = models["base"], models["separating"]
 
     enlarged, trace = enlarge(nc, base, separating, x, y)
     checks = check_trace_invariants(trace, base, nc)
@@ -353,10 +331,7 @@ def cmd_witness(args) -> int:
         "waves": [sorted(w) for w in trace.waves],
         "stages": [stage.to_strings() for stage in trace.stages],
         "result": enlarged.to_strings(),
-        "checks": [
-            {"name": c.name, "index": c.index, "ok": c.ok, "detail": c.detail}
-            for c in checks
-        ],
+        "checks": [asdict(c) for c in checks],
         "all_pass": all_checks_pass(checks),
     }
     lines = [
@@ -396,27 +371,7 @@ def cmd_witness(args) -> int:
 def cmd_fuzz(args) -> int:
     rank = _check_rank(args.rank)
     report = convexity_fuzz(args.vars, args.lits, args.iters, args.seed, rank)
-    doc = {
-        "command": "fuzz-convexity",
-        "vars": report.vars,
-        "lits": report.lits,
-        "iters": report.iters,
-        "seed": report.seed,
-        "rank_bound": report.rank_bound,
-        "checked": report.checked,
-        "skipped": report.skipped,
-        "implied_disjunctions": report.implied_disjunctions,
-        "violations": [
-            {
-                "iteration": v.iteration,
-                "memberships": [list(m) for m in v.memberships],
-                "differences": [list(d) for d in v.differences],
-                "pairs": [list(p) for p in v.pairs],
-                "script": v.script,
-            }
-            for v in report.violations
-        ],
-    }
+    doc = {"command": "fuzz-convexity", **asdict(report)}
     lines = [
         f"iterations: {report.iters} (checked {report.checked}, skipped {report.skipped})",
         f"implied disjunctions: {report.implied_disjunctions}",
@@ -477,16 +432,19 @@ def cmd_nonconvex(args) -> int:
         disjuncts = [(print_formula(d), d) for d in (Eq(Var("x"), EMPTY), Eq(Var("y"), EMPTY))]
         noun = "disjunct"
     implied = oracle_implies(big, or_(*[d for _, d in disjuncts]), rank).implied
-    cases: List[dict] = []
-    for label, d in disjuncts:
-        r = oracle_implies(big, d, rank)
-        cases.append(
-            {
-                "label": label,
-                "refuted": not r.implied,
-                "countermodel": None if r.implied else r.model.to_strings(),
-            }
-        )
+    # A disjunct's countermodel is the first model of big that falsifies it,
+    # so one pass finds them all.
+    counter: Dict[int, dict] = {}
+    for m in bounded_models(big, rank):
+        for i, (_, d) in enumerate(disjuncts):
+            if i not in counter and not eval_formula(d, m):
+                counter[i] = m.to_strings()
+        if len(counter) == len(disjuncts):
+            break
+    cases = [
+        {"label": label, "refuted": i in counter, "countermodel": counter.get(i)}
+        for i, (label, _) in enumerate(disjuncts)
+    ]
 
     pinned = None
     if args.theory == "mlsp":

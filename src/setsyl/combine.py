@@ -258,12 +258,10 @@ class LraTheory:
 
     def __init__(self):
         self._state = LraState((), ())
-        self._sat = True
 
     def assert_literals(self, literals: Sequence[Formula]) -> bool:
         self._state = LraState.from_literals(literals)
-        self._sat = lra_check(self._state)
-        return self._sat
+        return lra_check(self._state)
 
     def implied_equalities(self, shared: Sequence[str]) -> Tuple[Tuple[str, str], ...]:
         return lra_implied(self._state, shared)

@@ -29,10 +29,10 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import DEFAULT_BUDGET, InvariantViolation, PreconditionError
-from .formulas import Eq, Var, max_fresh_index, or_
+from .formulas import max_fresh_index
 from .hf import HFSet, SetAssignment, hf, nested_singleton, set_union
 from .normalize import NormalizedConjunction
-from .oracle import oracle_implies
+from .oracle import bounded_models
 from .sexpr import print_formula
 from .solver import Unsat, _decide, satisfies
 
@@ -430,19 +430,35 @@ def _reproducer(nc: NormalizedConjunction, pairs, seed: int, i: int, rank: int) 
     return "\n".join(lines) + "\n"
 
 
+def _bounded_implied(
+    nc: NormalizedConjunction, pairs: Sequence[Tuple[str, str]], rank: int
+) -> Optional[Tuple[Tuple[str, str], ...]]:
+    """One bounded-model pass over nc: None when some model within the rank
+    bound separates every pair (the disjunction of the equalities is not
+    implied), else the pairs that every such model makes equal."""
+    equal = tuple(pairs)
+    for m in bounded_models(nc.to_formula(), rank):
+        if all(m[a] != m[b] for a, b in pairs):
+            return None
+        equal = tuple((a, b) for a, b in equal if m[a] == m[b])
+    return equal
+
+
 def convexity_fuzz(
     vars: int, lits: int, iters: int, seed: int, rank_bound: int
 ) -> FuzzReport:
     """Search for convexity counterexamples.
 
     For each random conjunction whose variable-equality disjunction is
-    implied, some single equality must be implied too.  The bounded oracle
-    prefilters candidates; `implied_disjunctions` counts implications that
-    hold within the rank bound.  Because a disjunction can hold at every
-    rank below the bound yet fail above it, a candidate is recorded only
-    after an exact confirmation: no single equality is implied by the
-    decision procedure, and the minimization fixpoint cannot produce a
-    concrete model separating every pair at once.  A violation record
+    implied, some single equality must be implied too.  Each checked
+    iteration makes one pass over the conjunction's models within the rank
+    bound, which answers the disjunction and every single equality at once;
+    `implied_disjunctions` counts implications that hold within the bound.
+    Because a disjunction can hold at every rank below the bound yet fail
+    above it, a candidate is recorded only after an exact confirmation: no
+    single equality is implied by the decision procedure, and the
+    minimization fixpoint cannot produce a concrete model separating every
+    pair at once.  A violation record
     carries a standalone reproducer script.  The report is a pure function
     of the arguments.
     """
@@ -467,14 +483,11 @@ def convexity_fuzz(
             for i1 in range(len(occurring))
             for i2 in range(i1 + 1, len(occurring))
         )
-        f = nc.to_formula()
-        disj = or_(*(Eq(Var(a), Var(b)) for a, b in pairs))
-        if not oracle_implies(f, disj, rank_bound).implied:
+        implied = _bounded_implied(nc, pairs, rank_bound)
+        if implied is None:
             continue
         implied_count += 1
-        if any(
-            oracle_implies(f, Eq(Var(a), Var(b)), rank_bound).implied for a, b in pairs
-        ):
+        if implied:
             continue
         # No single equality holds within the rank bound, so each pair has a
         # genuine countermodel.  The disjunction premise is still suspect: it

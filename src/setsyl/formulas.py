@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Tuple, Union
+from typing import Iterable, Iterator, Tuple, Union
 
 from .errors import MixedAtomError
 
@@ -183,6 +183,19 @@ def is_atom(f: Formula) -> bool:
 
 def is_literal(f: Formula) -> bool:
     return is_atom(f) or (isinstance(f, Not) and is_atom(f.body))
+
+
+def atoms(f: Formula) -> Iterator[Atom]:
+    """The atoms of f in order of occurrence, under Not, And and Or."""
+    if is_atom(f):
+        yield f
+    elif isinstance(f, Not):
+        yield from atoms(f.body)
+    elif isinstance(f, (And, Or)):
+        for p in f.parts:
+            yield from atoms(p)
+    else:
+        raise TypeError(f"not a formula: {f!r}")
 
 
 def literal_atom(f: Formula):

@@ -61,7 +61,6 @@ class ListState:
         self.parent: List[int] = []
         self.atom_ids: List[int] = []
         self.diseqs: List[Tuple[int, int]] = []
-        self.literals: Tuple[Formula, ...] = ()
         self.unsat_reason: Optional[str] = None
         for lit in literals:
             self.assert_literal(lit)
@@ -120,7 +119,6 @@ class ListState:
         if not is_literal(lit):
             raise UnsupportedAtomError(f"list theory expects literals, got {lit!r}")
         atom, sign = literal_atom(lit)
-        self.literals += (lit,)
         if isinstance(atom, Eq):
             a, b = self._intern(atom.left), self._intern(atom.right)
             if sign:

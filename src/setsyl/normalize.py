@@ -31,16 +31,15 @@ from .formulas import (
     Eq,
     Formula,
     In,
-    Not,
     Or,
     SetOp,
     Subset,
     Term,
     Var,
     and_,
+    atoms,
     classify_atom,
     free_vars,
-    is_atom,
     is_literal,
     literal_atom,
     max_fresh_index,
@@ -170,18 +169,8 @@ def dnf_split(f: Formula) -> Iterator[List[Formula]]:
 
     The atoms are checked at call time, before any conjunction is made.
     """
-    def check(g: Formula) -> None:
-        if is_atom(g):
-            _check_mls_atom(g)
-        elif isinstance(g, Not):
-            check(g.body)
-        elif isinstance(g, (And, Or)):
-            for p in g.parts:
-                check(p)
-        else:
-            raise TypeError(f"not a formula: {g!r}")
-
-    check(f)
+    for a in atoms(f):
+        _check_mls_atom(a)
     return split_disjuncts(f)
 
 
@@ -372,7 +361,7 @@ def apply_plan(plan: Sequence[tuple], base: SetAssignment) -> SetAssignment:
     for entry in plan:
         name, kind = entry[0], entry[1]
         if kind == PLAN_TERM:
-            val = eval_term(entry[2], SetAssignment(cur))
+            val = eval_term(entry[2], cur)
         elif kind == PLAN_MIN_MEMBER:
             src = cur[entry[2]]
             if not src.children:

@@ -15,7 +15,7 @@ refusal by the size of the assignment space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from .errors import (
     DEFAULT_BUDGET,
@@ -66,7 +66,9 @@ class _BigInterUndefined(Exception):
     """Internal: (bigI t) was evaluated on the empty set."""
 
 
-def eval_term(t: Term, m: SetAssignment) -> HFSet:
+def eval_term(t: Term, m: Mapping[str, HFSet]) -> HFSet:
+    """Value of t under m, any mapping of names to sets (a SetAssignment
+    or a plain dict)."""
     if isinstance(t, Var):
         v = m.get(t.name)
         if v is None:
@@ -100,8 +102,8 @@ def eval_term(t: Term, m: SetAssignment) -> HFSet:
     raise UnsupportedAtomError(f"not a set term: {t!r}")
 
 
-def eval_atom(a, m: SetAssignment) -> bool:
-    """Truth of a set-theoretic atom under m.
+def eval_atom(a, m: Mapping[str, HFSet]) -> bool:
+    """Truth of a set-theoretic atom under m, any mapping of names to sets.
 
     An atom whose evaluation hits (bigI empty) counts as false: the big
     intersection is undefined there, and no defined value could make the
@@ -121,7 +123,8 @@ def eval_atom(a, m: SetAssignment) -> bool:
     raise UnsupportedAtomError(f"not an atom: {a!r}")
 
 
-def eval_formula(f: Formula, m: SetAssignment) -> bool:
+def eval_formula(f: Formula, m: Mapping[str, HFSet]) -> bool:
+    """Truth of f under m, any mapping of names to sets."""
     if isinstance(f, Not):
         return not eval_formula(f.body, m)
     if isinstance(f, And):
@@ -216,10 +219,8 @@ def bounded_models(
     meter = Budget(budget)
     order, checks, ground = _schedule(f)
     partial: Dict[str, HFSet] = {}
-    wrapped = SetAssignment(partial)
-    wrapped._m = partial  # share the dict so bindings are visible immediately
     for g in ground:
-        if not eval_formula(g, wrapped):
+        if not eval_formula(g, partial):
             return
     n = len(order)
 
@@ -231,7 +232,7 @@ def bounded_models(
         name = order[depth]
         for value in universe:
             partial[name] = value
-            if all(eval_formula(c, wrapped) for c in checks[depth]):
+            if all(eval_formula(c, partial) for c in checks[depth]):
                 yield from descend(depth + 1)
         del partial[name]
 

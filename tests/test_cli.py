@@ -11,9 +11,9 @@ from jsonschema import Draft7Validator
 import setsyl.cli as cli
 from setsyl.cli import main
 from setsyl.errors import InvariantViolation
-from setsyl.formulas import and_
+from setsyl.formulas import EMPTY, Eq, Var, and_
 from setsyl.hf import SetAssignment, parse_braces
-from setsyl.oracle import eval_formula
+from setsyl.oracle import eval_formula, nonconvexity_schema, oracle_implies
 from setsyl.sexpr import parse_script
 
 SCHEMA_DIR = os.path.join(os.path.dirname(cli.__file__), "schemas")
@@ -347,6 +347,27 @@ def test_nonconvex_demo_json(capsys):
     assert doc["pinned_padding"] is True
     assert doc["k"] == 2
     assert all(c["refuted"] for c in doc["cases"])
+
+
+def test_nonconvex_countermodels_match_the_oracle(capsys):
+    # One pass over the models of the padded formula must pick, for each
+    # disjunct, the countermodel a search for that disjunct alone finds.
+    for theory in ("mlss", "mlsp", "mlsu", "mlsx", "mlsox"):
+        kind, phi, xbar, k = cli._demo_fixture(theory)
+        if kind == "probe":
+            big, pairs = nonconvexity_schema(phi, xbar, k)
+            disjuncts = [Eq(Var(a), Var(b)) for a, b in pairs]
+        else:
+            big, disjuncts = phi, [Eq(Var("x"), EMPTY), Eq(Var("y"), EMPTY)]
+        for rank in (2, 3):
+            code, out, _ = run(capsys, "nonconvex-demo", "--theory", theory,
+                               "--rank", str(rank), "--json")
+            assert code == 0, (theory, rank)
+            want = []
+            for d in disjuncts:
+                r = oracle_implies(big, d, rank)
+                want.append(None if r.implied else r.model.to_strings())
+            assert [c["countermodel"] for c in json.loads(out)["cases"]] == want, (theory, rank)
 
 
 def test_nonconvex_demo_pins_padding_at_rank_four(capsys):

@@ -5,12 +5,14 @@ import random
 
 import pytest
 
+import setsyl.convexity as convexity
 from setsyl.convexity import (
     EqualitySet,
     Falsifiable,
     FuzzReport,
     FuzzViolation,
     Implied,
+    _bounded_implied,
     all_checks_pass,
     check_trace_invariants,
     convexity_fuzz,
@@ -285,8 +287,36 @@ def test_random_conjunction_is_seed_deterministic():
     assert len(a.memberships) + len(a.differences) <= 4
 
 
-def test_fuzz_run_is_deterministic_and_clean():
+def test_bounded_implied_matches_oracle_implies():
+    for rank in (2, 3):
+        rng = random.Random(f"bounded-implied/{rank}")
+        draws = 0
+        while draws < 300:
+            nc = random_normalized_conjunction(rng, 4, 5)
+            if len(nc.vars) < 2:
+                continue
+            draws += 1
+            pairs = [(a, b) for i, a in enumerate(nc.vars) for b in nc.vars[i + 1 :]]
+            f = nc.to_formula()
+            implied = _bounded_implied(nc, pairs, rank)
+            disj = or_(*(Eq(Var(a), Var(b)) for a, b in pairs))
+            assert (implied is not None) == oracle_implies(f, disj, rank).implied, nc
+            for a, b in pairs:
+                single = oracle_implies(f, Eq(Var(a), Var(b)), rank).implied
+                assert (implied is not None and (a, b) in implied) == single, (nc, a, b)
+
+
+def test_fuzz_run_is_deterministic_and_clean(monkeypatch):
+    passes = []
+    search = convexity.bounded_models
+
+    def counted(*args, **kwargs):
+        passes.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(convexity, "bounded_models", counted)
     r1 = convexity_fuzz(vars=3, lits=3, iters=40, seed=7, rank_bound=2)
+    assert len(passes) == r1.checked
     r2 = convexity_fuzz(vars=3, lits=3, iters=40, seed=7, rank_bound=2)
     assert r1 == r2
     assert r1.checked + r1.skipped == 40
@@ -305,6 +335,7 @@ def test_rank_bounded_disjunction_artifact_is_dismissed():
     pairs = [(a, b) for i, a in enumerate(nc.vars) for b in nc.vars[i + 1 :]]
     disj = or_(*(Eq(Var(a), Var(b)) for a, b in pairs))
     assert oracle_implies(nc.to_formula(), disj, 3).implied
+    assert _bounded_implied(nc, pairs, 3) == ()
     model, eqs = minimize_equalities(nc, pairs)
     assert eqs.implied_pairs() == ()
     assert not isinstance(model, Unsat)

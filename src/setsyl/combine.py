@@ -43,7 +43,6 @@ from .formulas import (
     literal_atom,
     max_fresh_index,
 )
-from .hf import SetAssignment
 from .lists import ListState, list_check, list_implied
 from .lra import LraState, lra_check, lra_implied, lra_sample
 from .normalize import normalize, split_disjuncts

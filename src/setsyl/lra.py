@@ -36,7 +36,6 @@ from .formulas import (
     Eq,
     Formula,
     Leq,
-    Not,
     RationalConst,
     Term,
     Var,

@@ -7,9 +7,12 @@ so it decides any set formula up to the rank bound by construction.  It is
 the reference the fast solver is tested against, and it is deliberately
 simple: the only cleverness is scheduling each conjunct at the first depth
 where all its variables are bound, which prunes the search without
-changing what it visits.  Every search spends one step budget, charged per
-expanded node, and raises ResourceLimitError when it runs out; there is no
-refusal by the size of the assignment space.
+changing what it visits.  The conjuncts are split off the formula as it
+stands (And, Not over Or, double negation), with no rebuild in negation
+normal form, and the variable order is chosen greedily in one pass over
+the pending conjuncts per depth.  Every search spends one step budget,
+charged per expanded node, and raises ResourceLimitError when it runs
+out; there is no refusal by the size of the assignment space.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from .formulas import (
     conjuncts,
     free_vars,
     max_fresh_index,
-    nnf,
 )
 from .hf import (
     HFSet,
@@ -66,39 +68,29 @@ class _BigInterUndefined(Exception):
     """Internal: (bigI t) was evaluated on the empty set."""
 
 
+_SET_OPS = {"union": set_union, "inter": set_inter, "setminus": set_diff}
+_EXT_OPS = {"single": lambda a: hf((a,)), "pow": power_set, "bigU": big_union,
+            "bigI": big_inter, "cross": cross_product, "ucross": unordered_cross}
+
+
 def eval_term(t: Term, m: Mapping[str, HFSet]) -> HFSet:
     """Value of t under m, any mapping of names to sets (a SetAssignment
     or a plain dict)."""
-    if isinstance(t, Var):
+    kind = type(t)
+    if kind is Var:
         v = m.get(t.name)
         if v is None:
             raise UnboundVariableError(f"variable {t.name!r} is not assigned")
         return v
-    if isinstance(t, Empty):
+    if kind is SetOp:
+        return _SET_OPS[t.op](eval_term(t.left, m), eval_term(t.right, m))
+    if kind is Empty:
         return hf()
-    if isinstance(t, SetOp):
-        a = eval_term(t.left, m)
-        b = eval_term(t.right, m)
-        if t.op == "union":
-            return set_union(a, b)
-        if t.op == "inter":
-            return set_inter(a, b)
-        return set_diff(a, b)
-    if isinstance(t, ExtOp):
+    if kind is ExtOp:
         args = [eval_term(a, m) for a in t.args]
-        if t.op == "single":
-            return hf((args[0],))
-        if t.op == "pow":
-            return power_set(args[0])
-        if t.op == "bigU":
-            return big_union(args[0])
-        if t.op == "bigI":
-            if not args[0].children:
-                raise _BigInterUndefined()
-            return big_inter(args[0])
-        if t.op == "cross":
-            return cross_product(args[0], args[1])
-        return unordered_cross(args[0], args[1])
+        if t.op == "bigI" and not args[0].children:
+            raise _BigInterUndefined()
+        return _EXT_OPS[t.op](*args)
     raise UnsupportedAtomError(f"not a set term: {t!r}")
 
 
@@ -109,27 +101,29 @@ def eval_atom(a, m: Mapping[str, HFSet]) -> bool:
     intersection is undefined there, and no defined value could make the
     atom hold.
     """
+    kind = type(a)
     try:
-        if isinstance(a, In):
+        if kind is In:
             return eval_term(a.left, m) in eval_term(a.right, m)
-        if isinstance(a, Eq):
+        if kind is Eq:
             return eval_term(a.left, m) == eval_term(a.right, m)
-        if isinstance(a, Subset):
+        if kind is Subset:
             return is_subset(eval_term(a.left, m), eval_term(a.right, m))
     except _BigInterUndefined:
         return False
-    if isinstance(a, (Leq, AtomPred)):
+    if kind is Leq or kind is AtomPred:
         raise UnsupportedAtomError(f"not a set-theoretic atom: {a!r}")
     raise UnsupportedAtomError(f"not an atom: {a!r}")
 
 
 def eval_formula(f: Formula, m: Mapping[str, HFSet]) -> bool:
     """Truth of f under m, any mapping of names to sets."""
-    if isinstance(f, Not):
+    kind = type(f)
+    if kind is Not:
         return not eval_formula(f.body, m)
-    if isinstance(f, And):
+    if kind is And:
         return all(eval_formula(p, m) for p in f.parts)
-    if isinstance(f, Or):
+    if kind is Or:
         return any(eval_formula(p, m) for p in f.parts)
     return eval_atom(f, m)
 
@@ -170,36 +164,85 @@ class Countermodel:
         return False
 
 
+def _split(f: Formula, out: List[Formula]) -> None:
+    """Append the conjuncts of f to out: And is split, Not(Or(ps)) becomes
+    Not(p) for each p, Not(Not(x)) becomes x, and any other formula is one
+    conjunct as it stands.
+
+    These are the conjuncts of conjuncts(nnf(f)), one for one and in the
+    same order: nnf maps And, Not(Or) and Not(Not) exactly so, and every
+    other formula becomes one non-And formula with the same truth under
+    eval_formula (which takes Not, And and Or anywhere) and the same free
+    variables in the same order, since nnf never reorders leaves.  The
+    schedule reads only those truths and variables, so its variable order,
+    its check depths and therefore the order of the models are the ones
+    the nnf conjuncts give.
+    """
+    if type(f) is And:
+        for p in f.parts:
+            _split(p, out)
+    elif type(f) is Not and type(f.body) is Or:
+        for p in f.body.parts:
+            _split(Not(p), out)
+    elif type(f) is Not and type(f.body) is Not:
+        _split(f.body.body, out)
+    else:
+        out.append(f)
+
+
 def _schedule(f: Formula) -> Tuple[List[str], List[List[Formula]], List[Formula]]:
     """Pick a variable order and attach each conjunct to the first depth
     where all its variables are bound.  Greedy: prefer the variable that
     completes the most pending conjuncts, then the one touching the most of
-    them, then first occurrence.  Deterministic throughout."""
-    parts = conjuncts(nnf(f))
+    them, then first occurrence.  Deterministic throughout.
+
+    One integer scores each variable, completes * big + touches, big
+    exceeding any touch count.  Touches never change while a variable is
+    unbound, as no conjunct holding it can be complete, and a conjunct
+    adds to completes when all but one of its variables are bound; so one
+    pass over the pending conjuncts per depth both binds the chosen
+    variable and keeps every score current.
+    """
+    parts: List[Formula] = []
+    _split(f, parts)
+    big = len(parts) + 1
+    # each variable's bit, in order of first occurrence, which is the
+    # order of free_vars(f) since the conjuncts keep f's leaf order
+    bit: Dict[str, int] = {}
+    score: Dict[int, int] = {}
+    ground: List[Formula] = []
+    pending = []  # (mask of the variables still unbound, conjunct)
+    for p in parts:
+        mask = 0
+        for v in free_vars(p):
+            b = bit.setdefault(v, 1 << len(bit))
+            score[b] = score.get(b, 0) + 1
+            mask |= b
+        if not mask:
+            ground.append(p)
+            continue
+        if not mask & (mask - 1):
+            score[mask] += big
+        pending.append((mask, p))
+    names = list(bit)
     order: List[str] = []
-    todo = list(free_vars(f))
-    # each conjunct's variables as a bitmask over todo's initial order
-    bit = {v: 1 << i for i, v in enumerate(todo)}
-    masks = [sum(bit[v] for v in free_vars(p)) for p in parts]
-    ground = [parts[i] for i, m in enumerate(masks) if not m]
-    pending = [i for i, m in enumerate(masks) if m]
     checks: List[List[Formula]] = []
-    bound = 0
-    while todo:
-        best = None
-        best_rank = None
-        left = [masks[i] & ~bound for i in pending]  # what each has unbound
-        for v in todo:
-            b = bit[v]
-            # completes: b is all that is left; touches: b is among it
-            rank = (-left.count(b), -sum(1 for m in left if m & b))
-            if best_rank is None or rank < best_rank:
-                best, best_rank = v, rank
-        todo.remove(best)
-        bound |= bit[best]
-        order.append(best)
-        checks.append([parts[i] for i in pending if not masks[i] & ~bound])
-        pending = [i for i in pending if masks[i] & ~bound]
+    while score:  # the unbound variables, in order of first occurrence
+        best = max(score, key=score.__getitem__)  # the first of the best
+        del score[best]
+        order.append(names[best.bit_length() - 1])
+        here, rest = [], []
+        for mask, p in pending:
+            if mask & best:
+                mask ^= best
+                if not mask:
+                    here.append(p)
+                    continue
+                if not mask & (mask - 1):
+                    score[mask] += big
+            rest.append((mask, p))
+        checks.append(here)
+        pending = rest
     return order, checks, ground
 
 
@@ -232,7 +275,10 @@ def bounded_models(
         name = order[depth]
         for value in universe:
             partial[name] = value
-            if all(eval_formula(c, partial) for c in checks[depth]):
+            for c in checks[depth]:
+                if not eval_formula(c, partial):
+                    break
+            else:
                 yield from descend(depth + 1)
         del partial[name]
 

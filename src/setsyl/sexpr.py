@@ -25,7 +25,6 @@ from .formulas import (
     SET_OPS,
     And,
     AtomPred,
-    Atom,
     Empty,
     EMPTY,
     Eq,
@@ -43,7 +42,6 @@ from .formulas import (
     Subset,
     Term,
     Var,
-    ATOM_TYPES,
 )
 
 # Deepest parenthesis nesting a script may use.  The parser and the later

@@ -9,8 +9,18 @@ participating theory is convex and stably infinite, propagating single
 equalities is a complete combination procedure for conjunctions of
 literals.
 
-Plugins are polled in a caller-chosen order; the verdict is independent of
-that order (only the discovery order of propagated pairs may differ).
+What is exchanged is a partition of the shared variables into classes, not
+a set of pairs.  A union-find over `shared` keeps the classes found so far;
+a reported pair counts only when it merges two classes, and only those
+merging pairs are asserted back to the plugins.  They form a spanning
+forest of the classes, so at most |shared| - 1 pairs are ever asserted and
+at most |shared| - 1 rounds can merge anything, which is the convex case's
+polynomial bound with no case split.
+
+Plugins are polled in a caller-chosen order.  The order can change which
+pairs of a class are listed in `propagated` (the first reported pair that
+merges two classes is kept), but not the partition they generate, and so
+not the verdict.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Iterable, List, Mapping, Optional, Protocol, Sequence, Tuple, Union
 
-from .errors import DEFAULT_BUDGET, InvariantViolation, NonConvexPluginError, UnsupportedAtomError
+from .errors import DEFAULT_BUDGET, NonConvexPluginError, UnsupportedAtomError
 from .formulas import (
     ArithOp,
     AtomPred,
@@ -68,15 +78,14 @@ class TheoryProblem:
     """A purified conjunction, split by theory.
 
     `shared` lists variables occurring in at least two partitions, in
-    first-occurrence order; `fresh_defs` are the defining equalities the
-    purifier introduced (each also present in its home partition).
+    first-occurrence order.  The purifier's defining equalities sit in
+    their home partitions.
     """
 
     mls: Tuple[Formula, ...]
     lra: Tuple[Formula, ...]
     lists: Tuple[Formula, ...]
     shared: Tuple[str, ...]
-    fresh_defs: Tuple[Formula, ...]
 
     def partition(self, name: str) -> Tuple[Formula, ...]:
         return {"mls": self.mls, "lra": self.lra, "list": self.lists}[name]
@@ -87,7 +96,6 @@ class _Purifier:
         self._next = max_fresh_index("_p", taken) + 1
         self.memo: Dict[Term, Var] = {}
         self.parts: Dict[str, List[Formula]] = {t: [] for t in THEORIES}
-        self.defs: List[Formula] = []
 
     def _fresh(self) -> Var:
         v = Var(f"_p{self._next}")
@@ -111,9 +119,7 @@ class _Purifier:
             return got
         v = self._fresh()
         self.memo[flat] = v
-        d = Eq(v, flat)
-        self.parts[_top_theory(flat)].append(d)
-        self.defs.append(d)
+        self.parts[_top_theory(flat)].append(Eq(v, flat))
         return v
 
     def route(self, lit: Formula) -> Optional[Tuple[Formula, Tuple[str, str]]]:
@@ -199,7 +205,6 @@ def purify(literals: Sequence[Formula]) -> TheoryProblem:
         lra=tuple(pur.parts["lra"]),
         lists=tuple(pur.parts["list"]),
         shared=tuple(shared),
-        fresh_defs=tuple(pur.defs),
     )
 
 
@@ -327,11 +332,21 @@ def propagate(
 ) -> CombinedResult:
     """Run the equality-exchange loop to a fixpoint.
 
-    Each round re-asserts every partition together with all equalities
-    propagated so far, then merges the plugins' newly implied pairs into
-    the pool; new pairs go to every partition on the next round.  At most
-    C(|shared|, 2) rounds can add a pair, since each adding round grows a
-    set that lives inside the shared-variable pairs.
+    Each round asserts every partition together with the merging pairs
+    kept so far, as `Eq` literals, and then polls the plugins for implied
+    pairs.  A pair whose variables are already in one class is dropped; a
+    pair that joins two classes is kept, appended to `propagated`, and
+    asserted from the next round on.  The loop ends at the first round that
+    merges nothing.  Each counted round merges at least once among
+    |shared| classes, so `rounds` and `len(propagated)` are both at most
+    |shared| - 1.
+
+    Keeping only the forest loses nothing against asserting every implied
+    pair.  The forest generates the same partition as all the pairs it
+    stands for, so each plugin is given a logically equivalent
+    conjunction.  Every variable of a class with two or more members is in
+    some forest pair, so it is still mentioned, and each plugin reports
+    the same implied pairs.  Verdicts and culprits are therefore the same.
     """
     if plugins is None:
         plugins = (MlsTheory(), LraTheory(), ListTheory())
@@ -346,33 +361,33 @@ def propagate(
         if problem.partition(t) and t not in have:
             raise UnsupportedAtomError(f"literals require the {t!r} plugin")
 
+    heads = {v: v for v in problem.shared}
+
+    def find(v: str) -> str:
+        while heads[v] != v:
+            heads[v] = heads[heads[v]]
+            v = heads[v]
+        return v
+
     known: List[Tuple[str, str]] = []
-    seen: set = set()
-    n = len(problem.shared)
-    max_adding = n * (n - 1) // 2
-    adding_rounds = 0
+    rounds = 0
     while True:
         eq_lits = [Eq(Var(a), Var(b)) for a, b in known]
         for p in plugins:
-            lits = list(problem.partition(p.name)) + eq_lits
-            if not p.assert_literals(lits):
-                return CombinedUnsat(p.name, tuple(known), adding_rounds, problem)
-        new: List[Tuple[str, str]] = []
+            if not p.assert_literals(list(problem.partition(p.name)) + eq_lits):
+                return CombinedUnsat(p.name, tuple(known), rounds, problem)
+        merged = False
         for p in plugins:
             for a, b in p.implied_equalities(problem.shared):
-                canon = (a, b) if a <= b else (b, a)
-                if a != b and canon not in seen:
-                    seen.add(canon)
-                    new.append((a, b))
-        if not new:
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    heads[rb] = ra
+                    known.append((a, b))
+                    merged = True
+        if not merged:
             frags = {p.name: p.model_fragment() for p in plugins}
-            return CombinedSat(frags, tuple(known), adding_rounds, problem)
-        known.extend(new)
-        adding_rounds += 1
-        if adding_rounds > max_adding:
-            raise InvariantViolation(
-                "propagation exceeded the pair-count bound on adding rounds"
-            )
+            return CombinedSat(frags, tuple(known), rounds, problem)
+        rounds += 1
 
 
 PLUGIN_FACTORIES = {

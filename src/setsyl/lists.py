@@ -63,7 +63,7 @@ class ListState:
         self.diseqs: List[Tuple[int, int]] = []
         self.unsat_reason: Optional[str] = None
         for lit in literals:
-            self.assert_literal(lit)
+            self._add(lit)
         self._close()
 
     # union-find ---------------------------------------------------------
@@ -116,6 +116,10 @@ class ListState:
     # assertions ---------------------------------------------------------
 
     def assert_literal(self, lit: Formula) -> None:
+        self._add(lit)
+        self._close()
+
+    def _add(self, lit: Formula) -> None:
         if not is_literal(lit):
             raise UnsupportedAtomError(f"list theory expects literals, got {lit!r}")
         atom, sign = literal_atom(lit)
@@ -137,7 +141,6 @@ class ListState:
                 self._union(cell, t)
         else:
             raise UnsupportedAtomError(f"not a list atom: {atom!r}")
-        self._close()
 
     # closure ------------------------------------------------------------
 

@@ -496,6 +496,29 @@ def test_two_component_witness_validates_and_repeats_across_hash_seeds():
     assert eval_formula(and_(*parse_script(text).asserts), model)
 
 
+def test_combined_engine_repeats_across_hash_seeds():
+    fixture = os.path.join(FIXTURES, "chain_mixed.syl")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    outs = []
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "setsyl.cli", "solve", "--json", fixture],
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+            timeout=120,
+        )
+        assert proc.returncode == 0 and proc.stderr == b""
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    doc = json.loads(outs[0])
+    schema("solve").validate(doc)
+    assert doc["engine"] == "combined"
+    assert doc["verdict"] == "unsat" and doc["culprit"] == "list"
+    # a spanning tree of the one class x0 ... x7
+    assert len(doc["propagated"]) == 7
+
+
 def test_repeat_runs_are_byte_identical(tmp_path, capsys):
     f = script(tmp_path, "(assert (subset x y))\n(assert (in z x))\n")
     outs = set()

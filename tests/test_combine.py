@@ -21,11 +21,7 @@ from setsyl.combine import (
     solve_combined,
 )
 from setsyl.convexity import random_normalized_conjunction
-from setsyl.errors import (
-    InvariantViolation,
-    NonConvexPluginError,
-    UnsupportedAtomError,
-)
+from setsyl.errors import NonConvexPluginError, UnsupportedAtomError
 from setsyl.formulas import (
     LIST,
     LRA,
@@ -80,7 +76,6 @@ def test_purify_flattens_same_theory_nesting():
         Eq(x, car(Var("_p1"))),
     )
     assert p.mls == () and p.lra == ()
-    assert p.fresh_defs == (Eq(Var("_p1"), cons(y, Var("l"))),)
     assert p.shared == ()
 
 
@@ -90,7 +85,6 @@ def test_purify_leaves_flat_literals_alone():
     assert p.mls == (In(x, y),)
     assert p.lra == (Leq(u, v),)
     assert p.lists == (Not(AtomPred(w)),)
-    assert p.fresh_defs == ()
     assert p.shared == ()
 
 
@@ -103,7 +97,6 @@ def test_purify_cross_theory_equality_names_left_side():
 
 def test_purify_memoizes_repeated_subterms():
     p = purify([Eq(x, car(cons(y, z))), Eq(u, cdr(cons(y, z)))])
-    assert len(p.fresh_defs) == 1
     assert p.lists == (
         Eq(Var("_p1"), cons(y, z)),
         Eq(x, car(Var("_p1"))),
@@ -113,7 +106,7 @@ def test_purify_memoizes_repeated_subterms():
 
 def test_purify_avoids_taken_fresh_names():
     p = purify([Eq(Var("_p3"), car(cons(y, z)))])
-    assert p.fresh_defs == (Eq(Var("_p4"), cons(y, z)),)
+    assert p.lists == (Eq(Var("_p4"), cons(y, z)), Eq(Var("_p3"), car(Var("_p4"))))
 
 
 def test_purify_shared_variables_in_first_occurrence_order():
@@ -308,7 +301,8 @@ def test_rounds_within_pair_bound():
     lits = _sets_force_pair_arith_denies() + [Eq(z, car(cons(u, w)))]
     res = solve_combined(lits)
     n = len(res.problem.shared)
-    assert res.rounds <= n * (n - 1) // 2 + 1
+    assert res.rounds <= max(n - 1, 0)
+    assert len(res.propagated) <= max(n - 1, 0)
 
 
 def test_chained_propagation_through_two_theories():
@@ -337,14 +331,151 @@ def _chain_script(n):
     return "\n".join(lines)
 
 
+def _closure(pairs):
+    """Every pair, in sorted orientation, that the given equalities imply."""
+    heads = {}
+
+    def find(v):
+        while heads.setdefault(v, v) != v:
+            v = heads[v]
+        return v
+
+    for a, b in pairs:
+        heads[find(b)] = find(a)
+    classes = {}
+    for v in sorted(heads):
+        classes.setdefault(find(v), []).append(v)
+    return {p for c in classes.values() for p in combinations(c, 2)}
+
+
 def test_chain_of_eight_propagates_every_pair():
-    # Sets force x0 = ... = x7; arithmetic then holds all 28 pairs as
-    # equalities, which once made elimination blow up.
+    # Sets force x0 = ... = x7: a spanning tree of 7 merging pairs stands
+    # for all 28 pairs, so arithmetic never holds more than 7 equalities.
     res = solve_combined(parse_script(_chain_script(8)).asserts)
     assert isinstance(res, CombinedUnsat)
     assert res.culprit == "list"
     names = [f"x{i}" for i in range(8)]
-    assert sorted(res.propagated) == list(combinations(names, 2))
+    assert _closure(res.propagated) == set(combinations(names, 2))
+    assert len(res.propagated) == 7
+
+
+class _Recording:
+    """Wraps a plugin; counts the shared-variable equalities of each assert."""
+
+    def __init__(self, inner, shared, limit):
+        self.inner = inner
+        self.name = inner.name
+        self.is_convex = inner.is_convex
+        self.shared = set(shared)
+        self.limit = limit
+        self.eqs = []
+
+    def assert_literals(self, literals):
+        n = sum(
+            1
+            for lit in literals
+            if isinstance(lit, Eq)
+            and isinstance(lit.left, Var)
+            and isinstance(lit.right, Var)
+            and {lit.left.name, lit.right.name} <= self.shared
+        )
+        self.eqs.append(n)
+        # fail here rather than let a loop that keeps restating pairs run on
+        assert n <= self.limit, (self.name, n, self.limit)
+        return self.inner.assert_literals(literals)
+
+    def implied_equalities(self, shared):
+        return self.inner.implied_equalities(shared)
+
+    def model_fragment(self):
+        return self.inner.model_fragment()
+
+
+def _recorded(problem, limit):
+    return [_Recording(p, problem.shared, limit) for p in (MlsTheory(), LraTheory(), ListTheory())]
+
+
+def test_chain_of_forty_asserts_a_spanning_tree():
+    problem = purify(parse_script(_chain_script(40)).asserts)
+    assert len(problem.shared) == 40
+    plugins = _recorded(problem, 39)
+    res = propagate(problem, plugins)
+    assert isinstance(res, CombinedUnsat)
+    assert res.culprit == "list"
+    assert len(res.propagated) == 39
+    assert _closure(res.propagated) == set(combinations(sorted(problem.shared), 2))
+    # round 0 asserts nothing shared; round 1 every merging pair, once
+    assert [p.eqs for p in plugins] == [[0, 39], [0, 39], [0, 39]]
+
+
+def _reference_propagate(problem, plugins):
+    """Reference: the all-pairs exchange.  Every implied pair not seen
+    before, in either orientation, joins the pool, and the whole pool is
+    asserted to every plugin each round until a round adds nothing."""
+    known, seen, rounds = [], set(), 0
+    while True:
+        eq_lits = [Eq(Var(a), Var(b)) for a, b in known]
+        for p in plugins:
+            if not p.assert_literals(list(problem.partition(p.name)) + eq_lits):
+                return False, p.name, known, rounds
+        new = []
+        for p in plugins:
+            for a, b in p.implied_equalities(problem.shared):
+                canon = (a, b) if a <= b else (b, a)
+                if a != b and canon not in seen:
+                    seen.add(canon)
+                    new.append((a, b))
+        if not new:
+            return True, None, known, rounds
+        known.extend(new)
+        rounds += 1
+
+
+def _mixed_draw(rng, n):
+    """Set, arithmetic and list literals over variables v0..v(n-1), which
+    every theory may mention, plus list-only cells.  Some draws force an
+    equality in one theory, so that the others have pairs to receive."""
+    vs = [Var(f"v{i}") for i in range(n)]
+    cells = [Var("c0"), Var("c1")]
+    pick = lambda: rng.choice(vs)  # noqa: E731
+    makers = [
+        lambda a, b: [Subset(a, b), Subset(b, a)],
+        lambda a, b: [Subset(a, b)],
+        lambda a, b: [In(a, b)],
+        lambda a, b: [Eq(a, SetOp(rng.choice(("union", "inter", "setminus")), b, pick()))],
+        lambda a, b: [Leq(a, b), Leq(b, a)],
+        lambda a, b: [Leq(ArithOp("plus", (a, rc(rng.randrange(-1, 2)))), b)],
+        lambda a, b: [Not(Leq(a, b))],
+        lambda a, b: [Eq(a, car(cons(b, rng.choice(cells))))],
+        lambda a, b: [Eq(rng.choice(cells), cons(a, b))],
+        lambda a, b: [Not(Eq(car(rng.choice(cells)), a))],
+        lambda a, b: [AtomPred(a)],
+        lambda a, b: [Not(Eq(a, b))],
+    ]
+    lits = []
+    for _ in range(rng.randrange(3, 9)):
+        lits += rng.choice(makers)(*rng.sample(vs, 2))
+    return lits
+
+
+def test_class_exchange_matches_the_all_pairs_reference():
+    rng = random.Random(16)
+    verdicts = set()
+    for _ in range(300):
+        lits = _mixed_draw(rng, rng.randrange(3, 7))
+        problem = purify(lits)
+        n = len(problem.shared)
+        ref_sat, ref_culprit, ref_known, ref_rounds = _reference_propagate(
+            problem, [MlsTheory(), LraTheory(), ListTheory()]
+        )
+        res = propagate(problem, _recorded(problem, max(n - 1, 0)))
+        assert res.is_sat == ref_sat, lits
+        assert getattr(res, "culprit", None) == ref_culprit, lits
+        assert _closure(res.propagated) == _closure(ref_known), lits
+        assert res.rounds <= ref_rounds, lits
+        assert len(res.propagated) <= max(n - 1, 0) and res.rounds <= max(n - 1, 0)
+        verdicts.add((res.is_sat, len(res.propagated) > 0))
+    assert verdicts == {(True, False), (True, True), (False, False), (False, True)}
 
 
 def test_deeply_nested_sum_is_sat():

@@ -115,11 +115,7 @@ def enlarge(
     rank_m = max((v.rank for v in m.values()), default=0)
     fresh = nested_singleton(rank_m + 1)
 
-    sym = sorted(
-        set(separating[x].children) ^ set(separating[y].children),
-        key=HFSet.key,
-    )
-    sep = sym[0]
+    sep = min(set(separating[x].children) ^ set(separating[y].children))
     direction = x if sep in separating[x] else y
 
     wave0 = frozenset(u for u in names if sep in separating[u])

@@ -2,17 +2,22 @@
 
 HFSet is a canonical immutable value: children are deduplicated and kept
 in a fixed total order (rank, then cardinality, then lexicographic on the
-child sequence), so structural equality is value equality.  Instances are
-interned, which makes equality cheap and lets the set-algebra helpers
-memoize on node identity.  Values print in braces notation, "{}" being
-the empty set.
+child sequence).  Every instance is interned by hf(), so one value is one
+object, and interning alone gives equality and hashing: both are the
+object's identity.  The order compares two sets by walking down one path
+of first differing children, never recursing, so sets of any rank compare.
+No output depends on the iteration order of a Python set of HF values,
+which follows their addresses: every such set is sorted before it is
+iterated, or used only for membership.  The set-algebra helpers memoize
+on node identity.  Values print in braces notation, "{}" being the empty
+set.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Tuple
 
-from .errors import BoundTooLargeError, ParseError
+from .errors import BoundTooLargeError, InvariantViolation, ParseError
 
 MAX_RANK_BOUND = 4
 MAX_BRACE_DEPTH = 256
@@ -21,7 +26,7 @@ _UNIVERSE_SIZES = {0: 1, 1: 2, 2: 4, 3: 16, 4: 65536}
 
 
 class HFSet:
-    __slots__ = ("children", "rank", "_members", "_hash", "_key")
+    __slots__ = ("children", "rank", "_members")
 
     _intern: Dict[Tuple["HFSet", ...], "HFSet"] = {}
 
@@ -31,17 +36,7 @@ class HFSet:
         self.children = children
         self.rank = 0 if not children else 1 + max(c.rank for c in children)
         self._members = frozenset(children)
-        self._hash = hash(children)
-        self._key = None
         return self
-
-    def key(self) -> tuple:
-        """Sort key realizing the canonical total order."""
-        k = self._key
-        if k is None:
-            k = (self.rank, len(self.children), tuple(c.key() for c in self.children))
-            self._key = k
-        return k
 
     def __contains__(self, item: "HFSet") -> bool:
         return item in self._members
@@ -52,18 +47,24 @@ class HFSet:
     def __len__(self) -> int:
         return len(self.children)
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, HFSet):
-            return NotImplemented
-        return self._hash == other._hash and self.children == other.children
-
     def __lt__(self, other: "HFSet") -> bool:
-        return self.key() < other.key()
+        """The canonical order: rank, then cardinality, then the first
+        differing pair of children decides.  Equal cardinalities leave no
+        prefix case, and interning makes the first children that are not
+        the same object the first that differ."""
+        a, b = self, other
+        while a is not b:
+            if a.rank != b.rank:
+                return a.rank < b.rank
+            if len(a.children) != len(b.children):
+                return len(a.children) < len(b.children)
+            for x, y in zip(a.children, b.children):
+                if x is not y:
+                    a, b = x, y
+                    break
+            else:
+                raise InvariantViolation("two HF set objects have the same members")
+        return False
 
     def __repr__(self) -> str:
         return braces(self)
@@ -71,8 +72,7 @@ class HFSet:
 
 def hf(children: Iterable[HFSet] = ()) -> HFSet:
     """The canonical HFSet with the given members (idempotent on duplicates)."""
-    uniq = sorted(set(children), key=HFSet.key)
-    tup = tuple(uniq)
+    tup = tuple(sorted(set(children)))
     cached = HFSet._intern.get(tup)
     if cached is None:
         cached = HFSet._intern.setdefault(tup, HFSet(tup))
@@ -112,9 +112,10 @@ def parse_braces(text: str) -> HFSet:
     """Inverse of braces(); whitespace is ignored, duplicates collapse.
 
     Malformed text raises ValueError.  Nesting deeper than MAX_BRACE_DEPTH
-    raises ParseError: the canonical order compares sets by recursing
-    through their members, which overflows the interpreter stack on sets
-    a few hundred levels deep.
+    raises ParseError.  The bound is on the input, like the script reader's
+    MAX_NESTING, and not on the values: sets of any rank build, compare
+    and print.  A literal comes from a script option or the command line,
+    and one nested that deep is refused up front as a usage error.
     """
     s = "".join(text.split())
     open_sets: List[List[HFSet]] = []
@@ -240,7 +241,7 @@ def enumerate_universe(rank_bound: int) -> Tuple[HFSet, ...]:
         nxt = [EMPTY_SET]
         for c in level:
             nxt += [hf(s.children + (c,)) for s in nxt]
-        level = sorted(set(nxt), key=HFSet.key)
+        level = sorted(set(nxt))
     out = tuple(level)
     assert len(out) == _UNIVERSE_SIZES[rank_bound]
     _universe_cache[rank_bound] = out

@@ -377,10 +377,9 @@ def apply_plan(plan: Sequence[tuple], base: SetAssignment) -> SetAssignment:
             val = set_inter(cur[entry[2]], cur[entry[3]])
         elif kind == PLAN_SYMDIFF_MIN:
             a, b = cur[entry[2]], cur[entry[3]]
-            sym = sorted(set(a.children) ^ set(b.children), key=lambda s: s.key())
-            if not sym:
+            val = min(set(a.children) ^ set(b.children), default=None)
+            if val is None:
                 raise InvariantViolation("witness plan needs a separating element")
-            val = sym[0]
         else:
             raise InvariantViolation(f"unknown plan opcode {kind!r}")
         cur[name] = val

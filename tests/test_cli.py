@@ -467,49 +467,43 @@ def test_reader_closing_stdout_early_exits_zero(tmp_path):
 # ------------------------------------------------------------ determinism
 
 
-def test_two_component_witness_validates_and_repeats_across_hash_seeds():
-    fixture = os.path.join(FIXTURES, "two_components.syl")
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    outs, docs = [], []
-    for seed in ("0", "1"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "setsyl.cli", "solve", "--witness", "--json", fixture],
-            capture_output=True,
-            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
-            timeout=120,
-        )
-        assert proc.returncode == 0 and proc.stderr == b""
-        doc = json.loads(proc.stdout)
-        schema("solve").validate(doc)
-        outs.append(proc.stdout)
-        docs.append(doc)
-    assert outs[0] == outs[1]
-    assert docs[0]["verdict"] == "sat"
-    # b != c needs one tag, in the first place holding exactly one of the
-    # two elements that the junk-free build gives one value
-    assert len(docs[0]["witness"]["junk"]) <= 1
-    with open(fixture) as fh:
-        text = fh.read()
-    full = docs[0]["witness"]["full_model"]
-    model = SetAssignment({k: parse_braces(v) for k, v in full.items()})
-    assert eval_formula(and_(*parse_script(text).asserts), model)
-
-
-def test_combined_engine_repeats_across_hash_seeds():
-    fixture = os.path.join(FIXTURES, "chain_mixed.syl")
+def _fresh_runs(*argv):
+    """stdout of `setsyl argv` in two fresh processes, under hash seeds 0
+    and 1; each must exit 0 with nothing on stderr."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     outs = []
     for seed in ("0", "1"):
         proc = subprocess.run(
-            [sys.executable, "-m", "setsyl.cli", "solve", "--json", fixture],
+            [sys.executable, "-m", "setsyl.cli", *argv],
             capture_output=True,
             env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
             timeout=120,
         )
         assert proc.returncode == 0 and proc.stderr == b""
         outs.append(proc.stdout)
+    return outs
+
+
+def test_two_component_witness_validates_and_repeats_across_hash_seeds():
+    fixture = os.path.join(FIXTURES, "two_components.syl")
+    outs = _fresh_runs("solve", "--witness", "--json", fixture)
+    assert outs[0] == outs[1]
+    doc = json.loads(outs[0])
+    schema("solve").validate(doc)
+    assert doc["verdict"] == "sat"
+    # b != c needs one tag, in the first place holding exactly one of the
+    # two elements that the junk-free build gives one value
+    assert len(doc["witness"]["junk"]) <= 1
+    with open(fixture) as fh:
+        text = fh.read()
+    full = doc["witness"]["full_model"]
+    model = SetAssignment({k: parse_braces(v) for k, v in full.items()})
+    assert eval_formula(and_(*parse_script(text).asserts), model)
+
+
+def test_combined_engine_repeats_across_hash_seeds():
+    outs = _fresh_runs("solve", "--json", os.path.join(FIXTURES, "chain_mixed.syl"))
     assert outs[0] == outs[1]
     doc = json.loads(outs[0])
     schema("solve").validate(doc)
@@ -517,6 +511,24 @@ def test_combined_engine_repeats_across_hash_seeds():
     assert doc["verdict"] == "unsat" and doc["culprit"] == "list"
     # a spanning tree of the one class x0 ... x7
     assert len(doc["propagated"]) == 7
+
+
+# HF sets hash by address, so these commands, which build and print set
+# values, must not let a Python set's iteration order reach their output.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("oracle", "--rank", "2", "--json", FIXTURE),
+        ("witness", "--json", FIXTURE, "--eq", "xbar=ybar"),
+        ("fuzz-convexity", "--json"),
+        ("nonconvex-demo", "--theory", "mlsp", "--json"),
+    ],
+    ids=["oracle", "witness", "fuzz-convexity", "nonconvex-demo"],
+)
+def test_set_valued_commands_repeat_across_processes(argv):
+    outs = _fresh_runs(*argv)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["command"] == argv[0]
 
 
 def test_repeat_runs_are_byte_identical(tmp_path, capsys):

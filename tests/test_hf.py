@@ -1,10 +1,15 @@
 """Hereditarily finite sets: canonical interning, operations, universe."""
 
+import random
+from functools import cache
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setsyl.errors import ParseError
+from setsyl.errors import InvariantViolation, ParseError
+from setsyl.formulas import Eq, In, Not, Subset, Var
 from setsyl.hf import (
     MAX_BRACE_DEPTH,
     HFSet,
@@ -25,6 +30,8 @@ from setsyl.hf import (
     set_union,
     unordered_cross,
 )
+from setsyl.normalize import normalize
+from setsyl.solver import solve
 
 E = hf()
 S1 = hf([E])          # {0}
@@ -33,6 +40,31 @@ S2 = hf([E, S1])      # {0, {0}}
 
 def universe3():
     return enumerate_universe(3)
+
+
+@cache
+def _reference_key(s):
+    """The canonical order as a nested sort key: rank, then cardinality,
+    then the children's keys in order.  It recurses once per rank, so it
+    serves only as a reference for sets of small rank."""
+    return (s.rank, len(s), tuple(_reference_key(c) for c in s))
+
+
+def _tower(bottom, depth):
+    for _ in range(depth):
+        bottom = hf((bottom,))
+    return bottom
+
+
+def _nodes(values):
+    """Every set reachable from values by membership, each once."""
+    seen, todo = set(), list(values)
+    while todo:
+        s = todo.pop()
+        if s not in seen:
+            seen.add(s)
+            todo.extend(s)
+    return seen
 
 
 # canonical identity ---------------------------------------------------------
@@ -112,7 +144,48 @@ def test_enumerate_universe_sizes():
 
 def test_universe_enumeration_is_canonical_and_sorted():
     u = universe3()
-    assert list(u) == sorted(u, key=lambda s: s.key())
+    assert list(u) == sorted(u, key=_reference_key)
+
+
+def _assert_order_matches_the_reference(values):
+    for a, b in product(values, repeat=2):
+        assert (a < b) == (_reference_key(a) < _reference_key(b))
+    for s in _nodes(values):
+        assert list(s) == sorted(s, key=_reference_key)
+
+
+def test_order_matches_the_nested_key_on_the_rank_three_universe():
+    _assert_order_matches_the_reference(universe3())
+
+
+def test_order_matches_the_nested_key_on_solver_models():
+    rng = random.Random(1717)
+    names = [Var(c) for c in "abcdef"]
+    values = set()
+    for _ in range(40):
+        lits = []
+        for _ in range(rng.randint(2, 6)):
+            a, b = rng.sample(names, 2)
+            lits.append(rng.choice([In(a, b), Subset(a, b), Not(Eq(a, b))]))
+        res = solve(normalize(lits))
+        if res.is_sat:
+            values.update(v for _, v in res.model.items())
+    assert max(v.rank for v in values) > 16  # junk tags are among them
+    _assert_order_matches_the_reference(sorted(values, key=_reference_key))
+
+
+@pytest.mark.parametrize("depth", [500, 5000])
+def test_sets_that_differ_only_at_the_bottom_compare_at_any_depth(depth):
+    b1, b2 = parse_braces("{{{{}}}}"), parse_braces("{{{},{{}}}}")
+    assert (b1.rank, len(b1)) == (b2.rank, len(b2)) and b1 < b2
+    s1, s2 = _tower(b1, depth), _tower(b2, depth)
+    assert hf([s2, s1]).children == (s1, s2)
+    assert (s1 < s2, s2 < s1) == (True, False)
+
+
+def test_two_objects_with_the_same_members_are_an_invariant_violation():
+    with pytest.raises(InvariantViolation):
+        HFSet(S1.children) < S1  # bypasses hf(), so it is not interned
 
 
 @settings(max_examples=60, deadline=None)

@@ -237,11 +237,14 @@ def enumerate_universe(rank_bound: int) -> Tuple[HFSet, ...]:
     level: List[HFSet] = [EMPTY_SET]
     for _ in range(rank_bound):
         # rank <= r+1 exactly means: every member has rank <= r, so the next
-        # level is the full powerset of the current one.
+        # level is the full powerset of the current one, which lists each
+        # set once.  The level is in canonical order, so a set's children,
+        # in canonical order too, compare as their positions in it.
+        at = {c: i for i, c in enumerate(level)}
         nxt = [EMPTY_SET]
         for c in level:
             nxt += [hf(s.children + (c,)) for s in nxt]
-        level = sorted(set(nxt))
+        level = sorted(nxt, key=lambda s: (s.rank, len(s.children), [at[c] for c in s.children]))
     out = tuple(level)
     assert len(out) == _UNIVERSE_SIZES[rank_bound]
     _universe_cache[rank_bound] = out

@@ -104,8 +104,9 @@ is decided in three layers:
    variable's value.  Tags differ from one another by the bits of their
    index, so the model's rank does not grow with the tag count.
 
-   The junk-free build comes first and is returned when it verifies.  Two
-   element variables u and w collide when the junk-free build gives them
+   The junk-free build comes first, made once for all the components
+   together, and is returned when it verifies.  Two element variables u
+   and w collide when the junk-free build gives them
    one value although sigma places them differently.  Seeding one tag in
    each place of a list J gives a model whenever every collision is
    separated by J, that is, some place of J holds exactly one of u and w:
@@ -139,8 +140,9 @@ is decided in three layers:
    order, holding exactly one of the two (query (iii) of layer 2).  Every
    collision is then separated by J.  Each place added splits a group of
    colliding representatives that the earlier places hold alike, so J
-   has fewer places than there are colliding classes.  When the junk-free build fails
-   verification, the search seeds J, builds once and verifies once.
+   has fewer places than there are colliding classes.  When the junk-free
+   build fails verification, the decision seeds J, builds once more and
+   verifies once more.
 
 Before the engine is asked anything, solve applies two reductions.
 
@@ -151,23 +153,32 @@ Before the engine is asked anything, solve applies two reductions.
 * Components.  Variables are connected when a literal mentions both; the
   literals split into the components of that relation, and no literal
   spans two of them.  Each component is peeled on its own places, under
-  one shared budget (the nodes of every query and the models built), and
-  picks its own junk (none when its junk-free build verifies, else the
-  places layer 3 chooses).
+  one shared budget (the nodes of every query and the models built).
   The conjunction is satisfiable iff every component is: a model of the
   whole restricts to each part, and the merged witness below builds a
   model of the whole from the parts.  The merged witness concatenates the
   components' sigma, junk and topo over all the variables.  A component's
   places hold only its own variables, so in the merged build a variable
-  collects only element values and junk tags of its own component.  Each
-  component's part of the model is therefore the build of its own witness
-  with the tags relabelled injectively: tags stay pairwise distinct and all
-  of rank top + 1 >= len(vars) + 4, which still exceeds every junk-free
-  value, so the equalities and memberships between the component's values
-  do not change, and that build is a model (verified when junk-free, by
-  layer 3 otherwise).  The merged model is re-verified against the whole
-  conjunction all the same.  A connected conjunction is its own single
-  component and is peeled as a whole.
+  collects only element values and junk tags of its own component.
+  Without junk, a component's values in the merged build are therefore
+  the very values of its own junk-free build: each is built from its own
+  component's values alone, in the same order, and interning makes equal
+  sets one object.  So whether a component's own junk-free build
+  verifies, and which of its elements collide there, is read off the one
+  merged junk-free build, whose values each component's literals are
+  checked against once; a conjunction of k components costs one build,
+  not one per component and one more for the whole.  Each component then
+  picks its own junk: none when its literals hold there, else the places
+  layer 3 chooses for its collisions.  When any component needs junk,
+  the merged witness is built once more, with every component's junk
+  seeded.  Each component's part of that model is the build of its own
+  witness with the tags relabelled injectively: tags stay pairwise
+  distinct and all of rank top + 1 >= len(vars) + 4, which still exceeds
+  every junk-free value, so the equalities and memberships between the
+  component's values do not change, and that build is a model (verified
+  when junk-free, by layer 3 otherwise).  The seeded model is re-verified
+  against the whole conjunction all the same.  A connected conjunction is
+  its own single component and is peeled as a whole.
 
 Peeling is deterministic and complete (layer 2), so a component none of
 whose classes can be peeled proves unsatisfiability.  Every produced
@@ -232,7 +243,7 @@ conjunction of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations, compress, product
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
@@ -607,30 +618,21 @@ def satisfies(nc: NormalizedConjunction, model: SetAssignment) -> bool:
     return True
 
 
-def _merged(
-    nc: NormalizedConjunction, parts: Sequence["_Part"], junk: Sequence[Sequence[Place]]
-) -> SolverWitness:
-    """The witness over nc.vars of the parts' placements, part k seeding junk[k]."""
-    return SolverWitness(
-        vars=nc.vars,
-        sigma=tuple(s for part in parts for s in part.witness.sigma),
-        junk=tuple(p for seeds in junk for p in seeds),
-        topo=tuple(u for part in parts for u in part.witness.topo),
-    )
-
-
 @dataclass(eq=False)
 class _Part:
-    """One component's peeled placement as a junk-free witness, its build,
-    and whether that build verifies.
+    """One component's engine and peeled classes, with the decision's
+    junk-free build and whether the component's literals hold in it.
 
-    The collision junk J of layer 3 is found at most once: when the
-    junk-free build fails, or when a separating build needs it.
+    The component's values in that build are those of its own junk-free
+    build (module docstring, Components), so verified says whether its own
+    build verifies, and its collision junk J of layer 3 is read off the
+    same values, at most once: when the component fails, or when a
+    separating build needs it.
     """
 
     engine: _Engine
     classes: List[List[str]]
-    witness: SolverWitness
+    sigma: Tuple[Tuple[str, Place], ...]
     free: SetAssignment
     verified: bool
     _collisions: Optional[Tuple[Place, ...]] = None
@@ -645,7 +647,7 @@ class _Part:
         place holding exactly one of the two (query (iii) of layer 2).
         """
         if self._collisions is None:
-            sig = dict(self.witness.sigma)
+            sig = dict(self.sigma)
             by_value: Dict[HFSet, List[str]] = {}
             for group in self.classes:
                 by_value.setdefault(self.free[group[0]], []).append(group[0])
@@ -668,12 +670,17 @@ class _Part:
         return () if self.verified else self.collisions()
 
 
-def _search(engine: _Engine) -> Optional[_Part]:
-    """Peel the classes of engine's component; None when it is unsat.
+_Peel = Tuple[List[List[str]], Tuple[Tuple[str, Place], ...], Tuple[str, ...]]
+
+
+def _search(engine: _Engine) -> Optional[_Peel]:
+    """Peel the classes of engine's component: the classes, sigma and
+    topo, or None when the component is unsat.
 
     The places come from queries to the engine, never from a full listing.
+    Nothing is built here; the decision builds every component at once.
     """
-    nc, meter = engine.nc, engine.meter
+    nc = engine.nc
     elems: List[str] = list(dict.fromkeys(x for x, _ in nc.memberships))
     if len(elems) < 2:  # most components: nothing to compare, and the call would cost more
         classes = [[u] for u in elems]
@@ -702,11 +709,7 @@ def _search(engine: _Engine) -> Optional[_Part]:
     # a class's place holds elements of earlier-peeled classes only, so
     # the reverse peel order builds every element before the sets holding it
     topo = tuple(u for k in reversed(peeled) for u in classes[k])
-    sigma = tuple((u, sig[u]) for u in elems)
-    meter.spend("building candidate models")
-    witness = SolverWitness(vars=nc.vars, sigma=sigma, junk=(), topo=topo)
-    free = build_model(witness)
-    return _Part(engine, classes, witness, free, satisfies(nc, free))
+    return classes, tuple((u, sig[u]) for u in elems), topo
 
 
 class _Decision:
@@ -785,7 +788,7 @@ class _Decision:
         junk = [part.junk for part in self.parts]
         junk[k] = sorted({*self.parts[k].collisions(), p}, key=self.parts[k].engine.order)
         self.meter.spend("building candidate models")
-        model = build_model(_merged(self.nc, self.parts, junk))
+        model = build_model(replace(self.result.witness, junk=tuple(q for seeds in junk for q in seeds)))
         if not satisfies(self.nc, model) or model[a] is model[b]:
             raise InvariantViolation("separating build is not a model that splits its pair")
         return model
@@ -800,19 +803,29 @@ def _decide(nc: NormalizedConjunction, budget: Optional[int]) -> _Decision:
         edges.setdefault(y, [])
     if not _acyclic(edges):
         return _Decision(nc, meter, Unsat(), [])
-    parts = []
+    peels = []
     for comp in _components(nc):
-        part = _search(_Engine(comp, meter))
-        if part is None:
+        engine = _Engine(comp, meter)
+        peel = _search(engine)
+        if peel is None:
             return _Decision(nc, meter, Unsat(), [])
-        parts.append(part)
-    if len(parts) == 1 and parts[0].verified:
-        return _Decision(nc, meter, Sat(parts[0].free, parts[0].witness), parts)
-    witness = _merged(nc, parts, [part.junk for part in parts])
+        peels.append((engine, peel))
+    witness = SolverWitness(
+        vars=nc.vars,
+        sigma=tuple(s for _, (_, sigma, _) in peels for s in sigma),
+        junk=(),
+        topo=tuple(u for _, (_, _, topo) in peels for u in topo),
+    )
     meter.spend("building candidate models")
     model = build_model(witness)
-    if not satisfies(nc, model):
-        raise InvariantViolation("admissible placement built a non-model")
+    # each component's literals, checked once against the one build
+    parts = [_Part(e, classes, sigma, model, satisfies(e.nc, model)) for e, (classes, sigma, _) in peels]
+    if not all(part.verified for part in parts):
+        witness = replace(witness, junk=tuple(p for part in parts for p in part.junk))
+        meter.spend("building candidate models")
+        model = build_model(witness)
+        if not satisfies(nc, model):
+            raise InvariantViolation("admissible placement built a non-model")
     return _Decision(nc, meter, Sat(model, witness), parts)
 
 
@@ -821,11 +834,12 @@ def solve(
 ) -> SolveResult:
     """Decide a normalized conjunction; Sat carries a verified model.
 
-    budget caps the total count of search steps (the nodes the place
-    engine visits for its queries, which meter the peeling, and the model
-    builds) over all components; exceeding it raises ResourceLimitError.  None means
-    unbounded.  No place is listed: a component without memberships takes
-    one step.
+    budget caps the total count of search steps over all components: the
+    nodes the place engine visits for its queries, which meter the
+    peeling, and one step for the decision's junk-free build, plus one
+    more when junk is seeded.  Exceeding it raises ResourceLimitError.
+    None means unbounded.  No place is listed: a conjunction without
+    memberships takes one step, its build.
     """
     return _decide(nc, budget).result
 

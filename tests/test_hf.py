@@ -143,8 +143,9 @@ def test_enumerate_universe_sizes():
 
 
 def test_universe_enumeration_is_canonical_and_sorted():
-    u = universe3()
-    assert list(u) == sorted(u, key=_reference_key)
+    for rank in (3, 4):
+        u = enumerate_universe(rank)
+        assert list(u) == sorted(u, key=_reference_key)
 
 
 def _assert_order_matches_the_reference(values):

@@ -319,9 +319,15 @@ def test_hidden_membership_cycle_is_refuted_before_any_place():
     assert solve(nc, budget=1) == Unsat()
 
 
-def test_twelve_independent_memberships_are_sat():
+def test_twelve_independent_memberships_are_sat(monkeypatch):
     nc = NormalizedConjunction([(f"x{i}", f"y{i}") for i in range(12)])
+    builds = []
+    build = solver.build_model
+    monkeypatch.setattr(solver, "build_model", lambda w: builds.append(w) or build(w))
     res = solve(nc)
+    monkeypatch.undo()
+    # the twelve components share one junk-free build, which verifies
+    assert len(builds) == 1
     assert res.is_sat
     assert satisfies(nc, res.model)
     assert eval_formula(nc.to_formula(), res.model)
@@ -331,12 +337,14 @@ def test_twelve_independent_memberships_are_sat():
 
 
 def test_components_share_one_budget():
+    # each part alone spends 2 steps (one peel node and the build), the
+    # whole 7 (six peel nodes and one build)
     parts = [NormalizedConjunction([(f"x{i}", f"y{i}")]) for i in range(6)]
     whole = NormalizedConjunction([m for p in parts for m in p.memberships])
     for part in parts:
-        assert solve(part, budget=10).is_sat
+        assert solve(part, budget=6).is_sat
     with pytest.raises(ResourceLimitError):
-        solve(whole, budget=10)
+        solve(whole, budget=6)
 
 
 def test_enumerate_places_lists_each_component_in_turn():
@@ -698,33 +706,131 @@ def _spent(query):
     return list(query(meter)), 10**9 - meter.left
 
 
+def _reference_component(part, sig, topo):
+    """Reference: part's full listing, whether part's own junk-free build,
+    of the placement sig and topo restricted to part, verifies, and the
+    junk J of layer 3 for that build, from the listing: the class
+    representatives' collisions in class order, and for each one no place
+    taken so far tells apart, the first place that does."""
+    places = enumerate_places(part)
+    elems = list(dict.fromkeys(u for u, _ in part.memberships))
+    topo = tuple(u for u in topo if u in sig and u in part.vars)
+    free = build_model(SolverWitness(part.vars, tuple((u, sig[u]) for u in elems), (), topo))
+    reps = {}  # signature -> the first element with it, in class order
+    for u in elems:
+        reps.setdefault(tuple(p.holds(u) for p in places), u)
+    by_value = {}
+    for u in reps.values():
+        by_value.setdefault(free[u], []).append(u)
+    seeds = []
+    for group in by_value.values():
+        for u, v in combinations(group, 2):
+            if sig[u] != sig[v] and all(places[k].holds(u) == places[k].holds(v) for k in seeds):
+                seeds.append(next(k for k, p in enumerate(places) if p.holds(u) != p.holds(v)))
+    return places, satisfies(part, free), tuple(places[k] for k in sorted(seeds))
+
+
 def _reference_junk(nc, w):
-    """Reference: the junk of layer 3 for w's placement, from each
-    component's full listing.  A component whose junk-free build fails
-    takes the class representatives' collisions in class order, and for
-    each one no place taken so far tells apart, the first place that does."""
+    """Reference: the junk of layer 3 for w's placement: the J of each
+    component whose own junk-free build fails."""
     sig = dict(w.sigma)
     junk = []
     for part in _components(nc):
-        places = enumerate_places(part)
-        elems = list(dict.fromkeys(u for u, _ in part.memberships))
-        topo = tuple(u for u in w.topo if u in sig and u in part.vars)
-        free = build_model(SolverWitness(part.vars, tuple((u, sig[u]) for u in elems), (), topo))
-        if satisfies(part, free):
-            continue
-        reps = {}  # signature -> the first element with it, in class order
-        for u in elems:
-            reps.setdefault(tuple(p.holds(u) for p in places), u)
-        by_value = {}
-        for u in reps.values():
-            by_value.setdefault(free[u], []).append(u)
-        seeds = []
-        for group in by_value.values():
-            for u, v in combinations(group, 2):
-                if sig[u] != sig[v] and all(places[k].holds(u) == places[k].holds(v) for k in seeds):
-                    seeds.append(next(k for k, p in enumerate(places) if p.holds(u) != p.holds(v)))
-        junk += [places[k] for k in sorted(seeds)]
+        _, verified, collisions = _reference_component(part, sig, w.topo)
+        if not verified:
+            junk += collisions
     return tuple(junk)
+
+
+def _decide_by_component(nc):
+    """Reference: the decision built and verified component by component,
+    k + 1 builds for k components.  Each component is peeled, and its own
+    junk-free witness built and verified; the merged witness seeds the J
+    of each component that fails and is built and verified once more.
+    Returns the result and, per component, the component, its listing,
+    whether it verified and its J; the components are None when nc is
+    unsat."""
+    peels = []
+    for part in _components(nc):
+        peel = _search(_Engine(part, Budget(None)))
+        if peel is None:
+            return Unsat(), None
+        peels.append((part, peel))
+    sigma = tuple(s for _, (_, sg, _) in peels for s in sg)
+    topo = tuple(u for _, (_, _, tp) in peels for u in tp)
+    parts = [(part, *_reference_component(part, dict(sigma), topo)) for part, _ in peels]
+    w = SolverWitness(nc.vars, sigma, tuple(p for *_, ok, junk in parts if not ok for p in junk), topo)
+    model = build_model(w)
+    assert satisfies(nc, model)
+    return Sat(model, w), parts
+
+
+def _separating_by_component(w, parts, a, b):
+    """Reference: the model separating a and b of the per-component
+    decision w, parts, or None when a = b is implied.  The split place p
+    comes from the full listings, and p's component seeds its J and p,
+    every other component keeping its junk in w."""
+    of = {v: k for k, (part, *_) in enumerate(parts) for v in part.vars}
+    i, j = of[a], of[b]
+    if i == j:
+        hits = [(i, p) for p in parts[i][1] if p.holds(a) != p.holds(b)]
+    else:
+        hits = [(i, p) for p in parts[i][1] if p.holds(a)] + [(j, p) for p in parts[j][1] if p.holds(b)]
+    if not hits:
+        return None
+    k, p = hits[0]
+    junk = [() if ok else collisions for _, _, ok, collisions in parts]
+    junk[k] = sorted({*parts[k][3], p}, key=parts[k][1].index)
+    return build_model(SolverWitness(w.vars, w.sigma, tuple(q for seeds in junk for q in seeds), w.topo))
+
+
+def _one_build_draws(count):
+    """Seeded conjunctions of one to three renamed random parts, half of
+    them with disequalities, whose junk-free build often fails."""
+    for seed in range(count):
+        rng = random.Random(f"one-build/{seed}")
+        parts = []
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.5:
+                parts.append(_with_disequalities(rng.getrandbits(32)))
+            else:
+                parts.append(random_normalized_conjunction(rng, rng.randint(1, 3), rng.randint(1, 3)))
+        yield _joined([_renamed(part, lambda v, i=i: f"{v}{i}") for i, part in enumerate(parts)])
+
+
+def test_one_build_decides_as_the_component_builds_did(monkeypatch):
+    builds, checks = [], []
+    build, verify = solver.build_model, solver.satisfies
+    monkeypatch.setattr(solver, "build_model", lambda w: builds.append(w) or build(w))
+    monkeypatch.setattr(
+        solver, "satisfies", lambda nc, m: checks.extend(nc.memberships + nc.differences) or verify(nc, m)
+    )
+    rng = random.Random("one-build")
+    failing = 0
+    for nc in _one_build_draws(500):
+        builds.clear()
+        checks.clear()
+        decision = _decide(nc, None)
+        # one build, and a second only when some component needs junk;
+        # each literal is checked once per build
+        needs_junk = decision.result.is_sat and not all(part.verified for part in decision.parts)
+        assert len(builds) == decision.result.is_sat + needs_junk
+        assert sorted(checks) == sorted((nc.memberships + nc.differences) * len(builds))
+        failing += needs_junk and len(decision.parts) > 1
+
+        # the references call the unpatched build_model and satisfies
+        expected, parts = _decide_by_component(nc)
+        assert decision.result.is_sat == expected.is_sat
+        if expected.is_sat:
+            got = decision.result
+            assert got.witness == expected.witness
+            assert got.model.to_strings() == expected.model.to_strings()
+            pairs = [(a, b) for i, a in enumerate(nc.vars) for b in nc.vars[i:]]
+            assert decision.implied(pairs) == _implied_by_signatures(nc, pairs)
+            for a, b in rng.sample(pairs, min(len(pairs), 12)):
+                want = _separating_by_component(got.witness, parts, a, b)
+                assert decision.separating(a, b) == want
+    assert failing >= 10
 
 
 @settings(max_examples=300, deadline=None)
@@ -817,18 +923,21 @@ def test_split_queries_on_the_star_are_linear(k, monkeypatch):
         return splits(engine, u, w)
 
     monkeypatch.setattr(_Engine, "splits", counting)
-    part = _search(_Engine(_star(k), Budget(None)))
-    assert len(part.classes) == k and len(calls) < k
-    assert not part.verified
-    # All k(k - 1)/2 pairs of representatives collide; the place chosen
-    # for each of x0's collisions already tells the later pairs apart.
+    classes, _, _ = _search(_Engine(_star(k), Budget(None)))
+    grouping = len(calls)
+    assert len(classes) == k and grouping < k
+    # The decision groups the same way, then finds the junk: all k(k - 1)/2
+    # pairs of representatives collide, and the place chosen for each of
+    # x0's collisions already tells the later pairs apart.
     calls.clear()
-    assert len(part.collisions()) == k - 1
-    assert len(calls) == k - 1
-    monkeypatch.undo()
-
     nc = _star(k)
     decision = _decide(nc, None)
+    (part,) = decision.parts
+    assert not part.verified
+    assert len(part.collisions()) == k - 1
+    assert len(calls) == grouping + k - 1
+    monkeypatch.undo()
+
     compared, named = [], []
     group = solver._group
 

@@ -82,10 +82,7 @@ from .sexpr import (
     print_term,
 )
 from .oracle import (
-    BoundedSat,
-    Countermodel,
-    ImpliedWithinBound,
-    NoModelWithinBound,
+    BoundedResult,
     bounded_models,
     eval_atom,
     eval_formula,
@@ -136,8 +133,7 @@ from .lra import LraState, lra_check, lra_implied, lra_sample
 from .lists import ListState, list_check, list_implied
 from .combine import (
     THEORIES,
-    CombinedSat,
-    CombinedUnsat,
+    CombinedResult,
     ListTheory,
     LraTheory,
     MlsTheory,

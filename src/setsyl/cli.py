@@ -30,6 +30,7 @@ from .convexity import (
 from .errors import (
     DEFAULT_BUDGET,
     BoundTooLargeError,
+    Budget,
     InvariantViolation,
     ResourceLimitError,
     SetsylError,
@@ -129,15 +130,13 @@ def cmd_solve(args) -> int:
     plugins = None
     if args.plugins is not None:
         plugins = tuple(p.strip() for p in args.plugins.split(",") if p.strip())
-        for p in plugins:
-            if p not in THEORIES:
-                raise UsageError(f"unknown plugin {p!r} (choose from {', '.join(THEORIES)})")
         if not plugins:
             raise UsageError("empty plugin list")
     combined = plugins is not None or bool(tags & {LRA, LIST})
+    meter = Budget(budget)  # one meter for every disjunct and round
 
     if combined:
-        res = solve_combined(asserts, plugins or THEORIES, budget=budget)
+        res = solve_combined(asserts, plugins or THEORIES, budget=meter)
         doc = {
             "command": "solve",
             "engine": "combined",
@@ -145,7 +144,7 @@ def cmd_solve(args) -> int:
             "propagated": [list(p) for p in res.propagated],
             "rounds": res.rounds,
             "fragments": _fragment_json(res.fragments) if res.is_sat else None,
-            "culprit": None if res.is_sat else res.culprit,
+            "culprit": res.culprit,
         }
         lines = [doc["verdict"]]
         for a, b in res.propagated:
@@ -163,7 +162,7 @@ def cmd_solve(args) -> int:
     sat_branch = None
     for branch in dnf_split(f):
         nc = normalize(branch)
-        res = solve(nc, budget=budget)
+        res = solve(nc, budget=meter)
         if res.is_sat:
             sat_res, sat_branch = res, branch
             break

@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Iterable, List, Mapping, Optional, Protocol, Sequence, Tuple, Union
 
-from .errors import DEFAULT_BUDGET, NonConvexPluginError, UnsupportedAtomError
+from .errors import DEFAULT_BUDGET, Budget, NonConvexPluginError, UnsupportedAtomError
 from .formulas import (
     ArithOp,
     AtomPred,
@@ -227,8 +227,8 @@ class MlsTheory:
     name = "mls"
     is_convex = True
 
-    def __init__(self, budget: Optional[int] = DEFAULT_BUDGET):
-        self._budget = budget
+    def __init__(self, budget: Union[int, Budget, None] = DEFAULT_BUDGET):
+        self._budget = Budget.of(budget)  # one meter for every round
         self._nc = None
         self._decision = None
         self._vars: Tuple[str, ...] = ()
@@ -241,7 +241,7 @@ class MlsTheory:
         self._vars = tuple(acc)
         self._nc = normalize(list(literals))
         # one decision per round; implied_equalities asks its engines split
-        # queries, on its budget, and lists no places
+        # queries, on the same meter, and lists no places
         self._decision = _decide(self._nc, self._budget)
         return self._decision.result.is_sat
 
@@ -300,31 +300,28 @@ class ListTheory:
         return self._state.representatives(self._vars)
 
 
+def _plugins(names: Sequence[str], budget: Union[int, Budget, None]) -> List[TheoryPlugin]:
+    """A fresh plugin for each name of THEORIES, in that order; the set
+    plugin spends budget."""
+    make = {"mls": lambda: MlsTheory(budget), "lra": LraTheory, "list": ListTheory}
+    return [make[name]() for name in names]
+
+
 @dataclass(frozen=True)
-class CombinedSat:
-    fragments: Mapping[str, Mapping[str, object]]
+class CombinedResult:
+    """The verdict of the combination: culprit names the plugin that
+    refuted the last round, and is None exactly when the conjunction is
+    satisfiable, in which case fragments holds each plugin's model."""
+
+    fragments: Optional[Mapping[str, Mapping[str, object]]]
+    culprit: Optional[str]
     propagated: Tuple[Tuple[str, str], ...]
     rounds: int
     problem: TheoryProblem
 
     @property
     def is_sat(self) -> bool:
-        return True
-
-
-@dataclass(frozen=True)
-class CombinedUnsat:
-    culprit: str
-    propagated: Tuple[Tuple[str, str], ...]
-    rounds: int
-    problem: TheoryProblem
-
-    @property
-    def is_sat(self) -> bool:
-        return False
-
-
-CombinedResult = Union[CombinedSat, CombinedUnsat]
+        return self.culprit is None
 
 
 def propagate(
@@ -349,7 +346,7 @@ def propagate(
     the same implied pairs.  Verdicts and culprits are therefore the same.
     """
     if plugins is None:
-        plugins = (MlsTheory(), LraTheory(), ListTheory())
+        plugins = _plugins(THEORIES, DEFAULT_BUDGET)
     for p in plugins:
         if not p.is_convex:
             raise NonConvexPluginError(
@@ -375,7 +372,7 @@ def propagate(
         eq_lits = [Eq(Var(a), Var(b)) for a, b in known]
         for p in plugins:
             if not p.assert_literals(list(problem.partition(p.name)) + eq_lits):
-                return CombinedUnsat(p.name, tuple(known), rounds, problem)
+                return CombinedResult(None, p.name, tuple(known), rounds, problem)
         merged = False
         for p in plugins:
             for a, b in p.implied_equalities(problem.shared):
@@ -386,42 +383,31 @@ def propagate(
                     merged = True
         if not merged:
             frags = {p.name: p.model_fragment() for p in plugins}
-            return CombinedSat(frags, tuple(known), rounds, problem)
+            return CombinedResult(frags, None, tuple(known), rounds, problem)
         rounds += 1
-
-
-PLUGIN_FACTORIES = {
-    "mls": MlsTheory,
-    "lra": LraTheory,
-    "list": ListTheory,
-}
 
 
 def solve_combined(
     asserts: Sequence[Formula],
     plugin_names: Sequence[str] = THEORIES,
-    budget: Optional[int] = DEFAULT_BUDGET,
+    budget: Union[int, Budget, None] = DEFAULT_BUDGET,
 ) -> CombinedResult:
     """Decide a mixed-theory assertion set; disjunctions split upstream.
 
     Each disjunct is purified and propagated with a fresh plugin set; the
     first satisfiable branch wins.  Plugin polling follows `plugin_names`
-    order.
+    order.  One meter of budget is spent across every disjunct and round.
     """
     for name in plugin_names:
-        if name not in PLUGIN_FACTORIES:
-            raise UnsupportedAtomError(f"unknown plugin {name!r}")
-
-    def make() -> List[TheoryPlugin]:
-        out: List[TheoryPlugin] = []
-        for name in plugin_names:
-            out.append(MlsTheory(budget) if name == "mls" else PLUGIN_FACTORIES[name]())
-        return out
-
+        if name not in THEORIES:
+            raise UnsupportedAtomError(
+                f"unknown plugin {name!r} (choose from {', '.join(THEORIES)})"
+            )
+    meter = Budget.of(budget)
     branches = split_disjuncts(and_(*asserts)) if asserts else [[]]
     last: Optional[CombinedResult] = None
     for branch in branches:
-        res = propagate(purify(branch), make())
+        res = propagate(purify(branch), _plugins(plugin_names, meter))
         if res.is_sat:
             return res
         last = res

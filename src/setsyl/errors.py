@@ -2,16 +2,18 @@
 
 Every exponential search (the solver's place engine, whose queries also
 meter the placement, and its model builds; the oracle's enumeration of
-bounded assignments) spends steps from a Budget, DEFAULT_BUDGET of them
-unless the caller passes another limit or None for no limit.  Running out
-raises ResourceLimitError, the only exhaustion error, which names the layer
-that was running and the count of steps reached.  It lives here, beside the errors, so that the oracle stays
-independent of the solver.
+bounded assignments) spends steps from a Budget.  A `budget` parameter
+takes a limit (DEFAULT_BUDGET unless the caller passes another), None for
+no limit, or a Budget to share: `setsyl solve` spends one meter across
+every disjunct and every combination round.  Running out raises
+ResourceLimitError, the only exhaustion error, which names the layer that
+was running and the count of steps reached.  It lives here, beside the
+errors, so that the oracle stays independent of the solver.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -77,6 +79,12 @@ class Budget:
 
     def __init__(self, limit: Optional[int]):
         self.limit = self.left = limit
+
+    @classmethod
+    def of(cls, budget: Union[int, Budget, None]) -> Budget:
+        """budget itself when it is a meter already, so that callers can
+        share one; otherwise a fresh meter with that limit."""
+        return budget if isinstance(budget, Budget) else cls(budget)
 
     def spend(self, layer: str, steps: int = 1) -> None:
         if self.left is None:

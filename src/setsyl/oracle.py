@@ -18,7 +18,7 @@ out; there is no refusal by the size of the assignment space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from .errors import (
     DEFAULT_BUDGET,
@@ -129,39 +129,24 @@ def eval_formula(f: Formula, m: Mapping[str, HFSet]) -> bool:
 
 
 @dataclass
-class BoundedSat:
-    model: SetAssignment
+class BoundedResult:
+    """The first model within the rank bound, or None when there is none.
 
-    @property
-    def is_sat(self) -> bool:
-        return True
+    Bounded implication is bounded satisfiability of f and not g, so one
+    class answers both: a model is a countermodel, and none means implied.
+    Either verdict says nothing about models of rank above rank_bound.
+    """
 
-
-@dataclass
-class NoModelWithinBound:
+    model: Optional[SetAssignment]
     rank_bound: int
 
     @property
     def is_sat(self) -> bool:
-        return False
-
-
-@dataclass
-class ImpliedWithinBound:
-    rank_bound: int
+        return self.model is not None
 
     @property
     def implied(self) -> bool:
-        return True
-
-
-@dataclass
-class Countermodel:
-    model: SetAssignment
-
-    @property
-    def implied(self) -> bool:
-        return False
+        return self.model is None
 
 
 def _split(f: Formula, out: List[Formula]) -> None:
@@ -247,7 +232,7 @@ def _schedule(f: Formula) -> Tuple[List[str], List[List[Formula]], List[Formula]
 
 
 def bounded_models(
-    f: Formula, rank_bound: int, budget: Optional[int] = DEFAULT_BUDGET
+    f: Formula, rank_bound: int, budget: Union[int, Budget, None] = DEFAULT_BUDGET
 ) -> Iterator[SetAssignment]:
     """Yield every assignment of free_vars(f) into the rank-bounded universe
     that satisfies f, in a fixed order (variables scheduled greedily, values
@@ -259,7 +244,7 @@ def bounded_models(
     """
     universe = enumerate_universe(rank_bound)
     width = len(universe)
-    meter = Budget(budget)
+    meter = Budget.of(budget)
     order, checks, ground = _schedule(f)
     partial: Dict[str, HFSet] = {}
     for g in ground:
@@ -288,30 +273,25 @@ def bounded_models(
     yield from descend(0)
 
 
-def oracle_sat(f: Formula, rank_bound: int, budget: Optional[int] = DEFAULT_BUDGET):
-    """Exhaustive bounded satisfiability: BoundedSat with the first model in
-    search order, or NoModelWithinBound.  A returned model is re-verified
-    with eval_formula before it leaves this function.  budget is as for
-    bounded_models."""
+def oracle_sat(
+    f: Formula, rank_bound: int, budget: Union[int, Budget, None] = DEFAULT_BUDGET
+) -> BoundedResult:
+    """Exhaustive bounded satisfiability: the first model in search order,
+    or None.  A returned model is re-verified with eval_formula before it
+    leaves this function.  budget is as for bounded_models."""
     for m in bounded_models(f, rank_bound, budget):
         if not eval_formula(f, m):
             raise InvariantViolation("bounded search produced a non-model")
-        return BoundedSat(m)
-    return NoModelWithinBound(rank_bound)
+        return BoundedResult(m, rank_bound)
+    return BoundedResult(None, rank_bound)
 
 
 def oracle_implies(
-    f: Formula, g: Formula, rank_bound: int, budget: Optional[int] = DEFAULT_BUDGET
-):
+    f: Formula, g: Formula, rank_bound: int, budget: Union[int, Budget, None] = DEFAULT_BUDGET
+) -> BoundedResult:
     """Bounded implication: does every model of f within the bound satisfy g?
-
-    The verdict is explicitly bounded; ImpliedWithinBound(k) says nothing
-    about models of rank above k.
-    """
-    res = oracle_sat(and_(f, Not(g)), rank_bound, budget)
-    if res.is_sat:
-        return Countermodel(res.model)
-    return ImpliedWithinBound(rank_bound)
+    A countermodel is a model of f and not g."""
+    return oracle_sat(and_(f, Not(g)), rank_bound, budget)
 
 
 def nonconvexity_schema(phi: Formula, xbar: str, k: int):

@@ -162,7 +162,10 @@ def _parse_term(r: _Reader) -> Term:
     if tok.text == "empty":
         return EMPTY
     if _NUMBER.match(tok.text):
-        return RationalConst(Fraction(tok.text))
+        try:
+            return RationalConst(Fraction(tok.text))
+        except ZeroDivisionError:
+            raise _fail(tok, f"zero denominator in {tok.text!r}") from None
     if _IDENT.match(tok.text):
         if tok.text in _RESERVED:
             raise _fail(tok, f"reserved word {tok.text!r} cannot be a variable")

@@ -513,7 +513,7 @@ def _acyclic(succ: Dict[str, List[str]]) -> bool:
 
 
 def enumerate_places(
-    nc: NormalizedConjunction, budget: Optional[int] = None
+    nc: NormalizedConjunction, budget: Union[int, Budget, None] = None
 ) -> List[Place]:
     """nc's places, each component's in turn.
 
@@ -524,7 +524,7 @@ def enumerate_places(
     variables in vars order, False tried before True.  The all-False
     valuation is always a place, so the list is never empty.
     """
-    meter = Budget(budget)
+    meter = Budget.of(budget)
     return [p for part in _components(nc) for p in _Engine(part, meter).places()]
 
 
@@ -794,9 +794,9 @@ class _Decision:
         return model
 
 
-def _decide(nc: NormalizedConjunction, budget: Optional[int]) -> _Decision:
+def _decide(nc: NormalizedConjunction, budget: Union[int, Budget, None]) -> _Decision:
     """solve's verdict on nc, kept with the parts of nc's components."""
-    meter = Budget(budget)
+    meter = Budget.of(budget)
     edges: Dict[str, List[str]] = {}
     for x, y in nc.memberships:
         edges.setdefault(x, []).append(y)
@@ -830,7 +830,7 @@ def _decide(nc: NormalizedConjunction, budget: Optional[int]) -> _Decision:
 
 
 def solve(
-    nc: NormalizedConjunction, budget: Optional[int] = DEFAULT_BUDGET
+    nc: NormalizedConjunction, budget: Union[int, Budget, None] = DEFAULT_BUDGET
 ) -> SolveResult:
     """Decide a normalized conjunction; Sat carries a verified model.
 
@@ -847,7 +847,7 @@ def solve(
 def implied_equalities(
     nc: NormalizedConjunction,
     pairs: Iterable[Tuple[str, str]],
-    budget: Optional[int] = DEFAULT_BUDGET,
+    budget: Union[int, Budget, None] = DEFAULT_BUDGET,
 ) -> Tuple[Tuple[str, str], ...]:
     """The pairs (x, y) whose equality holds in every model of nc.
 

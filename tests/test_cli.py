@@ -127,7 +127,7 @@ def test_solve_plugin_order_flag(tmp_path, capsys):
     assert out.splitlines()[0] == "sat"
     code, _, err = run(capsys, "solve", f, "--plugins", "mls,bogus")
     assert code == 2
-    assert "bogus" in err
+    assert err.splitlines() == ["error: unknown plugin 'bogus' (choose from mls, lra, list)"]
 
 
 def test_solve_extension_operators_rejected(tmp_path, capsys):
@@ -144,6 +144,37 @@ def test_solve_budget_exhaustion_exit_code(tmp_path, capsys):
     assert err.splitlines() == [
         "resource limit: budget of 2 steps exhausted while enumerating places (3 steps reached)"
     ]
+
+
+# 16 unsat disjuncts of 12 steps each: one meter of 16 runs out in the second.
+_UNSAT_PRODUCT = "(assert (= x empty))\n" + "".join(
+    f"(assert (or (in y{i} x) (in z{i} x)))\n" for i in range(1, 5)
+)
+# Two combination rounds of one set-solver step each.
+_TWO_ROUNDS = (
+    "(assert (subset x0 x1))\n(assert (subset x1 x2))\n(assert (subset x2 x3))\n"
+    "(assert (subset x3 x0))\n(assert (<= x0 x1))\n(assert (not (= (car x0) (car x3))))\n"
+)
+
+
+@pytest.mark.parametrize("text, budget", [(_UNSAT_PRODUCT, "16"), (_TWO_ROUNDS, "1")],
+                         ids=["disjuncts", "rounds"])
+def test_solve_budget_is_one_meter_for_the_command(tmp_path, capsys, text, budget):
+    f = script(tmp_path, text)
+    code, _, err = run(capsys, "solve", f, "--budget", budget)
+    assert code == 3
+    assert len(err.splitlines()) == 1 and err.startswith("resource limit: ")
+    code, out, _ = run(capsys, "solve", f)
+    assert code == 0
+    assert out.splitlines()[0] == "unsat"
+
+
+def test_solve_zero_denominator_is_a_parse_error(tmp_path, capsys):
+    f = script(tmp_path, "(assert (<= x 1/0))\n")
+    code, out, err = run(capsys, "solve", f)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: 1:15: zero denominator in '1/0'"]
 
 
 def test_solve_disjunction_splits(tmp_path, capsys):

@@ -71,6 +71,14 @@ def test_parse_errors_carry_position():
         parse_script("(frobnicate x)")
 
 
+def test_zero_denominator_is_a_parse_error_at_its_token():
+    with pytest.raises(ParseError) as ei:
+        parse_script("(assert (<= x 1/0))")
+    assert (ei.value.line, ei.value.col) == (1, 15)
+    assert "zero denominator" in str(ei.value)
+    assert parse_formula("(<= x 0/7)") == Leq(Var("x"), RationalConst(Fraction(0)))
+
+
 def test_nesting_limit_applies_to_terms_and_formulas():
     def term(depth):
         return "(union " * depth + "x" + " y)" * depth

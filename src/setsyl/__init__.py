@@ -129,13 +129,11 @@ from .convexity import (
     random_normalized_conjunction,
     write_reproducers,
 )
-from .lra import LraState, lra_check, lra_implied, lra_sample
-from .lists import ListState, list_check, list_implied
+from .lra import LraTheory
+from .lists import ListTheory
 from .combine import (
     THEORIES,
     CombinedResult,
-    ListTheory,
-    LraTheory,
     MlsTheory,
     TheoryPlugin,
     TheoryProblem,

@@ -26,7 +26,6 @@ not the verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Iterable, List, Mapping, Optional, Protocol, Sequence, Tuple, Union
 
@@ -53,8 +52,8 @@ from .formulas import (
     literal_atom,
     max_fresh_index,
 )
-from .lists import ListState, list_check, list_implied
-from .lra import LraState, lra_check, lra_implied, lra_sample
+from .lists import ListTheory
+from .lra import LraTheory
 from .normalize import normalize, split_disjuncts
 from .solver import _decide
 
@@ -165,11 +164,7 @@ def purify(literals: Sequence[Formula]) -> TheoryProblem:
     partition (set, arithmetic, list order) mentioning either; as a last
     resort to the set partition.
     """
-    taken: Dict[str, None] = {}
-    for lit in literals:
-        for v in free_vars(lit):
-            taken.setdefault(v)
-    pur = _Purifier(taken)
+    pur = _Purifier(v for lit in literals for v in free_vars(lit))
     deferred: List[Tuple[Formula, Tuple[str, str]]] = []
     for lit in literals:
         d = pur.route(lit)
@@ -193,12 +188,8 @@ def purify(literals: Sequence[Formula]) -> TheoryProblem:
     for t in THEORIES:
         for v in occurs[t]:
             counts[v] = counts.get(v, 0) + 1
-    shared: List[str] = []
-    for t in THEORIES:
-        for lit in pur.parts[t]:
-            for v in free_vars(lit):
-                if counts.get(v, 0) >= 2 and v not in shared:
-                    shared.append(v)
+    # occurs[t] holds parts[t]'s variables in first-occurrence order
+    shared = dict.fromkeys(v for t in THEORIES for v in occurs[t] if counts[v] >= 2)
 
     return TheoryProblem(
         mls=tuple(pur.parts["mls"]),
@@ -222,7 +213,7 @@ class TheoryPlugin(Protocol):
 
 
 class MlsTheory:
-    """Set-solver adapter: satisfiability and implied equalities via search."""
+    """The set plugin: satisfiability and implied equalities via search."""
 
     name = "mls"
     is_convex = True
@@ -234,11 +225,7 @@ class MlsTheory:
         self._vars: Tuple[str, ...] = ()
 
     def assert_literals(self, literals: Sequence[Formula]) -> bool:
-        acc: Dict[str, None] = {}
-        for lit in literals:
-            for v in free_vars(lit):
-                acc.setdefault(v)
-        self._vars = tuple(acc)
+        self._vars = tuple(dict.fromkeys(v for lit in literals for v in free_vars(lit)))
         self._nc = normalize(list(literals))
         # one decision per round; implied_equalities asks its engines split
         # queries, on the same meter, and lists no places
@@ -252,52 +239,6 @@ class MlsTheory:
     def model_fragment(self) -> Mapping[str, str]:
         model = self._decision.result.model
         return model.restrict(v for v in self._vars if v in model).to_strings()
-
-
-class LraTheory:
-    """Rational-arithmetic plugin over exact fractions."""
-
-    name = "lra"
-    is_convex = True
-
-    def __init__(self):
-        self._state = LraState((), ())
-
-    def assert_literals(self, literals: Sequence[Formula]) -> bool:
-        self._state = LraState.from_literals(literals)
-        return lra_check(self._state)
-
-    def implied_equalities(self, shared: Sequence[str]) -> Tuple[Tuple[str, str], ...]:
-        return lra_implied(self._state, shared)
-
-    def model_fragment(self) -> Mapping[str, Fraction]:
-        return lra_sample(self._state)
-
-
-class ListTheory:
-    """Cons-cell plugin: congruence closure with projections."""
-
-    name = "list"
-    is_convex = True
-
-    def __init__(self):
-        self._state = ListState()
-        self._vars: Tuple[str, ...] = ()
-
-    def assert_literals(self, literals: Sequence[Formula]) -> bool:
-        acc: Dict[str, None] = {}
-        for lit in literals:
-            for v in free_vars(lit):
-                acc.setdefault(v)
-        self._vars = tuple(acc)
-        self._state = ListState(literals)
-        return list_check(self._state)
-
-    def implied_equalities(self, shared: Sequence[str]) -> Tuple[Tuple[str, str], ...]:
-        return list_implied(self._state, shared)
-
-    def model_fragment(self) -> Mapping[str, str]:
-        return self._state.representatives(self._vars)
 
 
 def _plugins(names: Sequence[str], budget: Union[int, Budget, None]) -> List[TheoryPlugin]:

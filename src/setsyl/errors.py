@@ -25,10 +25,9 @@ class SetsylError(Exception):
 class ParseError(SetsylError):
     """Malformed surface syntax. Carries the source position."""
 
-    def __init__(self, message: str, line: int, col: int, expected: frozenset = frozenset()):
+    def __init__(self, message: str, line: int, col: int):
         self.line = line
         self.col = col
-        self.expected = frozenset(expected)
         super().__init__(f"{line}:{col}: {message}")
 
 
@@ -37,7 +36,7 @@ class ArityError(ParseError):
 
 
 class MixedAtomError(SetsylError):
-    """An atom mixes operators from two different theory signatures."""
+    """An atom mixes operators from two or more theory signatures."""
 
 
 class UnsupportedAtomError(SetsylError):

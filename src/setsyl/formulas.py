@@ -287,8 +287,8 @@ def classify_atom(a: Atom) -> str:
 
     Returns one of MLS, MLS_EXT, LRA, LIST or SHARED.  SHARED is reserved
     for equality between two bare variables, the only atom every theory
-    accepts.  Atoms drawing operators from two different signatures raise
-    MixedAtomError.
+    accepts.  Atoms drawing operators from two or more signatures raise
+    MixedAtomError, which names every family.
     """
     sigs: set = set()
     if isinstance(a, In) or isinstance(a, Subset):
@@ -313,8 +313,8 @@ def classify_atom(a: Atom) -> str:
     for s in sigs:
         families.add("set" if s in (MLS, MLS_EXT) else s)
     if len(families) > 1:
-        first, second = sorted(families)
-        raise MixedAtomError(f"atom mixes {first} and {second} operators: {a!r}")
+        *rest, last = sorted(families)
+        raise MixedAtomError(f"atom mixes {', '.join(rest)} and {last} operators: {a!r}")
     if not sigs:
         return SHARED
     if MLS_EXT in sigs:

@@ -15,6 +15,11 @@ A class may not be marked atom and contain a cons node.  There is no
 acyclicity rule: x = cons(a, x) is satisfiable (the models are rational
 trees).  The theory is stably infinite, and conjunctions of literals are
 convex, so propagating single equalities is complete for combination.
+
+`ListTheory` is the combination's list plugin.  Each `assert_literals` call
+rebuilds the graph from its literals alone and closes it;
+`implied_equalities` reads the classes of the shared variables and
+`model_fragment` names each variable's class by its least member.
 """
 
 from __future__ import annotations
@@ -44,27 +49,35 @@ def _term_key(t: Term) -> _Key:
     raise UnsupportedAtomError(f"not a list term: {t!r}")
 
 
-class ListState:
-    """Term graph plus union-find, congruence-closed after construction.
+class ListTheory:
+    """The cons-cell plugin: term graph plus union-find, congruence-closed
+    by each `assert_literals`, which replaces every earlier node, atom and
+    disequality.
 
     Nodes are interned subterms; `find` maps a node to its class
-    representative (the earliest-created member).  `atom_classes` holds
-    representatives asserted to be atoms.  `unsat_reason` is None exactly
-    when the asserted literals are jointly satisfiable.
+    representative (the earliest-created member).  `atom_ids` holds the
+    nodes asserted to be atoms.  `unsat_reason` is None exactly when the
+    asserted literals are jointly satisfiable.
     """
 
-    def __init__(self, literals: Iterable[Formula] = ()) -> None:
+    name = "list"
+    is_convex = True
+
+    def __init__(self) -> None:
+        self.assert_literals(())
+
+    def assert_literals(self, literals: Iterable[Formula]) -> bool:
+        """Replace the graph by the literals'; True when they have a common model."""
         self.key_to_id: Dict[_Key, int] = {}
         self.node_op: List[Optional[str]] = []
         self.node_args: List[Tuple[int, ...]] = []
-        self.node_name: List[str] = []
         self.parent: List[int] = []
         self.atom_ids: List[int] = []
         self.diseqs: List[Tuple[int, int]] = []
-        self.unsat_reason: Optional[str] = None
         for lit in literals:
             self._add(lit)
         self._close()
+        return self.unsat_reason is None
 
     # union-find ---------------------------------------------------------
 
@@ -90,34 +103,20 @@ class ListState:
         if key in self.key_to_id:
             return self.key_to_id[key]
         if isinstance(t, ListOp):
-            args = tuple(self._intern(a) for a in t.args)
-            op: Optional[str] = t.op
-            name = ""
+            idx = self._node(t.op, tuple(self._intern(a) for a in t.args))
         else:
-            args = ()
-            op = None
-            name = t.name
-        idx = len(self.parent)
+            idx = self._node(None, ())
         self.key_to_id[key] = idx
-        self.node_op.append(op)
-        self.node_args.append(args)
-        self.node_name.append(name)
-        self.parent.append(idx)
         return idx
 
-    def _fresh_app(self, op: str, args: Tuple[int, ...]) -> int:
+    def _node(self, op: Optional[str], args: Tuple[int, ...]) -> int:
         idx = len(self.parent)
         self.node_op.append(op)
         self.node_args.append(args)
-        self.node_name.append("")
         self.parent.append(idx)
         return idx
 
     # assertions ---------------------------------------------------------
-
-    def assert_literal(self, lit: Formula) -> None:
-        self._add(lit)
-        self._close()
 
     def _add(self, lit: Formula) -> None:
         if not is_literal(lit):
@@ -135,9 +134,9 @@ class ListState:
                 self.atom_ids.append(t)
             else:
                 # not atom(t): t must be a cell, so give it projections
-                car = self._fresh_app("car", (t,))
-                cdr = self._fresh_app("cdr", (t,))
-                cell = self._fresh_app("cons", (car, cdr))
+                car = self._node("car", (t,))
+                cdr = self._node("cdr", (t,))
+                cell = self._node("cons", (car, cdr))
                 self._union(cell, t)
         else:
             raise UnsupportedAtomError(f"not a list atom: {atom!r}")
@@ -207,42 +206,21 @@ class ListState:
             return False
         return self.find(a) == self.find(b)
 
-    def representatives(self, names: Sequence[str]) -> Dict[str, str]:
-        """Map each present variable to a canonical member of its class.
+    def implied_equalities(self, shared: Sequence[str]) -> Tuple[Tuple[str, str], ...]:
+        """Pairs of shared variables in one congruence class, one orientation each."""
+        out: List[Tuple[str, str]] = []
+        for i in range(len(shared)):
+            for j in range(i + 1, len(shared)):
+                if self.same_class(shared[i], shared[j]):
+                    out.append((shared[i], shared[j]))
+        return tuple(out)
 
-        The representative is the alphabetically first variable in the
-        class if any exists, else a printed form of the earliest node.
-        """
-        out: Dict[str, str] = {}
-        byclass: Dict[int, List[str]] = {}
-        for i in range(len(self.parent)):
-            if self.node_op[i] is None:
-                byclass.setdefault(self.find(i), []).append(self.node_name[i])
-        for name in names:
-            i = self._var_id(name)
-            if i is None:
-                continue
-            vs = byclass.get(self.find(i))
-            out[name] = min(vs) if vs else self._print_node(self.find(i))
-        return out
-
-    def _print_node(self, i: int) -> str:
-        if self.node_op[i] is None:
-            return self.node_name[i]
-        args = " ".join(self._print_node(a) for a in self.node_args[i])
-        return f"({self.node_op[i]} {args})"
-
-
-def list_check(state: ListState) -> bool:
-    """True when the asserted literals have a common model."""
-    return state.unsat_reason is None
-
-
-def list_implied(state: ListState, shared: Sequence[str]) -> Tuple[Tuple[str, str], ...]:
-    """Pairs of shared variables in one congruence class, one orientation each."""
-    out: List[Tuple[str, str]] = []
-    for i in range(len(shared)):
-        for j in range(i + 1, len(shared)):
-            if state.same_class(shared[i], shared[j]):
-                out.append((shared[i], shared[j]))
-    return tuple(out)
+    def model_fragment(self) -> Dict[str, str]:
+        """Each variable, in the order the graph interned it, mapped to the
+        least variable of its class; its own node is always a member."""
+        cls = {k[1]: self.find(i) for k, i in self.key_to_id.items() if k[0] == "var"}
+        least: Dict[int, str] = {}
+        for name, r in cls.items():
+            if r not in least or name < least[r]:
+                least[r] = name
+        return {name: least[r] for name, r in cls.items()}

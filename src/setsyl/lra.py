@@ -7,11 +7,16 @@ convex, a conjunction with disequalities is satisfiable exactly when the
 rows are satisfiable and no disequality's underlying equality is entailed.
 Everything is computed in fractions.Fraction; no floating point enters.
 
+`LraTheory` is the combination's arithmetic plugin.  Each
+`assert_literals` call turns its literals into rows and disequalities,
+replacing the previous ones, and decides them; `implied_equalities` and
+`model_fragment` answer over the same rows.
+
 Three reductions keep the work small on the systems the combination
 produces, where every propagated pair and purifier definition is an
 equality:
 
-- equality rows are solved once per state by Gaussian substitution, so
+- equality rows are solved once per assertion by Gaussian substitution, so
   elimination only ever sees inequalities over the unsolved variables;
 - each elimination stage keeps one row per direction, the tightest, after
   scaling rows so their first coefficient has magnitude 1;
@@ -87,50 +92,6 @@ def _diff(a: Term, b: Term) -> Tuple[Dict[str, Fraction], Fraction]:
     for v, c in cb.items():
         ca[v] = ca.get(v, _ZERO) - c
     return ca, ka - kb
-
-
-@dataclass(frozen=True)
-class LraState:
-    """An affine constraint system: rows plus excluded hyperplanes."""
-
-    rows: Tuple[Row, ...]
-    disequalities: Tuple[Row, ...]
-
-    @classmethod
-    def from_literals(cls, literals: Iterable[Formula]) -> "LraState":
-        rows: List[Row] = []
-        diseqs: List[Row] = []
-        for lit in literals:
-            if not is_literal(lit):
-                raise UnsupportedAtomError(f"arithmetic expects literals, got {lit!r}")
-            atom, sign = literal_atom(lit)
-            if isinstance(atom, Leq):
-                if sign:
-                    c, k = _diff(atom.left, atom.right)
-                    rows.append(_freeze(c, k, LE))
-                else:
-                    c, k = _diff(atom.right, atom.left)
-                    rows.append(_freeze(c, k, LT))
-            elif isinstance(atom, Eq):
-                c, k = _diff(atom.left, atom.right)
-                if sign:
-                    rows.append(_freeze(c, k, EQ))
-                else:
-                    diseqs.append(_freeze(c, k, EQ))
-            else:
-                raise UnsupportedAtomError(f"not an arithmetic atom: {atom!r}")
-        return cls(tuple(rows), tuple(diseqs))
-
-    def vars(self) -> Tuple[str, ...]:
-        acc: Dict[str, None] = {}
-        for row in self.rows + self.disequalities:
-            for v, _ in row.coeffs:
-                acc.setdefault(v)
-        return tuple(acc)
-
-    @cached_property
-    def _system(self) -> "_System":
-        return _System(self)
 
 
 # An inequality "sum c*x + k rel 0" with rel LE or LT.
@@ -280,7 +241,7 @@ def _substitute(
 
 
 class _System:
-    """A state's rows after Gaussian substitution and elimination, built once.
+    """A theory's rows after Gaussian substitution and elimination, built once.
 
     Every equality row, with the definitions before it substituted, is
     solved for its least-named variable; the inequality rows, and any
@@ -293,7 +254,7 @@ class _System:
     equality that becomes ground and nonzero makes the rows infeasible.
     """
 
-    def __init__(self, state: "LraState"):
+    def __init__(self, state: "LraTheory"):
         self.defs: List[Definition] = []
         feasible = True
         for r in state.rows:
@@ -343,93 +304,139 @@ class _System:
         return self.extend(_back_substitute(self.stages, self.order))
 
 
-def lra_check(state: LraState) -> bool:
-    """True when the rows and disequalities have a common rational solution."""
-    system = state._system
-    if system.stages is None:
-        return False
-    return not any(system.entails_zero(d) for d in state.disequalities)
-
-
-def lra_implied(state: LraState, shared: Sequence[str]) -> Tuple[Tuple[str, str], ...]:
-    """Pairs of shared variables forced equal by the rows.
-
-    A pair is implied exactly when both strict separations are infeasible.
-    Only pairs equal at one sample point of the rows are probed: the point
-    satisfies the rows, so a pair it separates is not implied.  When the
-    rows are infeasible every pair is implied.  Only variables that
-    actually occur are considered; the result carries one orientation per
-    pair and no reflexive entries.
-    """
-    names = set(state.vars())
-    present = [v for v in shared if v in names]
-    system = state._system
-    point = system.point if system.stages is not None else None
-    out: List[Tuple[str, str]] = []
-    for i in range(len(present)):
-        for j in range(i + 1, len(present)):
-            x, y = present[i], present[j]
-            if point is not None and point[x] != point[y]:
-                continue
-            target = _freeze({x: Fraction(1), y: Fraction(-1)}, _ZERO, EQ)
-            if system.entails_zero(target):
-                out.append((x, y))
-    return tuple(out)
-
-
 def _value(c: Dict[str, Fraction], k: Fraction, val: Dict[str, Fraction]) -> Fraction:
     return k + sum(a * val[v] for v, a in c.items())
 
 
-def lra_sample(state: LraState) -> Dict[str, Fraction]:
-    """One exact solution of the system, rows first, then hyperplane repair.
+class LraTheory:
+    """The arithmetic plugin: an affine constraint system, rows plus
+    excluded hyperplanes, replaced by each `assert_literals`.
 
-    The rows are sampled over the unsolved variables, and the solved ones
-    are computed from their definitions afterwards, in reverse order.  A
-    rows-only solution may land on an excluded hyperplane.  Each hit is
-    repaired by walking toward a feasible point strictly off that
-    hyperplane: every already-cleared hyperplane excludes at most one point
-    of the segment, so a short deterministic scan of step sizes finds a
-    point clearing all of them at once.  Convexity keeps every row
-    satisfied along the way.  The result is verified against the original
-    rows and disequalities before returning.
+    A fresh theory holds the empty system; its `_System` is built only if
+    a query comes before the first assertion.
     """
-    system = state._system
-    if system.stages is None:
-        raise InvariantViolation("sampling an unsatisfiable arithmetic system")
-    order = system.order
-    val = _back_substitute(system.stages, order)
 
-    cleared: List[Tuple[Dict[str, Fraction], Fraction]] = []
-    for d in state.disequalities:
-        c, k = system.rewrite(d)
-        if _value(c, k, val) != 0:
-            cleared.append((c, k))
-            continue
-        target: Optional[Dict[str, Fraction]] = None
-        for sign in (1, -1):
-            strict = ({v: sign * a for v, a in c.items()}, sign * k, LT)
-            target = _sample_ineqs(system.stages[0] + [strict], order)
-            if target is not None:
-                break
-        if target is None:
+    name = "lra"
+    is_convex = True
+    rows: Tuple[Row, ...] = ()
+    disequalities: Tuple[Row, ...] = ()
+
+    def assert_literals(self, literals: Iterable[Formula]) -> bool:
+        """Replace the system by the literals' rows; True when the rows and
+        disequalities have a common rational solution."""
+        rows: List[Row] = []
+        diseqs: List[Row] = []
+        for lit in literals:
+            if not is_literal(lit):
+                raise UnsupportedAtomError(f"arithmetic expects literals, got {lit!r}")
+            atom, sign = literal_atom(lit)
+            if isinstance(atom, Leq):
+                if sign:
+                    c, k = _diff(atom.left, atom.right)
+                    rows.append(_freeze(c, k, LE))
+                else:
+                    c, k = _diff(atom.right, atom.left)
+                    rows.append(_freeze(c, k, LT))
+            elif isinstance(atom, Eq):
+                c, k = _diff(atom.left, atom.right)
+                if sign:
+                    rows.append(_freeze(c, k, EQ))
+                else:
+                    diseqs.append(_freeze(c, k, EQ))
+            else:
+                raise UnsupportedAtomError(f"not an arithmetic atom: {atom!r}")
+        self.rows = tuple(rows)
+        self.disequalities = tuple(diseqs)
+        self._system = _System(self)
+        if self._system.stages is None:
+            return False
+        return not any(self._system.entails_zero(d) for d in self.disequalities)
+
+    def vars(self) -> Tuple[str, ...]:
+        acc: Dict[str, None] = {}
+        for row in self.rows + self.disequalities:
+            for v, _ in row.coeffs:
+                acc.setdefault(v)
+        return tuple(acc)
+
+    @cached_property
+    def _system(self) -> _System:
+        return _System(self)
+
+    def implied_equalities(self, shared: Sequence[str]) -> Tuple[Tuple[str, str], ...]:
+        """Pairs of shared variables forced equal by the rows.
+
+        A pair is implied exactly when both strict separations are infeasible.
+        Only pairs equal at one sample point of the rows are probed: the point
+        satisfies the rows, so a pair it separates is not implied.  When the
+        rows are infeasible every pair is implied.  Only variables that
+        actually occur are considered; the result carries one orientation per
+        pair and no reflexive entries.
+        """
+        names = set(self.vars())
+        present = [v for v in shared if v in names]
+        system = self._system
+        point = system.point if system.stages is not None else None
+        out: List[Tuple[str, str]] = []
+        for i in range(len(present)):
+            for j in range(i + 1, len(present)):
+                x, y = present[i], present[j]
+                if point is not None and point[x] != point[y]:
+                    continue
+                target = _freeze({x: Fraction(1), y: Fraction(-1)}, _ZERO, EQ)
+                if system.entails_zero(target):
+                    out.append((x, y))
+        return tuple(out)
+
+    def model_fragment(self) -> Dict[str, Fraction]:
+        """One exact solution of the system, rows first, then hyperplane repair.
+
+        The rows are sampled over the unsolved variables, and the solved ones
+        are computed from their definitions afterwards, in reverse order.  A
+        rows-only solution may land on an excluded hyperplane.  Each hit is
+        repaired by walking toward a feasible point strictly off that
+        hyperplane: every already-cleared hyperplane excludes at most one point
+        of the segment, so a short deterministic scan of step sizes finds a
+        point clearing all of them at once.  Convexity keeps every row
+        satisfied along the way.  The result is verified against the original
+        rows and disequalities before returning.
+        """
+        system = self._system
+        if system.stages is None:
             raise InvariantViolation("sampling an unsatisfiable arithmetic system")
-        cleared.append((c, k))
-        for step in range(1, len(cleared) + 2):
-            t = Fraction(1, step)
-            cand = {v: val[v] + t * (target[v] - val[v]) for v in order}
-            if all(_value(cc, kk, cand) != 0 for cc, kk in cleared):
-                val = cand
-                break
-        else:
-            raise InvariantViolation("hyperplane repair ran out of step sizes")
+        order = system.order
+        val = _back_substitute(system.stages, order)
 
-    val = system.extend(val)
-    for r in state.rows:
-        total = _value(r.as_dict(), r.const, val)
-        if total > 0 or (total == 0 and r.rel == LT) or (total < 0 and r.rel == EQ):
-            raise InvariantViolation("arithmetic sample violates a row")
-    for d in state.disequalities:
-        if _value(d.as_dict(), d.const, val) == 0:
-            raise InvariantViolation("arithmetic sample hits an excluded hyperplane")
-    return val
+        cleared: List[Tuple[Dict[str, Fraction], Fraction]] = []
+        for d in self.disequalities:
+            c, k = system.rewrite(d)
+            if _value(c, k, val) != 0:
+                cleared.append((c, k))
+                continue
+            target: Optional[Dict[str, Fraction]] = None
+            for sign in (1, -1):
+                strict = ({v: sign * a for v, a in c.items()}, sign * k, LT)
+                target = _sample_ineqs(system.stages[0] + [strict], order)
+                if target is not None:
+                    break
+            if target is None:
+                raise InvariantViolation("sampling an unsatisfiable arithmetic system")
+            cleared.append((c, k))
+            for step in range(1, len(cleared) + 2):
+                t = Fraction(1, step)
+                cand = {v: val[v] + t * (target[v] - val[v]) for v in order}
+                if all(_value(cc, kk, cand) != 0 for cc, kk in cleared):
+                    val = cand
+                    break
+            else:
+                raise InvariantViolation("hyperplane repair ran out of step sizes")
+
+        val = system.extend(val)
+        for r in self.rows:
+            total = _value(r.as_dict(), r.const, val)
+            if total > 0 or (total == 0 and r.rel == LT) or (total < 0 and r.rel == EQ):
+                raise InvariantViolation("arithmetic sample violates a row")
+        for d in self.disequalities:
+            if _value(d.as_dict(), d.const, val) == 0:
+                raise InvariantViolation("arithmetic sample hits an excluded hyperplane")
+        return val

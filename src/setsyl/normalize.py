@@ -330,11 +330,7 @@ def normalize_with_plan(literals: Sequence[Formula]):
     produce a model of the output.
     """
     literals = list(dict.fromkeys(literals))  # repeated literals must not mint fresh vars twice
-    taken: Dict[str, None] = {}
-    for lit in literals:
-        for v in free_vars(lit):
-            taken.setdefault(v)
-    n = _Normalizer(taken)
+    n = _Normalizer(v for lit in literals for v in free_vars(lit))
     for lit in literals:
         n.process(lit)
     return NormalizedConjunction(n.mems, n.diffs), tuple(n.plan)

@@ -120,7 +120,6 @@ class _Reader:
                 f"unexpected end of input{', expected ' + expected if expected else ''}",
                 last.line,
                 last.col + len(last.text),
-                frozenset({expected} if expected else set()),
             )
         self.pos += 1
         if t.text == "(":
@@ -134,12 +133,12 @@ class _Reader:
     def expect(self, text: str) -> _Token:
         t = self.next(text)
         if t.text != text:
-            raise ParseError(f"expected {text!r}, found {t.text!r}", t.line, t.col, frozenset({text}))
+            raise ParseError(f"expected {text!r}, found {t.text!r}", t.line, t.col)
         return t
 
 
-def _fail(tok: _Token, msg: str, expected=()) -> ParseError:
-    return ParseError(msg, tok.line, tok.col, frozenset(expected))
+def _fail(tok: _Token, msg: str) -> ParseError:
+    return ParseError(msg, tok.line, tok.col)
 
 
 def _parse_term(r: _Reader) -> Term:
@@ -151,14 +150,14 @@ def _parse_term(r: _Reader) -> Term:
         while True:
             nxt = r.peek()
             if nxt is None:
-                raise _fail(head, "unterminated term", {")"})
+                raise _fail(head, "unterminated term")
             if nxt.text == ")":
                 r.next()
                 break
             args.append(_parse_term(r))
         return _build_term(op, args, head)
     if tok.text == ")":
-        raise _fail(tok, "unexpected ')' in term position", {"term"})
+        raise _fail(tok, "unexpected ')' in term position")
     if tok.text == "empty":
         return EMPTY
     if _NUMBER.match(tok.text):
@@ -170,7 +169,7 @@ def _parse_term(r: _Reader) -> Term:
         if tok.text in _RESERVED:
             raise _fail(tok, f"reserved word {tok.text!r} cannot be a variable")
         return Var(tok.text)
-    raise _fail(tok, f"not a term: {tok.text!r}", {"term"})
+    raise _fail(tok, f"not a term: {tok.text!r}")
 
 
 def _build_term(op: str, args: List[Term], head: _Token) -> Term:
@@ -197,7 +196,7 @@ def _build_term(op: str, args: List[Term], head: _Token) -> Term:
 def _parse_formula(r: _Reader) -> Formula:
     tok = r.next("formula")
     if tok.text != "(":
-        raise _fail(tok, f"formula must be parenthesized, found {tok.text!r}", {"("})
+        raise _fail(tok, f"formula must be parenthesized, found {tok.text!r}")
     head = r.next("predicate or connective")
     kw = head.text
     if kw in ("and", "or", "not"):
@@ -205,7 +204,7 @@ def _parse_formula(r: _Reader) -> Formula:
         while True:
             nxt = r.peek()
             if nxt is None:
-                raise _fail(head, f"unterminated ({kw} ...)", {")"})
+                raise _fail(head, f"unterminated ({kw} ...)")
             if nxt.text == ")":
                 r.next()
                 break
@@ -222,7 +221,7 @@ def _parse_formula(r: _Reader) -> Formula:
         while True:
             nxt = r.peek()
             if nxt is None:
-                raise _fail(head, f"unterminated ({kw} ...)", {")"})
+                raise _fail(head, f"unterminated ({kw} ...)")
             if nxt.text == ")":
                 r.next()
                 break
@@ -263,7 +262,7 @@ def parse_script(text: str) -> Script:
             options.append((key.text[1:], val.text))
             r.expect(")")
         else:
-            raise _fail(head, f"expected 'assert' or 'set-option', found {head.text!r}", {"assert", "set-option"})
+            raise _fail(head, f"expected 'assert' or 'set-option', found {head.text!r}")
         del open_tok
     return Script(tuple(asserts), tuple(options))
 

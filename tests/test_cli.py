@@ -177,6 +177,18 @@ def test_solve_zero_denominator_is_a_parse_error(tmp_path, capsys):
     assert err.splitlines() == ["error: 1:15: zero denominator in '1/0'"]
 
 
+@pytest.mark.parametrize("command", ["solve", "normalize"])
+def test_three_signature_atom_is_one_usage_error(tmp_path, capsys, command):
+    f = script(tmp_path, "(assert (= x (cons 1 empty)))\n")
+    code, out, err = run(capsys, command, f)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "error: atom mixes list, lra and set operators: Eq(left=Var(name='x'), right=ListOp("
+        "op='cons', args=(RationalConst(value=Fraction(1, 1)), Empty())))"
+    ]
+
+
 def test_solve_disjunction_splits(tmp_path, capsys):
     f = script(tmp_path, "(assert (or (in x x) (in x y)))\n")
     code, out, _ = run(capsys, "solve", f)

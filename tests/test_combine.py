@@ -21,6 +21,7 @@ from setsyl.combine import (
 from setsyl.convexity import random_normalized_conjunction
 from setsyl.errors import NonConvexPluginError, UnsupportedAtomError
 from setsyl.formulas import (
+    EMPTY,
     LIST,
     LRA,
     MLS,
@@ -244,6 +245,35 @@ def test_plugin_metadata():
         plugin = cls()
         assert plugin.name == name
         assert plugin.is_convex is True
+
+
+# An unsat set, then a sat set that a leftover disequality, atom or row of
+# the first would refute.
+_REASSERTED = {
+    "mls": (MlsTheory, [Eq(x, EMPTY), In(y, x)], [Subset(x, y), Subset(y, x), In(z, x)]),
+    "lra": (
+        LraTheory,
+        [Leq(x, y), Leq(y, x), Not(Eq(x, y))],
+        [Leq(x, y), Leq(y, x), Not(Eq(x, z))],
+    ),
+    "list": (
+        ListTheory,
+        [AtomPred(x), Eq(x, cons(y, z)), Not(Eq(y, z))],
+        [Eq(x, cons(y, z)), Eq(y, z)],
+    ),
+}
+
+
+@pytest.mark.parametrize("theory", sorted(_REASSERTED))
+def test_assert_literals_replaces_every_earlier_assertion(theory):
+    make, first, second = _REASSERTED[theory]
+    reused, fresh = make(), make()
+    assert reused.assert_literals(first) is False
+    assert reused.assert_literals(second) is True
+    assert fresh.assert_literals(second) is True
+    shared = ["x", "y", "z"]
+    assert reused.implied_equalities(shared) == fresh.implied_equalities(shared) != ()
+    assert reused.model_fragment() == fresh.model_fragment()
 
 
 # -------------------------------------------------------------- propagate

@@ -118,6 +118,15 @@ def test_classify_atom_rejects_mixed_signatures():
         classify_atom(Leq(x, SetOp("union", y, z)))
 
 
+def test_classify_atom_names_every_family_of_a_three_way_mix():
+    # cons is a list operator, 1 an arithmetic constant, empty a set term
+    atom = Eq(x, ListOp("cons", (RationalConst(Fraction(1)), EMPTY)))
+    with pytest.raises(MixedAtomError, match=r"^atom mixes list, lra and set operators: "):
+        classify_atom(atom)
+    with pytest.raises(MixedAtomError, match=r"^atom mixes lra and set operators: "):
+        classify_atom(Leq(x, SetOp("union", y, z)))
+
+
 def test_literal_shape_helpers():
     assert is_literal(In(x, y))
     assert is_literal(Not(In(x, y)))

@@ -1,11 +1,11 @@
-"""Congruence closure for cons/car/cdr terms and the atom predicate."""
+"""Congruence closure for cons/car/cdr terms and the atom predicate, through the plugin API."""
 
 import pytest
 
 from setsyl.errors import UnsupportedAtomError
 from setsyl.formulas import AtomPred, Eq, In, ListOp, Not, Or, Var
 
-from setsyl.lists import ListState, list_check, list_implied
+from setsyl.lists import ListTheory
 
 x, y, z, l = Var("x"), Var("y"), Var("z"), Var("l")
 
@@ -22,21 +22,27 @@ def cdr(t):
     return ListOp("cdr", (t,))
 
 
-def state(*lits) -> ListState:
-    return ListState(lits)
+def state(*lits) -> ListTheory:
+    t = ListTheory()
+    t.assert_literals(lits)
+    return t
+
+
+def check(*lits) -> bool:
+    return ListTheory().assert_literals(lits)
 
 
 # ------------------------------------------------------------- acceptance
 
 
 def test_empty_state_satisfiable():
-    assert list_check(state()) is True
+    assert check() is True
 
 
 def test_projection_out_of_cons():
     # x = car(cons(y, l)) collapses x into y's class
-    s = state(Eq(x, car(cons(y, l))))
-    assert list_check(s) is True
+    s = ListTheory()
+    assert s.assert_literals([Eq(x, car(cons(y, l)))]) is True
     assert s.same_class("x", "y")
     assert not s.same_class("x", "l")
 
@@ -53,29 +59,26 @@ def test_projection_through_equality():
 
 
 def test_atom_of_cons_unsat():
-    s = state(AtomPred(cons(x, y)))
-    assert list_check(s) is False
+    s = ListTheory()
+    assert s.assert_literals([AtomPred(cons(x, y))]) is False
     assert s.unsat_reason == "an atom's class contains a cons cell"
 
 
 def test_atom_spreads_through_class():
-    s = state(Eq(z, cons(x, y)), AtomPred(z))
-    assert list_check(s) is False
+    assert check(Eq(z, cons(x, y)), AtomPred(z)) is False
 
 
 def test_atom_alone_satisfiable():
-    assert list_check(state(AtomPred(x))) is True
+    assert check(AtomPred(x)) is True
 
 
 def test_not_atom_materializes_projections():
     # not atom(x) makes x a cell, so car(x) and cdr(x) determine it
-    s = state(Not(AtomPred(x)), Eq(y, car(x)), Eq(z, cdr(x)), Eq(x, cons(y, z)))
-    assert list_check(s) is True
+    assert check(Not(AtomPred(x)), Eq(y, car(x)), Eq(z, cdr(x)), Eq(x, cons(y, z))) is True
 
 
 def test_not_atom_then_atom_unsat():
-    s = state(Not(AtomPred(x)), AtomPred(x))
-    assert list_check(s) is False
+    assert check(Not(AtomPred(x)), AtomPred(x)) is False
 
 
 def test_cons_injectivity():
@@ -85,55 +88,35 @@ def test_cons_injectivity():
 
 
 def test_injectivity_refutes_disequality():
-    s = state(Eq(cons(x, y), cons(z, l)), Not(Eq(x, z)))
-    assert list_check(s) is False
+    s = ListTheory()
+    assert s.assert_literals([Eq(cons(x, y), cons(z, l)), Not(Eq(x, z))]) is False
     assert s.unsat_reason == "both sides of a disequality collapsed"
 
 
 def test_congruence_of_equal_arguments():
     # x = y forces cons(x, z) = cons(y, z)
-    s = state(Eq(x, y), Not(Eq(cons(x, z), cons(y, z))))
-    assert list_check(s) is False
+    assert check(Eq(x, y), Not(Eq(cons(x, z), cons(y, z)))) is False
 
 
 def test_car_congruence():
-    s = state(Eq(x, y), Not(Eq(car(x), car(y))))
-    assert list_check(s) is False
+    assert check(Eq(x, y), Not(Eq(car(x), car(y)))) is False
 
 
 def test_no_acyclicity_requirement():
     # rational trees: a list may be its own tail
-    s = state(Eq(x, cons(y, x)))
-    assert list_check(s) is True
+    assert check(Eq(x, cons(y, x))) is True
 
 
 def test_self_referential_chain_satisfiable():
-    s = state(Eq(x, cons(y, z)), Eq(z, cons(y, x)))
-    assert list_check(s) is True
+    assert check(Eq(x, cons(y, z)), Eq(z, cons(y, x))) is True
 
 
 def test_plain_disequality_satisfiable():
-    s = state(Not(Eq(x, y)))
-    assert list_check(s) is True
+    assert check(Not(Eq(x, y))) is True
 
 
 def test_disequality_with_self_unsat():
-    assert list_check(state(Not(Eq(x, x)))) is False
-
-
-# ------------------------------------------------------------ incremental
-
-
-def test_incremental_assertions_match_batch():
-    s = state()
-    assert list_check(s) is True
-    s.assert_literal(Eq(x, car(cons(y, l))))
-    assert s.same_class("x", "y")
-    s.assert_literal(Not(Eq(x, y)))
-    assert list_check(s) is False
-    batch = state(Eq(x, car(cons(y, l))), Not(Eq(x, y)))
-    assert list_check(batch) is False
-    assert batch.unsat_reason == s.unsat_reason
+    assert check(Not(Eq(x, x))) is False
 
 
 # ----------------------------------------------------------------- errors
@@ -162,31 +145,30 @@ def test_same_class_unknown_variable():
 
 
 def test_representatives_pick_least_variable():
-    s = state(Eq(z, y), Eq(y, x))
-    reps = s.representatives(["x", "y", "z"])
-    assert reps == {"x": "x", "y": "x", "z": "x"}
+    # the fragment maps each variable to its class's representative
+    frag = state(Eq(z, y), Eq(y, x)).model_fragment()
+    assert frag == {"x": "x", "y": "x", "z": "x"}
+    # in the order the graph interned them, which is free_vars order
+    assert list(frag) == ["z", "y", "x"]
 
 
 def test_representatives_print_pure_terms():
-    s = state(Eq(x, cons(y, z)))
-    reps = s.representatives(["x", "y", "z", "missing"])
-    assert reps["x"] == "x"
-    assert "missing" not in reps
-    # a variable equated to nothing prints as itself
-    assert reps["y"] == "y"
+    frag = state(Eq(x, cons(y, z))).model_fragment()
+    # the cons node is no variable; y and z are alone in their classes
+    assert frag == {"x": "x", "y": "y", "z": "z"}
 
 
 def test_implied_pairs_orientation_and_order():
     s = state(Eq(x, y), Eq(z, l))
-    assert list_implied(s, ["x", "y", "z", "l"]) == (("x", "y"), ("z", "l"))
-    assert list_implied(s, ["l", "z"]) == (("l", "z"),)
+    assert s.implied_equalities(["x", "y", "z", "l"]) == (("x", "y"), ("z", "l"))
+    assert s.implied_equalities(["l", "z"]) == (("l", "z"),)
 
 
 def test_implied_via_projection():
     s = state(Eq(x, car(cons(y, l))))
-    assert list_implied(s, ["x", "y", "l"]) == (("x", "y"),)
+    assert s.implied_equalities(["x", "y", "l"]) == (("x", "y"),)
 
 
 def test_implied_ignores_unknown_names():
     s = state(Eq(x, y))
-    assert list_implied(s, ["x", "q", "y"]) == (("x", "y"),)
+    assert s.implied_equalities(["x", "q", "y"]) == (("x", "y"),)

@@ -19,7 +19,7 @@ from setsyl.formulas import (
     SetOp,
     Var,
 )
-from setsyl.lra import LE, LT, EQ, LraState, lra_check, lra_implied, lra_sample
+from setsyl.lra import LE, LT, EQ, LraTheory
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
@@ -36,8 +36,14 @@ def neg(a) -> ArithOp:
     return ArithOp("neg", (a,))
 
 
-def state(*lits) -> LraState:
-    return LraState.from_literals(lits)
+def state(*lits) -> LraTheory:
+    t = LraTheory()
+    t.assert_literals(lits)
+    return t
+
+
+def check(*lits) -> bool:
+    return LraTheory().assert_literals(lits)
 
 
 # ------------------------------------------------------------ construction
@@ -78,54 +84,53 @@ def test_set_terms_inside_arithmetic_rejected():
 
 
 def test_empty_state_is_satisfiable():
-    assert lra_check(state()) is True
+    assert check() is True
 
 
 def test_mutual_bounds_satisfiable():
-    assert lra_check(state(Leq(x, y), Leq(y, x))) is True
+    assert check(Leq(x, y), Leq(y, x)) is True
 
 
 def test_offset_cycle_unsatisfiable():
-    assert lra_check(state(Leq(plus(x, rc(1)), y), Leq(y, x))) is False
+    assert check(Leq(plus(x, rc(1)), y), Leq(y, x)) is False
 
 
 def test_strict_self_bound_unsatisfiable():
-    assert lra_check(state(Not(Leq(x, x)))) is False
+    assert check(Not(Leq(x, x))) is False
 
 
 def test_strict_chain_satisfiable():
-    assert lra_check(state(Not(Leq(y, x)), Not(Leq(z, y)))) is True
+    assert check(Not(Leq(y, x)), Not(Leq(z, y))) is True
 
 
 def test_ground_constants():
-    assert lra_check(state(Leq(rc(0), rc(0)))) is True
-    assert lra_check(state(Leq(rc(1), rc(0)))) is False
-    assert lra_check(state(Leq(rc("1/3"), rc("1/2")))) is True
+    assert check(Leq(rc(0), rc(0))) is True
+    assert check(Leq(rc(1), rc(0))) is False
+    assert check(Leq(rc("1/3"), rc("1/2"))) is True
 
 
 def test_fractional_offset_contradiction():
-    assert lra_check(state(Leq(plus(x, rc("1/2")), y), Eq(x, y))) is False
+    assert check(Leq(plus(x, rc("1/2")), y), Eq(x, y)) is False
 
 
 def test_entailed_disequality_unsatisfiable():
-    assert lra_check(state(Eq(x, y), Eq(y, z), Not(Eq(x, z)))) is False
-    assert lra_check(state(Leq(x, y), Leq(y, x), Not(Eq(x, y)))) is False
+    assert check(Eq(x, y), Eq(y, z), Not(Eq(x, z))) is False
+    assert check(Leq(x, y), Leq(y, x), Not(Eq(x, y))) is False
 
 
 def test_free_disequality_satisfiable():
-    assert lra_check(state(Eq(x, y), Not(Eq(x, z)))) is True
-    assert lra_check(state(Leq(x, y), Not(Eq(x, y)))) is True
+    assert check(Eq(x, y), Not(Eq(x, z))) is True
+    assert check(Leq(x, y), Not(Eq(x, y))) is True
 
 
 def test_negation_makes_weak_bound_strict():
     # x < y and y < x cannot hold together even without an offset
-    assert lra_check(state(Not(Leq(y, x)), Not(Leq(x, y)))) is False
+    assert check(Not(Leq(y, x)), Not(Leq(x, y))) is False
 
 
 def test_neg_operator():
     # x <= -x and -x <= x force x = 0, contradicting x != 0
-    s = state(Leq(x, neg(x)), Leq(neg(x), x), Not(Eq(x, rc(0))))
-    assert lra_check(s) is False
+    assert check(Leq(x, neg(x)), Leq(neg(x), x), Not(Eq(x, rc(0)))) is False
 
 
 # ---------------------------------------------------------------- implied
@@ -133,34 +138,34 @@ def test_neg_operator():
 
 def test_implied_pair_from_mutual_bounds():
     s = state(Leq(x, y), Leq(y, x))
-    assert lra_implied(s, ["x", "y"]) == (("x", "y"),)
+    assert s.implied_equalities(["x", "y"]) == (("x", "y"),)
 
 
 def test_implied_pair_by_transitivity():
     s = state(Eq(x, y), Eq(y, z))
-    assert lra_implied(s, ["x", "z"]) == (("x", "z"),)
+    assert s.implied_equalities(["x", "z"]) == (("x", "z"),)
 
 
 def test_no_implied_pair_from_one_sided_bound():
-    assert lra_implied(state(Leq(x, y)), ["x", "y"]) == ()
+    assert state(Leq(x, y)).implied_equalities(["x", "y"]) == ()
 
 
 def test_implied_ignores_absent_shared_vars():
     s = state(Leq(x, y), Leq(y, x))
-    assert lra_implied(s, ["x", "q"]) == ()
-    assert lra_implied(s, ["q", "x", "y"]) == (("x", "y"),)
+    assert s.implied_equalities(["x", "q"]) == ()
+    assert s.implied_equalities(["q", "x", "y"]) == (("x", "y"),)
 
 
 def test_implied_ignores_disequalities():
     # implication is judged on the rows alone; the system stays convex
     s = state(Leq(x, y), Leq(y, x), Not(Eq(x, z)))
-    assert lra_implied(s, ["x", "y"]) == (("x", "y"),)
+    assert s.implied_equalities(["x", "y"]) == (("x", "y"),)
 
 
 # ----------------------------------------------------------------- sample
 
 
-def _holds(s: LraState, val):
+def _holds(s: LraTheory, val):
     for row in s.rows:
         total = row.const + sum(c * val[v] for v, c in row.coeffs)
         if row.rel == LE:
@@ -174,19 +179,19 @@ def _holds(s: LraState, val):
 
 
 def test_sample_empty_state():
-    assert lra_sample(state()) == {}
+    assert state().model_fragment() == {}
 
 
 def test_sample_satisfies_equalities():
     s = state(Eq(x, y), Leq(rc(3), x))
-    val = lra_sample(s)
+    val = s.model_fragment()
     assert val["x"] == val["y"] >= 3
     _holds(s, val)
 
 
 def test_sample_respects_strictness():
     s = state(Not(Leq(y, x)))
-    val = lra_sample(s)
+    val = s.model_fragment()
     assert val["x"] < val["y"]
 
 
@@ -197,7 +202,7 @@ def test_sample_dodges_forbidden_midpoints():
         Not(Eq(x, rc("1/2"))),
         Not(Eq(x, rc("3/4"))),
     )
-    val = lra_sample(s)
+    val = s.model_fragment()
     assert 0 <= val["x"] <= 1
     assert val["x"] not in (Fraction(1, 2), Fraction(3, 4))
     _holds(s, val)
@@ -207,7 +212,7 @@ def test_sample_escapes_pinned_forbidden_point():
     # an equality pins x = y, and a free choice for z could land exactly on
     # the excluded hyperplane x = z; the repair walk must move off it
     s = state(Eq(x, y), Not(Eq(x, z)))
-    val = lra_sample(s)
+    val = s.model_fragment()
     assert val["x"] == val["y"]
     assert val["x"] != val["z"]
 
@@ -221,16 +226,16 @@ def test_sample_repairs_many_hyperplanes():
         Not(Eq(plus(x, z), rc(0))),
         Not(Eq(x, rc(0))),
     )
-    _holds(s, lra_sample(s))
+    _holds(s, s.model_fragment())
 
 
 def test_sample_on_unsatisfiable_rows_raises():
     with pytest.raises(InvariantViolation):
-        lra_sample(state(Leq(plus(x, rc(1)), y), Leq(y, x)))
+        state(Leq(plus(x, rc(1)), y), Leq(y, x)).model_fragment()
 
 
 def test_sample_values_are_exact_fractions():
-    val = lra_sample(state(Leq(rc("1/3"), x), Leq(x, rc("1/3"))))
+    val = state(Leq(rc("1/3"), x), Leq(x, rc("1/3"))).model_fragment()
     assert val["x"] == Fraction(1, 3)
     assert isinstance(val["x"], Fraction)
 
@@ -266,44 +271,45 @@ def _literals(picks, split_eq=False):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_lits, min_size=0, max_size=5))
 def test_check_and_sample_agree(picks):
-    s = LraState.from_literals(_literals(picks))
-    if lra_check(s):
-        _holds(s, lra_sample(s))
+    s = LraTheory()
+    if s.assert_literals(_literals(picks)):
+        _holds(s, s.model_fragment())
     else:
         with pytest.raises(InvariantViolation):
-            lra_sample(s)
+            s.model_fragment()
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_lits, min_size=0, max_size=5))
 def test_equalities_written_as_two_inequalities_change_nothing(picks):
     # Equality rows are substituted away, their two halves are eliminated.
-    whole = LraState.from_literals(_literals(picks))
-    split = LraState.from_literals(_literals(picks, split_eq=True))
-    assert lra_check(whole) == lra_check(split)
-    assert lra_implied(whole, ["x", "y", "z"]) == lra_implied(split, ["x", "y", "z"])
+    whole, split = LraTheory(), LraTheory()
+    assert whole.assert_literals(_literals(picks)) == split.assert_literals(
+        _literals(picks, split_eq=True)
+    )
+    assert whole.implied_equalities(["x", "y", "z"]) == split.implied_equalities(["x", "y", "z"])
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_lits, min_size=0, max_size=5))
 def test_implied_matches_probing_every_pair(picks):
-    # lra_implied skips the pairs its sample point separates; probing
+    # implied_equalities skips the pairs its sample point separates; probing
     # both strict separations of every pair must find nothing more.
-    s = LraState.from_literals(_literals(picks))
+    s = state(*_literals(picks))
     rows = _literals([p for p in picks if p[0] != "ne"])
     present = [v for v in ("x", "y", "z") if v in s.vars()]
     expect = tuple(
         (a, b)
         for a, b in combinations(present, 2)
-        if not lra_check(LraState.from_literals(rows + [Not(Leq(Var(b), Var(a)))]))
-        and not lra_check(LraState.from_literals(rows + [Not(Leq(Var(a), Var(b)))]))
+        if not LraTheory().assert_literals(rows + [Not(Leq(Var(b), Var(a)))])
+        and not LraTheory().assert_literals(rows + [Not(Leq(Var(a), Var(b)))])
     )
-    assert lra_implied(s, ["x", "y", "z"]) == expect
+    assert s.implied_equalities(["x", "y", "z"]) == expect
 
 
 def test_dominated_rows_leave_check_and_sample_alone():
     tight = state(Leq(rc(0), x), Leq(x, rc(1)), Leq(y, x))
-    loose = state(
+    loose_literals = (
         Leq(rc(0), x),
         Leq(x, rc(1)),
         Leq(y, x),
@@ -312,8 +318,9 @@ def test_dominated_rows_leave_check_and_sample_alone():
         Leq(plus(y, rc(-5)), x),
         Leq(x, rc(1)),
     )
-    assert lra_check(loose) is True
-    assert lra_sample(loose) == lra_sample(tight)
+    loose = LraTheory()
+    assert loose.assert_literals(loose_literals) is True
+    assert loose.model_fragment() == tight.model_fragment()
 
 
 def test_substituted_equalities_reach_the_sample():
@@ -321,7 +328,7 @@ def test_substituted_equalities_reach_the_sample():
     # back from their definitions after the inequalities are sampled.
     # The rows alone sample x = 3, which puts y on the excluded value 8.
     s = state(Eq(z, plus(x, rc(1))), Eq(y, plus(z, z)), Leq(rc(2), x), Not(Eq(y, rc(8))))
-    val = lra_sample(s)
+    val = s.model_fragment()
     assert set(val) == {"x", "y", "z"}
     assert val["y"] != 8
     assert val["z"] == val["x"] + 1 and val["y"] == 2 * val["z"]
@@ -329,5 +336,5 @@ def test_substituted_equalities_reach_the_sample():
 
 
 def test_ground_equality_after_substitution():
-    assert lra_check(state(Eq(x, y), Eq(y, plus(x, rc(1))))) is False
-    assert lra_check(state(Eq(x, y), Eq(y, x), Not(Leq(y, z)))) is True
+    assert check(Eq(x, y), Eq(y, plus(x, rc(1)))) is False
+    assert check(Eq(x, y), Eq(y, x), Not(Leq(y, z))) is True

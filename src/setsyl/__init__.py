@@ -52,7 +52,6 @@ from .formulas import (
     literal_atom,
     nnf,
     or_,
-    term_vars,
 )
 from .hf import (
     HFSet,
@@ -62,7 +61,6 @@ from .hf import (
     braces,
     cross_product,
     enumerate_universe,
-    hf,
     is_subset,
     kuratowski_pair,
     nested_singleton,
@@ -95,10 +93,7 @@ from .normalize import (
     NormalizedConjunction,
     apply_plan,
     dnf_split,
-    normalize,
-    normalize_formula,
     normalize_with_plan,
-    normalized_size,
     split_disjuncts,
 )
 from .solver import (

@@ -10,12 +10,15 @@ equalities is a complete combination procedure for conjunctions of
 literals.
 
 What is exchanged is a partition of the shared variables into classes, not
-a set of pairs.  A union-find over `shared` keeps the classes found so far;
-a reported pair counts only when it merges two classes, and only those
-merging pairs are asserted back to the plugins.  They form a spanning
-forest of the classes, so at most |shared| - 1 pairs are ever asserted and
-at most |shared| - 1 rounds can merge anything, which is the convex case's
-polynomial bound with no case split.
+a set of pairs.  Implied equality is an equivalence, so each plugin answers
+with its classes: lists of two or more names, members in `shared` order,
+classes by first member.  A union-find over `shared` keeps the classes
+found so far; each plugin class is merged member by member into its first
+member, a (head, member) pair counts only when it merges two classes, and
+only those merging pairs are asserted back to the plugins.  They form a
+spanning forest of the classes, so at most |shared| - 1 pairs are ever
+asserted and at most |shared| - 1 rounds can merge anything, which is the
+convex case's polynomial bound with no case split.
 
 Plugins are polled in a caller-chosen order.  The order can change which
 pairs of a class are listed in `propagated` (the first reported pair that
@@ -26,7 +29,6 @@ not the verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Dict, Iterable, List, Mapping, Optional, Protocol, Sequence, Tuple, Union
 
 from .errors import DEFAULT_BUDGET, Budget, NonConvexPluginError, UnsupportedAtomError
@@ -207,7 +209,7 @@ class TheoryPlugin(Protocol):
 
     def assert_literals(self, literals: Sequence[Formula]) -> bool: ...
 
-    def implied_equalities(self, shared: Sequence[str]) -> Tuple[Tuple[str, str], ...]: ...
+    def implied_equalities(self, shared: Sequence[str]) -> List[List[str]]: ...
 
     def model_fragment(self) -> Mapping[str, object]: ...
 
@@ -232,9 +234,8 @@ class MlsTheory:
         self._decision = _decide(self._nc, self._budget)
         return self._decision.result.is_sat
 
-    def implied_equalities(self, shared: Sequence[str]) -> Tuple[Tuple[str, str], ...]:
-        present = [v for v in shared if v in self._nc.vars]
-        return self._decision.implied(combinations(present, 2))
+    def implied_equalities(self, shared: Sequence[str]) -> List[List[str]]:
+        return self._decision.classes(v for v in shared if v in self._nc.vars)
 
     def model_fragment(self) -> Mapping[str, str]:
         model = self._decision.result.model
@@ -271,20 +272,31 @@ def propagate(
     """Run the equality-exchange loop to a fixpoint.
 
     Each round asserts every partition together with the merging pairs
-    kept so far, as `Eq` literals, and then polls the plugins for implied
-    pairs.  A pair whose variables are already in one class is dropped; a
-    pair that joins two classes is kept, appended to `propagated`, and
-    asserted from the next round on.  The loop ends at the first round that
-    merges nothing.  Each counted round merges at least once among
-    |shared| classes, so `rounds` and `len(propagated)` are both at most
-    |shared| - 1.
+    kept so far, as `Eq` literals, and then polls the plugins for their
+    classes of implied equalities.  Each class [h, *rest] is offered as the
+    pairs (h, b) for b in rest.  A pair whose variables are already in one
+    class is dropped; a pair that joins two classes is kept, appended to
+    `propagated`, and asserted from the next round on.  The loop ends at
+    the first round that merges nothing.  Each counted round merges at
+    least once among |shared| classes, so `rounds` and `len(propagated)`
+    are both at most |shared| - 1.
 
     Keeping only the forest loses nothing against asserting every implied
     pair.  The forest generates the same partition as all the pairs it
     stands for, so each plugin is given a logically equivalent
     conjunction.  Every variable of a class with two or more members is in
     some forest pair, so it is still mentioned, and each plugin reports
-    the same implied pairs.  Verdicts and culprits are therefore the same.
+    the same classes.  Verdicts and culprits are therefore the same.
+
+    Offering classes gives the same `propagated` as offering every implied
+    pair (x, y) of a plugin, x before y in `shared`, sorted by the position
+    of x and then of y, and keeping those that merge.  A pair (y, z) whose
+    first member y is not the head h of its plugin class comes after
+    (h, y) and (h, z), which have already joined y and z, so it never
+    merges.  Only (head, member) pairs are ever kept, sorted by the head's
+    position and then the member's, and that is the order in which the
+    classes, in head order, offer them.  So `propagated`, `rounds`, the
+    asserted literals and the fragments are those of the pair exchange.
     """
     if plugins is None:
         plugins = _plugins(THEORIES, DEFAULT_BUDGET)
@@ -316,12 +328,13 @@ def propagate(
                 return CombinedResult(None, p.name, tuple(known), rounds, problem)
         merged = False
         for p in plugins:
-            for a, b in p.implied_equalities(problem.shared):
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    heads[rb] = ra
-                    known.append((a, b))
-                    merged = True
+            for h, *rest in p.implied_equalities(problem.shared):
+                for b in rest:
+                    ra, rb = find(h), find(b)
+                    if ra != rb:
+                        heads[rb] = ra
+                        known.append((h, b))
+                        merged = True
         if not merged:
             frags = {p.name: p.model_fragment() for p in plugins}
             return CombinedResult(frags, None, tuple(known), rounds, problem)

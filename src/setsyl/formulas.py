@@ -239,12 +239,6 @@ def free_vars(f: Formula) -> list:
     return list(acc)
 
 
-def term_vars(t: Term) -> list:
-    acc: dict = {}
-    _term_vars(t, acc)
-    return list(acc)
-
-
 def max_fresh_index(prefix: str, names: Iterable[str]) -> int:
     """The largest n with prefix + n (decimal digits) among names, else 0.
 

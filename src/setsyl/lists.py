@@ -18,7 +18,8 @@ convex, so propagating single equalities is complete for combination.
 
 `ListTheory` is the combination's list plugin.  Each `assert_literals` call
 rebuilds the graph from its literals alone and closes it;
-`implied_equalities` reads the classes of the shared variables and
+`implied_equalities` groups the shared variables by the congruence class
+of their nodes, which is the partition the combination asks for, and
 `model_fragment` names each variable's class by its least member.
 """
 
@@ -197,23 +198,16 @@ class ListTheory:
 
     # queries ------------------------------------------------------------
 
-    def _var_id(self, name: str) -> Optional[int]:
-        return self.key_to_id.get(("var", name))
-
-    def same_class(self, x: str, y: str) -> bool:
-        a, b = self._var_id(x), self._var_id(y)
-        if a is None or b is None:
-            return False
-        return self.find(a) == self.find(b)
-
-    def implied_equalities(self, shared: Sequence[str]) -> Tuple[Tuple[str, str], ...]:
-        """Pairs of shared variables in one congruence class, one orientation each."""
-        out: List[Tuple[str, str]] = []
-        for i in range(len(shared)):
-            for j in range(i + 1, len(shared)):
-                if self.same_class(shared[i], shared[j]):
-                    out.append((shared[i], shared[j]))
-        return tuple(out)
+    def implied_equalities(self, shared: Sequence[str]) -> List[List[str]]:
+        """The shared variables of the graph grouped by congruence class:
+        classes of two or more, members in shared order, classes by first
+        member."""
+        classes: Dict[int, List[str]] = {}
+        for v in shared:
+            i = self.key_to_id.get(("var", v))
+            if i is not None:
+                classes.setdefault(self.find(i), []).append(v)
+        return [c for c in classes.values() if len(c) > 1]
 
     def model_fragment(self) -> Dict[str, str]:
         """Each variable, in the order the graph interned it, mapped to the

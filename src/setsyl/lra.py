@@ -9,8 +9,9 @@ Everything is computed in fractions.Fraction; no floating point enters.
 
 `LraTheory` is the combination's arithmetic plugin.  Each
 `assert_literals` call turns its literals into rows and disequalities,
-replacing the previous ones, and decides them; `implied_equalities` and
-`model_fragment` answer over the same rows.
+replacing the previous ones, and decides them; `implied_equalities`
+(the classes of variables the rows force equal) and `model_fragment`
+answer over the same rows.
 
 Three reductions keep the work small on the systems the combination
 produces, where every propagated pair and purifier definition is an
@@ -20,8 +21,11 @@ equality:
   elimination only ever sees inequalities over the unsolved variables;
 - each elimination stage keeps one row per direction, the tightest, after
   scaling rows so their first coefficient has magnitude 1;
-- implied-equality probes run only for pairs that one sample point of the
-  rows leaves equal, since a point that separates a pair refutes it.
+- implied equalities are grouped by value at one sample point of the
+  rows, since a point that separates two variables refutes their
+  equality, and a variable is probed only against the class heads of its
+  value, since implied equality is transitive: fewer probes than
+  variables.
 
 The theory is stably infinite (any satisfiable constraint set has solutions
 in the infinite rationals), which is what the equality-propagating
@@ -363,30 +367,33 @@ class LraTheory:
     def _system(self) -> _System:
         return _System(self)
 
-    def implied_equalities(self, shared: Sequence[str]) -> Tuple[Tuple[str, str], ...]:
-        """Pairs of shared variables forced equal by the rows.
+    def implied_equalities(self, shared: Sequence[str]) -> List[List[str]]:
+        """The shared variables forced equal by the rows, as classes of two
+        or more: members in shared order, classes by first member.
 
-        A pair is implied exactly when both strict separations are infeasible.
-        Only pairs equal at one sample point of the rows are probed: the point
-        satisfies the rows, so a pair it separates is not implied.  When the
-        rows are infeasible every pair is implied.  Only variables that
-        actually occur are considered; the result carries one orientation per
-        pair and no reflexive entries.
+        A pair is implied exactly when both strict separations are
+        infeasible.  The variables are grouped by their value at one sample
+        point of the rows: the point satisfies the rows, so a pair it
+        separates is not implied.  Implied equality is transitive, so a
+        variable is probed only against the head of each class of its
+        value.  When the rows are infeasible every variable's value is
+        None, every probe says implied, and all variables form one class.
+        Only variables that actually occur are considered.
         """
-        names = set(self.vars())
-        present = [v for v in shared if v in names]
         system = self._system
-        point = system.point if system.stages is not None else None
-        out: List[Tuple[str, str]] = []
-        for i in range(len(present)):
-            for j in range(i + 1, len(present)):
-                x, y = present[i], present[j]
-                if point is not None and point[x] != point[y]:
-                    continue
-                target = _freeze({x: Fraction(1), y: Fraction(-1)}, _ZERO, EQ)
-                if system.entails_zero(target):
-                    out.append((x, y))
-        return tuple(out)
+        point = system.point if system.stages is not None else dict.fromkeys(self.vars())
+        by_value: Dict[Optional[Fraction], List[List[str]]] = {}
+        classes: List[List[str]] = []
+        for v in (v for v in shared if v in point):
+            group = by_value.setdefault(point[v], [])
+            for c in group:
+                if system.entails_zero(_freeze({c[0]: Fraction(1), v: Fraction(-1)}, _ZERO, EQ)):
+                    c.append(v)
+                    break
+            else:
+                group.append([v])
+                classes.append(group[-1])
+        return [c for c in classes if len(c) > 1]
 
     def model_fragment(self) -> Dict[str, Fraction]:
         """One exact solution of the system, rows first, then hyperplane repair.

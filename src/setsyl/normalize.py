@@ -109,11 +109,6 @@ class NormalizedConjunction:
         return f"NormalizedConjunction({body})"
 
 
-def normalized_size(nc: NormalizedConjunction) -> Tuple[int, int]:
-    """(variable count, literal count) of a normalized conjunction."""
-    return len(nc.vars), len(nc.memberships) + len(nc.differences)
-
-
 def _check_mls_atom(a: Atom) -> None:
     tag = classify_atom(a)
     if tag not in (MLS, SHARED):
@@ -340,11 +335,6 @@ def normalize(literals: Sequence[Formula]) -> NormalizedConjunction:
     """Rewrite a conjunction of set literals into membership/difference form."""
     nc, _ = normalize_with_plan(literals)
     return nc
-
-
-def normalize_formula(f: Formula) -> List[NormalizedConjunction]:
-    """dnf_split followed by normalize, one conjunction per disjunct."""
-    return [normalize(lits) for lits in dnf_split(f)]
 
 
 def apply_plan(plan: Sequence[tuple], base: SetAssignment) -> SetAssignment:

@@ -223,22 +223,25 @@ iff a and b have no split place:
 That build, made once and verified (InvariantViolation if it is not a
 model separating a and b), is the separating model minimize_equalities
 enlarges along.  implied_equalities needs no build.  Implied equality is
-an equivalence, so it groups the variables into classes as layer 2 (i)
-groups the elements, with the split place as the answer: by (=>), a kept
-place holding exactly one of two variables tells them apart.  A variable
-is compared only with the head h of the same kept places and the same
-value in the decision's model: that model satisfies nc, so a pair it
-separates is not implied.  A comparison needs no search either when h
-and the variable share a component and the propagation of h = True sets
-the variable True and that of h = False sets it False, a contradiction
-counting as either: a propagated value is the one every place agreeing
-with the assumption takes (layer 1), so no place holds exactly one of
-them.  Each head is propagated once per value.  When nc is unsatisfiable
-every pair is implied.  A variable nc does not mention is unconstrained,
-so it is implied equal only to itself.  This is the convexity of the
-theory in its cheapest form: one decision and fewer split queries than
-variables, with no enumeration of models or places and no probe
-conjunction of its own.
+an equivalence, so its answer is a partition, and it groups the
+variables into classes as layer 2 (i) groups the elements, with the
+split place as the answer: by (=>), a kept place holding exactly one of
+two variables tells them apart.  A variable is compared only with the
+head h of the same kept places and the same value in the decision's
+model: that model satisfies nc, so a pair it separates is not implied.
+A comparison needs no search either when h and the variable share a
+component and the propagation of h = True sets the variable True and
+that of h = False sets it False, a contradiction counting as either: a
+propagated value is the one every place agreeing with the assumption
+takes (layer 1), so no place holds exactly one of them.  Each head is
+propagated once per value.  The classes of two or more are the answer,
+members in the order asked and classes by first member, with no pair
+listed.  When nc is unsatisfiable every name is in one class.  A
+variable nc does not mention is unconstrained, so it is implied equal
+only to itself and in no class.  This is the convexity of the theory in
+its cheapest form: one decision and fewer split queries than variables,
+with no enumeration of models or places and no probe conjunction of its
+own.
 """
 
 from __future__ import annotations
@@ -742,18 +745,20 @@ class _Decision:
                 return k, p
         return None
 
-    def implied(self, pairs: Iterable[Tuple[str, str]]) -> Tuple[Tuple[str, str], ...]:
-        """The pairs whose equality holds in every model of nc.
+    def classes(self, names: Iterable[str]) -> List[List[str]]:
+        """The classes of two or more names whose equality holds in every
+        model of nc, members in names order, classes by first member.
 
-        A pair is implied when nc is unsat, when its sides are one name,
-        or when both are variables of nc with no split place.  The
-        variables are grouped with the model's value as key, each
-        comparison settled by propagation first and by the split query
-        only when that decides nothing (module docstring).
+        When nc is unsat every name is in one class.  Otherwise two
+        variables of nc are in one class when they have no split place,
+        and a name nc does not mention is in none.  The variables are
+        grouped with the model's value as key, each comparison settled by
+        propagation first and by the split query only when that decides
+        nothing (module docstring).
         """
-        pairs = tuple(pairs)
+        names = list(dict.fromkeys(names))
         if not self.result.is_sat:
-            return pairs
+            return [names] if len(names) > 1 else []
         model = self.result.model
         # a head's forced values under head = True and under head = False
         forces: Dict[str, Tuple[Optional[List[Optional[bool]]], ...]] = {}
@@ -770,9 +775,8 @@ class _Decision:
             hit = self.split(h, v)
             return None if hit is None else hit[1]
 
-        names = dict.fromkeys(v for x, y in pairs if x != y and x in model and y in model for v in (x, y))
-        head = {v: group[0] for group in _group(names, split, model.__getitem__) for v in group}
-        return tuple((x, y) for x, y in pairs if head.get(x, x) == head.get(y, y))
+        groups = _group([v for v in names if v in model], split, model.__getitem__)
+        return [group for group in groups if len(group) > 1]
 
     def separating(self, a: str, b: str) -> Optional[SetAssignment]:
         """A verified model of a Sat nc in which a and b differ, or None
@@ -846,16 +850,18 @@ def solve(
 
 def implied_equalities(
     nc: NormalizedConjunction,
-    pairs: Iterable[Tuple[str, str]],
+    names: Iterable[str],
     budget: Union[int, Budget, None] = DEFAULT_BUDGET,
-) -> Tuple[Tuple[str, str], ...]:
-    """The pairs (x, y) whose equality holds in every model of nc.
+) -> List[List[str]]:
+    """The names grouped into the classes whose equality holds in every
+    model of nc: classes of two or more, members in names order, classes
+    by first member.
 
-    nc is decided once and, when satisfiable, a pair of two variables of
-    nc is implied iff it has no split place; the variables are grouped
-    with fewer split queries than variables (see the module docstring
-    for why).  A pair of one name is implied, and a pair with a name nc
-    does not mention is not.  budget caps the decision and the queries
+    nc is decided once.  When it is unsatisfiable every name is in one
+    class.  Otherwise two variables of nc are in one class iff they have
+    no split place, and they are grouped with fewer split queries than
+    variables (see the module docstring for why); a name nc does not
+    mention is in no class.  budget caps the decision and the queries
     together.
     """
-    return _decide(nc, budget).implied(pairs)
+    return _decide(nc, budget).classes(names)

@@ -29,7 +29,8 @@ from setsyl.convexity import (
 from setsyl.formulas import EMPTY, Eq, In, Leq, ListOp, Not, SetOp, Subset, Var
 from setsyl.normalize import NormalizedConjunction, apply_plan, normalize_with_plan
 from setsyl.oracle import bounded_models, eval_formula, oracle_sat
-from setsyl.solver import Unsat, implied_equalities, satisfies, solve
+from setsyl.solver import Unsat, satisfies, solve
+from test_solver import _implied
 
 FIXTURE = os.path.join(
     os.path.dirname(os.path.dirname(__file__)), "fixtures", "enlargement.syl"
@@ -265,7 +266,7 @@ def test_criterion_6_minimization_matches_implied_equalities():
             pairs = list(combinations(nc.vars, 2))
             res, eqs = minimize_equalities(nc, pairs)
             padded = pad_vars(nc, pairs)
-            assert eqs.implied_pairs() == implied_equalities(padded, pairs)
+            assert eqs.implied_pairs() == _implied(padded, pairs)
             assert eqs.enlargements <= len(pairs)
             if isinstance(res, Unsat):
                 assert all(isinstance(c, Implied) for c in eqs.classification)

@@ -45,6 +45,7 @@ from setsyl.formulas import (
 from setsyl.normalize import normalize
 from setsyl.sexpr import parse_script
 from setsyl.solver import solve
+from test_solver import in_classes
 
 x, y, z, u, v, w = Var("x"), Var("y"), Var("z"), Var("u"), Var("v"), Var("w")
 
@@ -175,7 +176,7 @@ def test_purified_sets_stay_equisatisfiable():
 def test_mls_plugin_roundtrip():
     p = MlsTheory()
     assert p.assert_literals([Subset(x, y), Subset(y, x)]) is True
-    assert p.implied_equalities(["x", "y"]) == (("x", "y"),)
+    assert p.implied_equalities(["x", "y"]) == [["x", "y"]]
     frag = p.model_fragment()
     assert set(frag) == {"x", "y"}
     assert frag["x"].startswith("{")
@@ -194,19 +195,19 @@ def test_mls_plugin_lists_no_places(monkeypatch):
     monkeypatch.setattr(solver._Engine, "places", counting)
     p = MlsTheory()
     assert p.assert_literals([Subset(x, y), Subset(y, x)]) is True
-    assert p.implied_equalities(["x", "y", "w"]) == (("x", "y"),)
+    assert p.implied_equalities(["x", "y", "w"]) == [["x", "y"]]
     assert p.assert_literals([In(x, y), Subset(y, z)]) is True
-    assert p.implied_equalities(["x", "y", "z"]) == ()
+    assert p.implied_equalities(["x", "y", "z"]) == []
     assert calls == []  # the decision and the split queries all assume values
-    # after an unsat assert every pair of mentioned variables is implied
+    # after an unsat assert the mentioned variables form one class
     assert p.assert_literals([In(x, y), Subset(y, z), In(z, x)]) is False
-    assert p.implied_equalities(["x", "y", "z", "w"]) == (("x", "y"), ("x", "z"), ("y", "z"))
+    assert p.implied_equalities(["x", "y", "z", "w"]) == [["x", "y", "z"]]
 
 
 def test_lra_plugin_roundtrip():
     p = LraTheory()
     assert p.assert_literals([Leq(x, y), Leq(y, x)]) is True
-    assert p.implied_equalities(["x", "y"]) == (("x", "y"),)
+    assert p.implied_equalities(["x", "y"]) == [["x", "y"]]
     frag = p.model_fragment()
     assert frag["x"] == frag["y"]
     assert isinstance(frag["x"], Fraction)
@@ -216,7 +217,7 @@ def test_lra_plugin_roundtrip():
 def test_list_plugin_roundtrip():
     p = ListTheory()
     assert p.assert_literals([Eq(x, car(cons(y, z)))]) is True
-    assert p.implied_equalities(["x", "y"]) == (("x", "y"),)
+    assert p.implied_equalities(["x", "y"]) == [["x", "y"]]
     assert p.model_fragment()["x"] == "x"
     assert p.assert_literals([AtomPred(cons(x, y))]) is False
 
@@ -232,12 +233,11 @@ def test_mls_implied_matches_probing_every_pair(seed, nlits):
     present = [v for v in names if v in nc.vars]
     plugin = MlsTheory()
     plugin.assert_literals(lits)
+    pairs = list(combinations(present, 2))
     probed = tuple(
-        (a, b)
-        for a, b in combinations(present, 2)
-        if not solve(normalize(lits + [Not(Eq(Var(a), Var(b)))])).is_sat
+        (a, b) for a, b in pairs if not solve(normalize(lits + [Not(Eq(Var(a), Var(b)))])).is_sat
     )
-    assert plugin.implied_equalities(names) == probed
+    assert in_classes(plugin.implied_equalities(names), pairs) == probed
 
 
 def test_plugin_metadata():
@@ -272,7 +272,7 @@ def test_assert_literals_replaces_every_earlier_assertion(theory):
     assert reused.assert_literals(second) is True
     assert fresh.assert_literals(second) is True
     shared = ["x", "y", "z"]
-    assert reused.implied_equalities(shared) == fresh.implied_equalities(shared) != ()
+    assert reused.implied_equalities(shared) == fresh.implied_equalities(shared) != []
     assert reused.model_fragment() == fresh.model_fragment()
 
 
@@ -437,9 +437,10 @@ def test_chain_of_forty_asserts_a_spanning_tree():
 
 
 def _reference_propagate(problem, plugins):
-    """Reference: the all-pairs exchange.  Every implied pair not seen
-    before, in either orientation, joins the pool, and the whole pool is
-    asserted to every plugin each round until a round adds nothing."""
+    """Reference: the all-pairs exchange.  Every pair of every class a
+    plugin reports, if not seen before in either orientation, joins the
+    pool, and the whole pool is asserted to every plugin each round until
+    a round adds nothing."""
     known, seen, rounds = [], set(), 0
     while True:
         eq_lits = [Eq(Var(a), Var(b)) for a, b in known]
@@ -448,7 +449,7 @@ def _reference_propagate(problem, plugins):
                 return False, p.name, known, rounds
         new = []
         for p in plugins:
-            for a, b in p.implied_equalities(problem.shared):
+            for a, b in (pair for c in p.implied_equalities(problem.shared) for pair in combinations(c, 2)):
                 canon = (a, b) if a <= b else (b, a)
                 if a != b and canon not in seen:
                     seen.add(canon)
@@ -506,6 +507,55 @@ def test_class_exchange_matches_the_all_pairs_reference():
     assert verdicts == {(True, False), (True, True), (False, False), (False, True)}
 
 
+def _pair_propagate(problem, plugins):
+    """Reference: the exchange as it ran when plugins answered with pairs.
+    Each plugin's implied pairs (x, y), x before y in `shared`, are offered
+    sorted by the position of x and then of y, and a pair is kept when it
+    merges two union-find classes."""
+    pos = {v: i for i, v in enumerate(problem.shared)}
+    heads = {v: v for v in problem.shared}
+
+    def find(v):
+        while heads[v] != v:
+            heads[v] = heads[heads[v]]
+            v = heads[v]
+        return v
+
+    known, rounds = [], 0
+    while True:
+        eq_lits = [Eq(Var(a), Var(b)) for a, b in known]
+        for p in plugins:
+            if not p.assert_literals(list(problem.partition(p.name)) + eq_lits):
+                return None, p.name, tuple(known), rounds
+        merged = False
+        for p in plugins:
+            pairs = (pair for c in p.implied_equalities(problem.shared) for pair in combinations(c, 2))
+            for a, b in sorted(pairs, key=lambda pair: (pos[pair[0]], pos[pair[1]])):
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    heads[rb] = ra
+                    known.append((a, b))
+                    merged = True
+        if not merged:
+            return {p.name: p.model_fragment() for p in plugins}, None, tuple(known), rounds
+        rounds += 1
+
+
+def test_class_offers_match_the_pair_exchange():
+    # Merging each class into its head keeps exactly the pairs the pair
+    # exchange kept, in the same order (the propagate docstring says why).
+    rng = random.Random(16)
+    merges = 0
+    for _ in range(300):
+        lits = _mixed_draw(rng, rng.randrange(3, 7))
+        problem = purify(lits)
+        res = propagate(problem, [MlsTheory(), LraTheory(), ListTheory()])
+        ref = _pair_propagate(problem, [MlsTheory(), LraTheory(), ListTheory()])
+        assert (res.fragments, res.culprit, res.propagated, res.rounds) == ref, lits
+        merges += len(res.propagated) > 1
+    assert merges >= 10
+
+
 def test_deeply_nested_sum_is_sat():
     # Purification names each of the 24 nested sums with an equality row.
     t = "(+ a b)"
@@ -531,7 +581,7 @@ def test_propagate_rejects_nonconvex_plugin():
             return True
 
         def implied_equalities(self, shared):
-            return ()
+            return []
 
         def model_fragment(self):
             return {}

@@ -27,7 +27,8 @@ from setsyl.formulas import Eq, In, Not, SetOp, Subset, Var, or_
 from setsyl.oracle import oracle_implies
 from setsyl.hf import SetAssignment, braces, hf, parse_braces
 from setsyl.normalize import NormalizedConjunction, normalize
-from setsyl.solver import Unsat, implied_equalities, satisfies, solve
+from setsyl.solver import Unsat, satisfies, solve
+from test_solver import _implied
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
@@ -223,7 +224,7 @@ def test_minimize_agrees_with_implied_equalities():
         nc = normalize(lits)
         padded = pad_vars(nc, pairs)
         _, eqs = minimize_equalities(nc, pairs)
-        assert eqs.implied_pairs() == implied_equalities(padded, pairs)
+        assert eqs.implied_pairs() == _implied(padded, pairs)
 
 
 def test_minimize_classifies_separated_pairs_without_probing(monkeypatch):

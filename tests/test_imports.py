@@ -1,9 +1,13 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and the
+package's attribute of each module's name is that module."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
+
+import setsyl
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "setsyl"
 # __init__.py only re-exports, so its imports are its exports.
@@ -40,3 +44,10 @@ def test_the_scan_finds_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+# cli is the one module the package does not import
+@pytest.mark.parametrize("name", [p.stem for p in MODULES if p.stem != "cli"])
+def test_package_attribute_is_the_module(name):
+    # a re-exported function of a module's name would shadow the module
+    assert getattr(setsyl, name) is sys.modules["setsyl." + name]

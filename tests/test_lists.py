@@ -43,19 +43,18 @@ def test_projection_out_of_cons():
     # x = car(cons(y, l)) collapses x into y's class
     s = ListTheory()
     assert s.assert_literals([Eq(x, car(cons(y, l)))]) is True
-    assert s.same_class("x", "y")
-    assert not s.same_class("x", "l")
+    assert s.implied_equalities(["x", "y", "l"]) == [["x", "y"]]
 
 
 def test_cdr_projection():
     s = state(Eq(x, cdr(cons(y, l))))
-    assert s.same_class("x", "l")
+    assert s.implied_equalities(["x", "y", "l"]) == [["x", "l"]]
 
 
 def test_projection_through_equality():
     # z = cons(y, l) and x = car(z): car sees a cons in z's class
     s = state(Eq(z, cons(y, l)), Eq(x, car(z)))
-    assert s.same_class("x", "y")
+    assert s.implied_equalities(["x", "y", "z", "l"]) == [["x", "y"]]
 
 
 def test_atom_of_cons_unsat():
@@ -83,8 +82,7 @@ def test_not_atom_then_atom_unsat():
 
 def test_cons_injectivity():
     s = state(Eq(cons(x, y), cons(z, l)))
-    assert s.same_class("x", "z")
-    assert s.same_class("y", "l")
+    assert s.implied_equalities(["x", "y", "z", "l"]) == [["x", "z"], ["y", "l"]]
 
 
 def test_injectivity_refutes_disequality():
@@ -141,7 +139,7 @@ def test_rejects_non_list_terms():
 
 def test_same_class_unknown_variable():
     s = state(Eq(x, y))
-    assert not s.same_class("x", "q")
+    assert s.implied_equalities(["x", "q"]) == []
 
 
 def test_representatives_pick_least_variable():
@@ -160,15 +158,16 @@ def test_representatives_print_pure_terms():
 
 def test_implied_pairs_orientation_and_order():
     s = state(Eq(x, y), Eq(z, l))
-    assert s.implied_equalities(["x", "y", "z", "l"]) == (("x", "y"), ("z", "l"))
-    assert s.implied_equalities(["l", "z"]) == (("l", "z"),)
+    assert s.implied_equalities(["x", "y", "z", "l"]) == [["x", "y"], ["z", "l"]]
+    assert s.implied_equalities(["l", "z"]) == [["l", "z"]]
+    assert s.implied_equalities(["z", "x", "l", "y"]) == [["z", "l"], ["x", "y"]]
 
 
 def test_implied_via_projection():
     s = state(Eq(x, car(cons(y, l))))
-    assert s.implied_equalities(["x", "y", "l"]) == (("x", "y"),)
+    assert s.implied_equalities(["x", "y", "l"]) == [["x", "y"]]
 
 
 def test_implied_ignores_unknown_names():
     s = state(Eq(x, y))
-    assert s.implied_equalities(["x", "q", "y"]) == (("x", "y"),)
+    assert s.implied_equalities(["x", "q", "y"]) == [["x", "y"]]

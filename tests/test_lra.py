@@ -19,7 +19,8 @@ from setsyl.formulas import (
     SetOp,
     Var,
 )
-from setsyl.lra import LE, LT, EQ, LraTheory
+from setsyl.lra import LE, LT, EQ, LraTheory, _System
+from test_solver import in_classes
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
@@ -138,28 +139,50 @@ def test_neg_operator():
 
 def test_implied_pair_from_mutual_bounds():
     s = state(Leq(x, y), Leq(y, x))
-    assert s.implied_equalities(["x", "y"]) == (("x", "y"),)
+    assert s.implied_equalities(["x", "y"]) == [["x", "y"]]
 
 
 def test_implied_pair_by_transitivity():
     s = state(Eq(x, y), Eq(y, z))
-    assert s.implied_equalities(["x", "z"]) == (("x", "z"),)
+    assert s.implied_equalities(["x", "z"]) == [["x", "z"]]
 
 
 def test_no_implied_pair_from_one_sided_bound():
-    assert state(Leq(x, y)).implied_equalities(["x", "y"]) == ()
+    assert state(Leq(x, y)).implied_equalities(["x", "y"]) == []
 
 
 def test_implied_ignores_absent_shared_vars():
     s = state(Leq(x, y), Leq(y, x))
-    assert s.implied_equalities(["x", "q"]) == ()
-    assert s.implied_equalities(["q", "x", "y"]) == (("x", "y"),)
+    assert s.implied_equalities(["x", "q"]) == []
+    assert s.implied_equalities(["q", "x", "y"]) == [["x", "y"]]
 
 
 def test_implied_ignores_disequalities():
     # implication is judged on the rows alone; the system stays convex
     s = state(Leq(x, y), Leq(y, x), Not(Eq(x, z)))
-    assert s.implied_equalities(["x", "y"]) == (("x", "y"),)
+    assert s.implied_equalities(["x", "y"]) == [["x", "y"]]
+
+
+def test_infeasible_rows_imply_one_class():
+    s = state(Leq(plus(x, rc(1)), y), Leq(y, x), Leq(z, x))
+    assert s.implied_equalities(["z", "q", "y", "x"]) == [["z", "y", "x"]]
+
+
+def test_classes_probe_each_variable_against_heads_only(monkeypatch):
+    # x0 <= x1 <= ... <= x11 <= x0 makes all twelve one class; each
+    # variable after the first is probed once, against the head.
+    names = [f"x{i}" for i in range(12)]
+    s = state(*(Leq(Var(a), Var(b)) for a, b in zip(names, names[1:] + names[:1])))
+    probes = []
+    entails_zero = _System.entails_zero
+
+    def counting(system, target):
+        probes.append(target)
+        return entails_zero(system, target)
+
+    monkeypatch.setattr(_System, "entails_zero", counting)
+    assert s.implied_equalities(names) == [names]
+    assert len(probes) <= 11
 
 
 # ----------------------------------------------------------------- sample
@@ -298,13 +321,14 @@ def test_implied_matches_probing_every_pair(picks):
     s = state(*_literals(picks))
     rows = _literals([p for p in picks if p[0] != "ne"])
     present = [v for v in ("x", "y", "z") if v in s.vars()]
+    pairs = list(combinations(present, 2))
     expect = tuple(
         (a, b)
-        for a, b in combinations(present, 2)
+        for a, b in pairs
         if not LraTheory().assert_literals(rows + [Not(Leq(Var(b), Var(a)))])
         and not LraTheory().assert_literals(rows + [Not(Leq(Var(a), Var(b)))])
     )
-    assert s.implied_equalities(["x", "y", "z"]) == expect
+    assert in_classes(s.implied_equalities(["x", "y", "z"]), pairs) == expect
 
 
 def test_dominated_rows_leave_check_and_sample_alone():

@@ -25,9 +25,7 @@ from setsyl.normalize import (
     apply_plan,
     dnf_split,
     normalize,
-    normalize_formula,
     normalize_with_plan,
-    normalized_size,
     split_disjuncts,
 )
 from setsyl.oracle import bounded_models, eval_formula, oracle_sat
@@ -139,7 +137,7 @@ def test_duplicates_collapse():
 def test_vars_first_occurrence_order_and_size():
     nc = normalize([In(x, y), Eq(z, SetOp("setminus", w, y))])
     assert nc.vars == ("x", "y", "z", "w")
-    assert normalized_size(nc) == (4, 2)
+    assert (len(nc.vars), len(nc.memberships) + len(nc.differences)) == (4, 2)
 
 
 def test_fresh_names_avoid_taken_ones():
@@ -192,7 +190,7 @@ def test_split_is_lazy():
 
 
 def test_normalize_formula_splits():
-    ncs = normalize_formula(or_(In(x, y), In(y, x)))
+    ncs = [normalize(lits) for lits in dnf_split(or_(In(x, y), In(y, x)))]
     assert len(ncs) == 2
 
 

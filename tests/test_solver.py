@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from setsyl import solver
 from setsyl.convexity import minimize_equalities, pad_vars, random_normalized_conjunction
-from setsyl.errors import Budget, ResourceLimitError
+from setsyl.errors import DEFAULT_BUDGET, Budget, ResourceLimitError
 from setsyl.formulas import EMPTY, Eq, In, Not, SetOp, Subset, Var, and_
 from setsyl.hf import SetAssignment, hf
 from setsyl.normalize import NormalizedConjunction, normalize, split_disjuncts
@@ -421,14 +421,44 @@ def test_disjoint_parts_solve_as_their_conjunction(specs, rnd):
 # ------------------------------------------------------ implied equalities
 
 
+def in_classes(classes, pairs):
+    """The pairs, in their order, that an implied_equalities answer makes
+    equal: a name with itself, or two names of one class.
+
+    Also checks the answer's shape against the order in which the names
+    first occur in pairs: every class has two or more names, no name is in
+    two classes, and members and classes (by first member) come in that
+    order.
+    """
+    order = {v: i for i, v in enumerate(dict.fromkeys(v for pair in pairs for v in pair))}
+    flat = [v for c in classes for v in c]
+    assert all(len(c) > 1 for c in classes) and len(set(flat)) == len(flat)
+    assert all(c == sorted(c, key=order.__getitem__) for c in classes)
+    assert [c[0] for c in classes] == sorted((c[0] for c in classes), key=order.__getitem__)
+    head = {v: c[0] for c in classes for v in c}
+    return tuple((a, b) for a, b in pairs if head.get(a, a) == head.get(b, b))
+
+
+def _implied(nc, pairs, budget=DEFAULT_BUDGET):
+    """The pairs implied_equalities over the pairs' names makes equal."""
+    names = [v for pair in pairs for v in pair]
+    return in_classes(implied_equalities(nc, names, budget), pairs)
+
+
 def test_implied_equalities_from_mutual_subset():
     nc = normalize([Subset(x, y), Subset(y, x)])
-    assert implied_equalities(nc, [("x", "y")]) == (("x", "y"),)
+    assert implied_equalities(nc, ["x", "y"]) == [["x", "y"]]
 
 
 def test_implied_equalities_negative():
     nc = normalize([Subset(x, y)])
-    assert implied_equalities(nc, [("x", "y")]) == ()
+    assert implied_equalities(nc, ["x", "y"]) == []
+
+
+def test_implied_equalities_of_an_unsat_conjunction_are_one_class():
+    nc = normalize([In(x, y), In(y, x)])
+    assert implied_equalities(nc, ["y", "q", "x", "y"]) == [["y", "q", "x"]]
+    assert implied_equalities(nc, ["x"]) == []
 
 
 def test_implied_equalities_mixed_pairs():
@@ -438,8 +468,8 @@ def test_implied_equalities_mixed_pairs():
     ]
     nc = normalize(phi)
     # z is empty, so x = y minus z = y; but z = x only if y is empty too
-    got = implied_equalities(nc, [("x", "y"), ("x", "z")])
-    assert got == (("x", "y"),)
+    assert implied_equalities(nc, ["x", "y", "z"]) == [["x", "y"]]
+    assert implied_equalities(nc, ["z", "y", "q", "x"]) == [["y", "x"]]
 
 
 def test_implied_equalities_budget_passthrough():
@@ -448,7 +478,7 @@ def test_implied_equalities_budget_passthrough():
     nc = normalize([Subset(x, y)])
     assert solve(nc, budget=1).is_sat
     with pytest.raises(ResourceLimitError) as caught:
-        implied_equalities(nc, [("x", "y")], budget=1)
+        implied_equalities(nc, ["x", "y"], budget=1)
     assert (caught.value.layer, caught.value.count) == ("enumerating places", 2)
 
 
@@ -468,7 +498,7 @@ def test_signature_rule_matches_probes_and_minimization(seed, nvars, nlits):
     # every pair over nc's variables and one it does not mention, x = x included
     names = list(nc.vars) + ["z"]
     pairs = [(a, b) for i, a in enumerate(names) for b in names[i:]]
-    implied = implied_equalities(nc, pairs)
+    implied = _implied(nc, pairs)
     assert implied == _probe_implied(nc, pairs)
     assert minimize_equalities(nc, pairs)[1].implied_pairs() == implied
 
@@ -518,7 +548,7 @@ def test_split_queries_match_the_signature_rule():
         # every pair over nc's variables and a name it does not mention, (v, v) included
         names = list(nc.vars) + ["q"]
         pairs = [(a, b) for i, a in enumerate(names) for b in names[i:]]
-        assert implied_equalities(nc, pairs) == _implied_by_signatures(nc, pairs)
+        assert _implied(nc, pairs) == _implied_by_signatures(nc, pairs)
 
 
 def test_separating_models_satisfy_and_split_their_pairs():
@@ -532,7 +562,7 @@ def test_separating_models_satisfy_and_split_their_pairs():
         decision = _decide(padded, None)
         if not decision.result.is_sat:
             continue
-        implied = implied_equalities(padded, pairs)
+        implied = _implied(padded, pairs)
         for a, b in pairs:
             model = decision.separating(a, b)
             assert (model is None) == ((a, b) in implied)
@@ -556,8 +586,7 @@ def test_implied_pairs_of_a_subset_cycle_need_no_search(monkeypatch):
         return places(engine, assume)
 
     monkeypatch.setattr(_Engine, "places", counting)
-    pairs = list(combinations(names, 2))
-    assert decision.implied(pairs) == tuple(pairs)
+    assert decision.classes(names) == [names]
     assert searches == []
 
 
@@ -565,11 +594,8 @@ def test_implied_pairs_of_a_forty_membership_chain_are_decided_within_budget():
     # v0 in v1 in ... in v39 has 2**40 places; one split query per pair
     # needs none of them listed
     nc = NormalizedConjunction([(f"v{i}", f"v{i + 1}") for i in range(39)])
-    pairs = list(combinations(nc.vars, 2))
-    assert implied_equalities(nc, pairs, budget=10**5) == ()
-    assert implied_equalities(nc, [(v, v) for v in nc.vars], budget=10**5) == tuple(
-        (v, v) for v in nc.vars
-    )
+    assert implied_equalities(nc, nc.vars, budget=10**5) == []
+    assert _implied(nc, [(v, v) for v in nc.vars], budget=10**5) == tuple((v, v) for v in nc.vars)
 
 
 # ---------------------------------------------------------- targeted junk
@@ -826,7 +852,7 @@ def test_one_build_decides_as_the_component_builds_did(monkeypatch):
             assert got.witness == expected.witness
             assert got.model.to_strings() == expected.model.to_strings()
             pairs = [(a, b) for i, a in enumerate(nc.vars) for b in nc.vars[i:]]
-            assert decision.implied(pairs) == _implied_by_signatures(nc, pairs)
+            assert in_classes(decision.classes(nc.vars), pairs) == _implied_by_signatures(nc, pairs)
             for a, b in rng.sample(pairs, min(len(pairs), 12)):
                 want = _separating_by_component(got.witness, parts, a, b)
                 assert decision.separating(a, b) == want
@@ -946,7 +972,7 @@ def test_split_queries_on_the_star_are_linear(k, monkeypatch):
         return group(names, lambda h, v: compared.append((h, v)) or split(h, v), key)
 
     monkeypatch.setattr(solver, "_group", counting_group)
-    assert decision.implied(combinations(nc.vars, 2)) == ()
+    assert decision.classes(nc.vars) == []
     assert len(named) == len(nc.vars) and len(compared) < len(named)
     # only pairs the decision's model leaves equal are compared
     model = decision.result.model

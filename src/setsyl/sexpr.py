@@ -8,14 +8,20 @@ A script is a sequence of forms:
 Formulas and terms follow a small SMT-flavoured grammar; see the README
 for the operator table.  parse and print are exact inverses on the
 canonical form: parse_script(print_script(s)) reproduces s.
+
+The reader splits the text into tokens with one regular expression.  A
+token is a plain string: a parenthesis, or a run of characters other than
+blanks (space, tab, CR, LF), parentheses and ';'.  A ';' starts a comment
+that runs to the end of its line.  A token's line and column are computed
+only when an error reports them.  Within one parse, each identifier is
+read into a Var once, and later occurrences share that Var.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import ArityError, ParseError
 from .formulas import (
@@ -65,170 +71,154 @@ _RESERVED = (
 )
 
 
-@dataclass
-class _Token:
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> List[_Token]:
-    toks: List[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            col += 1
-            i += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            toks.append(_Token(c, line, col))
-            col += 1
-            i += 1
-        else:
-            start = i
-            startcol = col
-            while i < n and text[i] not in " \t\r\n();":
-                i += 1
-                col += 1
-            toks.append(_Token(text[start:i], line, startcol))
-    return toks
+# One match per token or comment: group 1 holds the token, and a comment
+# leaves it empty.
+_TOKEN = re.compile(r";[^\n]*|([()]|[^ \t\r\n();]+)")
 
 
 class _Reader:
+    """The tokens of one text, consumed left to right.
+
+    Tokens are plain strings and the grammar functions name a token by its
+    index.  Positions are only needed for an error, so at() works them out
+    from the text then.
+    """
+
     def __init__(self, text: str):
-        self.toks = _tokenize(text)
+        self.text = text
+        self.toks = [t for t in _TOKEN.findall(text) if t]
         self.pos = 0
         self.depth = 0
+        # Each identifier read in this text, and the Var it was read as.
+        self.vars: Dict[str, Var] = {}
 
-    def peek(self) -> Optional[_Token]:
+    def at(self, i: int) -> Tuple[int, int]:
+        """Line and column of token i; one past the last token when i is
+        the end, and 1:1 when the text has no token."""
+        if not self.toks:
+            return 1, 1
+        starts = [m.start() for m in _TOKEN.finditer(self.text) if m.group(1)]
+        off = starts[i] if i < len(starts) else starts[-1] + len(self.toks[-1])
+        return self.text.count("\n", 0, off) + 1, off - self.text.rfind("\n", 0, off)
+
+    def peek(self) -> Optional[str]:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
 
-    def next(self, expected: str = "") -> _Token:
-        t = self.peek()
-        if t is None:
-            last = self.toks[-1] if self.toks else _Token("", 1, 1)
+    def next(self, expected: str = "") -> str:
+        i = self.pos
+        if i == len(self.toks):
             raise ParseError(
                 f"unexpected end of input{', expected ' + expected if expected else ''}",
-                last.line,
-                last.col + len(last.text),
+                *self.at(i),
             )
-        self.pos += 1
-        if t.text == "(":
+        t = self.toks[i]
+        self.pos = i + 1
+        if t == "(":
             self.depth += 1
             if self.depth > MAX_NESTING:
-                raise _fail(t, f"nesting deeper than {MAX_NESTING} levels")
-        elif t.text == ")":
+                raise ParseError(f"nesting deeper than {MAX_NESTING} levels", *self.at(i))
+        elif t == ")":
             self.depth -= 1
         return t
 
-    def expect(self, text: str) -> _Token:
+    def expect(self, text: str) -> None:
         t = self.next(text)
-        if t.text != text:
-            raise ParseError(f"expected {text!r}, found {t.text!r}", t.line, t.col)
-        return t
-
-
-def _fail(tok: _Token, msg: str) -> ParseError:
-    return ParseError(msg, tok.line, tok.col)
+        if t != text:
+            raise ParseError(f"expected {text!r}, found {t!r}", *self.at(self.pos - 1))
 
 
 def _parse_term(r: _Reader) -> Term:
     tok = r.next("term")
-    if tok.text == "(":
-        head = r.next("operator")
-        op = head.text
+    if tok == "(":
+        head = r.pos
+        op = r.next("operator")
         args: List[Term] = []
         while True:
             nxt = r.peek()
             if nxt is None:
-                raise _fail(head, "unterminated term")
-            if nxt.text == ")":
+                raise ParseError("unterminated term", *r.at(head))
+            if nxt == ")":
                 r.next()
                 break
             args.append(_parse_term(r))
-        return _build_term(op, args, head)
-    if tok.text == ")":
-        raise _fail(tok, "unexpected ')' in term position")
-    if tok.text == "empty":
+        return _build_term(r, op, args, head)
+    var = r.vars.get(tok)
+    if var is not None:
+        return var
+    if tok == ")":
+        raise ParseError("unexpected ')' in term position", *r.at(r.pos - 1))
+    if tok == "empty":
         return EMPTY
-    if _NUMBER.match(tok.text):
+    if _NUMBER.match(tok):
         try:
-            return RationalConst(Fraction(tok.text))
+            return RationalConst(Fraction(tok))
         except ZeroDivisionError:
-            raise _fail(tok, f"zero denominator in {tok.text!r}") from None
-    if _IDENT.match(tok.text):
-        if tok.text in _RESERVED:
-            raise _fail(tok, f"reserved word {tok.text!r} cannot be a variable")
-        return Var(tok.text)
-    raise _fail(tok, f"not a term: {tok.text!r}")
+            raise ParseError(f"zero denominator in {tok!r}", *r.at(r.pos - 1)) from None
+    if _IDENT.match(tok):
+        if tok in _RESERVED:
+            raise ParseError(f"reserved word {tok!r} cannot be a variable", *r.at(r.pos - 1))
+        var = r.vars[tok] = Var(tok)
+        return var
+    raise ParseError(f"not a term: {tok!r}", *r.at(r.pos - 1))
 
 
-def _build_term(op: str, args: List[Term], head: _Token) -> Term:
+def _build_term(r: _Reader, op: str, args: List[Term], head: int) -> Term:
     if op in SET_OPS:
         if len(args) != SET_OPS[op]:
-            raise ArityError(f"{op} takes {SET_OPS[op]} arguments, got {len(args)}", head.line, head.col)
+            raise ArityError(f"{op} takes {SET_OPS[op]} arguments, got {len(args)}", *r.at(head))
         return SetOp(op, args[0], args[1])
     if op in EXT_OPS:
         if len(args) != EXT_OPS[op]:
-            raise ArityError(f"{op} takes {EXT_OPS[op]} arguments, got {len(args)}", head.line, head.col)
+            raise ArityError(f"{op} takes {EXT_OPS[op]} arguments, got {len(args)}", *r.at(head))
         return ExtOp(op, tuple(args))
     if op in _SURFACE_OP:
         name = _SURFACE_OP[op]
         if len(args) != ARITH_OPS[name]:
-            raise ArityError(f"{op} takes {ARITH_OPS[name]} arguments, got {len(args)}", head.line, head.col)
+            raise ArityError(f"{op} takes {ARITH_OPS[name]} arguments, got {len(args)}", *r.at(head))
         return ArithOp(name, tuple(args))
     if op in LIST_OPS:
         if len(args) != LIST_OPS[op]:
-            raise ArityError(f"{op} takes {LIST_OPS[op]} arguments, got {len(args)}", head.line, head.col)
+            raise ArityError(f"{op} takes {LIST_OPS[op]} arguments, got {len(args)}", *r.at(head))
         return ListOp(op, tuple(args))
-    raise _fail(head, f"unknown operator {op!r}")
+    raise ParseError(f"unknown operator {op!r}", *r.at(head))
 
 
 def _parse_formula(r: _Reader) -> Formula:
     tok = r.next("formula")
-    if tok.text != "(":
-        raise _fail(tok, f"formula must be parenthesized, found {tok.text!r}")
-    head = r.next("predicate or connective")
-    kw = head.text
+    if tok != "(":
+        raise ParseError(f"formula must be parenthesized, found {tok!r}", *r.at(r.pos - 1))
+    head = r.pos
+    kw = r.next("predicate or connective")
     if kw in ("and", "or", "not"):
         parts: List[Formula] = []
         while True:
             nxt = r.peek()
             if nxt is None:
-                raise _fail(head, f"unterminated ({kw} ...)")
-            if nxt.text == ")":
+                raise ParseError(f"unterminated ({kw} ...)", *r.at(head))
+            if nxt == ")":
                 r.next()
                 break
             parts.append(_parse_formula(r))
         if kw == "not":
             if len(parts) != 1:
-                raise ArityError(f"not takes 1 argument, got {len(parts)}", head.line, head.col)
+                raise ArityError(f"not takes 1 argument, got {len(parts)}", *r.at(head))
             return Not(parts[0])
         if not parts:
-            raise ArityError(f"{kw} needs at least one argument", head.line, head.col)
+            raise ArityError(f"{kw} needs at least one argument", *r.at(head))
         return And(tuple(parts)) if kw == "and" else Or(tuple(parts))
     if kw in _PRED_NAMES:
         args: List[Term] = []
         while True:
             nxt = r.peek()
             if nxt is None:
-                raise _fail(head, f"unterminated ({kw} ...)")
-            if nxt.text == ")":
+                raise ParseError(f"unterminated ({kw} ...)", *r.at(head))
+            if nxt == ")":
                 r.next()
                 break
             args.append(_parse_term(r))
         want = 1 if kw == "atom" else 2
         if len(args) != want:
-            raise ArityError(f"{kw} takes {want} arguments, got {len(args)}", head.line, head.col)
+            raise ArityError(f"{kw} takes {want} arguments, got {len(args)}", *r.at(head))
         if kw == "in":
             return In(args[0], args[1])
         if kw == "=":
@@ -238,7 +228,7 @@ def _parse_formula(r: _Reader) -> Formula:
         if kw == "<=":
             return Leq(args[0], args[1])
         return AtomPred(args[0])
-    raise _fail(head, f"unknown predicate or connective {kw!r}")
+    raise ParseError(f"unknown predicate or connective {kw!r}", *r.at(head))
 
 
 def parse_script(text: str) -> Script:
@@ -247,23 +237,23 @@ def parse_script(text: str) -> Script:
     asserts: List[Formula] = []
     options: List[Tuple[str, str]] = []
     while r.peek() is not None:
-        open_tok = r.expect("(")
-        head = r.next("assert or set-option")
-        if head.text == "assert":
+        r.expect("(")
+        head = r.pos
+        kw = r.next("assert or set-option")
+        if kw == "assert":
             asserts.append(_parse_formula(r))
             r.expect(")")
-        elif head.text == "set-option":
+        elif kw == "set-option":
             key = r.next("option key")
-            if not key.text.startswith(":") or len(key.text) < 2:
-                raise _fail(key, f"option key must start with ':', found {key.text!r}")
+            if not key.startswith(":") or len(key) < 2:
+                raise ParseError(f"option key must start with ':', found {key!r}", *r.at(r.pos - 1))
             val = r.next("option value")
-            if val.text in ("(", ")"):
-                raise _fail(val, "option value must be a single token")
-            options.append((key.text[1:], val.text))
+            if val in ("(", ")"):
+                raise ParseError("option value must be a single token", *r.at(r.pos - 1))
+            options.append((key[1:], val))
             r.expect(")")
         else:
-            raise _fail(head, f"expected 'assert' or 'set-option', found {head.text!r}")
-        del open_tok
+            raise ParseError(f"expected 'assert' or 'set-option', found {kw!r}", *r.at(head))
     return Script(tuple(asserts), tuple(options))
 
 
@@ -271,9 +261,9 @@ def parse_formula(text: str) -> Formula:
     """Parse a single formula, mainly a convenience for tests and the REPL."""
     r = _Reader(text)
     f = _parse_formula(r)
-    if r.peek() is not None:
-        t = r.peek()
-        raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
+    t = r.peek()
+    if t is not None:
+        raise ParseError(f"trailing input {t!r}", *r.at(r.pos))
     return f
 
 

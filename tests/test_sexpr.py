@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setsyl.errors import ArityError, ParseError
 from setsyl.formulas import (
@@ -23,6 +25,7 @@ from setsyl.formulas import (
 )
 from setsyl.sexpr import (
     MAX_NESTING,
+    _Reader,
     parse_formula,
     parse_script,
     print_formula,
@@ -128,3 +131,96 @@ def test_identifiers_allow_primes_and_underscores():
 def test_reserved_words_not_variables():
     with pytest.raises(ParseError):
         parse_formula("(in and or)")
+
+
+def test_repeated_identifier_is_read_once():
+    s = parse_script("(assert (in x y))\n(assert (= y (union x y)))")
+    x, y = s.asserts[0].left, s.asserts[0].right
+    assert s.asserts[1].left is y
+    assert s.asserts[1].right.left is x and s.asserts[1].right.right is y
+
+
+def _reference_tokens(text):
+    """The reader's former character loop: (text, line, col) per token."""
+    toks = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+        elif c in " \t\r":
+            col += 1
+            i += 1
+        elif c == ";":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif c in "()":
+            toks.append((c, line, col))
+            col += 1
+            i += 1
+        else:
+            start = i
+            startcol = col
+            while i < n and text[i] not in " \t\r\n();":
+                i += 1
+                col += 1
+            toks.append((text[start:i], line, startcol))
+    return toks
+
+
+_PIECES = ["(", ")", ";", "\n", "\r", "\t", " ", "\x0c", "é", "\r\n", "; note\n",
+           "assert", "set-option", ":seed", "in", "union", "not", "empty", "x", "y'", "_g1",
+           "-3", "1/2", "1/0"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=40).map("".join))
+def test_reader_tokens_and_positions_match_the_character_loop(text):
+    ref = _reference_tokens(text)
+    r = _Reader(text)
+    assert r.toks == [t for t, _, _ in ref]
+    assert [r.at(i) for i in range(len(ref))] == [(line, col) for _, line, col in ref]
+    last = ref[-1] if ref else ("", 1, 1)
+    assert r.at(len(ref)) == (last[1], last[2] + len(last[0]))
+
+
+def _big_script(n):
+    return "".join(
+        f"(assert (subset (union x{i:05d} y{i:05d}) (inter z{i:05d} w{i:05d})))\n; {i:05d}\n"
+        for i in range(n)
+    )
+
+
+@pytest.mark.parametrize(
+    "parse, text, kind, message, line, col",
+    [
+        (parse_script, "; header\r\n(assert (in x y))\r\n(assert (subset x))\r\n",
+         ArityError, "subset takes 2 arguments, got 1", 3, 10),
+        (parse_script, "(assert (in x y))\n\t\t(assert (in x (union y)))\n",
+         ArityError, "union takes 2 arguments, got 1", 2, 18),
+        (parse_script, "(assert (in x y)) ; done\n(assert (in x y)   \n; tail\n",
+         ParseError, "unexpected end of input, expected )", 2, 17),
+        (parse_formula, "; only a comment", ParseError, "unexpected end of input, expected formula", 1, 1),
+        (parse_formula, "(in x y)\n  ; note\n  x", ParseError, "trailing input 'x'", 3, 3),
+        (parse_script, "(assert (in x y))\n(assert " + "(not " * MAX_NESTING + "(in x y)" + ")" * (MAX_NESTING + 1),
+         ParseError, f"nesting deeper than {MAX_NESTING} levels", 2, 5 * MAX_NESTING + 4),
+        (parse_script, "(set-option seed 4)", ParseError, "option key must start with ':', found 'seed'", 1, 13),
+        (parse_script, "(set-option :seed (4))", ParseError, "option value must be a single token", 1, 19),
+        (parse_script, "(assert (in x y))\n(assert (= x (frob y z)))", ParseError, "unknown operator 'frob'", 2, 15),
+        (parse_script, _big_script(20000)[: -len("\n; 19999\n") - 1],
+         ParseError, "unexpected end of input, expected )", 39999, 61),
+    ],
+    ids=["crlf-after-comment", "tab-indented", "end-after-last-token", "comment-only-formula",
+         "trailing-input", "nesting-in-script", "bad-option-key", "bad-option-value",
+         "unknown-operator-line-2", "corrupted-large-script"],
+)
+def test_diagnostics_name_class_message_and_position(parse, text, kind, message, line, col):
+    with pytest.raises(ParseError) as ei:
+        parse(text)
+    assert type(ei.value) is kind
+    assert str(ei.value) == f"{line}:{col}: {message}"
+    assert (ei.value.line, ei.value.col) == (line, col)

@@ -56,7 +56,7 @@ from .formulas import (
     or_,
 )
 from .hf import MAX_RANK_BOUND, SetAssignment, braces, hf, parse_braces
-from .normalize import dnf_split, normalize
+from .normalize import dnf_split, normalize, split_disjuncts
 from .oracle import (
     bounded_models,
     eval_formula,
@@ -158,13 +158,12 @@ def cmd_solve(args) -> int:
         _emit(doc, args.json, lines)
         return 0
 
+    # tags are within {MLS, SHARED} here, which is all dnf_split would check
     sat_res = None
-    sat_branch = None
-    for branch in dnf_split(f):
-        nc = normalize(branch)
-        res = solve(nc, budget=meter)
+    for branch in split_disjuncts(f):
+        res = solve(normalize(branch), budget=meter)
         if res.is_sat:
-            sat_res, sat_branch = res, branch
+            sat_res = res
             break
     if sat_res is None:
         _emit(
@@ -191,14 +190,14 @@ def cmd_solve(args) -> int:
         w = sat_res.witness
         doc["witness"] = {
             "vars": list(w.vars),
-            "sigma": [[name, sorted(place.trues)] for name, place in w.sigma],
-            "junk": [sorted(place.trues) for place in w.junk],
+            "sigma": [[name, sorted(place)] for name, place in w.sigma],
+            "junk": [sorted(place) for place in w.junk],
             "topo": list(w.topo),
             "full_model": sat_res.model.to_strings(),
         }
         lines.append(f"witness: topo = {', '.join(w.topo) or '(none)'}")
         for name, place in w.sigma:
-            lines.append(f"witness: {name} sits at place {{{', '.join(sorted(place.trues))}}}")
+            lines.append(f"witness: {name} sits at place {{{', '.join(sorted(place))}}}")
     _emit(doc, args.json, lines)
     return 0
 

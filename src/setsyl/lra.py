@@ -34,8 +34,6 @@ combination requires of its participants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -57,15 +55,10 @@ _ZERO = Fraction(0)
 # rel meanings: expr le 0, expr lt 0, expr eq 0.
 LE, LT, EQ = "le", "lt", "eq"
 
-
-@dataclass(frozen=True)
-class Row:
-    coeffs: Tuple[Tuple[str, Fraction], ...]
-    const: Fraction
-    rel: str
-
-    def as_dict(self) -> Dict[str, Fraction]:
-        return dict(self.coeffs)
+# A row "sum c*x + k rel 0", as (c, k, rel).  Elimination sees only LE and LT.
+Row = Tuple[Dict[str, Fraction], Fraction, str]
+# A row's direction: its scaled coefficients, sorted by name.
+RowKey = Tuple[Tuple[str, Fraction], ...]
 
 
 def _linear(t: Term) -> Tuple[Dict[str, Fraction], Fraction]:
@@ -85,9 +78,9 @@ def _linear(t: Term) -> Tuple[Dict[str, Fraction], Fraction]:
     raise NonlinearTermError(f"not an affine rational term: {t!r}")
 
 
-def _freeze(coeffs: Dict[str, Fraction], const: Fraction, rel: str) -> Row:
-    items = tuple(sorted((v, c) for v, c in coeffs.items() if c != 0))
-    return Row(items, const, rel)
+def _row(coeffs: Dict[str, Fraction], const: Fraction, rel: str) -> Row:
+    """The row with coeffs' nonzero coefficients, in name order."""
+    return {v: coeffs[v] for v in sorted(coeffs) if coeffs[v]}, const, rel
 
 
 def _diff(a: Term, b: Term) -> Tuple[Dict[str, Fraction], Fraction]:
@@ -98,13 +91,7 @@ def _diff(a: Term, b: Term) -> Tuple[Dict[str, Fraction], Fraction]:
     return ca, ka - kb
 
 
-# An inequality "sum c*x + k rel 0" with rel LE or LT.
-Ineq = Tuple[Dict[str, Fraction], Fraction, str]
-# A row's direction: its scaled coefficients, sorted by name.
-RowKey = Tuple[Tuple[str, Fraction], ...]
-
-
-def _tighten(best: Dict[RowKey, Ineq], ineqs: Iterable[Ineq]) -> bool:
+def _tighten(best: Dict[RowKey, Row], ineqs: Iterable[Row]) -> bool:
     """Add rows to best, keeping the tightest per direction; False on a ground contradiction.
 
     Each row is divided by the magnitude of its first coefficient in name
@@ -131,7 +118,7 @@ def _tighten(best: Dict[RowKey, Ineq], ineqs: Iterable[Ineq]) -> bool:
     return True
 
 
-def _eliminate(ineqs: Iterable[Ineq], order: Sequence[str]) -> Optional[List[List[Ineq]]]:
+def _eliminate(ineqs: Iterable[Row], order: Sequence[str]) -> Optional[List[List[Row]]]:
     """Run elimination; None means a ground contradiction was found.
 
     Returns the list of constraint systems per stage (stage i is the system
@@ -139,7 +126,7 @@ def _eliminate(ineqs: Iterable[Ineq], order: Sequence[str]) -> Optional[List[Lis
     every combined row pass through `_tighten`; rows without the
     eliminated variable stay as they are, already tightened.
     """
-    cur: Dict[RowKey, Ineq] = {}
+    cur: Dict[RowKey, Row] = {}
     if not _tighten(cur, ineqs):
         return None
     stages = []
@@ -171,7 +158,7 @@ def _eliminate(ineqs: Iterable[Ineq], order: Sequence[str]) -> Optional[List[Lis
     return stages
 
 
-def _back_substitute(stages: List[List[Ineq]], order: Sequence[str]) -> Dict[str, Fraction]:
+def _back_substitute(stages: List[List[Row]], order: Sequence[str]) -> Dict[str, Fraction]:
     """A solution of the first stage, read back in reverse elimination order.
 
     Each variable takes the midpoint of its residual interval, or a point
@@ -210,7 +197,7 @@ def _back_substitute(stages: List[List[Ineq]], order: Sequence[str]) -> Dict[str
     return val
 
 
-def _sample_ineqs(ineqs: List[Ineq], order: Sequence[str]) -> Optional[Dict[str, Fraction]]:
+def _sample_ineqs(ineqs: List[Row], order: Sequence[str]) -> Optional[Dict[str, Fraction]]:
     """A solution of an inequality system, or None when there is none."""
     stages = _eliminate(ineqs, order)
     return None if stages is None else _back_substitute(stages, order)
@@ -244,44 +231,89 @@ def _substitute(
     return c, k
 
 
-class _System:
-    """A theory's rows after Gaussian substitution and elimination, built once.
+def _value(c: Dict[str, Fraction], k: Fraction, val: Dict[str, Fraction]) -> Fraction:
+    return k + sum(a * val[v] for v, a in c.items())
+
+
+class LraTheory:
+    """The arithmetic plugin: rows and excluded hyperplanes, replaced by
+    each `assert_literals`, which also reduces the rows once.
 
     Every equality row, with the definitions before it substituted, is
-    solved for its least-named variable; the inequality rows, and any
-    disequality or separation target, are rewritten over the remaining
-    variables.  Each solution of the rewritten inequalities extends to
-    exactly one solution of the original rows by evaluating the definitions
-    in reverse order, and each solution of the original rows restricts to
-    one of the rewritten inequalities, so satisfiability, entailment of a
-    target and sampling can all be decided on the smaller system.  An
-    equality that becomes ground and nonzero makes the rows infeasible.
+    solved for its least-named variable, giving `defs`; the inequality
+    rows, and any disequality or separation target, are rewritten over the
+    remaining variables, `order`, and `stages` is the elimination of the
+    rewritten inequalities, or None when the rows are infeasible.  Each
+    solution of the rewritten inequalities extends to exactly one solution
+    of the original rows by evaluating the definitions in reverse order,
+    and each solution of the original rows restricts to one of the
+    rewritten inequalities, so satisfiability, entailment of a target and
+    sampling can all be decided on the smaller system.  An equality that
+    becomes ground and nonzero makes the rows infeasible.  A fresh theory
+    holds the empty system.
     """
 
-    def __init__(self, state: "LraTheory"):
+    name = "lra"
+    is_convex = True
+
+    def __init__(self) -> None:
+        self.assert_literals(())
+
+    def assert_literals(self, literals: Iterable[Formula]) -> bool:
+        """Replace the system by the literals' rows; True when the rows and
+        disequalities have a common rational solution."""
+        rows: List[Row] = []
+        diseqs: List[Row] = []
+        for lit in literals:
+            if not is_literal(lit):
+                raise UnsupportedAtomError(f"arithmetic expects literals, got {lit!r}")
+            atom, sign = literal_atom(lit)
+            if isinstance(atom, Leq):
+                if sign:
+                    c, k = _diff(atom.left, atom.right)
+                    rows.append(_row(c, k, LE))
+                else:
+                    c, k = _diff(atom.right, atom.left)
+                    rows.append(_row(c, k, LT))
+            elif isinstance(atom, Eq):
+                c, k = _diff(atom.left, atom.right)
+                if sign:
+                    rows.append(_row(c, k, EQ))
+                else:
+                    diseqs.append(_row(c, k, EQ))
+            else:
+                raise UnsupportedAtomError(f"not an arithmetic atom: {atom!r}")
+        self.rows = tuple(rows)
+        self.disequalities = tuple(diseqs)
         self.defs: List[Definition] = []
         feasible = True
-        for r in state.rows:
-            if r.rel != EQ:
+        for c, k, rel in rows:
+            if rel != EQ:
                 continue
-            c, k = _substitute(r.as_dict(), r.const, self.defs)
+            # c may still be the row's own dict, so it is read, never changed
+            c, k = _substitute(c, k, self.defs)
             if not c:
                 feasible = feasible and k == 0
                 continue
             v = min(c)
-            a = c.pop(v)
-            self.defs.append((v, {n: -b / a for n, b in c.items()}, -k / a))
+            a = c[v]
+            self.defs.append((v, {n: -b / a for n, b in c.items() if n != v}, -k / a))
         solved = {v for v, _, _ in self.defs}
-        self.order = tuple(v for v in state.vars() if v not in solved)
-        ineqs = [
-            _substitute(r.as_dict(), r.const, self.defs) + (r.rel,)
-            for r in state.rows
-            if r.rel != EQ
-        ]
+        self.order = tuple(v for v in self.vars() if v not in solved)
+        ineqs = [self.rewrite(r) + (r[2],) for r in rows if r[2] != EQ]
         self.stages = _eliminate(ineqs, self.order) if feasible else None
+        return self.stages is not None and not any(self.entails_zero(d) for d in diseqs)
+
+    def vars(self) -> Tuple[str, ...]:
+        acc: Dict[str, None] = {}
+        for c, _, _ in self.rows + self.disequalities:
+            for v in c:
+                acc.setdefault(v)
+        return tuple(acc)
 
     def rewrite(self, target: Row) -> Tuple[Dict[str, Fraction], Fraction]:
-        return _substitute(target.as_dict(), target.const, self.defs)
+        """The target's expression, as (c, k), over the unsolved variables."""
+        return _substitute(target[0], target[1], self.defs)
 
     def entails_zero(self, target: Row) -> bool:
         """True when every solution of the rows puts the target at zero."""
@@ -302,71 +334,6 @@ class _System:
             full[v] = dk + sum(b * full[n] for n, b in dc.items())
         return full
 
-    @cached_property
-    def point(self) -> Dict[str, Fraction]:
-        """One solution of the rows, ignoring disequalities; needs stages."""
-        return self.extend(_back_substitute(self.stages, self.order))
-
-
-def _value(c: Dict[str, Fraction], k: Fraction, val: Dict[str, Fraction]) -> Fraction:
-    return k + sum(a * val[v] for v, a in c.items())
-
-
-class LraTheory:
-    """The arithmetic plugin: an affine constraint system, rows plus
-    excluded hyperplanes, replaced by each `assert_literals`.
-
-    A fresh theory holds the empty system; its `_System` is built only if
-    a query comes before the first assertion.
-    """
-
-    name = "lra"
-    is_convex = True
-    rows: Tuple[Row, ...] = ()
-    disequalities: Tuple[Row, ...] = ()
-
-    def assert_literals(self, literals: Iterable[Formula]) -> bool:
-        """Replace the system by the literals' rows; True when the rows and
-        disequalities have a common rational solution."""
-        rows: List[Row] = []
-        diseqs: List[Row] = []
-        for lit in literals:
-            if not is_literal(lit):
-                raise UnsupportedAtomError(f"arithmetic expects literals, got {lit!r}")
-            atom, sign = literal_atom(lit)
-            if isinstance(atom, Leq):
-                if sign:
-                    c, k = _diff(atom.left, atom.right)
-                    rows.append(_freeze(c, k, LE))
-                else:
-                    c, k = _diff(atom.right, atom.left)
-                    rows.append(_freeze(c, k, LT))
-            elif isinstance(atom, Eq):
-                c, k = _diff(atom.left, atom.right)
-                if sign:
-                    rows.append(_freeze(c, k, EQ))
-                else:
-                    diseqs.append(_freeze(c, k, EQ))
-            else:
-                raise UnsupportedAtomError(f"not an arithmetic atom: {atom!r}")
-        self.rows = tuple(rows)
-        self.disequalities = tuple(diseqs)
-        self._system = _System(self)
-        if self._system.stages is None:
-            return False
-        return not any(self._system.entails_zero(d) for d in self.disequalities)
-
-    def vars(self) -> Tuple[str, ...]:
-        acc: Dict[str, None] = {}
-        for row in self.rows + self.disequalities:
-            for v, _ in row.coeffs:
-                acc.setdefault(v)
-        return tuple(acc)
-
-    @cached_property
-    def _system(self) -> _System:
-        return _System(self)
-
     def implied_equalities(self, shared: Sequence[str]) -> List[List[str]]:
         """The shared variables forced equal by the rows, as classes of two
         or more: members in shared order, classes by first member.
@@ -380,14 +347,16 @@ class LraTheory:
         None, every probe says implied, and all variables form one class.
         Only variables that actually occur are considered.
         """
-        system = self._system
-        point = system.point if system.stages is not None else dict.fromkeys(self.vars())
+        if self.stages is None:
+            point = dict.fromkeys(self.vars())
+        else:
+            point = self.extend(_back_substitute(self.stages, self.order))
         by_value: Dict[Optional[Fraction], List[List[str]]] = {}
         classes: List[List[str]] = []
         for v in (v for v in shared if v in point):
             group = by_value.setdefault(point[v], [])
             for c in group:
-                if system.entails_zero(_freeze({c[0]: Fraction(1), v: Fraction(-1)}, _ZERO, EQ)):
+                if self.entails_zero(({c[0]: Fraction(1), v: Fraction(-1)}, _ZERO, EQ)):
                     c.append(v)
                     break
             else:
@@ -408,22 +377,21 @@ class LraTheory:
         satisfied along the way.  The result is verified against the original
         rows and disequalities before returning.
         """
-        system = self._system
-        if system.stages is None:
+        if self.stages is None:
             raise InvariantViolation("sampling an unsatisfiable arithmetic system")
-        order = system.order
-        val = _back_substitute(system.stages, order)
+        order = self.order
+        val = _back_substitute(self.stages, order)
 
         cleared: List[Tuple[Dict[str, Fraction], Fraction]] = []
         for d in self.disequalities:
-            c, k = system.rewrite(d)
+            c, k = self.rewrite(d)
             if _value(c, k, val) != 0:
                 cleared.append((c, k))
                 continue
             target: Optional[Dict[str, Fraction]] = None
             for sign in (1, -1):
                 strict = ({v: sign * a for v, a in c.items()}, sign * k, LT)
-                target = _sample_ineqs(system.stages[0] + [strict], order)
+                target = _sample_ineqs(self.stages[0] + [strict], order)
                 if target is not None:
                     break
             if target is None:
@@ -438,12 +406,12 @@ class LraTheory:
             else:
                 raise InvariantViolation("hyperplane repair ran out of step sizes")
 
-        val = system.extend(val)
-        for r in self.rows:
-            total = _value(r.as_dict(), r.const, val)
-            if total > 0 or (total == 0 and r.rel == LT) or (total < 0 and r.rel == EQ):
+        val = self.extend(val)
+        for c, k, rel in self.rows:
+            total = _value(c, k, val)
+            if total > 0 or (total == 0 and rel == LT) or (total < 0 and rel == EQ):
                 raise InvariantViolation("arithmetic sample violates a row")
-        for d in self.disequalities:
-            if _value(d.as_dict(), d.const, val) == 0:
+        for c, k, _ in self.disequalities:
+            if _value(c, k, val) == 0:
                 raise InvariantViolation("arithmetic sample hits an excluded hyperplane")
         return val

@@ -6,7 +6,7 @@ is decided in three layers:
 1. Places: boolean valuations of the variables consistent with every
    difference literal read as a pointwise biconditional.  Each element of a
    would-be model occupies exactly one place (the set of variables it
-   belongs to), so an unsatisfiable boolean layer refutes the conjunction
+   belongs to, kept as a frozenset of their names), so an unsatisfiable boolean layer refutes the conjunction
    outright.  The places are listed by a depth-first search that decides
    the variables in vars order, False before True, and after each decision
    propagates the difference literals x <-> y & ~z it touches:
@@ -260,22 +260,6 @@ from .normalize import NormalizedConjunction
 _TAG_TOP_STEP = 16
 
 
-@dataclass(frozen=True)
-class Place:
-    """A boolean valuation of the variables, as the set it maps to True."""
-
-    trues: frozenset
-
-    def holds(self, name: str) -> bool:
-        return name in self.trues
-
-    def sorted_trues(self) -> Tuple[str, ...]:
-        return tuple(sorted(self.trues))
-
-    def __repr__(self) -> str:
-        return "Place({" + ", ".join(self.sorted_trues()) + "})"
-
-
 def _difference_rules() -> Dict[tuple, Optional[Tuple[Tuple[int, bool], ...]]]:
     """The unit rules of x <-> y & ~z, keyed by the values of (x, y, z).
 
@@ -368,7 +352,7 @@ class _Engine:
         start = self._start(assume)
         return None if start is None else start[0]
 
-    def places(self, assume: Sequence[Tuple[str, bool]] = ()) -> Iterator[Place]:
+    def places(self, assume: Sequence[Tuple[str, bool]] = ()) -> Iterator[frozenset]:
         """The places that agree with assume, drawn lazily in place order.
 
         assume is a partial valuation, as (variable, value) pairs; without
@@ -384,14 +368,14 @@ class _Engine:
         # decisions still to try: (variable, value, trail length before it)
         pending: List[Tuple[int, bool, int]] = []
 
-        def visit(i: int) -> Optional[Place]:
+        def visit(i: int) -> Optional[frozenset]:
             """The node at the first unset variable from i on: its place when
             every variable is set, else None with its two branches pending."""
             meter.spend("enumerating places")
             while i < n and val[i] is not None:
                 i += 1
             if i == n:
-                return Place(frozenset(compress(order, val)))
+                return frozenset(compress(order, val))
             pending.append((i, True, len(trail)))
             pending.append((i, False, len(trail)))
             return None
@@ -408,15 +392,15 @@ class _Engine:
                 if leaf is not None:
                     yield leaf
 
-    def first(self, assume: Sequence[Tuple[str, bool]]) -> Optional[Place]:
+    def first(self, assume: Sequence[Tuple[str, bool]]) -> Optional[frozenset]:
         """The first place that agrees with assume, or None."""
         return next(self.places(assume), None)
 
-    def order(self, p: Place) -> Tuple[bool, ...]:
+    def order(self, p: frozenset) -> Tuple[bool, ...]:
         """p's key in place order, False before True over the vars."""
-        return tuple(p.holds(v) for v in self.nc.vars)
+        return tuple(v in p for v in self.nc.vars)
 
-    def splits(self, u: str, w: str) -> Iterator[Place]:
+    def splits(self, u: str, w: str) -> Iterator[frozenset]:
         """The first place holding u but not w, then the first holding w but
         not u, each when it exists.  Query (i) of layer 2."""
         for a, b in ((u, w), (w, u)):
@@ -424,7 +408,7 @@ class _Engine:
             if p is not None:
                 yield p
 
-    def split(self, u: str, w: str) -> Optional[Place]:
+    def split(self, u: str, w: str) -> Optional[frozenset]:
         """The first place holding exactly one of u and w, or None.  Query
         (iii) of layer 2."""
         return min(self.splits(u, w), key=self.order, default=None)
@@ -442,13 +426,13 @@ def _group(names: Iterable[str], split: Callable, key: Optional[Callable] = None
     which no head matches the name, so there are fewer comparisons than
     names.
     """
-    kept: List[Place] = []
+    kept: List[frozenset] = []
     # (key, signature) -> the class of that head, in class order; bit j of
     # a signature: kept[j] holds the name
     heads: Dict[Tuple[object, int], List[str]] = {}
     for v in names:
         k = key(v) if key else None
-        sig = sum(1 << j for j, p in enumerate(kept) if p.holds(v)) if kept else 0
+        sig = sum(1 << j for j, p in enumerate(kept) if v in p) if kept else 0
         group = heads.get((k, sig))
         if group is not None:
             p = split(group[0], v)
@@ -457,8 +441,8 @@ def _group(names: Iterable[str], split: Callable, key: Optional[Callable] = None
                 continue
             bit = 1 << len(kept)
             kept.append(p)
-            heads = {(hk, hs | bit if p.holds(g[0]) else hs): g for (hk, hs), g in heads.items()}
-            sig |= bit if p.holds(v) else 0
+            heads = {(hk, hs | bit if g[0] in p else hs): g for (hk, hs), g in heads.items()}
+            sig |= bit if v in p else 0
         heads[k, sig] = [v]
     return list(heads.values())
 
@@ -517,7 +501,7 @@ def _acyclic(succ: Dict[str, List[str]]) -> bool:
 
 def enumerate_places(
     nc: NormalizedConjunction, budget: Union[int, Budget, None] = None
-) -> List[Place]:
+) -> List[frozenset]:
     """nc's places, each component's in turn.
 
     The solver itself lists no places; this full listing serves as the
@@ -533,11 +517,12 @@ def enumerate_places(
 
 @dataclass(frozen=True)
 class SolverWitness:
-    """Everything needed to rebuild a model without re-searching."""
+    """Everything needed to rebuild a model without re-searching: each
+    element's place and the junk places, as frozensets of names."""
 
     vars: Tuple[str, ...]
-    sigma: Tuple[Tuple[str, Place], ...]
-    junk: Tuple[Place, ...]
+    sigma: Tuple[Tuple[str, frozenset], ...]
+    junk: Tuple[frozenset, ...]
     topo: Tuple[str, ...]
 
 
@@ -595,14 +580,14 @@ def build_model(witness: SolverWitness) -> SetAssignment:
     sig = dict(witness.sigma)
     members: Dict[str, List[HFSet]] = {v: [] for v in witness.vars}
     for t, p in zip(_junk_tags(len(witness.vars), len(witness.junk)), witness.junk):
-        for v in p.trues:
+        for v in p:
             members[v].append(t)
     # topo puts every u before the variables sig[u] holds, so u's members
     # are all collected when its turn comes.
     vals: Dict[str, HFSet] = {}
     for u in witness.topo:
         vals[u] = hf(members[u])
-        for v in sig[u].trues:
+        for v in sig[u]:
             members[v].append(vals[u])
     for v in witness.vars:
         if v not in vals:
@@ -635,12 +620,12 @@ class _Part:
 
     engine: _Engine
     classes: List[List[str]]
-    sigma: Tuple[Tuple[str, Place], ...]
+    sigma: Tuple[Tuple[str, frozenset], ...]
     free: SetAssignment
     verified: bool
-    _collisions: Optional[Tuple[Place, ...]] = None
+    _collisions: Optional[Tuple[frozenset, ...]] = None
 
-    def collisions(self) -> Tuple[Place, ...]:
+    def collisions(self) -> Tuple[frozenset, ...]:
         """J: places separating every collision of the junk-free build, in place order.
 
         The classes' representatives are grouped by junk-free value, and
@@ -654,26 +639,26 @@ class _Part:
             by_value: Dict[HFSet, List[str]] = {}
             for group in self.classes:
                 by_value.setdefault(self.free[group[0]], []).append(group[0])
-            chosen: List[Place] = []
+            chosen: List[frozenset] = []
             held = {group[0]: 0 for group in self.classes}  # bit j: chosen[j] holds it
             for reps in by_value.values():
                 for u, w in combinations(reps, 2):
                     if sig[u] != sig[w] and held[u] == held[w]:
                         p = self.engine.split(u, w)
                         for r in held:
-                            if p.holds(r):
+                            if r in p:
                                 held[r] |= 1 << len(chosen)
                         chosen.append(p)
             self._collisions = tuple(sorted(chosen, key=self.engine.order))
         return self._collisions
 
     @property
-    def junk(self) -> Tuple[Place, ...]:
+    def junk(self) -> Tuple[frozenset, ...]:
         """The junk solve seeds: none when the junk-free build verifies, else J."""
         return () if self.verified else self.collisions()
 
 
-_Peel = Tuple[List[List[str]], Tuple[Tuple[str, Place], ...], Tuple[str, ...]]
+_Peel = Tuple[List[List[str]], Tuple[Tuple[str, frozenset], ...], Tuple[str, ...]]
 
 
 def _search(engine: _Engine) -> Optional[_Peel]:
@@ -693,7 +678,7 @@ def _search(engine: _Engine) -> Optional[_Peel]:
     targets: List[List[Tuple[str, bool]]] = [[] for _ in classes]
     for x, y in nc.memberships:
         targets[of[x]].append((y, True))
-    sig: Dict[str, Place] = {}
+    sig: Dict[str, frozenset] = {}
     left = list(range(len(classes)))  # the unpeeled classes, in class order
     peeled: List[int] = []
     while left:
@@ -732,7 +717,7 @@ class _Decision:
         """Each variable of nc, mapped to the index of its part."""
         return {v: k for k, part in enumerate(self.parts) for v in part.engine.nc.vars}
 
-    def split(self, a: str, b: str) -> Optional[Tuple[int, Place]]:
+    def split(self, a: str, b: str) -> Optional[Tuple[int, frozenset]]:
         """The split place of two variables of a Sat nc, with the index of
         its part; None when a = b is implied (module docstring)."""
         i, j = self.of[a], self.of[b]
@@ -763,7 +748,7 @@ class _Decision:
         # a head's forced values under head = True and under head = False
         forces: Dict[str, Tuple[Optional[List[Optional[bool]]], ...]] = {}
 
-        def split(h: str, v: str) -> Optional[Place]:
+        def split(h: str, v: str) -> Optional[frozenset]:
             k = self.of[h]
             if self.of[v] == k:
                 engine = self.parts[k].engine

@@ -1,7 +1,11 @@
-"""Every name a package module imports is used in that module, and the
-package's attribute of each module's name is that module."""
+"""Every name a package module imports is used in that module, the
+package's attribute of each module's name is that module, and importing
+the package loads none of them."""
 
 import ast
+import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -10,7 +14,6 @@ import pytest
 import setsyl
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "setsyl"
-# __init__.py only re-exports, so its imports are its exports.
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -46,8 +49,28 @@ def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
 
 
-# cli is the one module the package does not import
-@pytest.mark.parametrize("name", [p.stem for p in MODULES if p.stem != "cli"])
+@pytest.mark.parametrize("name", [p.stem for p in MODULES])
 def test_package_attribute_is_the_module(name):
-    # a re-exported function of a module's name would shadow the module
-    assert getattr(setsyl, name) is sys.modules["setsyl." + name]
+    # Imported here, so the check holds whichever tests ran before; a
+    # package attribute of the same name, such as a re-exported function,
+    # would shadow the module.
+    module = importlib.import_module("setsyl." + name)
+    assert getattr(setsyl, name) is module
+
+
+# what the import system binds on every package
+IMPORT_DUNDERS = {"__builtins__", "__cached__", "__doc__", "__file__", "__loader__",
+                  "__name__", "__package__", "__path__", "__spec__"}
+
+
+def test_importing_the_package_loads_no_module():
+    probe = (
+        "import sys, setsyl\n"
+        "print(sorted(m for m in sys.modules if m.startswith('setsyl.')))\n"
+        f"print(sorted(set(vars(setsyl)) - {IMPORT_DUNDERS!r}))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    ).stdout
+    assert out == "[]\n['__version__']\n"

@@ -19,7 +19,8 @@ from setsyl.formulas import (
     SetOp,
     Var,
 )
-from setsyl.lra import LE, LT, EQ, LraTheory, _System
+from setsyl.lists import ListTheory
+from setsyl.lra import LE, LT, EQ, LraTheory
 from test_solver import in_classes
 
 x, y, z = Var("x"), Var("y"), Var("z")
@@ -52,13 +53,12 @@ def check(*lits) -> bool:
 
 def test_rows_from_literals():
     s = state(Leq(x, y), Not(Leq(y, z)), Eq(x, z), Not(Eq(x, y)))
-    assert [r.rel for r in s.rows] == [LE, LT, EQ]
+    assert [rel for _, _, rel in s.rows] == [LE, LT, EQ]
     assert len(s.disequalities) == 1
     # x <= y becomes x - y <= 0
-    assert s.rows[0].as_dict() == {"x": Fraction(1), "y": Fraction(-1)}
-    assert s.rows[0].const == 0
-    # not (y <= z) becomes z - y < 0
-    assert s.rows[1].as_dict() == {"z": Fraction(1), "y": Fraction(-1)}
+    assert s.rows[0] == ({"x": Fraction(1), "y": Fraction(-1)}, 0, LE)
+    # not (y <= z) becomes z - y < 0, coefficients in name order
+    assert list(s.rows[1][0].items()) == [("y", Fraction(-1)), ("z", Fraction(1))]
 
 
 def test_vars_order_is_deterministic():
@@ -174,13 +174,13 @@ def test_classes_probe_each_variable_against_heads_only(monkeypatch):
     names = [f"x{i}" for i in range(12)]
     s = state(*(Leq(Var(a), Var(b)) for a, b in zip(names, names[1:] + names[:1])))
     probes = []
-    entails_zero = _System.entails_zero
+    entails_zero = LraTheory.entails_zero
 
-    def counting(system, target):
+    def counting(theory, target):
         probes.append(target)
-        return entails_zero(system, target)
+        return entails_zero(theory, target)
 
-    monkeypatch.setattr(_System, "entails_zero", counting)
+    monkeypatch.setattr(LraTheory, "entails_zero", counting)
     assert s.implied_equalities(names) == [names]
     assert len(probes) <= 11
 
@@ -189,20 +189,26 @@ def test_classes_probe_each_variable_against_heads_only(monkeypatch):
 
 
 def _holds(s: LraTheory, val):
-    for row in s.rows:
-        total = row.const + sum(c * val[v] for v, c in row.coeffs)
-        if row.rel == LE:
+    for coeffs, const, rel in s.rows:
+        total = const + sum(c * val[v] for v, c in coeffs.items())
+        if rel == LE:
             assert total <= 0
-        elif row.rel == LT:
+        elif rel == LT:
             assert total < 0
         else:
             assert total == 0
-    for d in s.disequalities:
-        assert d.const + sum(c * val[v] for v, c in d.coeffs) != 0
+    for coeffs, const, _ in s.disequalities:
+        assert const + sum(c * val[v] for v, c in coeffs.items()) != 0
 
 
 def test_sample_empty_state():
     assert state().model_fragment() == {}
+
+
+def test_fresh_theories_answer_before_any_assertion():
+    for theory in (LraTheory(), ListTheory()):
+        assert theory.implied_equalities(["x", "y"]) == []
+        assert theory.model_fragment() == {}
 
 
 def test_sample_satisfies_equalities():

@@ -17,7 +17,6 @@ from setsyl.oracle import eval_formula, oracle_sat
 from setsyl.sexpr import parse_script
 from setsyl.solver import (
     _FORCES,
-    Place,
     Sat,
     SolverWitness,
     Unsat,
@@ -43,7 +42,7 @@ x, y, z = Var("x"), Var("y"), Var("z")
 def test_places_of_single_difference():
     nc = normalize([Eq(x, SetOp("setminus", y, z))])
     places = enumerate_places(nc)
-    assert [p.sorted_trues() for p in places] == [
+    assert [tuple(sorted(p)) for p in places] == [
         (),
         ("z",),
         ("y", "z"),
@@ -54,12 +53,12 @@ def test_places_of_single_difference():
 def test_all_false_place_always_exists():
     nc = normalize([In(x, y), Eq(y, SetOp("setminus", z, x))])
     places = enumerate_places(nc)
-    assert Place(frozenset()) in places
+    assert frozenset() in places
 
 
 def test_places_of_empty_conjunction():
     places = enumerate_places(NormalizedConjunction())
-    assert places == [Place(frozenset())]
+    assert places == [frozenset()]
 
 
 def test_places_without_differences_are_all_valuations():
@@ -67,12 +66,6 @@ def test_places_without_differences_are_all_valuations():
     places = enumerate_places(nc)
     assert len(places) == 4
     assert len(set(places)) == 4
-
-
-def test_place_holds_and_repr():
-    p = Place(frozenset({"b", "a"}))
-    assert p.holds("a") and not p.holds("c")
-    assert repr(p) == "Place({a, b})"
 
 
 def test_enumerate_places_budget_trips():
@@ -119,7 +112,7 @@ def _enumerate_places_by_testing(nc, budget):
     def rec(i):
         budget.spend("enumerating places")
         if i == len(order):
-            out.append(Place(frozenset(v for v in order if val[v])))
+            out.append(frozenset(v for v in order if val[v]))
             return
         for b in (False, True):
             val[order[i]] = b
@@ -179,7 +172,7 @@ def test_witness_fields_describe_the_model():
     res = solve(nc)
     w = res.witness
     assert w.vars == ("x", "y")
-    assert dict(w.sigma)["x"].holds("y")
+    assert "y" in dict(w.sigma)["x"]
     assert w.topo == ("x",)
     rebuilt = build_model(w)
     assert rebuilt == res.model
@@ -239,7 +232,7 @@ def test_junk_separates_otherwise_equal_sets():
 
 
 def test_junk_tags_share_one_rank_whatever_their_count():
-    a = Place(frozenset({"a"}))
+    a = frozenset({"a"})
     ranks = set()
     for count in (2, 2000):
         w = SolverWitness(
@@ -262,8 +255,8 @@ def _build_model_naively(w):
     vals = {}
     placed = set(w.topo)
     for v in list(w.topo) + [v for v in w.vars if v not in placed]:
-        members = [vals[u] for u in w.topo if sig[u].holds(v)]
-        members += [t for t, p in zip(tags, w.junk) if p.holds(v)]
+        members = [vals[u] for u in w.topo if v in sig[u]]
+        members += [t for t, p in zip(tags, w.junk) if v in p]
         vals[v] = hf(members)
     return SetAssignment(vals)
 
@@ -350,7 +343,7 @@ def test_components_share_one_budget():
 def test_enumerate_places_lists_each_component_in_turn():
     nc = NormalizedConjunction([("x", "y"), ("a", "b")])
     places = enumerate_places(nc)
-    assert [p.sorted_trues() for p in places] == [
+    assert [tuple(sorted(p)) for p in places] == [
         (), ("y",), ("x",), ("x", "y"), (), ("b",), ("a",), ("a", "b")
     ]
 
@@ -524,7 +517,7 @@ def _implied_by_signatures(nc, pairs):
     if not solve(nc).is_sat:
         return tuple(pairs)
     places = enumerate_places(nc)
-    signature = {v: tuple(p.holds(v) for p in places) for v in nc.vars}
+    signature = {v: tuple(v in p for p in places) for v in nc.vars}
     return tuple(
         (a, b)
         for a, b in pairs
@@ -622,13 +615,13 @@ def _list_first_sat(nc):
         elems = list(dict.fromkeys(u for u, _ in part.memberships))
         classes = {}
         for u in elems:
-            classes.setdefault(tuple(p.holds(u) for p in places), []).append(u)
+            classes.setdefault(tuple(u in p for p in places), []).append(u)
         groups = list(classes.values())
         options = []
         for group in groups:
             need = {b for a, b in part.memberships if a in group}
             options.append(list(dict.fromkeys(
-                frozenset(u for u in elems if p.holds(u)) for p in places if need <= p.trues
+                frozenset(u for u in elems if u in p) for p in places if need <= p
             )))
         of = {u: i for i, group in enumerate(groups) for u in group}
 
@@ -657,13 +650,13 @@ def _assert_admissible(nc, w):
         places = enumerate_places(part)
         elems = list(dict.fromkeys(u for u, _ in part.memberships))
         assert all(sig[u] in places for u in elems)
-        assert all(sig[a].holds(b) for a, b in part.memberships)
+        assert all(b in sig[a] for a, b in part.memberships)
         for u, v in combinations(elems, 2):
-            if all(p.holds(u) == p.holds(v) for p in places):
+            if all((u in p) == (v in p) for p in places):
                 assert sig[u] == sig[v]
     assert len(sig) == len(w.sigma) and sorted(w.topo) == sorted(sig)
     at = {u: i for i, u in enumerate(w.topo)}
-    assert all(at[u] < at[v] for u in sig for v in sig if sig[u].holds(v))
+    assert all(at[u] < at[v] for u in sig for v in sig if v in sig[u])
 
 
 def _draw(seed, nvars, nlits):
@@ -711,7 +704,7 @@ def test_targeted_junk_keeps_the_placement_and_separates_collisions(nc):
     part = {v: i for i, c in enumerate(_components(nc)) for v in c.vars}
     sig = dict(w.sigma)
     apart = [
-        next(p for p in places if p.holds(u) != p.holds(v))
+        next(p for p in places if (u in p) != (v in p))
         for u, v in combinations(sig, 2)
         if part[u] == part[v] and free[u] == free[v] and sig[u] != sig[v]
     ]
@@ -723,7 +716,7 @@ def test_targeted_junk_keeps_the_placement_and_separates_collisions(nc):
 
 def _agree(place, assume):
     """Whether place gives each variable of assume its value there."""
-    return all(place.holds(v) == b for v, b in assume)
+    return all((v in place) == b for v, b in assume)
 
 
 def _spent(query):
@@ -744,15 +737,15 @@ def _reference_component(part, sig, topo):
     free = build_model(SolverWitness(part.vars, tuple((u, sig[u]) for u in elems), (), topo))
     reps = {}  # signature -> the first element with it, in class order
     for u in elems:
-        reps.setdefault(tuple(p.holds(u) for p in places), u)
+        reps.setdefault(tuple(u in p for p in places), u)
     by_value = {}
     for u in reps.values():
         by_value.setdefault(free[u], []).append(u)
     seeds = []
     for group in by_value.values():
         for u, v in combinations(group, 2):
-            if sig[u] != sig[v] and all(places[k].holds(u) == places[k].holds(v) for k in seeds):
-                seeds.append(next(k for k, p in enumerate(places) if p.holds(u) != p.holds(v)))
+            if sig[u] != sig[v] and all((u in places[k]) == (v in places[k]) for k in seeds):
+                seeds.append(next(k for k, p in enumerate(places) if (u in p) != (v in p)))
     return places, satisfies(part, free), tuple(places[k] for k in sorted(seeds))
 
 
@@ -799,9 +792,9 @@ def _separating_by_component(w, parts, a, b):
     of = {v: k for k, (part, *_) in enumerate(parts) for v in part.vars}
     i, j = of[a], of[b]
     if i == j:
-        hits = [(i, p) for p in parts[i][1] if p.holds(a) != p.holds(b)]
+        hits = [(i, p) for p in parts[i][1] if (a in p) != (b in p)]
     else:
-        hits = [(i, p) for p in parts[i][1] if p.holds(a)] + [(j, p) for p in parts[j][1] if p.holds(b)]
+        hits = [(i, p) for p in parts[i][1] if a in p] + [(j, p) for p in parts[j][1] if b in p]
     if not hits:
         return None
     k, p = hits[0]
@@ -869,7 +862,7 @@ def test_queries_match_the_full_listing(nc, rnd):
         engine = _Engine(part, Budget(None))
         places, cost = _spent(lambda m: _Engine(part, m).places())
         # place order is False before True over vars, which junk sorts by
-        assert places == sorted(places, key=lambda p: [p.holds(v) for v in part.vars])
+        assert places == sorted(places, key=lambda p: [v in p for v in part.vars])
 
         picked = rnd.sample(part.vars, rnd.randint(0, len(part.vars)))
         assume = [(v, rnd.random() < 0.5) for v in picked]
@@ -878,7 +871,7 @@ def test_queries_match_the_full_listing(nc, rnd):
         assert spent <= cost
         assert engine.first(assume) == next(iter(got), None)
 
-        signature = {v: tuple(p.holds(v) for p in places) for v in part.vars}
+        signature = {v: tuple(v in p for p in places) for v in part.vars}
         elems = list(dict.fromkeys(u for u, _ in part.memberships))
         for names, key in ((elems, None), (part.vars, lambda v: sum(signature[v]) % 2)):
             by_signature = {}
@@ -890,11 +883,11 @@ def test_queries_match_the_full_listing(nc, rnd):
 
         for u, w in combinations(part.vars, 2):
             firsts = [
-                next((p for p in places if p.holds(a) and not p.holds(b)), None)
+                next((p for p in places if a in p and b not in p), None)
                 for a, b in ((u, w), (w, u))
             ]
             assert list(engine.splits(u, w)) == [p for p in firsts if p is not None]
-            assert engine.split(u, w) == next((p for p in places if p.holds(u) != p.holds(w)), None)
+            assert engine.split(u, w) == next((p for p in places if (u in p) != (w in p)), None)
 
     res = solve(nc)
     assert res.is_sat == _list_first_sat(nc)

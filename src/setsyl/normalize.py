@@ -227,20 +227,26 @@ class _Normalizer:
         if not is_literal(lit):
             raise UnsupportedAtomError(f"normalize expects literals, got {lit!r}")
         atom, sign = literal_atom(lit)
-        _check_mls_atom(atom)
-        if isinstance(atom, In):
-            flat = In(Var(self.term_to_var(atom.left)), Var(self.term_to_var(atom.right)))
-        elif isinstance(atom, Subset):
-            flat = Subset(Var(self.term_to_var(atom.left)), Var(self.term_to_var(atom.right)))
-        elif isinstance(atom, Eq):
-            s, t = atom.left, atom.right
-            if not isinstance(s, Var) and isinstance(t, Var):
-                s, t = t, s
-            if not isinstance(s, Var):
-                s = Var(self.term_to_var(s))
-            flat = Eq(s, self.flat_rhs(t))
-        else:
-            raise UnsupportedAtomError(f"atom outside the set fragment: {atom!r}")
+        # Flattening succeeds exactly on the atoms that classify_atom tags
+        # mls or shared: In, Subset and Eq over variables, empty and set
+        # operations.  Only an atom it rejects is classified, for the error.
+        try:
+            if isinstance(atom, In):
+                flat = In(Var(self.term_to_var(atom.left)), Var(self.term_to_var(atom.right)))
+            elif isinstance(atom, Subset):
+                flat = Subset(Var(self.term_to_var(atom.left)), Var(self.term_to_var(atom.right)))
+            elif isinstance(atom, Eq):
+                s, t = atom.left, atom.right
+                if not isinstance(s, Var) and isinstance(t, Var):
+                    s, t = t, s
+                if not isinstance(s, Var):
+                    s = Var(self.term_to_var(s))
+                flat = Eq(s, self.flat_rhs(t))
+            else:
+                raise UnsupportedAtomError(f"atom outside the set fragment: {atom!r}")
+        except UnsupportedAtomError:
+            _check_mls_atom(atom)  # raises the error naming the atom's theory or mix
+            raise
         self.dispatch(sign, flat)
 
     def dispatch(self, sign: bool, atom: Atom) -> None:
@@ -332,7 +338,15 @@ def normalize_with_plan(literals: Sequence[Formula]):
 
 
 def normalize(literals: Sequence[Formula]) -> NormalizedConjunction:
-    """Rewrite a conjunction of set literals into membership/difference form."""
+    """Rewrite a conjunction of set literals into membership/difference form.
+
+    Each literal's atom is flattened first; only an atom that cannot be
+    flattened is classified, to raise UnsupportedAtomError naming its
+    theory, or MixedAtomError.  Those are exactly the atoms classify_atom
+    tags neither mls nor shared, so the first such literal fails as it
+    would under an up-front check.  Callers that take literals from
+    dnf_split have had every atom checked already.
+    """
     nc, _ = normalize_with_plan(literals)
     return nc
 

@@ -251,26 +251,32 @@ def bounded_models(
         if not eval_formula(g, partial):
             return
     n = len(order)
-
-    def descend(depth: int) -> Iterator[SetAssignment]:
-        if depth == n:
-            yield SetAssignment(partial)
-            return
-        meter.spend("searching bounded models", width)
-        name = order[depth]
-        for value in universe:
-            partial[name] = value
-            for c in checks[depth]:
-                if not eval_formula(c, partial):
-                    break
-            else:
-                yield from descend(depth + 1)
-        del partial[name]
-
     if n == 0:
         yield SetAssignment({})
         return
-    yield from descend(0)
+    # Depth-first over the depths, without recursion: tried[d] counts the
+    # values already tried at depth d, and each node is charged on entry.
+    tried = [0] * n
+    depth = 0
+    meter.spend("searching bounded models", width)
+    while depth >= 0:
+        name, k = order[depth], tried[depth]
+        if k == width:
+            del partial[name]
+            depth -= 1
+            continue
+        tried[depth] = k + 1
+        partial[name] = universe[k]
+        for c in checks[depth]:
+            if not eval_formula(c, partial):
+                break
+        else:
+            if depth + 1 == n:
+                yield SetAssignment(partial)
+            else:
+                depth += 1
+                tried[depth] = 0
+                meter.spend("searching bounded models", width)
 
 
 def oracle_sat(

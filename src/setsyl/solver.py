@@ -6,10 +6,11 @@ is decided in three layers:
 1. Places: boolean valuations of the variables consistent with every
    difference literal read as a pointwise biconditional.  Each element of a
    would-be model occupies exactly one place (the set of variables it
-   belongs to, kept as a frozenset of their names), so an unsatisfiable boolean layer refutes the conjunction
-   outright.  The places are listed by a depth-first search that decides
-   the variables in vars order, False before True, and after each decision
-   propagates the difference literals x <-> y & ~z it touches:
+   belongs to, kept as a frozenset of their names), so an unsatisfiable
+   boolean layer refutes the conjunction outright.  The places are listed
+   by a depth-first search that decides the variables in vars order, False
+   before True, and after each decision propagates the difference
+   literals x <-> y & ~z it touches:
 
      y = F or z = T forces x = F;       y = T and z = F forces x = T;
      x = T forces y = T and z = F;      x = F and y = T forces z = T;
@@ -30,14 +31,21 @@ is decided in three layers:
    visits that prefix's node too, and the search visits no more nodes.
    The search keeps its pending decisions on a stack and undoes a branch
    by popping the trail of variables it set, so no recursion is needed.
+   A valuation is a list of codes, one per variable: 0 for False, 1 for
+   True, 2 while unset.  The rules are tabulated once, for the 27 coded
+   values of a literal's (x, y, z), at index 9x + 3y + z: each entry lists
+   the (slot, value) pairs it forces on unset slots, or is None when a
+   rule contradicts a set slot, so a watched literal costs one lookup.
+   Each node the search visits costs one budget step.
 
    The same search answers queries.  Given a partial valuation A (the
    assumptions), it first sets A's variables and propagates them, then
    searches as above and yields each leaf as it reaches it, so a caller
-   draws only the places it reads.  A value propagated from A is the one
-   every place agreeing with A takes, and a contradiction means no place
-   agrees with A: propagation from a partial valuation cuts only subtrees
-   with no agreeing place.  So the leaves are exactly the places that
+   draws only the places it reads; the first place is one search to its
+   first leaf.  A value propagated from A is the one every place agreeing
+   with A takes, and a contradiction means no place agrees with A:
+   propagation from a partial valuation cuts only subtrees with no
+   agreeing place.  So the leaves are exactly the places that
    agree with A, and they come in place order, since the decisions still
    go in vars order, False before True.  A query visits no more nodes than
    the full listing.  The valuation V at a node of a query is closed under
@@ -260,32 +268,32 @@ from .normalize import NormalizedConjunction
 _TAG_TOP_STEP = 16
 
 
-def _difference_rules() -> Dict[tuple, Optional[Tuple[Tuple[int, bool], ...]]]:
-    """The unit rules of x <-> y & ~z, keyed by the values of (x, y, z).
+def _difference_rules() -> Tuple[Optional[Tuple[Tuple[int, int], ...]], ...]:
+    """The unit rules of x <-> y & ~z, indexed by 9x + 3y + z.
 
-    A value is None while unset.  An entry lists the (slot, value) pairs
-    the rules of layer 1 force on unset slots, or is None when a rule
-    contradicts a set slot.
+    A value is 0 (False), 1 (True) or 2 (unset).  An entry lists the
+    (slot, value) pairs the rules of layer 1 force on unset slots, or is
+    None when a rule contradicts a set slot.
     """
-    table = {}
-    for known in product((None, False, True), repeat=3):
+    table = []
+    for known in product((0, 1, 2), repeat=3):
         x, y, z = known
         need = []
-        if y is False or z is True:
-            need.append((0, False))
-        if y is True and z is False:
-            need.append((0, True))
-        if x is True:
-            need += [(1, True), (2, False)]
-        if x is False and y is True:
-            need.append((2, True))
-        if x is False and z is False:
-            need.append((1, False))
-        if any(known[s] is not None and known[s] is not c for s, c in need):
-            table[known] = None
+        if y == 0 or z == 1:
+            need.append((0, 0))
+        if y == 1 and z == 0:
+            need.append((0, 1))
+        if x == 1:
+            need += [(1, 1), (2, 0)]
+        if x == 0 and y == 1:
+            need.append((2, 1))
+        if x == 0 and z == 0:
+            need.append((1, 0))
+        if any(known[s] != 2 and known[s] != c for s, c in need):
+            table.append(None)
         else:
-            table[known] = tuple(dict.fromkeys((s, c) for s, c in need if known[s] is None))
-    return table
+            table.append(tuple(dict.fromkeys((s, c) for s, c in need if known[s] == 2)))
+    return tuple(table)
 
 
 _FORCES = _difference_rules()
@@ -295,60 +303,94 @@ class _Engine:
     """The search of layer 1 over one component's places (module docstring).
 
     The variable index and the watch lists are built once; every query
-    about the component goes through them, metered by meter.
+    about the component goes through them, metered by meter.  A valuation
+    is a list of codes by variable index: 0 (False), 1 (True) or 2 (unset).
     """
 
     def __init__(self, nc: NormalizedConjunction, meter: Budget) -> None:
         self.nc = nc
         self.meter = meter
-        self.pos = {v: i for i, v in enumerate(nc.vars)}
+        self.pos = pos = {v: i for i, v in enumerate(nc.vars)}
         # watch[i]: the differences that mention variable i, as index triples
         self.watch: List[List[Tuple[int, int, int]]] = [[] for _ in nc.vars]
-        for d in nc.differences:
-            t = (self.pos[d[0]], self.pos[d[1]], self.pos[d[2]])
-            for i in dict.fromkeys(t):
-                self.watch[i].append(t)
+        for x, y, z in nc.differences:
+            t = (pos[x], pos[y], pos[z])
+            self.watch[t[0]].append(t)
+            if t[1] != t[0]:
+                self.watch[t[1]].append(t)
+            if t[2] != t[0] and t[2] != t[1]:
+                self.watch[t[2]].append(t)
 
-    def _start(self, assume: Sequence[Tuple[str, bool]]):
-        """The valuation that sets assume and propagates it, with its trail
-        and the assign that extends both; None on a contradiction."""
+    def _assign(self, val: List[int], trail: List[int], i: int, b: int) -> bool:
+        """Set variable i to b and all it forces, extending the trail of
+        variables set; False on a contradiction."""
         watch = self.watch
-        val: List[Optional[bool]] = [None] * len(self.nc.vars)
-        trail: List[int] = []  # the variables set so far, in the order set
-
-        def assign(i: int, b: bool) -> bool:
-            """Set variable i to b and all it forces; False on a contradiction."""
-            val[i] = b
-            trail.append(i)
-            k = len(trail) - 1
-            while k < len(trail):  # trail[k:] is set but not yet propagated
-                for t in watch[trail[k]]:
-                    forced = _FORCES[val[t[0]], val[t[1]], val[t[2]]]
-                    if forced is None:
+        val[i] = b
+        k = len(trail)
+        trail.append(i)
+        while k < len(trail):  # trail[k:] is set but not yet propagated
+            for t in watch[trail[k]]:
+                x, y, z = t
+                forced = _FORCES[9 * val[x] + 3 * val[y] + val[z]]
+                if forced is None:
+                    return False
+                for slot, c in forced:
+                    w = t[slot]
+                    if val[w] == 2:
+                        val[w] = c
+                        trail.append(w)
+                    elif val[w] != c:  # x, y and z need not be distinct
                         return False
-                    for slot, c in forced:
-                        w = t[slot]
-                        if val[w] is None:
-                            val[w] = c
-                            trail.append(w)
-                        elif val[w] is not c:  # x, y and z need not be distinct
-                            return False
-                k += 1
-            return True
+            k += 1
+        return True
 
+    def _start(self, assume: Sequence[Tuple[str, bool]]) -> Optional[Tuple[List[int], List[int]]]:
+        """The valuation that sets assume and propagates it, with its trail;
+        None on a contradiction."""
+        val = [2] * len(self.nc.vars)
+        trail: List[int] = []
         for v, b in assume:
-            i = self.pos[v]
-            if val[i] is None:
-                if not assign(i, b):
+            i, c = self.pos[v], 1 if b else 0
+            if val[i] == 2:
+                if not self._assign(val, trail, i, c):
                     return None
-            elif val[i] is not b:
+            elif val[i] != c:
                 return None
-        return val, trail, assign
+        return val, trail
 
-    def forced(self, assume: Sequence[Tuple[str, bool]]) -> Optional[List[Optional[bool]]]:
-        """The values, by variable index, that assume sets and propagates,
-        None where unset; None when no place agrees with assume.  Every
-        place that agrees with assume takes these values (layer 1)."""
+    def _descend(
+        self, val: List[int], trail: List[int], pending: List[Tuple[int, int, int]], i: int
+    ) -> Optional[frozenset]:
+        """Search on to the next leaf: its place, or None when the search is over.
+
+        The search visits the node at the first unset variable from i on,
+        or, when i is -1, takes the last pending decision first.  pending
+        holds the decisions still to try, as (variable, value, trail
+        length before it).
+        """
+        order, spend, assign = self.nc.vars, self.meter.spend, self._assign
+        n = len(order)
+        while True:
+            if i >= 0:
+                spend("enumerating places")
+                while i < n and val[i] != 2:
+                    i += 1
+                if i == n:
+                    return frozenset(compress(order, val))
+                pending.append((i, 1, len(trail)))
+                b = 0  # False first: taken at once, nothing to undo
+            elif pending:
+                i, b, mark = pending.pop()
+                while len(trail) > mark:
+                    val[trail.pop()] = 2
+            else:
+                return None
+            i = i + 1 if assign(val, trail, i, b) else -1
+
+    def forced(self, assume: Sequence[Tuple[str, bool]]) -> Optional[List[int]]:
+        """The codes, by variable index, that assume sets and propagates, 2
+        where unset; None when no place agrees with assume.  Every place
+        that agrees with assume takes these values (layer 1)."""
         start = self._start(assume)
         return None if start is None else start[0]
 
@@ -362,39 +404,17 @@ class _Engine:
         start = self._start(assume)
         if start is None:
             return
-        val, trail, assign = start
-        order, meter = self.nc.vars, self.meter
-        n = len(order)
-        # decisions still to try: (variable, value, trail length before it)
-        pending: List[Tuple[int, bool, int]] = []
-
-        def visit(i: int) -> Optional[frozenset]:
-            """The node at the first unset variable from i on: its place when
-            every variable is set, else None with its two branches pending."""
-            meter.spend("enumerating places")
-            while i < n and val[i] is not None:
-                i += 1
-            if i == n:
-                return frozenset(compress(order, val))
-            pending.append((i, True, len(trail)))
-            pending.append((i, False, len(trail)))
-            return None
-
-        leaf = visit(0)
-        if leaf is not None:
+        val, trail = start
+        pending: List[Tuple[int, int, int]] = []
+        leaf = self._descend(val, trail, pending, 0)
+        while leaf is not None:
             yield leaf
-        while pending:
-            i, b, mark = pending.pop()
-            while len(trail) > mark:
-                val[trail.pop()] = None
-            if assign(i, b):
-                leaf = visit(i + 1)
-                if leaf is not None:
-                    yield leaf
+            leaf = self._descend(val, trail, pending, -1)
 
     def first(self, assume: Sequence[Tuple[str, bool]]) -> Optional[frozenset]:
         """The first place that agrees with assume, or None."""
-        return next(self.places(assume), None)
+        start = self._start(assume)
+        return None if start is None else self._descend(start[0], start[1], [], 0)
 
     def order(self, p: frozenset) -> Tuple[bool, ...]:
         """p's key in place order, False before True over the vars."""
@@ -746,7 +766,7 @@ class _Decision:
             return [names] if len(names) > 1 else []
         model = self.result.model
         # a head's forced values under head = True and under head = False
-        forces: Dict[str, Tuple[Optional[List[Optional[bool]]], ...]] = {}
+        forces: Dict[str, Tuple[Optional[List[int]], ...]] = {}
 
         def split(h: str, v: str) -> Optional[frozenset]:
             k = self.of[h]
@@ -755,7 +775,7 @@ class _Decision:
                 if h not in forces:
                     forces[h] = (engine.forced(((h, True),)), engine.forced(((h, False),)))
                 i = engine.pos[v]
-                if all(f is None or f[i] is b for f, b in zip(forces[h], (True, False))):
+                if all(f is None or f[i] == c for f, c in zip(forces[h], (1, 0))):
                     return None
             hit = self.split(h, v)
             return None if hit is None else hit[1]

@@ -1,17 +1,24 @@
 """Reduction to the two-literal normal form and its witness plans."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setsyl.errors import UnsupportedAtomError
+from setsyl.errors import MixedAtomError, UnsupportedAtomError
 from setsyl.formulas import (
     EMPTY,
+    ArithOp,
+    AtomPred,
     Eq,
     ExtOp,
     In,
+    Leq,
+    ListOp,
     Not,
     Or,
+    RationalConst,
     SetOp,
     Subset,
     Var,
@@ -187,6 +194,36 @@ def test_split_is_lazy():
     pairs = [(Var(f"a{i}"), Var(f"b{i}")) for i in range(40)]
     f = and_(*(or_(In(a, b), In(b, a)) for a, b in pairs))
     assert next(split_disjuncts(f)) == [In(a, b) for a, b in pairs]
+
+
+_OUTSIDE = "atom outside the conjunctive set fragment"
+
+
+@pytest.mark.parametrize(
+    "lit, error, message",
+    [
+        (Leq(x, y), UnsupportedAtomError, f"{_OUTSIDE} (lra)"),
+        (Not(Leq(x, y)), UnsupportedAtomError, f"{_OUTSIDE} (lra)"),
+        (AtomPred(x), UnsupportedAtomError, f"{_OUTSIDE} (list)"),
+        (Eq(x, ExtOp("single", (y,))), UnsupportedAtomError, f"{_OUTSIDE} (mls-ext)"),
+        (
+            Eq(x, SetOp("union", ListOp("cons", (y, z)), y)),
+            MixedAtomError,
+            "atom mixes list and set operators",
+        ),
+        (Eq(x, RationalConst(Fraction(1, 2))), UnsupportedAtomError, f"{_OUTSIDE} (lra)"),
+        (In(ArithOp("plus", (x, y)), z), MixedAtomError, "atom mixes lra and set operators"),
+        (Eq(x, ListOp("car", (y,))), UnsupportedAtomError, f"{_OUTSIDE} (list)"),
+    ],
+)
+def test_normalize_names_the_theory_of_an_atom_outside_the_fragment(lit, error, message):
+    # normalize classifies only the atoms it cannot flatten; the error is
+    # the one classify_atom gives, after a set literal that normalizes.
+    atom = lit.body if isinstance(lit, Not) else lit
+    with pytest.raises(error) as caught:
+        normalize([In(y, z), lit])
+    assert type(caught.value) is error
+    assert str(caught.value) == f"{message}: {atom!r}"
 
 
 def test_normalize_formula_splits():

@@ -78,24 +78,29 @@ def test_enumerate_places_budget_trips():
 
 
 def test_difference_rules_force_what_every_completion_agrees_on():
-    # For each partial valuation of (x, y, z), the rule table forces exactly
-    # the values that all completions satisfying x <-> y & ~z share.
-    for known in product((None, False, True), repeat=3):
+    # For each of the 27 partial valuations of (x, y, z), coded 0 (False),
+    # 1 (True) or 2 (unset), the entry at 9x + 3y + z is None exactly when
+    # no completion satisfies x <-> y & ~z, and otherwise forces exactly
+    # the unset slots on which all completions agree.
+    assert len(_FORCES) == 27
+    for known in product((0, 1, 2), repeat=3):
+        entry = _FORCES[9 * known[0] + 3 * known[1] + known[2]]
         fits = [
             v
-            for v in product((False, True), repeat=3)
+            for v in product((0, 1), repeat=3)
             if v[0] == (v[1] and not v[2])
-            and all(k is None or k == b for k, b in zip(known, v))
+            and all(k == 2 or k == b for k, b in zip(known, v))
         ]
         if not fits:
-            assert _FORCES[known] is None
+            assert entry is None
             continue
         agreed = {
             (s, fits[0][s])
             for s in range(3)
-            if known[s] is None and all(f[s] == fits[0][s] for f in fits)
+            if known[s] == 2 and all(f[s] == fits[0][s] for f in fits)
         }
-        assert set(_FORCES[known]) == agreed
+        assert entry is not None and len(entry) == len(agreed)
+        assert set(entry) == agreed
 
 
 def _enumerate_places_by_testing(nc, budget):
@@ -572,13 +577,13 @@ def test_implied_pairs_of_a_subset_cycle_need_no_search(monkeypatch):
     nc = normalize([Subset(Var(a), Var(b)) for a, b in zip(names, names[1:] + names[:1])])
     decision = _decide(nc, None)
     searches = []
-    places = _Engine.places
+    for method in ("first", "places"):  # the engine's two searching queries
 
-    def counting(engine, assume=()):
-        searches.append(assume)
-        return places(engine, assume)
+        def counting(engine, assume=(), query=getattr(_Engine, method)):
+            searches.append(assume)
+            return query(engine, assume)
 
-    monkeypatch.setattr(_Engine, "places", counting)
+        monkeypatch.setattr(_Engine, method, counting)
     assert decision.classes(names) == [names]
     assert searches == []
 

@@ -13,6 +13,26 @@ model of the output restricted to the original variables is a model of the
 input.  normalize_with_plan additionally returns a recipe that extends any
 model of the input to the fresh variables, which is how the tests check
 equisatisfiability constructively instead of re-searching.
+
+_Normalizer.process names each side of a literal with term_to_var (a
+compound term t becomes a fresh g with g = t rewritten below) and hands
+the names to one rule method:
+
+    mem       x in y            kept
+              x not in y        x in w,  w = w setminus y
+    eq_empty  x = empty         x = x setminus x
+              x != empty        w in x
+    eq_var    x = y             x = y setminus e,  e = e setminus e
+              x != y            w = x union y,  z = x inter y,  v in w,
+                                v not in z
+    eq_op     x = y setminus z  kept
+              x = y inter z     w = y setminus z,  x = y setminus w
+              x = y union z     w = x setminus y,  w = z setminus y,
+                                e = y setminus x,  e = e setminus e
+              x != y op z       x != w,  w = y op z
+              x subset y        as x = y inter x, with either sign
+
+Here w, e, z and v are fresh, minted in the order shown.
 """
 
 from __future__ import annotations
@@ -22,6 +42,7 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import InvariantViolation, UnsupportedAtomError
 from .formulas import (
+    ATOM_TYPES,
     MLS,
     SHARED,
     And,
@@ -31,6 +52,7 @@ from .formulas import (
     Eq,
     Formula,
     In,
+    Not,
     Or,
     SetOp,
     Subset,
@@ -41,7 +63,6 @@ from .formulas import (
     classify_atom,
     free_vars,
     is_literal,
-    literal_atom,
     max_fresh_index,
     nnf,
 )
@@ -159,13 +180,37 @@ def _disjuncts(h: Formula) -> Iterator[List[Formula]]:
         raise TypeError(f"unexpected formula after nnf: {h!r}")
 
 
+def _is_set_term(t: Term) -> bool:
+    kind = type(t)
+    if kind is SetOp:
+        return _is_set_term(t.left) and _is_set_term(t.right)
+    return kind is Var or kind is Empty
+
+
+def _is_set_atom(a: Atom) -> bool:
+    """Whether a is an In, Subset or Eq whose sides are built from Var,
+    Empty and SetOp alone, tested on exact types."""
+    return type(a) in (In, Subset, Eq) and _is_set_term(a.left) and _is_set_term(a.right)
+
+
 def dnf_split(f: Formula) -> Iterator[List[Formula]]:
     """split_disjuncts restricted to the set fragment's atoms.
 
-    The atoms are checked at call time, before any conjunction is made.
+    The atoms are checked here, at call time and in order of occurrence,
+    before any conjunction is made; normalize, which takes the branches,
+    does not check them again.  An atom passing _is_set_atom is one that
+    classify_atom tags mls or shared: over variables, empty and set
+    operations, an In or Subset gathers the mls signature alone and an Eq
+    gathers mls or none, so no family is mixed in.  Conversely an atom it
+    tags mls or shared has no extension, arithmetic or list term, so it
+    passes.  classify_atom runs only on an atom that fails the walk, and
+    raises UnsupportedAtomError naming its theory, or MixedAtomError.  So
+    the first bad atom raises the same error as when every atom is
+    classified.
     """
     for a in atoms(f):
-        _check_mls_atom(a)
+        if not _is_set_atom(a):
+            _check_mls_atom(a)
     return split_disjuncts(f)
 
 
@@ -197,130 +242,114 @@ class _Normalizer:
 
     def term_to_var(self, t: Term) -> str:
         """Name a term with a fresh variable and queue its definition."""
-        if isinstance(t, Var):
+        kind = type(t)
+        if kind is Var:
             return t.name
-        if isinstance(t, Empty):
+        if kind is Empty:
             g = self.fresh(PLAN_TERM, EMPTY)
-            self.dispatch(True, Eq(Var(g), EMPTY))
+            self.eq_empty(True, g)
             return g
-        if isinstance(t, SetOp):
-            lv = self.term_to_var(t.left)
-            rv = self.term_to_var(t.right)
-            flat = SetOp(t.op, Var(lv), Var(rv))
-            g = self.fresh(PLAN_TERM, flat)
-            self.dispatch(True, Eq(Var(g), flat))
+        if kind is SetOp:
+            y = self.term_to_var(t.left)
+            z = self.term_to_var(t.right)
+            if type(t.left) is not Var or type(t.right) is not Var:
+                t = SetOp(t.op, Var(y), Var(z))  # the payload is over names
+            g = self.fresh(PLAN_TERM, t)
+            self.eq_op(True, g, t.op, y, z)
             return g
         raise UnsupportedAtomError(f"not a set term: {t!r}")
-
-    def flat_rhs(self, t: Term) -> Term:
-        """Make an equality right-hand side depth-one: a variable, empty, or
-        a set operation on variables."""
-        if isinstance(t, (Var, Empty)):
-            return t
-        if isinstance(t, SetOp):
-            return SetOp(t.op, Var(self.term_to_var(t.left)), Var(self.term_to_var(t.right)))
-        raise UnsupportedAtomError(f"not a set term: {t!r}")
-
-    # -- literal processing -------------------------------------------
 
     def process(self, lit: Formula) -> None:
-        if not is_literal(lit):
+        atom, sign = (lit.body, False) if type(lit) is Not else (lit, True)
+        kind = type(atom)
+        if kind not in ATOM_TYPES:
             raise UnsupportedAtomError(f"normalize expects literals, got {lit!r}")
-        atom, sign = literal_atom(lit)
         # Flattening succeeds exactly on the atoms that classify_atom tags
         # mls or shared: In, Subset and Eq over variables, empty and set
         # operations.  Only an atom it rejects is classified, for the error.
         try:
-            if isinstance(atom, In):
-                flat = In(Var(self.term_to_var(atom.left)), Var(self.term_to_var(atom.right)))
-            elif isinstance(atom, Subset):
-                flat = Subset(Var(self.term_to_var(atom.left)), Var(self.term_to_var(atom.right)))
-            elif isinstance(atom, Eq):
+            if kind is In:
+                self.mem(sign, self.term_to_var(atom.left), self.term_to_var(atom.right))
+            elif kind is Subset:
+                # x subset y  <=>  x = y inter x
+                x = self.term_to_var(atom.left)
+                self.eq_op(sign, x, "inter", self.term_to_var(atom.right), x)
+            elif kind is Eq:
                 s, t = atom.left, atom.right
-                if not isinstance(s, Var) and isinstance(t, Var):
+                if type(s) is not Var and type(t) is Var:
                     s, t = t, s
-                if not isinstance(s, Var):
-                    s = Var(self.term_to_var(s))
-                flat = Eq(s, self.flat_rhs(t))
+                x = self.term_to_var(s)
+                rhs = type(t)
+                if rhs is Var:
+                    self.eq_var(sign, x, t.name)
+                elif rhs is Empty:
+                    self.eq_empty(sign, x)
+                elif rhs is SetOp:
+                    self.eq_op(sign, x, t.op, self.term_to_var(t.left), self.term_to_var(t.right))
+                else:
+                    raise UnsupportedAtomError(f"not a set term: {t!r}")
             else:
                 raise UnsupportedAtomError(f"atom outside the set fragment: {atom!r}")
         except UnsupportedAtomError:
             _check_mls_atom(atom)  # raises the error naming the atom's theory or mix
             raise
-        self.dispatch(sign, flat)
 
-    def dispatch(self, sign: bool, atom: Atom) -> None:
-        """Apply the rewrite rules to one flat literal, depth first."""
-        if isinstance(atom, In):
-            x, y = atom.left.name, atom.right.name
-            if sign:
-                self.mems.append((x, y))
-            else:
-                # x not in y: put x into a fresh set disjoint from y.
-                w = self.fresh(PLAN_SINGLETON, x)
-                self.dispatch(True, In(Var(x), Var(w)))
-                self.dispatch(True, Eq(Var(w), SetOp("setminus", Var(w), Var(y))))
-            return
+    # -- rewrite rules, depth first -----------------------------------
 
-        if isinstance(atom, Subset):
-            # x subset y  <=>  x = y inter x
-            x, y = atom.left, atom.right
-            self.dispatch(sign, Eq(x, SetOp("inter", y, x)))
-            return
+    def mem(self, sign: bool, x: str, y: str) -> None:
+        if sign:
+            self.mems.append((x, y))
+        else:
+            # x not in y: put x into a fresh set disjoint from y.
+            w = self.fresh(PLAN_SINGLETON, x)
+            self.mems.append((x, w))
+            self.diffs.append((w, w, y))
 
-        if isinstance(atom, Eq):
-            x = atom.left.name
-            rhs = atom.right
-            if sign:
-                if isinstance(rhs, Empty):
-                    # x = empty  <=>  x = x setminus x
-                    self.diffs.append((x, x, x))
-                elif isinstance(rhs, Var):
-                    # x = y  <=>  x = y setminus e  and  e empty
-                    y = rhs.name
-                    e = self.fresh(PLAN_TERM, EMPTY)
-                    self.diffs.append((x, y, e))
-                    self.diffs.append((e, e, e))
-                elif rhs.op == "setminus":
-                    self.diffs.append((x, rhs.left.name, rhs.right.name))
-                elif rhs.op == "inter":
-                    # x = y inter z  <=>  w = y setminus z  and  x = y setminus w
-                    y, z = rhs.left.name, rhs.right.name
-                    w = self.fresh(PLAN_DIFF, y, z)
-                    self.diffs.append((w, y, z))
-                    self.diffs.append((x, y, w))
-                else:
-                    # x = y union z  <=>  w = x\y = z\y  and  y\x empty
-                    y, z = rhs.left.name, rhs.right.name
-                    w = self.fresh(PLAN_DIFF, x, y)
-                    e = self.fresh(PLAN_DIFF, y, x)
-                    self.diffs.append((w, x, y))
-                    self.diffs.append((w, z, y))
-                    self.diffs.append((e, y, x))
-                    self.diffs.append((e, e, e))
-            else:
-                if isinstance(rhs, Empty):
-                    # x nonempty: witness a member.
-                    w = self.fresh(PLAN_MIN_MEMBER, x)
-                    self.dispatch(True, In(Var(w), Var(x)))
-                elif isinstance(rhs, Var):
-                    # x != y: some v lies in the union but not the intersection.
-                    y = rhs.name
-                    w = self.fresh(PLAN_UNION, x, y)
-                    z = self.fresh(PLAN_INTER, x, y)
-                    v = self.fresh(PLAN_SYMDIFF_MIN, x, y)
-                    self.dispatch(True, Eq(Var(w), SetOp("union", Var(x), Var(y))))
-                    self.dispatch(True, Eq(Var(z), SetOp("inter", Var(x), Var(y))))
-                    self.dispatch(True, In(Var(v), Var(w)))
-                    self.dispatch(False, In(Var(v), Var(z)))
-                else:
-                    # x != y op z: name the compound side, then disequality.
-                    w = self.fresh(PLAN_TERM, rhs)
-                    self.dispatch(False, Eq(Var(x), Var(w)))
-                    self.dispatch(True, Eq(Var(w), rhs))
-            return
+    def eq_empty(self, sign: bool, x: str) -> None:
+        if sign:
+            # x = empty  <=>  x = x setminus x
+            self.diffs.append((x, x, x))
+        else:
+            # x nonempty: witness a member.
+            self.mems.append((self.fresh(PLAN_MIN_MEMBER, x), x))
 
-        raise UnsupportedAtomError(f"atom outside the set fragment: {atom!r}")
+    def eq_var(self, sign: bool, x: str, y: str) -> None:
+        if sign:
+            # x = y  <=>  x = y setminus e  and  e empty
+            e = self.fresh(PLAN_TERM, EMPTY)
+            self.diffs.append((x, y, e))
+            self.diffs.append((e, e, e))
+        else:
+            # x != y: some v lies in the union but not the intersection.
+            w = self.fresh(PLAN_UNION, x, y)
+            z = self.fresh(PLAN_INTER, x, y)
+            v = self.fresh(PLAN_SYMDIFF_MIN, x, y)
+            self.eq_op(True, w, "union", x, y)
+            self.eq_op(True, z, "inter", x, y)
+            self.mems.append((v, w))
+            self.mem(False, v, z)
+
+    def eq_op(self, sign: bool, x: str, op: str, y: str, z: str) -> None:
+        if not sign:
+            # x != y op z: name the compound side, then disequality.
+            w = self.fresh(PLAN_TERM, SetOp(op, Var(y), Var(z)))
+            self.eq_var(False, x, w)
+            self.eq_op(True, w, op, y, z)
+        elif op == "setminus":
+            self.diffs.append((x, y, z))
+        elif op == "inter":
+            # x = y inter z  <=>  w = y setminus z  and  x = y setminus w
+            w = self.fresh(PLAN_DIFF, y, z)
+            self.diffs.append((w, y, z))
+            self.diffs.append((x, y, w))
+        else:
+            # x = y union z  <=>  w = x\y = z\y  and  y\x empty
+            w = self.fresh(PLAN_DIFF, x, y)
+            e = self.fresh(PLAN_DIFF, y, x)
+            self.diffs.append((w, x, y))
+            self.diffs.append((w, z, y))
+            self.diffs.append((e, y, x))
+            self.diffs.append((e, e, e))
 
 
 def normalize_with_plan(literals: Sequence[Formula]):

@@ -240,6 +240,20 @@ def test_normalize_golden_subset(tmp_path, capsys):
     ]
 
 
+def test_normalize_pins_every_rewrite_rule(capsys):
+    # fixtures/normal_forms.syl applies every rewrite rule of the normal
+    # form.  The golden files were printed by the normalizer that built each
+    # rewrite step as In, Eq and SetOp terms, so they pin that the rules on
+    # variable names print the same bytes.
+    fixture = os.path.join(FIXTURES, "normal_forms.syl")
+    golden = os.path.join(os.path.dirname(__file__), "golden", "normal_forms.normalize")
+    for flags, suffix in (((), ".txt"), (("--json",), ".json")):
+        code, out, err = run(capsys, "normalize", fixture, *flags)
+        assert (code, err) == (0, "")
+        with open(golden + suffix) as fh:
+            assert out == fh.read()
+
+
 def test_normalize_disjunction_labels(tmp_path, capsys):
     f = script(tmp_path, "(assert (or (in x y) (in y x)))\n")
     code, out, _ = run(capsys, "normalize", f)

@@ -1,5 +1,6 @@
 """Reduction to the two-literal normal form and its witness plans."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,12 @@ from hypothesis import strategies as st
 from setsyl.errors import MixedAtomError, UnsupportedAtomError
 from setsyl.formulas import (
     EMPTY,
+    MLS,
+    SHARED,
+    And,
     ArithOp,
     AtomPred,
+    Empty,
     Eq,
     ExtOp,
     In,
@@ -23,12 +28,26 @@ from setsyl.formulas import (
     Subset,
     Var,
     and_,
+    atoms,
+    classify_atom,
     free_vars,
+    is_literal,
+    literal_atom,
+    max_fresh_index,
     or_,
 )
 from setsyl.hf import SetAssignment, hf
 from setsyl.normalize import (
+    PLAN_DIFF,
+    PLAN_INTER,
+    PLAN_MIN_MEMBER,
+    PLAN_SINGLETON,
+    PLAN_SYMDIFF_MIN,
+    PLAN_TERM,
+    PLAN_UNION,
     NormalizedConjunction,
+    _check_mls_atom,
+    _is_set_atom,
     apply_plan,
     dnf_split,
     normalize,
@@ -353,3 +372,259 @@ def test_single_literal_equisatisfiable_with_plan(idx, neg, i, j, k):
         # decision procedure judge it; it must not invent models
         assert not oracle_sat(lit, 3).is_sat
         assert not solve(nc).is_sat
+
+
+# the reference normalizer ------------------------------------------------------
+
+class _ReferenceNormalizer:
+    """Reference: the normalizer as first written, which rebuilds every
+    flattened literal as an In, Subset or Eq over Vars and has dispatch take
+    it apart again, rule by rule."""
+
+    def __init__(self, taken):
+        self.counter = max_fresh_index("_g", taken)
+        self.mems, self.diffs, self.plan = [], [], []
+
+    def fresh(self, kind, *payload):
+        self.counter += 1
+        name = f"_g{self.counter}"
+        self.plan.append((name, kind) + payload)
+        return name
+
+    def term_to_var(self, t):
+        if isinstance(t, Var):
+            return t.name
+        if isinstance(t, Empty):
+            g = self.fresh(PLAN_TERM, EMPTY)
+            self.dispatch(True, Eq(Var(g), EMPTY))
+            return g
+        if isinstance(t, SetOp):
+            lv = self.term_to_var(t.left)
+            rv = self.term_to_var(t.right)
+            flat = SetOp(t.op, Var(lv), Var(rv))
+            g = self.fresh(PLAN_TERM, flat)
+            self.dispatch(True, Eq(Var(g), flat))
+            return g
+        raise UnsupportedAtomError(f"not a set term: {t!r}")
+
+    def flat_rhs(self, t):
+        if isinstance(t, (Var, Empty)):
+            return t
+        if isinstance(t, SetOp):
+            return SetOp(t.op, Var(self.term_to_var(t.left)), Var(self.term_to_var(t.right)))
+        raise UnsupportedAtomError(f"not a set term: {t!r}")
+
+    def process(self, lit):
+        if not is_literal(lit):
+            raise UnsupportedAtomError(f"normalize expects literals, got {lit!r}")
+        atom, sign = literal_atom(lit)
+        try:
+            if isinstance(atom, In):
+                flat = In(Var(self.term_to_var(atom.left)), Var(self.term_to_var(atom.right)))
+            elif isinstance(atom, Subset):
+                flat = Subset(Var(self.term_to_var(atom.left)), Var(self.term_to_var(atom.right)))
+            elif isinstance(atom, Eq):
+                s, t = atom.left, atom.right
+                if not isinstance(s, Var) and isinstance(t, Var):
+                    s, t = t, s
+                if not isinstance(s, Var):
+                    s = Var(self.term_to_var(s))
+                flat = Eq(s, self.flat_rhs(t))
+            else:
+                raise UnsupportedAtomError(f"atom outside the set fragment: {atom!r}")
+        except UnsupportedAtomError:
+            _check_mls_atom(atom)
+            raise
+        self.dispatch(sign, flat)
+
+    def dispatch(self, sign, atom):
+        if isinstance(atom, In):
+            x, y = atom.left.name, atom.right.name
+            if sign:
+                self.mems.append((x, y))
+            else:
+                w = self.fresh(PLAN_SINGLETON, x)
+                self.dispatch(True, In(Var(x), Var(w)))
+                self.dispatch(True, Eq(Var(w), SetOp("setminus", Var(w), Var(y))))
+            return
+        if isinstance(atom, Subset):
+            x, y = atom.left, atom.right
+            self.dispatch(sign, Eq(x, SetOp("inter", y, x)))
+            return
+        x, rhs = atom.left.name, atom.right
+        if sign:
+            if isinstance(rhs, Empty):
+                self.diffs.append((x, x, x))
+            elif isinstance(rhs, Var):
+                e = self.fresh(PLAN_TERM, EMPTY)
+                self.diffs += [(x, rhs.name, e), (e, e, e)]
+            elif rhs.op == "setminus":
+                self.diffs.append((x, rhs.left.name, rhs.right.name))
+            elif rhs.op == "inter":
+                y, z = rhs.left.name, rhs.right.name
+                w = self.fresh(PLAN_DIFF, y, z)
+                self.diffs += [(w, y, z), (x, y, w)]
+            else:
+                y, z = rhs.left.name, rhs.right.name
+                w = self.fresh(PLAN_DIFF, x, y)
+                e = self.fresh(PLAN_DIFF, y, x)
+                self.diffs += [(w, x, y), (w, z, y), (e, y, x), (e, e, e)]
+        elif isinstance(rhs, Empty):
+            w = self.fresh(PLAN_MIN_MEMBER, x)
+            self.dispatch(True, In(Var(w), Var(x)))
+        elif isinstance(rhs, Var):
+            y = rhs.name
+            w = self.fresh(PLAN_UNION, x, y)
+            z = self.fresh(PLAN_INTER, x, y)
+            v = self.fresh(PLAN_SYMDIFF_MIN, x, y)
+            self.dispatch(True, Eq(Var(w), SetOp("union", Var(x), Var(y))))
+            self.dispatch(True, Eq(Var(z), SetOp("inter", Var(x), Var(y))))
+            self.dispatch(True, In(Var(v), Var(w)))
+            self.dispatch(False, In(Var(v), Var(z)))
+        else:
+            w = self.fresh(PLAN_TERM, rhs)
+            self.dispatch(False, Eq(Var(x), Var(w)))
+            self.dispatch(True, Eq(Var(w), rhs))
+
+
+def _reference_normalize(literals):
+    literals = list(dict.fromkeys(literals))
+    n = _ReferenceNormalizer(v for lit in literals for v in free_vars(lit))
+    for lit in literals:
+        n.process(lit)
+    return NormalizedConjunction(n.mems, n.diffs), tuple(n.plan)
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except Exception as e:
+        return type(e), str(e)
+
+
+# Random terms of one signature, or of several when mixed: "set" draws
+# empty and union/inter/setminus, "ext" the extension operators, "lra"
+# plus/neg and rational constants, "list" cons/car/cdr.  Variables are
+# the leaves of every signature; _g1 and _g3 collide with fresh names.
+_NAMES = ("x", "y", "z", "_g1", "_g3")
+_FAMILIES = ("set", "ext", "lra", "list")
+
+
+def _random_term(rng, depth, families):
+    if depth == 0 or rng.random() < 0.3:
+        return Var(rng.choice(_NAMES))
+    family = rng.choice(families)
+    if family == "set":
+        if rng.random() < 0.2:
+            return EMPTY
+        op = rng.choice(("union", "inter", "setminus"))
+        return SetOp(op, _random_term(rng, depth - 1, families),
+                     _random_term(rng, depth - 1, families))
+    if family == "ext":
+        op = rng.choice(("single", "pow", "bigU", "bigI", "cross", "ucross"))
+        arity = 2 if op in ("cross", "ucross") else 1
+        return ExtOp(op, tuple(_random_term(rng, depth - 1, families) for _ in range(arity)))
+    if family == "lra":
+        if rng.random() < 0.3:
+            return RationalConst(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        op = rng.choice(("plus", "neg"))
+        arity = 2 if op == "plus" else 1
+        return ArithOp(op, tuple(_random_term(rng, depth - 1, families) for _ in range(arity)))
+    op = rng.choice(("cons", "car", "cdr"))
+    arity = 2 if op == "cons" else 1
+    return ListOp(op, tuple(_random_term(rng, depth - 1, families) for _ in range(arity)))
+
+
+def _random_atom(rng, set_share):
+    """An atom over set terms with probability set_share; otherwise any
+    atom kind over terms of one to three random signatures."""
+    if rng.random() < set_share:
+        kind, families = rng.choice((In, Subset, Eq)), ("set",)
+    else:
+        kind = rng.choice((In, Subset, Eq, Leq, AtomPred))
+        families = tuple(rng.sample(_FAMILIES, rng.randint(1, 3)))
+    depth = rng.randint(0, 3)
+    if kind is AtomPred:
+        return AtomPred(_random_term(rng, depth, families))
+    return kind(_random_term(rng, depth, families), _random_term(rng, depth, families))
+
+
+def _random_literal(rng):
+    roll = rng.random()
+    if roll < 0.01:
+        return And((In(x, y), In(y, z)))  # not a literal
+    if roll < 0.02:
+        return Not(Not(In(x, y)))  # not a literal either
+    atom = _random_atom(rng, 0.8)
+    return Not(atom) if rng.random() < 0.4 else atom
+
+
+def test_normalize_matches_the_reference_normalizer():
+    rng = random.Random(2026)
+    raised = 0
+    for _ in range(6000):
+        lits = [_random_literal(rng) for _ in range(rng.randint(0, 5))]
+        want = _outcome(_reference_normalize, lits)
+        got = _outcome(normalize_with_plan, lits)
+        if isinstance(want[0], type):
+            raised += 1
+            assert got == want, lits
+        else:
+            (want_nc, want_plan), (got_nc, got_plan) = want, got
+            assert got_nc.memberships == want_nc.memberships, lits
+            assert got_nc.differences == want_nc.differences, lits
+            assert got_plan == want_plan, lits
+    assert 1000 < raised < 5000  # both outcomes are drawn often
+
+
+def _classified_set(a):
+    try:
+        return classify_atom(a) in (MLS, SHARED)
+    except MixedAtomError:
+        return False
+
+
+def test_set_atom_walk_holds_exactly_where_classify_atom_says_mls_or_shared():
+    rng = random.Random(26)
+    passed = 0
+    for _ in range(20000):
+        a = _random_atom(rng, 0.3)
+        assert _is_set_atom(a) == _classified_set(a), a
+        passed += _is_set_atom(a)
+    assert 5000 < passed < 15000
+
+
+def _check_every_atom(f):
+    """Reference: dnf_split's check as first written, classify_atom on
+    every atom in order of occurrence."""
+    for a in atoms(f):
+        _check_mls_atom(a)
+    return "ok"
+
+
+def _split(f):
+    dnf_split(f)
+    return "ok"
+
+
+def _random_formula(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return _random_atom(rng, 0.9)
+    roll = rng.random()
+    if roll < 0.2:
+        return Not(_random_formula(rng, depth - 1))
+    parts = tuple(_random_formula(rng, depth - 1) for _ in range(rng.randint(1, 3)))
+    return And(parts) if roll < 0.6 else Or(parts)
+
+
+def test_dnf_split_raises_the_error_of_the_first_bad_atom():
+    rng = random.Random(2603)
+    raised = 0
+    for _ in range(3000):
+        f = _random_formula(rng, 3)
+        want = _outcome(_check_every_atom, f)
+        got = _outcome(_split, f)
+        assert got == want, f
+        raised += want != "ok"
+    assert 300 < raised < 2700

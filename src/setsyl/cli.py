@@ -20,7 +20,6 @@ from typing import Dict, List, Optional, Sequence
 
 from .combine import THEORIES, solve_combined
 from .convexity import (
-    all_checks_pass,
     check_trace_invariants,
     convexity_fuzz,
     enlarge,
@@ -55,7 +54,7 @@ from .formulas import (
     is_literal,
     or_,
 )
-from .hf import MAX_RANK_BOUND, SetAssignment, braces, hf, parse_braces
+from .hf import MAX_RANK_BOUND, HFSet, braces, hf, parse_braces, to_strings
 from .normalize import dnf_split, normalize, split_disjuncts
 from .oracle import (
     bounded_models,
@@ -174,17 +173,16 @@ def cmd_solve(args) -> int:
         )
         return 0
 
-    shown = [v for v in free_vars(f) if v in sat_res.model]
-    model = sat_res.model.restrict(shown)
+    model = to_strings({v: sat_res.model[v] for v in free_vars(f) if v in sat_res.model})
     doc = {
         "command": "solve",
         "engine": "mls",
         "verdict": "sat",
-        "model": model.to_strings(),
+        "model": model,
         "witness": None,
     }
     lines = ["sat"]
-    for k, v in sorted(model.to_strings().items()):
+    for k, v in model.items():
         lines.append(f"{k} = {v}")
     if args.witness:
         w = sat_res.witness
@@ -193,7 +191,7 @@ def cmd_solve(args) -> int:
             "sigma": [[name, sorted(place)] for name, place in w.sigma],
             "junk": [sorted(place) for place in w.junk],
             "topo": list(w.topo),
-            "full_model": sat_res.model.to_strings(),
+            "full_model": to_strings(sat_res.model),
         }
         lines.append(f"witness: topo = {', '.join(w.topo) or '(none)'}")
         for name, place in w.sigma:
@@ -243,10 +241,10 @@ def cmd_oracle(args) -> int:
             "command": "oracle",
             "rank_bound": rank,
             "verdict": "sat",
-            "model": res.model.to_strings(),
+            "model": to_strings(res.model),
         }
         lines = [f"sat within rank {rank}"]
-        for k, v in sorted(res.model.to_strings().items()):
+        for k, v in doc["model"].items():
             lines.append(f"{k} = {v}")
     else:
         doc = {"command": "oracle", "rank_bound": rank, "verdict": "unsat", "model": None}
@@ -277,7 +275,7 @@ def _split_entries(text: str) -> List[str]:
     return parts
 
 
-def _parse_assignment(text: str) -> SetAssignment:
+def _parse_assignment(text: str) -> Dict[str, HFSet]:
     out = {}
     for part in _split_entries(text.strip().strip('"')):
         part = part.strip()
@@ -287,7 +285,7 @@ def _parse_assignment(text: str) -> SetAssignment:
             raise UsageError(f"expected name=braces in assignment option, got {part!r}")
         name, _, value = part.partition("=")
         out[name.strip()] = parse_braces(value)
-    return SetAssignment(out)
+    return out
 
 
 def cmd_witness(args) -> int:
@@ -303,7 +301,7 @@ def cmd_witness(args) -> int:
             raise UsageError("witness expects a conjunction of literals")
     nc = pad_vars(normalize(lits), [(x, y)])
 
-    opts = script.option_map()
+    opts = dict(script.options)
     eq = Eq(Var(x), Var(y))
     models = {}
     for key, goal, rel in (("base", eq, "="), ("separating", Not(eq), "!=")):
@@ -327,10 +325,10 @@ def cmd_witness(args) -> int:
         "separator": braces(trace.separator),
         "stabilized_at": trace.stabilized_at,
         "waves": [sorted(w) for w in trace.waves],
-        "stages": [stage.to_strings() for stage in trace.stages],
-        "result": enlarged.to_strings(),
+        "stages": [to_strings(stage) for stage in trace.stages],
+        "result": to_strings(enlarged),
         "checks": [asdict(c) for c in checks],
-        "all_pass": all_checks_pass(checks),
+        "all_pass": all(c.ok for c in checks),
     }
     lines = [
         f"designated pair: {x} = {y}",
@@ -341,8 +339,8 @@ def cmd_witness(args) -> int:
     for n, wave in enumerate(trace.waves):
         inner = ", ".join(sorted(wave))
         lines.append(f"V_{n} = {{{inner}}}")
-    for n, stage in enumerate(trace.stages):
-        for k, v in sorted(stage.to_strings().items()):
+    for n, stage in enumerate(doc["stages"]):
+        for k, v in stage.items():
             lines.append(f"M_{n} {k} = {v}")
     lines.append(f"stabilized at stage {trace.stabilized_at}")
     passed = sum(1 for c in checks if c.ok)
@@ -436,7 +434,7 @@ def cmd_nonconvex(args) -> int:
     for m in bounded_models(big, rank):
         for i, (_, d) in enumerate(disjuncts):
             if i not in counter and not eval_formula(d, m):
-                counter[i] = m.to_strings()
+                counter[i] = to_strings(m)
         if len(counter) == len(disjuncts):
             break
     cases = [
@@ -508,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("solve", help="decide a conjunction (set or mixed theories)")
     sp.add_argument("file", help="s-expression script (.syl)")
     sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                    help="step budget for the set solver")
+                    help="step budget for the set solver and the arithmetic plugin")
     sp.add_argument("--plugins", default=None,
                     help="comma-separated plugin order, e.g. mls,lra,list")
     sp.add_argument("--witness", action="store_true",

@@ -54,6 +54,7 @@ from .formulas import (
     literal_atom,
     max_fresh_index,
 )
+from .hf import to_strings
 from .lists import ListTheory
 from .lra import LraTheory
 from .normalize import normalize, split_disjuncts
@@ -78,18 +79,14 @@ def _top_theory(t: Term) -> Optional[str]:
 class TheoryProblem:
     """A purified conjunction, split by theory.
 
-    `shared` lists variables occurring in at least two partitions, in
-    first-occurrence order.  The purifier's defining equalities sit in
-    their home partitions.
+    `parts` maps each name of THEORIES, which is also its plugin's name, to
+    that theory's literals.  `shared` lists variables occurring in at least
+    two partitions, in first-occurrence order.  The purifier's defining
+    equalities sit in their home partitions.
     """
 
-    mls: Tuple[Formula, ...]
-    lra: Tuple[Formula, ...]
-    lists: Tuple[Formula, ...]
+    parts: Mapping[str, Tuple[Formula, ...]]
     shared: Tuple[str, ...]
-
-    def partition(self, name: str) -> Tuple[Formula, ...]:
-        return {"mls": self.mls, "lra": self.lra, "list": self.lists}[name]
 
 
 class _Purifier:
@@ -193,12 +190,7 @@ def purify(literals: Sequence[Formula]) -> TheoryProblem:
     # occurs[t] holds parts[t]'s variables in first-occurrence order
     shared = dict.fromkeys(v for t in THEORIES for v in occurs[t] if counts[v] >= 2)
 
-    return TheoryProblem(
-        mls=tuple(pur.parts["mls"]),
-        lra=tuple(pur.parts["lra"]),
-        lists=tuple(pur.parts["list"]),
-        shared=tuple(shared),
-    )
+    return TheoryProblem({t: tuple(pur.parts[t]) for t in THEORIES}, tuple(shared))
 
 
 class TheoryPlugin(Protocol):
@@ -239,13 +231,13 @@ class MlsTheory:
 
     def model_fragment(self) -> Mapping[str, str]:
         model = self._decision.result.model
-        return model.restrict(v for v in self._vars if v in model).to_strings()
+        return to_strings({v: model[v] for v in self._vars if v in model})
 
 
 def _plugins(names: Sequence[str], budget: Union[int, Budget, None]) -> List[TheoryPlugin]:
     """A fresh plugin for each name of THEORIES, in that order; the set
-    plugin spends budget."""
-    make = {"mls": lambda: MlsTheory(budget), "lra": LraTheory, "list": ListTheory}
+    and arithmetic plugins spend budget."""
+    make = {"mls": lambda: MlsTheory(budget), "lra": lambda: LraTheory(budget), "list": ListTheory}
     return [make[name]() for name in names]
 
 
@@ -308,7 +300,7 @@ def propagate(
             )
     have = {p.name for p in plugins}
     for t in THEORIES:
-        if problem.partition(t) and t not in have:
+        if problem.parts[t] and t not in have:
             raise UnsupportedAtomError(f"literals require the {t!r} plugin")
 
     heads = {v: v for v in problem.shared}
@@ -324,7 +316,7 @@ def propagate(
     while True:
         eq_lits = [Eq(Var(a), Var(b)) for a, b in known]
         for p in plugins:
-            if not p.assert_literals(list(problem.partition(p.name)) + eq_lits):
+            if not p.assert_literals(list(problem.parts[p.name]) + eq_lits):
                 return CombinedResult(None, p.name, tuple(known), rounds, problem)
         merged = False
         for p in plugins:

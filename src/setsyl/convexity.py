@@ -26,11 +26,11 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import DEFAULT_BUDGET, InvariantViolation, PreconditionError
 from .formulas import max_fresh_index
-from .hf import HFSet, SetAssignment, hf, nested_singleton, set_union
+from .hf import HFSet, hf, nested_singleton, set_union
 from .normalize import NormalizedConjunction
 from .oracle import bounded_models
 from .sexpr import print_formula
@@ -51,7 +51,7 @@ class EnlargementTrace:
     separator: HFSet
     direction: str
     waves: Tuple[frozenset, ...]
-    stages: Tuple[SetAssignment, ...]
+    stages: Tuple[Dict[str, HFSet], ...]
     stabilized_at: int
 
 
@@ -87,11 +87,11 @@ def _require(cond: bool, what: str) -> None:
 
 def enlarge(
     nc: NormalizedConjunction,
-    base: SetAssignment,
-    separating: SetAssignment,
+    base: Mapping[str, HFSet],
+    separating: Mapping[str, HFSet],
     x: str,
     y: str,
-) -> Tuple[SetAssignment, EnlargementTrace]:
+) -> Tuple[Dict[str, HFSet], EnlargementTrace]:
     """Rebuild base so it separates x and y yet still satisfies nc.
 
     base must satisfy nc with base[x] = base[y]; separating must satisfy nc
@@ -146,13 +146,13 @@ def enlarge(
         stages.append(stage)
         n += 1
 
-    final = SetAssignment(stages[-1])
+    final = stages[-1]
     trace = EnlargementTrace(
         fresh_element=fresh,
         separator=sep,
         direction=direction,
         waves=tuple(waves),
-        stages=tuple(SetAssignment(s) for s in stages),
+        stages=tuple(stages),
         stabilized_at=len(stages) - 1,
     )
 
@@ -175,12 +175,8 @@ class InvariantCheck:
     detail: str = ""
 
 
-def all_checks_pass(report: Sequence[InvariantCheck]) -> bool:
-    return all(c.ok for c in report)
-
-
 def check_trace_invariants(
-    trace: EnlargementTrace, base: SetAssignment, nc: NormalizedConjunction
+    trace: EnlargementTrace, base: Mapping[str, HFSet], nc: NormalizedConjunction
 ) -> Tuple[InvariantCheck, ...]:
     """Re-verify the structural laws of an enlargement trace.
 
@@ -301,7 +297,7 @@ class Implied:
 
 @dataclass(frozen=True)
 class Falsifiable:
-    countermodel: SetAssignment
+    countermodel: Dict[str, HFSet]
 
 
 @dataclass(frozen=True)
@@ -346,9 +342,9 @@ def minimize_equalities(
         return Unsat(), eqs
 
     # pair -> a model of padded separating it, or None when it is implied
-    probes: Dict[Tuple[str, str], Optional[SetAssignment]] = {}
+    probes: Dict[Tuple[str, str], Optional[Dict[str, HFSet]]] = {}
 
-    def probe(pair: Tuple[str, str]) -> Optional[SetAssignment]:
+    def probe(pair: Tuple[str, str]) -> Optional[Dict[str, HFSet]]:
         if pair not in probes:
             probes[pair] = decision.separating(*pair)
         return probes[pair]

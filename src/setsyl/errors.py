@@ -1,7 +1,8 @@
 """Exception types shared across the toolkit, and the one search budget.
 
 Every exponential search (the solver's place engine, whose queries also
-meter the placement, and its model builds; the oracle's enumeration of
+meter the placement, and its model builds; Fourier-Motzkin elimination and
+entailment probes in the arithmetic plugin; the oracle's enumeration of
 bounded assignments) spends steps from a Budget.  A `budget` parameter
 takes a limit (DEFAULT_BUDGET unless the caller passes another), None for
 no limit, or a Budget to share: `setsyl solve` spends one meter across

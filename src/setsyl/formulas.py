@@ -163,18 +163,10 @@ def or_(*parts: Formula) -> Formula:
     return parts[0] if len(parts) == 1 else Or(tuple(parts))
 
 
-def implies(a: Formula, b: Formula) -> Formula:
-    # Implication is sugar; downstream passes only see Not/And/Or/atoms.
-    return Or((Not(a), b))
-
-
 @dataclass
 class Script:
     asserts: Tuple[Formula, ...]
     options: Tuple[Tuple[str, str], ...] = ()
-
-    def option_map(self) -> dict:
-        return dict(self.options)
 
 
 def is_atom(f: Formula) -> bool:

@@ -15,7 +15,7 @@ set.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
 
 from .errors import BoundTooLargeError, InvariantViolation, ParseError
 
@@ -251,52 +251,6 @@ def enumerate_universe(rank_bound: int) -> Tuple[HFSet, ...]:
     return out
 
 
-class SetAssignment:
-    """A finite map from variable names to HFSet values."""
-
-    __slots__ = ("_m",)
-
-    def __init__(self, mapping=()):
-        self._m: Dict[str, HFSet] = dict(mapping)
-
-    def __getitem__(self, name: str) -> HFSet:
-        return self._m[name]
-
-    def get(self, name: str, default=None):
-        return self._m.get(name, default)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._m
-
-    def __len__(self) -> int:
-        return len(self._m)
-
-    def names(self) -> Tuple[str, ...]:
-        return tuple(self._m)
-
-    def items(self):
-        return self._m.items()
-
-    def rank(self) -> int:
-        """Largest rank among the assigned values (0 for the empty map)."""
-        return max((v.rank for v in self._m.values()), default=0)
-
-    def restrict(self, names: Iterable[str]) -> "SetAssignment":
-        return SetAssignment((n, self._m[n]) for n in names)
-
-    def extended(self, name: str, value: HFSet) -> "SetAssignment":
-        m = dict(self._m)
-        m[name] = value
-        return SetAssignment(m)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SetAssignment):
-            return NotImplemented
-        return self._m == other._m
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={braces(v)}" for k, v in sorted(self._m.items()))
-        return f"SetAssignment({inner})"
-
-    def to_strings(self) -> Dict[str, str]:
-        return {k: braces(v) for k, v in sorted(self._m.items())}
+def to_strings(m: Mapping[str, HFSet]) -> Dict[str, str]:
+    """A model, a mapping of names to sets, as braces strings in name order."""
+    return {k: braces(v) for k, v in sorted(m.items())}

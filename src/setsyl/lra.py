@@ -35,9 +35,15 @@ combination requires of its participants.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .errors import InvariantViolation, NonlinearTermError, UnsupportedAtomError
+from .errors import (
+    DEFAULT_BUDGET,
+    Budget,
+    InvariantViolation,
+    NonlinearTermError,
+    UnsupportedAtomError,
+)
 from .formulas import (
     ArithOp,
     Eq,
@@ -118,13 +124,16 @@ def _tighten(best: Dict[RowKey, Row], ineqs: Iterable[Row]) -> bool:
     return True
 
 
-def _eliminate(ineqs: Iterable[Row], order: Sequence[str]) -> Optional[List[List[Row]]]:
+def _eliminate(
+    ineqs: Iterable[Row], order: Sequence[str], meter: Budget
+) -> Optional[List[List[Row]]]:
     """Run elimination; None means a ground contradiction was found.
 
     Returns the list of constraint systems per stage (stage i is the system
     before eliminating order[i]), for back-substitution.  The input and
     every combined row pass through `_tighten`; rows without the
-    eliminated variable stay as they are, already tightened.
+    eliminated variable stay as they are, already tightened.  Each stage
+    charges meter one step per row it combines, before combining them.
     """
     cur: Dict[RowKey, Row] = {}
     if not _tighten(cur, ineqs):
@@ -140,6 +149,7 @@ def _eliminate(ineqs: Iterable[Row], order: Sequence[str]) -> Optional[List[List
                 (ups if a > 0 else downs).append((key, c, k, rel, a))
         for row in ups + downs:
             del cur[row[0]]
+        meter.spend("eliminating arithmetic variables", len(ups) * len(downs))
         combined = []
         for _, cu, ku, relu, au in ups:
             for _, cd, kd, reld, ad in downs:
@@ -197,9 +207,11 @@ def _back_substitute(stages: List[List[Row]], order: Sequence[str]) -> Dict[str,
     return val
 
 
-def _sample_ineqs(ineqs: List[Row], order: Sequence[str]) -> Optional[Dict[str, Fraction]]:
+def _sample_ineqs(
+    ineqs: List[Row], order: Sequence[str], meter: Budget
+) -> Optional[Dict[str, Fraction]]:
     """A solution of an inequality system, or None when there is none."""
-    stages = _eliminate(ineqs, order)
+    stages = _eliminate(ineqs, order, meter)
     return None if stages is None else _back_substitute(stages, order)
 
 
@@ -250,13 +262,15 @@ class LraTheory:
     rewritten inequalities, so satisfiability, entailment of a target and
     sampling can all be decided on the smaller system.  An equality that
     becomes ground and nonzero makes the rows infeasible.  A fresh theory
-    holds the empty system.
+    holds the empty system.  Elimination and entailment probes spend steps
+    from budget, one meter for every assertion.
     """
 
     name = "lra"
     is_convex = True
 
-    def __init__(self) -> None:
+    def __init__(self, budget: Union[int, Budget, None] = DEFAULT_BUDGET) -> None:
+        self._budget = Budget.of(budget)
         self.assert_literals(())
 
     def assert_literals(self, literals: Iterable[Formula]) -> bool:
@@ -300,8 +314,8 @@ class LraTheory:
             self.defs.append((v, {n: -b / a for n, b in c.items() if n != v}, -k / a))
         solved = {v for v, _, _ in self.defs}
         self.order = tuple(v for v in self.vars() if v not in solved)
-        ineqs = [self.rewrite(r) + (r[2],) for r in rows if r[2] != EQ]
-        self.stages = _eliminate(ineqs, self.order) if feasible else None
+        ineqs = [_substitute(c, k, self.defs) + (rel,) for c, k, rel in rows if rel != EQ]
+        self.stages = _eliminate(ineqs, self.order, self._budget) if feasible else None
         return self.stages is not None and not any(self.entails_zero(d) for d in diseqs)
 
     def vars(self) -> Tuple[str, ...]:
@@ -311,21 +325,19 @@ class LraTheory:
                 acc.setdefault(v)
         return tuple(acc)
 
-    def rewrite(self, target: Row) -> Tuple[Dict[str, Fraction], Fraction]:
-        """The target's expression, as (c, k), over the unsolved variables."""
-        return _substitute(target[0], target[1], self.defs)
-
     def entails_zero(self, target: Row) -> bool:
-        """True when every solution of the rows puts the target at zero."""
+        """True when every solution of the rows puts the target at zero.
+        Each probe is one step of budget, and its eliminations more."""
         if self.stages is None:
             return True
-        c, k = self.rewrite(target)
+        self._budget.spend("probing arithmetic equalities")
+        c, k = _substitute(target[0], target[1], self.defs)
         if not c:
             return k == 0
-        base = self.stages[0]
+        base, order, meter = self.stages[0], self.order, self._budget
         pos = base + [({v: -a for v, a in c.items()}, -k, LT)]
         neg = base + [(c, k, LT)]
-        return _eliminate(pos, self.order) is None and _eliminate(neg, self.order) is None
+        return _eliminate(pos, order, meter) is None and _eliminate(neg, order, meter) is None
 
     def extend(self, val: Dict[str, Fraction]) -> Dict[str, Fraction]:
         """Complete a solution of the rewritten rows with the solved variables."""
@@ -384,14 +396,14 @@ class LraTheory:
 
         cleared: List[Tuple[Dict[str, Fraction], Fraction]] = []
         for d in self.disequalities:
-            c, k = self.rewrite(d)
+            c, k = _substitute(d[0], d[1], self.defs)
             if _value(c, k, val) != 0:
                 cleared.append((c, k))
                 continue
             target: Optional[Dict[str, Fraction]] = None
             for sign in (1, -1):
                 strict = ({v: sign * a for v, a in c.items()}, sign * k, LT)
-                target = _sample_ineqs(self.stages[0] + [strict], order)
+                target = _sample_ineqs(self.stages[0] + [strict], order, self._budget)
                 if target is not None:
                     break
             if target is None:

@@ -38,7 +38,7 @@ Here w, e, z and v are fresh, minted in the order shown.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from .errors import InvariantViolation, UnsupportedAtomError
 from .formulas import (
@@ -66,7 +66,7 @@ from .formulas import (
     max_fresh_index,
     nnf,
 )
-from .hf import SetAssignment, hf, set_diff, set_inter, set_union
+from .hf import HFSet, hf, set_diff, set_inter, set_union
 from .oracle import eval_term
 
 
@@ -380,13 +380,13 @@ def normalize(literals: Sequence[Formula]) -> NormalizedConjunction:
     return nc
 
 
-def apply_plan(plan: Sequence[tuple], base: SetAssignment) -> SetAssignment:
+def apply_plan(plan: Sequence[tuple], base: Mapping[str, HFSet]) -> Dict[str, HFSet]:
     """Extend a model of the original literals to the fresh variables.
 
     Only valid when base satisfies the literals the plan came from; each
     step computes a witness value from the assignment built so far.
     """
-    cur = dict(base.items())
+    cur = dict(base)
     for entry in plan:
         name, kind = entry[0], entry[1]
         if kind == PLAN_TERM:
@@ -412,4 +412,4 @@ def apply_plan(plan: Sequence[tuple], base: SetAssignment) -> SetAssignment:
         else:
             raise InvariantViolation(f"unknown plan opcode {kind!r}")
         cur[name] = val
-    return SetAssignment(cur)
+    return cur

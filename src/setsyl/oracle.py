@@ -49,7 +49,6 @@ from .formulas import (
 )
 from .hf import (
     HFSet,
-    SetAssignment,
     big_inter,
     big_union,
     cross_product,
@@ -74,8 +73,7 @@ _EXT_OPS = {"single": lambda a: hf((a,)), "pow": power_set, "bigU": big_union,
 
 
 def eval_term(t: Term, m: Mapping[str, HFSet]) -> HFSet:
-    """Value of t under m, any mapping of names to sets (a SetAssignment
-    or a plain dict)."""
+    """Value of t under m, any mapping of names to sets."""
     kind = type(t)
     if kind is Var:
         v = m.get(t.name)
@@ -134,11 +132,10 @@ class BoundedResult:
 
     Bounded implication is bounded satisfiability of f and not g, so one
     class answers both: a model is a countermodel, and none means implied.
-    Either verdict says nothing about models of rank above rank_bound.
+    Either verdict says nothing about models above the rank bound searched.
     """
 
-    model: Optional[SetAssignment]
-    rank_bound: int
+    model: Optional[Dict[str, HFSet]]
 
     @property
     def is_sat(self) -> bool:
@@ -233,7 +230,7 @@ def _schedule(f: Formula) -> Tuple[List[str], List[List[Formula]], List[Formula]
 
 def bounded_models(
     f: Formula, rank_bound: int, budget: Union[int, Budget, None] = DEFAULT_BUDGET
-) -> Iterator[SetAssignment]:
+) -> Iterator[Dict[str, HFSet]]:
     """Yield every assignment of free_vars(f) into the rank-bounded universe
     that satisfies f, in a fixed order (variables scheduled greedily, values
     in canonical universe order).
@@ -252,7 +249,7 @@ def bounded_models(
             return
     n = len(order)
     if n == 0:
-        yield SetAssignment({})
+        yield {}
         return
     # Depth-first over the depths, without recursion: tried[d] counts the
     # values already tried at depth d, and each node is charged on entry.
@@ -272,7 +269,7 @@ def bounded_models(
                 break
         else:
             if depth + 1 == n:
-                yield SetAssignment(partial)
+                yield dict(partial)
             else:
                 depth += 1
                 tried[depth] = 0
@@ -288,8 +285,8 @@ def oracle_sat(
     for m in bounded_models(f, rank_bound, budget):
         if not eval_formula(f, m):
             raise InvariantViolation("bounded search produced a non-model")
-        return BoundedResult(m, rank_bound)
-    return BoundedResult(None, rank_bound)
+        return BoundedResult(m)
+    return BoundedResult(None)
 
 
 def oracle_implies(

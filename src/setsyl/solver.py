@@ -257,10 +257,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations, compress, product
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from .errors import DEFAULT_BUDGET, Budget, InvariantViolation
-from .hf import HFSet, SetAssignment, hf, nested_singleton, set_diff
+from .hf import HFSet, hf, nested_singleton, set_diff
 from .normalize import NormalizedConjunction
 
 # The rank of a tag's largest member is rounded up to a multiple of this, so
@@ -548,7 +548,7 @@ class SolverWitness:
 
 @dataclass(frozen=True)
 class Sat:
-    model: SetAssignment
+    model: Dict[str, HFSet]
     witness: SolverWitness
 
     @property
@@ -585,7 +585,7 @@ def _junk_tags(nvars: int, count: int) -> List[HFSet]:
     ]
 
 
-def build_model(witness: SolverWitness) -> SetAssignment:
+def build_model(witness: SolverWitness) -> Dict[str, HFSet]:
     """Construct the assignment a solver witness describes.
 
     Each variable's value collects the element-variable values whose place
@@ -612,10 +612,10 @@ def build_model(witness: SolverWitness) -> SetAssignment:
     for v in witness.vars:
         if v not in vals:
             vals[v] = hf(members[v])
-    return SetAssignment(vals)
+    return vals
 
 
-def satisfies(nc: NormalizedConjunction, model: SetAssignment) -> bool:
+def satisfies(nc: NormalizedConjunction, model: Mapping[str, HFSet]) -> bool:
     """Check every literal of nc against an assignment of its variables."""
     for x, y in nc.memberships:
         if model[x] not in model[y]:
@@ -641,7 +641,7 @@ class _Part:
     engine: _Engine
     classes: List[List[str]]
     sigma: Tuple[Tuple[str, frozenset], ...]
-    free: SetAssignment
+    free: Dict[str, HFSet]
     verified: bool
     _collisions: Optional[Tuple[frozenset, ...]] = None
 
@@ -783,7 +783,7 @@ class _Decision:
         groups = _group([v for v in names if v in model], split, model.__getitem__)
         return [group for group in groups if len(group) > 1]
 
-    def separating(self, a: str, b: str) -> Optional[SetAssignment]:
+    def separating(self, a: str, b: str) -> Optional[Dict[str, HFSet]]:
         """A verified model of a Sat nc in which a and b differ, or None
         when a = b is implied.
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -12,7 +13,7 @@ import setsyl.cli as cli
 from setsyl.cli import main
 from setsyl.errors import InvariantViolation
 from setsyl.formulas import EMPTY, Eq, Var, and_
-from setsyl.hf import SetAssignment, parse_braces
+from setsyl.hf import parse_braces, to_strings
 from setsyl.oracle import eval_formula, nonconvexity_schema, oracle_implies
 from setsyl.sexpr import parse_script
 
@@ -90,7 +91,7 @@ def test_solve_model_with_junk_prints_and_satisfies_script(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["verdict"] == "sat"
-    model = SetAssignment({k: parse_braces(v) for k, v in doc["model"].items()})
+    model = {k: parse_braces(v) for k, v in doc["model"].items()}
     assert eval_formula(and_(*parse_script(text).asserts), model)
 
 
@@ -167,6 +168,25 @@ def test_solve_budget_is_one_meter_for_the_command(tmp_path, capsys, text, budge
     code, out, _ = run(capsys, "solve", f)
     assert code == 0
     assert out.splitlines()[0] == "unsat"
+
+
+def test_fourier_motzkin_spends_the_command_budget():
+    # Unmetered, elimination on these rows runs for seconds to minutes.  The
+    # CPU limit turns a missing charge into a killed child, not a hung test.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    rows = os.path.join(os.path.dirname(__file__), "scripts", "dense_arithmetic.syl")
+    proc = subprocess.run(
+        [sys.executable, "-m", "setsyl.cli", "solve", rows, "--budget", "1000"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_CPU, (20, 20)),
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("resource limit: budget of 1000 steps exhausted while eliminating arithmetic variables")
 
 
 def test_solve_zero_denominator_is_a_parse_error(tmp_path, capsys):
@@ -251,6 +271,27 @@ def test_normalize_pins_every_rewrite_rule(capsys):
         code, out, err = run(capsys, "normalize", fixture, *flags)
         assert (code, err) == (0, "")
         with open(golden + suffix) as fh:
+            assert out == fh.read()
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (("witness", FIXTURE, "--eq", "xbar=ybar"), "enlargement.witness"),
+        (("solve", "--witness", os.path.join(FIXTURES, "two_components.syl")),
+         "two_components.solve-witness"),
+    ],
+    ids=["witness", "solve-witness"],
+)
+def test_printed_models_match_the_golden_bytes(capsys, argv, golden):
+    # The golden files were printed when models were still wrapped in an
+    # assignment class, so they pin that plain dicts print the same bytes,
+    # in text and JSON.
+    path = os.path.join(os.path.dirname(__file__), "golden", golden)
+    for flags, suffix in (((), ".txt"), (("--json",), ".json")):
+        code, out, err = run(capsys, *argv, *flags)
+        assert (code, err) == (0, "")
+        with open(path + suffix) as fh:
             assert out == fh.read()
 
 
@@ -423,7 +464,7 @@ def test_nonconvex_countermodels_match_the_oracle(capsys):
             want = []
             for d in disjuncts:
                 r = oracle_implies(big, d, rank)
-                want.append(None if r.implied else r.model.to_strings())
+                want.append(None if r.implied else to_strings(r.model))
             assert [c["countermodel"] for c in json.loads(out)["cases"]] == want, (theory, rank)
 
 
@@ -555,7 +596,7 @@ def test_two_component_witness_validates_and_repeats_across_hash_seeds():
     with open(fixture) as fh:
         text = fh.read()
     full = doc["witness"]["full_model"]
-    model = SetAssignment({k: parse_braces(v) for k, v in full.items()})
+    model = {k: parse_braces(v) for k, v in full.items()}
     assert eval_formula(and_(*parse_script(text).asserts), model)
 
 

@@ -13,7 +13,6 @@ from setsyl.convexity import (
     FuzzViolation,
     Implied,
     _bounded_implied,
-    all_checks_pass,
     check_trace_invariants,
     convexity_fuzz,
     enlarge,
@@ -25,7 +24,7 @@ from setsyl.convexity import (
 from setsyl.errors import PreconditionError
 from setsyl.formulas import Eq, In, Not, SetOp, Subset, Var, or_
 from setsyl.oracle import oracle_implies
-from setsyl.hf import SetAssignment, braces, hf, parse_braces
+from setsyl.hf import braces, hf, parse_braces, to_strings
 from setsyl.normalize import NormalizedConjunction, normalize
 from setsyl.solver import Unsat, satisfies, solve
 from test_solver import _implied
@@ -34,7 +33,7 @@ x, y, z = Var("x"), Var("y"), Var("z")
 
 
 def _assignment(**kw):
-    return SetAssignment({k: parse_braces(v) for k, v in kw.items()})
+    return {k: parse_braces(v) for k, v in kw.items()}
 
 
 def _worked_example():
@@ -77,10 +76,10 @@ def test_worked_example_trace_pinned():
     assert len(trace.stages) == 3
 
     s = "{{{{{}}}}}"
-    stage1 = trace.stages[1].to_strings()
+    stage1 = to_strings(trace.stages[1])
     assert stage1["z"] == "{{},{{}},%s,{{},%s}}" % (s, s)
     assert stage1["w"] == "{{},{{}},{{},%s}}" % s
-    strings = final.to_strings()
+    strings = to_strings(final)
     assert strings["ybar"] == "{{},%s}" % s
     assert strings["xbar"] == "{{}}"
     assert len(final["v"].children) == 4
@@ -105,7 +104,7 @@ def test_worked_example_invariant_report():
     _, trace = enlarge(nc, base, separating, "xbar", "ybar")
     rows = check_trace_invariants(trace, base, nc)
     assert len(rows) == 26
-    assert all_checks_pass(rows)
+    assert all(r.ok for r in rows)
     assert {r.name for r in rows} == {
         "fresh_rank",
         "stabilization_bound",
@@ -123,13 +122,13 @@ def test_worked_example_invariant_report():
 def test_tampered_trace_is_caught():
     nc, base, separating = _worked_example()
     _, trace = enlarge(nc, base, separating, "xbar", "ybar")
-    last = dict(trace.stages[-1].items())
+    last = dict(trace.stages[-1])
     last["z"] = hf([])  # z forgets everything it gained
     bad = dataclasses.replace(
-        trace, stages=trace.stages[:-1] + (SetAssignment(last),)
+        trace, stages=trace.stages[:-1] + (last,)
     )
     rows = check_trace_invariants(bad, base, nc)
-    assert not all_checks_pass(rows)
+    assert not all(r.ok for r in rows)
     broken = {r.name for r in rows if not r.ok}
     assert "monotone_growth" in broken
 
@@ -154,10 +153,10 @@ def test_enlarge_preconditions():
         enlarge(nc, base, base, "xbar", "ybar")  # second model must split
     with pytest.raises(PreconditionError):
         enlarge(nc, separating, separating, "xbar", "ybar")  # first must equate
-    broken = SetAssignment({k: v for k, v in base.items() if k != "v"})
+    broken = {k: v for k, v in base.items() if k != "v"}
     with pytest.raises(PreconditionError):
         enlarge(nc, broken, separating, "xbar", "ybar")
-    tampered = base.extended("w", hf([]))
+    tampered = {**base, "w": hf([])}
     with pytest.raises(PreconditionError):
         enlarge(nc, tampered, separating, "xbar", "ybar")
 
@@ -195,7 +194,7 @@ def test_minimize_falsifiable_pair():
     assert isinstance(eqs.classification[0], Falsifiable)
     assert model["x"] != model["y"]
     assert eqs.enlargements <= 1
-    assert satisfies(nc, model.restrict(nc.vars))
+    assert satisfies(nc, {v: model[v] for v in nc.vars})
 
 
 def test_minimize_mixed_pairs_all_falsified_at_once():

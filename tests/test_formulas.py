@@ -25,7 +25,6 @@ from setsyl.formulas import (
     classify_atom,
     conjuncts,
     free_vars,
-    implies,
     is_atom,
     is_literal,
     literal_atom,
@@ -60,7 +59,6 @@ def test_and_or_sugar():
     assert conjuncts(f) == [In(x, y), In(y, z), In(x, z)]
     g = or_(In(x, y))
     assert g == In(x, y)
-    assert isinstance(implies(In(x, y), In(y, z)), Or)
 
 
 def test_conjuncts_flattens_nested_and():

@@ -13,7 +13,6 @@ from setsyl.formulas import Eq, In, Not, Subset, Var
 from setsyl.hf import (
     MAX_BRACE_DEPTH,
     HFSet,
-    SetAssignment,
     big_inter,
     big_union,
     braces,
@@ -203,24 +202,3 @@ def test_operation_laws_within_universe(i, j):
     d = set_diff(a, b)
     for c in u:
         assert (c in d) == ((c in a) and (c not in b))
-
-
-# assignments ----------------------------------------------------------------
-
-def test_set_assignment_copies_and_restricts():
-    src = {"x": E, "y": S2}
-    m = SetAssignment(src)
-    src["x"] = S1  # mutating the source must not leak in
-    assert m["x"] is E
-    assert m.rank() == 2
-    r = m.restrict(["y"])
-    assert "x" not in r and r["y"] is S2
-    e = m.extended("z", S1)
-    assert e["z"] is S1 and "z" not in m
-
-
-def test_set_assignment_equality_and_strings():
-    a = SetAssignment({"x": E})
-    b = SetAssignment({"x": hf()})
-    assert a == b
-    assert a.to_strings() == {"x": "{}"}

@@ -36,7 +36,7 @@ from setsyl.formulas import (
     max_fresh_index,
     or_,
 )
-from setsyl.hf import SetAssignment, hf
+from setsyl.hf import hf
 from setsyl.normalize import (
     PLAN_DIFF,
     PLAN_INTER,
@@ -255,7 +255,7 @@ def test_normalize_formula_splits():
 def test_apply_plan_extends_model():
     f = Not(Subset(x, y))
     nc, plan = normalize_with_plan([f])
-    base = SetAssignment({"x": hf([hf()]), "y": hf()})
+    base = {"x": hf([hf()]), "y": hf()}
     assert eval_formula(f, base)
     full = apply_plan(plan, base)
     assert eval_formula(nc.to_formula(), full)
@@ -266,7 +266,7 @@ def test_apply_plan_may_raise_rank():
     # a model of rank 1 can need rank 2 fresh values after rewriting
     f = Not(Eq(x, y))
     nc, plan = normalize_with_plan([f])
-    base = SetAssignment({"x": hf(), "y": hf([hf()])})
+    base = {"x": hf(), "y": hf([hf()])}
     full = apply_plan(plan, base)
     assert eval_formula(nc.to_formula(), full)
 

@@ -28,7 +28,7 @@ from setsyl.formulas import (
     nnf,
     or_,
 )
-from setsyl.hf import SetAssignment, enumerate_universe, hf, is_subset
+from setsyl.hf import enumerate_universe, hf, is_subset, to_strings
 from setsyl.oracle import (
     bounded_models,
     eval_formula,
@@ -45,7 +45,7 @@ S1 = hf([E])
 
 
 def test_eval_term_core_operators():
-    m = SetAssignment({"x": S1, "y": hf([E, S1])})
+    m = {"x": S1, "y": hf([E, S1])}
     assert eval_term(SetOp("union", x, y), m) is hf([E, S1])
     assert eval_term(SetOp("inter", x, y), m) is S1
     assert eval_term(SetOp("setminus", y, x), m) is hf([S1])
@@ -53,7 +53,7 @@ def test_eval_term_core_operators():
 
 
 def test_eval_term_extension_operators():
-    m = SetAssignment({"x": S1, "y": hf([E, S1])})
+    m = {"x": S1, "y": hf([E, S1])}
     assert eval_term(ExtOp("single", (x,)), m) is hf([S1])
     assert eval_term(ExtOp("pow", (x,)), m) is hf([E, S1])
     assert eval_term(ExtOp("bigU", (y,)), m) is S1
@@ -63,7 +63,7 @@ def test_eval_term_extension_operators():
 
 def test_eval_unbound_variable_raises():
     with pytest.raises(UnboundVariableError):
-        eval_formula(In(x, y), SetAssignment({"x": E}))
+        eval_formula(In(x, y), {"x": E})
     with pytest.raises(UnboundVariableError):
         eval_term(SetOp("union", x, ExtOp("pow", (z,))), {"x": E})
     with pytest.raises(UnboundVariableError):
@@ -102,7 +102,6 @@ def test_oracle_sat_finds_model_and_reverifies():
 def test_oracle_sat_reports_unsat_within_bound():
     res = oracle_sat(and_(In(x, y), Eq(y, EMPTY)), 3)
     assert not res.is_sat
-    assert res.rank_bound == 3
 
 
 def test_membership_cycle_has_no_hf_model():
@@ -120,8 +119,8 @@ def test_bounded_models_exhaustive_count():
 
 
 def test_bounded_models_deterministic_order():
-    a = [m.to_strings() for m in bounded_models(Subset(x, y), 2)]
-    b = [m.to_strings() for m in bounded_models(Subset(x, y), 2)]
+    a = [to_strings(m) for m in bounded_models(Subset(x, y), 2)]
+    b = [to_strings(m) for m in bounded_models(Subset(x, y), 2)]
     assert a == b
 
 
@@ -269,7 +268,7 @@ def test_nonconvexity_schema_shape():
 @given(st.integers(0, 3), st.integers(0, 3))
 def test_subset_matches_evaluated_definition(i, j):
     u = enumerate_universe(2)
-    m = SetAssignment({"x": u[i], "y": u[j]})
+    m = {"x": u[i], "y": u[j]}
     lhs = eval_formula(Subset(x, y), m)
     rhs = all(c in u[j] for c in u[i])
     assert lhs == rhs

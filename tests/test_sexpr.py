@@ -47,7 +47,7 @@ def test_comments_and_whitespace_ignored():
 
 def test_set_option_collected():
     s = parse_script("(set-option :seed 42)\n(assert (in a b))")
-    assert s.option_map() == {"seed": "42"}
+    assert s.options == (("seed", "42"),)
 
 
 def test_empty_constant_and_connectives():

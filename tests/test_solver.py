@@ -11,7 +11,7 @@ from setsyl import solver
 from setsyl.convexity import minimize_equalities, pad_vars, random_normalized_conjunction
 from setsyl.errors import DEFAULT_BUDGET, Budget, ResourceLimitError
 from setsyl.formulas import EMPTY, Eq, In, Not, SetOp, Subset, Var, and_
-from setsyl.hf import SetAssignment, hf
+from setsyl.hf import hf, to_strings
 from setsyl.normalize import NormalizedConjunction, normalize, split_disjuncts
 from setsyl.oracle import eval_formula, oracle_sat
 from setsyl.sexpr import parse_script
@@ -168,7 +168,7 @@ def test_single_membership_model_pinned():
     nc = normalize([In(x, y)])
     res = solve(nc)
     assert isinstance(res, Sat)
-    assert res.model.to_strings() == {"x": "{}", "y": "{{}}"}
+    assert to_strings(res.model) == {"x": "{}", "y": "{{}}"}
     assert satisfies(nc, res.model)
 
 
@@ -224,7 +224,7 @@ def test_solve_is_deterministic():
     nc = normalize([Subset(x, y), In(z, x), Not(Eq(x, y))])
     a = solve(nc)
     b = solve(nc)
-    assert a.model.to_strings() == b.model.to_strings()
+    assert to_strings(a.model) == to_strings(b.model)
     assert a.witness == b.witness
 
 
@@ -263,7 +263,7 @@ def _build_model_naively(w):
         members = [vals[u] for u in w.topo if v in sig[u]]
         members += [t for t, p in zip(tags, w.junk) if v in p]
         vals[v] = hf(members)
-    return SetAssignment(vals)
+    return vals
 
 
 def test_build_model_matches_naive_build_on_two_thousand_components():
@@ -278,7 +278,7 @@ def test_build_model_matches_naive_build_on_two_thousand_components():
     built = build_model(res.witness)
     assert built == res.model
     naive = _build_model_naively(res.witness)
-    assert built == naive and built.names() == naive.names()
+    assert built == naive and list(built) == list(naive)
 
 
 def test_solve_budget_trips():
@@ -294,7 +294,7 @@ def test_solve_unbounded_budget():
 def test_satisfies_rejects_tampered_model():
     nc = normalize([In(x, y)])
     res = solve(nc)
-    bad = res.model.extended("x", res.model["y"])
+    bad = {**res.model, "x": res.model["y"]}
     assert not satisfies(nc, bad)
 
 
@@ -566,7 +566,7 @@ def test_separating_models_satisfy_and_split_their_pairs():
             assert (model is None) == ((a, b) in implied)
             if model is not None:
                 assert satisfies(padded, model) and model[a] != model[b]
-                assert sorted(model.names()) == sorted(padded.vars)
+                assert sorted(model) == sorted(padded.vars)
 
 
 def test_implied_pairs_of_a_subset_cycle_need_no_search(monkeypatch):
@@ -848,7 +848,7 @@ def test_one_build_decides_as_the_component_builds_did(monkeypatch):
         if expected.is_sat:
             got = decision.result
             assert got.witness == expected.witness
-            assert got.model.to_strings() == expected.model.to_strings()
+            assert to_strings(got.model) == to_strings(expected.model)
             pairs = [(a, b) for i, a in enumerate(nc.vars) for b in nc.vars[i:]]
             assert in_classes(decision.classes(nc.vars), pairs) == _implied_by_signatures(nc, pairs)
             for a, b in rng.sample(pairs, min(len(pairs), 12)):

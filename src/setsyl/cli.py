@@ -205,8 +205,12 @@ def cmd_solve(args) -> int:
 
 def cmd_normalize(args) -> int:
     script = _read_script(args.file)
+    meter = Budget(_check_budget(args.budget))
     f = _conjoin(script.asserts)
-    ncs = [normalize(branch) for branch in dnf_split(f)]
+    ncs = []
+    for branch in dnf_split(f):
+        meter.spend("normalizing disjuncts")
+        ncs.append(normalize(branch))
     doc = {
         "command": "normalize",
         "disjuncts": [
@@ -516,6 +520,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("normalize", help="print the two-literal normal form")
     sp.add_argument("file")
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                    help="step budget, one step per disjunct of the script's disjunctive "
+                         "normal form (default %(default)s): it bounds how many disjuncts "
+                         "are built and kept for printing, not the memory they take")
     add_json(sp)
     sp.set_defaults(func=cmd_normalize)
 

@@ -37,7 +37,7 @@ Here w, e, z and v are fresh, minted in the order shown.
 
 from __future__ import annotations
 
-from functools import cached_property
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from .errors import InvariantViolation, UnsupportedAtomError
@@ -75,10 +75,12 @@ class NormalizedConjunction:
 
     memberships holds (x, y) for "x in y"; differences holds (x, y, z) for
     "x = y setminus z".  Both are duplicate-free and keep first-emission
-    order, so equal inputs normalize to equal objects.
+    order, so equal inputs normalize to equal objects.  vars lists the
+    variables in order of first occurrence, memberships before
+    differences; it is computed once, here.
     """
 
-    __slots__ = ("memberships", "differences", "__dict__")
+    __slots__ = ("memberships", "differences", "vars")
 
     def __init__(
         self,
@@ -87,18 +89,21 @@ class NormalizedConjunction:
     ):
         self.memberships = tuple(dict.fromkeys(tuple(m) for m in memberships))
         self.differences = tuple(dict.fromkeys(tuple(d) for d in differences))
+        lits = self.memberships + self.differences
+        self.vars: Tuple[str, ...] = tuple(dict.fromkeys(chain.from_iterable(lits)))
 
-    @cached_property
-    def vars(self) -> Tuple[str, ...]:
-        acc: Dict[str, None] = {}
-        for x, y in self.memberships:
-            acc.setdefault(x)
-            acc.setdefault(y)
-        for x, y, z in self.differences:
-            acc.setdefault(x)
-            acc.setdefault(y)
-            acc.setdefault(z)
-        return tuple(acc)
+    @classmethod
+    def _unchecked(
+        cls,
+        memberships: Tuple[Tuple[str, str], ...],
+        differences: Tuple[Tuple[str, str, str], ...],
+        vars: Tuple[str, ...],
+    ) -> NormalizedConjunction:
+        """The conjunction of literals already duplicate-free, with vars
+        given in their order of first occurrence; nothing is checked."""
+        nc = cls.__new__(cls)
+        nc.memberships, nc.differences, nc.vars = memberships, differences, vars
+        return nc
 
     def literals(self) -> List[Formula]:
         lits: List[Formula] = [In(Var(x), Var(y)) for x, y in self.memberships]

@@ -85,6 +85,24 @@ is decided in three layers:
    the first such place, in place order, and remove it.  When no class
    left has such a place, the component is unsatisfiable.
 
+   The elements left are the same for every query of one round, so they
+   are set False and propagated once per round, into a base valuation;
+   that never meets a contradiction, since the all-False valuation is a
+   place.  Each query sets its class's targets on that base and
+   propagates them, and what it set is undone before the next class is
+   asked: every value a query sets goes on the trail, so popping the
+   trail back to the base's length restores the base exactly.  Each rule
+   only adds values, and a value it forces on a partial valuation it
+   forces on every extension (or the extension contradicts it), so the
+   values propagation derives from a set of assumptions, and whether it
+   meets a contradiction, do not depend on the order in which they are
+   set.  A query therefore starts from the very valuation that setting
+   its targets and the elements left together, and propagating them,
+   gives.  The search from there is the same, so it finds the same first
+   place in the same nodes; setting and propagating assumptions charges
+   no step, so the steps spent are the same too.  A round costs one
+   propagation of the elements left, not one per class asked.
+
    An admissible placement exists iff greedy peeling succeeds.  If it
    succeeds, a class's place holds elements only of classes peeled before
    it, so every edge runs from a class to one peeled earlier; in the
@@ -160,7 +178,12 @@ Before the engine is asked anything, solve applies two reductions.
   membership literals refutes the conjunction outright.
 * Components.  Variables are connected when a literal mentions both; the
   literals split into the components of that relation, and no literal
-  spans two of them.  Each component is peeled on its own places, under
+  spans two of them.  A component keeps its literals in nc's order and
+  needs no second deduplication, since nc's literals are duplicate-free.
+  Its variables are nc's vars restricted to it, in the same order: each
+  of its variables occurs only in its own literals, so it first occurs
+  there, at the same place relative to the component's other variables
+  as in nc.  Each component is peeled on its own places, under
   one shared budget (the nodes of every query and the models built).
   The conjunction is satisfiable iff every component is: a model of the
   whole restricts to each part, and the merged witness below builds a
@@ -344,11 +367,17 @@ class _Engine:
             k += 1
         return True
 
-    def _start(self, assume: Sequence[Tuple[str, bool]]) -> Optional[Tuple[List[int], List[int]]]:
+    def _start(
+        self, assume: Sequence[Tuple[str, bool]], base: Optional[Tuple[List[int], List[int]]] = None
+    ) -> Optional[Tuple[List[int], List[int]]]:
         """The valuation that sets assume and propagates it, with its trail;
-        None on a contradiction."""
-        val = [2] * len(self.nc.vars)
-        trail: List[int] = []
+        None on a contradiction.  Given base, a valuation from _start and its
+        trail, assume extends base in place, and the caller undoes what the
+        trail gained to return to it."""
+        if base is None:
+            val, trail = [2] * len(self.nc.vars), []
+        else:
+            val, trail = base
         for v, b in assume:
             i, c = self.pos[v], 1 if b else 0
             if val[i] == 2:
@@ -492,12 +521,17 @@ def _components(nc: NormalizedConjunction) -> List[NormalizedConjunction]:
                     group[u] = g
     if not group or len(group[nc.vars[0]]) == len(group):
         return [nc]
-    parts = {id(group[v]): ([], []) for v in nc.vars}
+    parts: Dict[int, Tuple[List, List, List[str]]] = {}
+    for v in nc.vars:
+        parts.setdefault(id(group[v]), ([], [], []))[2].append(v)
     for m in nc.memberships:
         parts[id(group[m[0]])][0].append(m)
     for d in nc.differences:
         parts[id(group[d[0]])][1].append(d)
-    return [NormalizedConjunction(mems, diffs) for mems, diffs in parts.values()]
+    return [
+        NormalizedConjunction._unchecked(tuple(mems), tuple(diffs), tuple(vs))
+        for mems, diffs, vs in parts.values()
+    ]
 
 
 def _acyclic(succ: Dict[str, List[str]]) -> bool:
@@ -702,12 +736,19 @@ def _search(engine: _Engine) -> Optional[_Peel]:
     left = list(range(len(classes)))  # the unpeeled classes, in class order
     peeled: List[int] = []
     while left:
-        # the first class with a place holding its targets and no unpeeled element
-        unpeeled = [(u, False) for k in left for u in classes[k]]
+        # the first class with a place holding its targets and no unpeeled
+        # element: each query extends the round's one propagated base, which
+        # is never None, and is undone back to it
+        base = engine._start([(u, False) for k in left for u in classes[k]])
+        val, trail = base
+        mark = len(trail)
         for k in left:
-            p = engine.first(targets[k] + unpeeled)
-            if p is not None:
-                break
+            if engine._start(targets[k], base) is not None:
+                p = engine._descend(val, trail, [], 0)
+                if p is not None:
+                    break
+            while len(trail) > mark:
+                val[trail.pop()] = 2
         else:
             return None
         for u in classes[k]:

@@ -170,23 +170,51 @@ def test_solve_budget_is_one_meter_for_the_command(tmp_path, capsys, text, budge
     assert out.splitlines()[0] == "unsat"
 
 
-def test_fourier_motzkin_spends_the_command_budget():
-    # Unmetered, elimination on these rows runs for seconds to minutes.  The
-    # CPU limit turns a missing charge into a killed child, not a hung test.
+def _limited_child(*args):
+    """setsyl run in a child process limited to 20 s of CPU time, so that
+    a missing charge shows as a killed child, not a hung test."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    rows = os.path.join(os.path.dirname(__file__), "scripts", "dense_arithmetic.syl")
-    proc = subprocess.run(
-        [sys.executable, "-m", "setsyl.cli", "solve", rows, "--budget", "1000"],
+    return subprocess.run(
+        [sys.executable, "-m", "setsyl.cli", *args],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_CPU, (20, 20)),
         timeout=120,
     )
+
+
+def test_fourier_motzkin_spends_the_command_budget():
+    # Unmetered, elimination on these rows runs for seconds to minutes.
+    rows = os.path.join(os.path.dirname(__file__), "scripts", "dense_arithmetic.syl")
+    proc = _limited_child("solve", rows, "--budget", "1000")
     assert (proc.returncode, proc.stdout) == (3, "")
     [line] = proc.stderr.splitlines()
     assert line.startswith("resource limit: budget of 1000 steps exhausted while eliminating arithmetic variables")
+
+
+def test_normalize_spends_one_step_per_disjunct(tmp_path):
+    # 40 two-way clauses have 2**40 disjuncts; unmetered, normalize builds
+    # them all and grows without bound.
+    clauses = [f"(assert (or (in a{i} b{i}) (subset a{i} c{i})))\n" for i in range(40)]
+    f = script(tmp_path, "".join(clauses))
+    proc = _limited_child("normalize", f, "--budget", "1000")
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.splitlines() == [
+        "resource limit: budget of 1000 steps exhausted while normalizing disjuncts (1001 steps reached)"
+    ]
+
+
+def test_normalize_budget_counts_disjuncts(tmp_path, capsys):
+    f = script(tmp_path, _UNSAT_PRODUCT)  # 16 disjuncts
+    code, out, _ = run(capsys, "normalize", f, "--budget", "16")
+    assert code == 0 and out.count("; disjunct") == 16
+    code, out, err = run(capsys, "normalize", f, "--budget", "15")
+    assert (code, out) == (3, "")
+    assert err.splitlines() == [
+        "resource limit: budget of 15 steps exhausted while normalizing disjuncts (16 steps reached)"
+    ]
 
 
 def test_solve_zero_denominator_is_a_parse_error(tmp_path, capsys):

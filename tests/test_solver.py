@@ -980,6 +980,109 @@ def test_split_queries_on_the_star_are_linear(k, monkeypatch):
     assert res.witness.junk == part.collisions() and satisfies(nc, res.model)
 
 
+def _chain(n):
+    """v0 in v1 in ... in v(n-1): n - 1 classes in one component, with no
+    difference literal."""
+    return NormalizedConjunction([(f"v{i}", f"v{i + 1}") for i in range(n - 1)])
+
+
+def _reference_search(engine):
+    """Reference: the peel as each query restated every unpeeled element,
+    one full propagation per class query (layer 2 (ii))."""
+    nc = engine.nc
+    elems = list(dict.fromkeys(x for x, _ in nc.memberships))
+    classes = _group(elems, lambda h, u: next(engine.splits(h, u), None))
+    of = {u: k for k, group in enumerate(classes) for u in group}
+    targets = [[] for _ in classes]
+    for x, y in nc.memberships:
+        targets[of[x]].append((y, True))
+    sig = {}
+    left = list(range(len(classes)))
+    peeled = []
+    while left:
+        unpeeled = [(u, False) for k in left for u in classes[k]]
+        for k in left:
+            p = engine.first(targets[k] + unpeeled)
+            if p is not None:
+                break
+        else:
+            return None
+        for u in classes[k]:
+            sig[u] = p
+        left.remove(k)
+        peeled.append(k)
+    topo = tuple(u for k in reversed(peeled) for u in classes[k])
+    return classes, tuple((u, sig[u]) for u in elems), topo
+
+
+def _peel_draws(count):
+    """Seeded conjunctions over 2 to 14 variables: memberships in either
+    direction, so cycles and unsat peels are common, and a few differences;
+    few literals over many names often fall into several components."""
+    for seed in range(count):
+        rng = random.Random(f"peel/{seed}")
+        names = [f"v{i}" for i in range(rng.randint(2, 14))]
+        n = len(names)
+        mems = [tuple(rng.sample(names, 2)) for _ in range(rng.randint(1, n))]
+        diffs = [tuple(rng.choice(names) for _ in range(3)) for _ in range(rng.randint(0, n // 2))]
+        yield NormalizedConjunction(mems, diffs)
+
+
+def test_one_base_per_round_peels_as_the_restated_queries_did():
+    draws = list(_peel_draws(400)) + list(_one_build_draws(100))
+    draws += [_chain(n) for n in range(2, 13)] + [_star(k) for k in range(2, 9)]
+    outcomes = {True: 0, False: 0}
+    several = 0
+    for nc in draws:
+        several += len(_components(nc)) > 1
+        # each component on its own, and the whole under one engine
+        for part in _components(nc) + [nc]:
+            got, spent = _spent(lambda m: [_search(_Engine(part, m))])
+            want, cost = _spent(lambda m: [_reference_search(_Engine(part, m))])
+            assert got == want and spent == cost
+            outcomes[got[0] is not None] += 1
+    assert min(outcomes.values()) >= 100 and several >= 100
+
+
+def test_components_are_their_reference_construction():
+    draws = list(_peel_draws(300)) + list(_multi_component_draws(200))
+    for nc in draws:
+        parts = _components(nc)
+        for part in parts:
+            ref = NormalizedConjunction(part.memberships, part.differences)
+            assert part.memberships == ref.memberships and part.differences == ref.differences
+            assert part.vars == ref.vars
+            # each part keeps nc's order of its literals and of its variables
+            mems, diffs = set(part.memberships), set(part.differences)
+            assert part.memberships == tuple(m for m in nc.memberships if m in mems)
+            assert part.differences == tuple(d for d in nc.differences if d in diffs)
+            assert part.vars == tuple(v for v in nc.vars if v in set(part.vars))
+        assert sum(len(p.memberships) for p in parts) == len(nc.memberships)
+        assert sum(len(p.differences) for p in parts) == len(nc.differences)
+        assert sum(len(p.vars) for p in parts) == len(nc.vars)
+        assert set(nc.vars) == {v for p in parts for v in p.vars}
+
+
+def test_chain_set_up_is_quadratic_by_count(monkeypatch):
+    # Restating every unpeeled element in each class query made the chain's
+    # set-up cubic: 13,701, 97,801 and 733,201 _assign calls at n = 40, 80
+    # and 160.  One propagated base per peel round makes it quadratic.
+    calls = []
+    assign = _Engine._assign
+
+    def counting(engine, *args):
+        calls.append(None)
+        return assign(engine, *args)
+
+    monkeypatch.setattr(_Engine, "_assign", counting)
+    counts = []
+    for n in (40, 80, 160):
+        calls.clear()
+        assert solve(_chain(n), budget=None).is_sat
+        counts.append(len(calls))
+    assert counts[2] < 5 * counts[1] and counts[1] < 5 * counts[0]
+
+
 def _acyclic_draw(rng, n):
     """n variables, n/2 to n memberships "vi in vj" with i < j, and n/4 to
     n/2 differences over three distinct variables: no membership cycle

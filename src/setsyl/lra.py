@@ -1,11 +1,23 @@
-"""Linear rational arithmetic over exact fractions.
+"""Linear rational arithmetic on integer rows.
 
 Constraints are affine rows "expr <= 0", "expr < 0", "expr = 0" plus
 disequalities "expr != 0".  Satisfiability is decided by Fourier-Motzkin
 elimination; because the rationals are dense and the row polyhedron is
 convex, a conjunction with disequalities is satisfiable exactly when the
 rows are satisfiable and no disequality's underlying equality is entailed.
-Everything is computed in fractions.Fraction; no floating point enters.
+
+Every row that elimination or substitution sees has integer coefficients
+and an integer constant: a row read from a literal is multiplied by its
+constant's denominator, and rows are combined with integer multipliers.
+Only the sample point is rational; it is computed in fractions.Fraction,
+and no floating point enters.  Scaling a row by a positive number leaves
+its solution set unchanged, and each row held here is a positive multiple
+of the row that elimination over fractions holds when it scales every row
+to a first coefficient of magnitude 1 (the reference kept in the tests).
+So the two keep the same rows, as the same tightest row per direction, in
+the same order; they charge the same steps; and each bound -rest/a that
+back-substitution reads, hence the sample point, the repair walk and every
+fragment, is the same rational.
 
 `LraTheory` is the combination's arithmetic plugin.  Each
 `assert_literals` call turns its literals into rows and disequalities,
@@ -19,8 +31,8 @@ equality:
 
 - equality rows are solved once per assertion by Gaussian substitution, so
   elimination only ever sees inequalities over the unsolved variables;
-- each elimination stage keeps one row per direction, the tightest, after
-  scaling rows so their first coefficient has magnitude 1;
+- each elimination stage keeps one row per direction, the tightest, where
+  a direction is a coefficient vector divided by its gcd;
 - implied equalities are grouped by value at one sample point of the
   rows, since a point that separates two variables refutes their
   equality, and a variable is probed only against the class heads of its
@@ -35,6 +47,7 @@ combination requires of its participants.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -61,15 +74,16 @@ _ZERO = Fraction(0)
 # rel meanings: expr le 0, expr lt 0, expr eq 0.
 LE, LT, EQ = "le", "lt", "eq"
 
-# A row "sum c*x + k rel 0", as (c, k, rel).  Elimination sees only LE and LT.
-Row = Tuple[Dict[str, Fraction], Fraction, str]
-# A row's direction: its scaled coefficients, sorted by name.
-RowKey = Tuple[Tuple[str, Fraction], ...]
+# A row "sum c*x + k rel 0", as (c, k, rel), in integers.  Elimination
+# sees only LE and LT.
+Row = Tuple[Dict[str, int], int, str]
+# A row's direction: its coefficients divided by their gcd, sorted by name.
+RowKey = Tuple[Tuple[str, int], ...]
 
 
-def _linear(t: Term) -> Tuple[Dict[str, Fraction], Fraction]:
+def _linear(t: Term) -> Tuple[Dict[str, int], Fraction]:
     if isinstance(t, Var):
-        return {t.name: Fraction(1)}, _ZERO
+        return {t.name: 1}, _ZERO
     if isinstance(t, RationalConst):
         return {}, t.value
     if isinstance(t, ArithOp):
@@ -77,49 +91,60 @@ def _linear(t: Term) -> Tuple[Dict[str, Fraction], Fraction]:
             ca, ka = _linear(t.args[0])
             cb, kb = _linear(t.args[1])
             for v, c in cb.items():
-                ca[v] = ca.get(v, _ZERO) + c
+                ca[v] = ca.get(v, 0) + c
             return {v: c for v, c in ca.items() if c != 0}, ka + kb
         ca, ka = _linear(t.args[0])
         return {v: -c for v, c in ca.items()}, -ka
     raise NonlinearTermError(f"not an affine rational term: {t!r}")
 
 
-def _row(coeffs: Dict[str, Fraction], const: Fraction, rel: str) -> Row:
-    """The row with coeffs' nonzero coefficients, in name order."""
-    return {v: coeffs[v] for v in sorted(coeffs) if coeffs[v]}, const, rel
+def _row(coeffs: Dict[str, int], const: Fraction, rel: str) -> Row:
+    """The row with coeffs' nonzero coefficients, in name order, times the
+    denominator of const."""
+    d = const.denominator
+    return {v: coeffs[v] * d for v in sorted(coeffs) if coeffs[v]}, const.numerator, rel
 
 
-def _diff(a: Term, b: Term) -> Tuple[Dict[str, Fraction], Fraction]:
+def _diff(a: Term, b: Term) -> Tuple[Dict[str, int], Fraction]:
     ca, ka = _linear(a)
     cb, kb = _linear(b)
     for v, c in cb.items():
-        ca[v] = ca.get(v, _ZERO) - c
+        ca[v] = ca.get(v, 0) - c
     return ca, ka - kb
 
 
 def _tighten(best: Dict[RowKey, Row], ineqs: Iterable[Row]) -> bool:
     """Add rows to best, keeping the tightest per direction; False on a ground contradiction.
 
-    Each row is divided by the magnitude of its first coefficient in name
-    order, a positive factor, so its solution set is unchanged.  Rows with
-    the same scaled coefficients c then bound c.x from above by their
-    constants' negations; the row with the larger constant (strict on a
-    tie) implies every other, so dropping those keeps the solution set and
-    every bound that back-substitution reads.  A ground row holds or fails
-    outright.
+    Rows are positive multiples of one another exactly when their
+    coefficients divided by the coefficients' gcd agree, which makes the
+    key.  Each row is divided by the gcd of its coefficients and constant, a
+    positive factor, so its solution set is unchanged.  Rows of one
+    direction c bound c.x from above by their constants' negations, each
+    divided by the row's first coefficient in name order, so constants
+    are compared by cross-multiplying with those coefficients' magnitudes;
+    the row with the larger constant (strict on a tie) implies every other,
+    so dropping those keeps the solution set and every bound that
+    back-substitution reads.  A ground row holds or fails outright.
     """
     for c, k, rel in ineqs:
         if not c:
             if k > 0 or (rel == LT and k == 0):
                 return False
             continue
-        lead = abs(c[min(c)])
-        if lead != 1:
-            c = {v: a / lead for v, a in c.items()}
-            k = k / lead
-        key = tuple(sorted(c.items()))
+        g = gcd(*c.values())
+        key = tuple(sorted((v, a // g) for v, a in c.items()))
+        h = gcd(g, k)
+        if h != 1:
+            c = {v: a // h for v, a in c.items()}
+            k //= h
         old = best.get(key)
-        if old is None or k > old[1] or (k == old[1] and rel == LT):
+        if old is None:
+            best[key] = (c, k, rel)
+            continue
+        first = key[0][0]
+        new, kept = k * abs(old[0][first]), old[1] * abs(c[first])
+        if new > kept or (new == kept and rel == LT):
             best[key] = (c, k, rel)
     return True
 
@@ -134,6 +159,8 @@ def _eliminate(
     every combined row pass through `_tighten`; rows without the
     eliminated variable stay as they are, already tightened.  Each stage
     charges meter one step per row it combines, before combining them.
+    An up row (coefficient au > 0 on the variable) and a down row (ad < 0)
+    combine with the least positive integer multipliers that cancel it.
     """
     cur: Dict[RowKey, Row] = {}
     if not _tighten(cur, ineqs):
@@ -153,13 +180,17 @@ def _eliminate(
         combined = []
         for _, cu, ku, relu, au in ups:
             for _, cd, kd, reld, ad in downs:
-                # au*x <= -(cu'+ku) and ad*x >= ... combine scaled by 1/au, -1/ad
-                c = {}
-                for name in set(cu) | set(cd):
-                    val = cu.get(name, _ZERO) / au - cd.get(name, _ZERO) / ad
-                    if val != 0 and name != v:
-                        c[name] = val
-                k = ku / au - kd / ad
+                m = gcd(au, ad)
+                fu, fd = -ad // m, au // m
+                c = {name: fu * a for name, a in cu.items() if name != v}
+                for name, a in cd.items():
+                    if name != v:
+                        val = c.get(name, 0) + fd * a
+                        if val:
+                            c[name] = val
+                        else:
+                            del c[name]
+                k = fu * ku + fd * kd
                 rel = LT if LT in (relu, reld) else LE
                 combined.append((c, k, rel))
         if not _tighten(cur, combined):
@@ -174,7 +205,8 @@ def _back_substitute(stages: List[List[Row]], order: Sequence[str]) -> Dict[str,
     Each variable takes the midpoint of its residual interval, or a point
     one unit inside a single bound.  A closed point interval is never
     strict here, since elimination would have turned strict touching bounds
-    into a ground contradiction.
+    into a ground contradiction.  Rows are integer, so each bound starts
+    from a Fraction: int / int would be a float.
     """
     val: Dict[str, Fraction] = {}
     for idx in range(len(order) - 1, -1, -1):
@@ -185,7 +217,7 @@ def _back_substitute(stages: List[List[Row]], order: Sequence[str]) -> Dict[str,
             a = c.get(v)
             if not a:
                 continue
-            rest = k
+            rest = Fraction(k)
             for name, coef in c.items():
                 if name != v:
                     rest += coef * val[name]
@@ -215,35 +247,37 @@ def _sample_ineqs(
     return None if stages is None else _back_substitute(stages, order)
 
 
-# A solved equality "v = sum c*x + k", as (v, c, k).
-Definition = Tuple[str, Dict[str, Fraction], Fraction]
+# A solved equality "a*v + sum c*x + k = 0", as (v, a, c, k), in integers.
+Definition = Tuple[str, int, Dict[str, int], int]
 
 
-def _substitute(
-    c: Dict[str, Fraction], k: Fraction, defs: Sequence[Definition]
-) -> Tuple[Dict[str, Fraction], Fraction]:
-    """Rewrite "sum c*x + k" over the unsolved variables.
+def _substitute(c: Dict[str, int], k: int, defs: Sequence[Definition]) -> Tuple[Dict[str, int], int]:
+    """Rewrite "sum c*x + k", up to a positive factor, over the unsolved variables.
 
-    Definition i never mentions the variables of definitions before it, so
-    applying them in order removes every solved variable for good.
+    A row with coefficient b on a solved variable v becomes |a|*row minus
+    sign(a)*b times v's definition, both divided by gcd(a, b), which
+    cancels v.  Definition i never mentions the variables of definitions
+    before it, so applying them in order removes every solved variable for
+    good.
     """
-    for v, dc, dk in defs:
-        a = c.get(v)
-        if a is None:
+    for v, a, dc, dk in defs:
+        b = c.get(v)
+        if b is None:
             continue
-        c = dict(c)
-        del c[v]
-        for name, b in dc.items():
-            val = c.get(name, _ZERO) + a * b
+        m = gcd(a, b)
+        fr, fd = abs(a) // m, (-b if a > 0 else b) // m
+        c = {name: fr * x for name, x in c.items() if name != v}
+        for name, x in dc.items():
+            val = c.get(name, 0) + fd * x
             if val:
                 c[name] = val
             else:
-                c.pop(name, None)
-        k = k + a * dk
+                del c[name]
+        k = fr * k + fd * dk
     return c, k
 
 
-def _value(c: Dict[str, Fraction], k: Fraction, val: Dict[str, Fraction]) -> Fraction:
+def _value(c: Dict[str, int], k: int, val: Dict[str, Fraction]) -> Fraction:
     return k + sum(a * val[v] for v, a in c.items())
 
 
@@ -252,18 +286,20 @@ class LraTheory:
     each `assert_literals`, which also reduces the rows once.
 
     Every equality row, with the definitions before it substituted, is
-    solved for its least-named variable, giving `defs`; the inequality
-    rows, and any disequality or separation target, are rewritten over the
-    remaining variables, `order`, and `stages` is the elimination of the
-    rewritten inequalities, or None when the rows are infeasible.  Each
-    solution of the rewritten inequalities extends to exactly one solution
-    of the original rows by evaluating the definitions in reverse order,
-    and each solution of the original rows restricts to one of the
-    rewritten inequalities, so satisfiability, entailment of a target and
-    sampling can all be decided on the smaller system.  An equality that
-    becomes ground and nonzero makes the rows infeasible.  A fresh theory
-    holds the empty system.  Elimination and entailment probes spend steps
-    from budget, one meter for every assertion.
+    solved for its least-named variable, giving `defs`, kept as integer
+    rows; the inequality rows, and any disequality or separation target, are
+    rewritten over the remaining variables, `order`, and `stages` is the
+    elimination of the rewritten inequalities, or None when the rows are
+    infeasible.  Each solution of the rewritten inequalities extends to
+    exactly one solution of the original rows by evaluating the definitions
+    in reverse order, and each solution of the original rows restricts to
+    one of the rewritten inequalities, so satisfiability, entailment of a
+    target and sampling can all be decided on the smaller system.  An
+    equality that becomes ground and nonzero makes the rows infeasible.  A
+    fresh theory holds the empty system.  Elimination and entailment probes
+    spend steps from budget, one meter for every assertion.  The sample of
+    the rewritten inequalities is computed at most once per assertion and
+    shared by `implied_equalities` and `model_fragment`.
     """
 
     name = "lra"
@@ -310,12 +346,12 @@ class LraTheory:
                 feasible = feasible and k == 0
                 continue
             v = min(c)
-            a = c[v]
-            self.defs.append((v, {n: -b / a for n, b in c.items() if n != v}, -k / a))
-        solved = {v for v, _, _ in self.defs}
+            self.defs.append((v, c[v], {n: b for n, b in c.items() if n != v}, k))
+        solved = {v for v, _, _, _ in self.defs}
         self.order = tuple(v for v in self.vars() if v not in solved)
         ineqs = [_substitute(c, k, self.defs) + (rel,) for c, k, rel in rows if rel != EQ]
         self.stages = _eliminate(ineqs, self.order, self._budget) if feasible else None
+        self._sample: Optional[Dict[str, Fraction]] = None
         return self.stages is not None and not any(self.entails_zero(d) for d in diseqs)
 
     def vars(self) -> Tuple[str, ...]:
@@ -339,11 +375,17 @@ class LraTheory:
         neg = base + [(c, k, LT)]
         return _eliminate(pos, order, meter) is None and _eliminate(neg, order, meter) is None
 
+    def _point(self) -> Dict[str, Fraction]:
+        """The sample point of the rewritten inequalities; the rows must be feasible."""
+        if self._sample is None:
+            self._sample = _back_substitute(self.stages, self.order)
+        return self._sample
+
     def extend(self, val: Dict[str, Fraction]) -> Dict[str, Fraction]:
         """Complete a solution of the rewritten rows with the solved variables."""
         full = dict(val)
-        for v, dc, dk in reversed(self.defs):
-            full[v] = dk + sum(b * full[n] for n, b in dc.items())
+        for v, a, dc, dk in reversed(self.defs):
+            full[v] = -sum((b * full[n] for n, b in dc.items()), Fraction(dk)) / a
         return full
 
     def implied_equalities(self, shared: Sequence[str]) -> List[List[str]]:
@@ -362,13 +404,13 @@ class LraTheory:
         if self.stages is None:
             point = dict.fromkeys(self.vars())
         else:
-            point = self.extend(_back_substitute(self.stages, self.order))
+            point = self.extend(self._point())
         by_value: Dict[Optional[Fraction], List[List[str]]] = {}
         classes: List[List[str]] = []
         for v in (v for v in shared if v in point):
             group = by_value.setdefault(point[v], [])
             for c in group:
-                if self.entails_zero(({c[0]: Fraction(1), v: Fraction(-1)}, _ZERO, EQ)):
+                if self.entails_zero(({c[0]: 1, v: -1}, 0, EQ)):
                     c.append(v)
                     break
             else:
@@ -392,9 +434,9 @@ class LraTheory:
         if self.stages is None:
             raise InvariantViolation("sampling an unsatisfiable arithmetic system")
         order = self.order
-        val = _back_substitute(self.stages, order)
+        val = self._point()
 
-        cleared: List[Tuple[Dict[str, Fraction], Fraction]] = []
+        cleared: List[Tuple[Dict[str, int], int]] = []
         for d in self.disequalities:
             c, k = _substitute(d[0], d[1], self.defs)
             if _value(c, k, val) != 0:

@@ -302,6 +302,18 @@ def test_normalize_pins_every_rewrite_rule(capsys):
             assert out == fh.read()
 
 
+def test_arithmetic_sample_keeps_its_bytes(capsys):
+    # fixtures/planted_mixed.syl has rational constants, a strict bound, two
+    # equalities solved by substitution and a disequality on the rows'
+    # sample, which the repair walk leaves.  The golden file was printed when
+    # elimination still ran on Fraction rows, so it pins that integer rows
+    # sample the same point.
+    code, out, err = run(capsys, "solve", os.path.join(FIXTURES, "planted_mixed.syl"), "--json")
+    assert (code, err) == (0, "")
+    with open(os.path.join(os.path.dirname(__file__), "golden", "planted_mixed.solve.json")) as fh:
+        assert out == fh.read()
+
+
 @pytest.mark.parametrize(
     "argv, golden",
     [

@@ -1,13 +1,15 @@
 """Exact rational arithmetic over weak inequalities and disequalities."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
+from typing import Dict, List, Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setsyl.errors import InvariantViolation, NonlinearTermError, UnsupportedAtomError
+from setsyl.errors import Budget, InvariantViolation, NonlinearTermError, UnsupportedAtomError
 from setsyl.formulas import (
     ArithOp,
     Eq,
@@ -18,6 +20,7 @@ from setsyl.formulas import (
     RationalConst,
     SetOp,
     Var,
+    literal_atom,
 )
 from setsyl.lists import ListTheory
 from setsyl.lra import LE, LT, EQ, LraTheory
@@ -368,3 +371,312 @@ def test_substituted_equalities_reach_the_sample():
 def test_ground_equality_after_substitution():
     assert check(Eq(x, y), Eq(y, plus(x, rc(1)))) is False
     assert check(Eq(x, y), Eq(y, x), Not(Leq(y, z))) is True
+
+
+# -------------------------------------------------------------- reference
+#
+# Fourier-Motzkin over fractions.Fraction, as the plugin decided before its
+# rows became integer: every row is scaled to a first coefficient of
+# magnitude 1, combined rows are divided by their coefficients on the
+# eliminated variable, and a definition is solved for its variable.  The
+# plugin's integer rows are positive multiples of these rows, so verdicts,
+# implied classes, samples and steps charged must all agree.
+
+_ZERO = Fraction(0)
+
+
+def _reference_linear(t):
+    if isinstance(t, Var):
+        return {t.name: Fraction(1)}, _ZERO
+    if isinstance(t, RationalConst):
+        return {}, t.value
+    if t.op == "plus":
+        ca, ka = _reference_linear(t.args[0])
+        cb, kb = _reference_linear(t.args[1])
+        for v, c in cb.items():
+            ca[v] = ca.get(v, _ZERO) + c
+        return {v: c for v, c in ca.items() if c != 0}, ka + kb
+    ca, ka = _reference_linear(t.args[0])
+    return {v: -c for v, c in ca.items()}, -ka
+
+
+def _reference_row(a, b, rel):
+    """The row of a - b, with its nonzero coefficients in name order."""
+    ca, ka = _reference_linear(a)
+    cb, kb = _reference_linear(b)
+    for v, c in cb.items():
+        ca[v] = ca.get(v, _ZERO) - c
+    return {v: ca[v] for v in sorted(ca) if ca[v]}, ka - kb, rel
+
+
+def _reference_tighten(best, ineqs):
+    for c, k, rel in ineqs:
+        if not c:
+            if k > 0 or (rel == LT and k == 0):
+                return False
+            continue
+        lead = abs(c[min(c)])
+        if lead != 1:
+            c = {v: a / lead for v, a in c.items()}
+            k = k / lead
+        key = tuple(sorted(c.items()))
+        old = best.get(key)
+        if old is None or k > old[1] or (k == old[1] and rel == LT):
+            best[key] = (c, k, rel)
+    return True
+
+
+def _reference_eliminate(ineqs, order, meter):
+    cur = {}
+    if not _reference_tighten(cur, ineqs):
+        return None
+    stages = []
+    for v in order:
+        stages.append(list(cur.values()))
+        ups = []
+        downs = []
+        for key, (c, k, rel) in cur.items():
+            a = c.get(v)
+            if a:
+                (ups if a > 0 else downs).append((key, c, k, rel, a))
+        for row in ups + downs:
+            del cur[row[0]]
+        meter.spend("eliminating arithmetic variables", len(ups) * len(downs))
+        combined = []
+        for _, cu, ku, relu, au in ups:
+            for _, cd, kd, reld, ad in downs:
+                c = {}
+                for name in set(cu) | set(cd):
+                    val = cu.get(name, _ZERO) / au - cd.get(name, _ZERO) / ad
+                    if val != 0 and name != v:
+                        c[name] = val
+                k = ku / au - kd / ad
+                rel = LT if LT in (relu, reld) else LE
+                combined.append((c, k, rel))
+        if not _reference_tighten(cur, combined):
+            return None
+    stages.append(list(cur.values()))
+    return stages
+
+
+def _reference_back_substitute(stages, order):
+    val = {}
+    for idx in range(len(order) - 1, -1, -1):
+        v = order[idx]
+        lo = hi = None
+        for c, k, rel in stages[idx]:
+            a = c.get(v)
+            if not a:
+                continue
+            rest = k
+            for name, coef in c.items():
+                if name != v:
+                    rest += coef * val[name]
+            bound = -rest / a
+            if a > 0:
+                if hi is None or bound < hi:
+                    hi = bound
+            else:
+                if lo is None or bound > lo:
+                    lo = bound
+        if lo is None and hi is None:
+            val[v] = _ZERO
+        elif lo is None:
+            val[v] = hi - 1
+        elif hi is None:
+            val[v] = lo + 1
+        else:
+            val[v] = (lo + hi) / 2
+    return val
+
+
+def _reference_value(c, k, val):
+    return k + sum(a * val[v] for v, a in c.items())
+
+
+def _reference_substitute(c, k, defs):
+    """defs are solved equalities "v = sum dc*x + dk", as (v, dc, dk)."""
+    for v, dc, dk in defs:
+        a = c.get(v)
+        if a is None:
+            continue
+        c = dict(c)
+        del c[v]
+        for name, b in dc.items():
+            val = c.get(name, _ZERO) + a * b
+            if val:
+                c[name] = val
+            else:
+                c.pop(name, None)
+        k = k + a * dk
+    return c, k
+
+
+class _ReferenceLra:
+    """LraTheory's assert / implied / sample, on the reference functions."""
+
+    def __init__(self, meter: Budget) -> None:
+        self._budget = meter
+
+    def assert_literals(self, literals) -> bool:
+        rows, diseqs = [], []
+        for lit in literals:
+            atom, sign = literal_atom(lit)
+            if isinstance(atom, Leq):
+                a, b = (atom.left, atom.right) if sign else (atom.right, atom.left)
+                rows.append(_reference_row(a, b, LE if sign else LT))
+            else:
+                (rows if sign else diseqs).append(_reference_row(atom.left, atom.right, EQ))
+        self.rows, self.disequalities = rows, diseqs
+        self.defs = []
+        feasible = True
+        for c, k, rel in rows:
+            if rel != EQ:
+                continue
+            c, k = _reference_substitute(c, k, self.defs)
+            if not c:
+                feasible = feasible and k == 0
+                continue
+            v = min(c)
+            a = c[v]
+            self.defs.append((v, {n: -b / a for n, b in c.items() if n != v}, -k / a))
+        solved = {v for v, _, _ in self.defs}
+        self.order = tuple(v for v in self.vars() if v not in solved)
+        ineqs = [_reference_substitute(c, k, self.defs) + (rel,) for c, k, rel in rows if rel != EQ]
+        self.stages = _reference_eliminate(ineqs, self.order, self._budget) if feasible else None
+        return self.stages is not None and not any(self.entails_zero(d) for d in diseqs)
+
+    def vars(self):
+        return tuple(dict.fromkeys(v for c, _, _ in self.rows + self.disequalities for v in c))
+
+    def entails_zero(self, target) -> bool:
+        if self.stages is None:
+            return True
+        self._budget.spend("probing arithmetic equalities")
+        c, k = _reference_substitute(target[0], target[1], self.defs)
+        if not c:
+            return k == 0
+        base, order, meter = self.stages[0], self.order, self._budget
+        pos = base + [({v: -a for v, a in c.items()}, -k, LT)]
+        neg = base + [(c, k, LT)]
+        return (
+            _reference_eliminate(pos, order, meter) is None
+            and _reference_eliminate(neg, order, meter) is None
+        )
+
+    def extend(self, val):
+        full = dict(val)
+        for v, dc, dk in reversed(self.defs):
+            full[v] = dk + sum(b * full[n] for n, b in dc.items())
+        return full
+
+    def implied_equalities(self, shared) -> List[List[str]]:
+        if self.stages is None:
+            point = dict.fromkeys(self.vars())
+        else:
+            point = self.extend(_reference_back_substitute(self.stages, self.order))
+        by_value: Dict[Optional[Fraction], List[List[str]]] = {}
+        classes = []
+        for v in (v for v in shared if v in point):
+            group = by_value.setdefault(point[v], [])
+            for c in group:
+                if self.entails_zero(({c[0]: Fraction(1), v: Fraction(-1)}, _ZERO, EQ)):
+                    c.append(v)
+                    break
+            else:
+                group.append([v])
+                classes.append(group[-1])
+        return [c for c in classes if len(c) > 1]
+
+    def model_fragment(self) -> Dict[str, Fraction]:
+        if self.stages is None:
+            raise InvariantViolation("sampling an unsatisfiable arithmetic system")
+        order = self.order
+        val = _reference_back_substitute(self.stages, order)
+        cleared = []
+        for d in self.disequalities:
+            c, k = _reference_substitute(d[0], d[1], self.defs)
+            if _reference_value(c, k, val) != 0:
+                cleared.append((c, k))
+                continue
+            target = None
+            for sign in (1, -1):
+                strict = ({v: sign * a for v, a in c.items()}, sign * k, LT)
+                stages = _reference_eliminate(self.stages[0] + [strict], order, self._budget)
+                if stages is not None:
+                    target = _reference_back_substitute(stages, order)
+                    break
+            if target is None:
+                raise InvariantViolation("sampling an unsatisfiable arithmetic system")
+            cleared.append((c, k))
+            for step in range(1, len(cleared) + 2):
+                t = Fraction(1, step)
+                cand = {v: val[v] + t * (target[v] - val[v]) for v in order}
+                if all(_reference_value(cc, kk, cand) != 0 for cc, kk in cleared):
+                    val = cand
+                    break
+            else:
+                raise InvariantViolation("hyperplane repair ran out of step sizes")
+        return self.extend(val)
+
+
+_NAMES = ["a", "b", "c", "d", "e"]
+
+
+def _random_system(rng):
+    """Up to seven literals of all four relations over up to five names,
+    with rational constants and coefficients up to about 3."""
+    names = [Var(n) for n in _NAMES[: rng.randint(1, 5)]]
+
+    def term():
+        t = None
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.25:
+                u = rc(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+            else:
+                u = rng.choice(names)
+            if rng.random() < 0.3:
+                u = neg(u)
+            t = u if t is None else plus(t, u)
+        return t
+
+    lits = []
+    for _ in range(rng.randint(0, 7)):
+        a, b = term(), term()
+        kind = rng.choice(("le", "lt", "eq", "eq", "ne"))
+        if kind == "le":
+            lits.append(Leq(a, b))
+        elif kind == "lt":
+            lits.append(Not(Leq(b, a)))
+        elif kind == "eq":
+            lits.append(Eq(a, b))
+        else:
+            lits.append(Not(Eq(a, b)))
+    return lits
+
+
+def _answers(theory, meter, lits):
+    """Each call's answer, with the steps left on the meter after it."""
+    out = [(theory.assert_literals(lits), meter.left)]
+    out.append((theory.implied_equalities(_NAMES), meter.left))
+    try:
+        frag = theory.model_fragment()
+    except InvariantViolation:
+        frag = None
+    else:
+        assert all(type(v) is Fraction for v in frag.values())
+    out.append((frag, meter.left))
+    return out
+
+
+def test_integer_rows_match_the_fraction_reference():
+    rng = random.Random(29)
+    verdicts = set()
+    for _ in range(2500):
+        lits = _random_system(rng)
+        meter, ref_meter = Budget(10**9), Budget(10**9)
+        got = _answers(LraTheory(meter), meter, lits)
+        want = _answers(_ReferenceLra(ref_meter), ref_meter, lits)
+        assert got == want, lits
+        verdicts.add(got[0][0])
+    assert verdicts == {True, False}

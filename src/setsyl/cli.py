@@ -55,7 +55,7 @@ from .formulas import (
     or_,
 )
 from .hf import MAX_RANK_BOUND, HFSet, braces, hf, parse_braces, to_strings
-from .normalize import dnf_split, normalize, split_disjuncts
+from .normalize import dnf_split, first_sat, normalize, split_disjuncts
 from .oracle import (
     bounded_models,
     eval_formula,
@@ -158,13 +158,8 @@ def cmd_solve(args) -> int:
         return 0
 
     # tags are within {MLS, SHARED} here, which is all dnf_split would check
-    sat_res = None
-    for branch in split_disjuncts(f):
-        res = solve(normalize(branch), budget=meter)
-        if res.is_sat:
-            sat_res = res
-            break
-    if sat_res is None:
+    sat_res = first_sat(split_disjuncts(f), lambda branch: solve(normalize(branch), budget=meter))
+    if not sat_res.is_sat:
         _emit(
             {"command": "solve", "engine": "mls", "verdict": "unsat",
              "model": None, "witness": None},

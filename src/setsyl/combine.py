@@ -33,19 +33,20 @@ from typing import Dict, Iterable, List, Mapping, Optional, Protocol, Sequence, 
 
 from .errors import DEFAULT_BUDGET, Budget, NonConvexPluginError, UnsupportedAtomError
 from .formulas import (
+    ATOM_THEORY,
+    MLS,
+    MLS_EXT,
+    TERM_THEORY,
     ArithOp,
     AtomPred,
     Empty,
     Eq,
     ExtOp,
     Formula,
-    In,
-    Leq,
     ListOp,
     Not,
     RationalConst,
     SetOp,
-    Subset,
     Term,
     Var,
     and_,
@@ -57,7 +58,7 @@ from .formulas import (
 from .hf import to_strings
 from .lists import ListTheory
 from .lra import LraTheory
-from .normalize import normalize, split_disjuncts
+from .normalize import first_sat, normalize, split_disjuncts
 from .solver import _decide
 
 THEORIES = ("mls", "lra", "list")
@@ -66,13 +67,10 @@ THEORIES = ("mls", "lra", "list")
 def _top_theory(t: Term) -> Optional[str]:
     if isinstance(t, Var):
         return None
-    if isinstance(t, (SetOp, ExtOp, Empty)):
-        return "mls"
-    if isinstance(t, (ArithOp, RationalConst)):
-        return "lra"
-    if isinstance(t, ListOp):
-        return "list"
-    raise UnsupportedAtomError(f"not a term: {t!r}")
+    tag = TERM_THEORY.get(type(t))
+    if tag is None:
+        raise UnsupportedAtomError(f"not a term: {t!r}")
+    return MLS if tag == MLS_EXT else tag
 
 
 @dataclass(frozen=True)
@@ -125,15 +123,11 @@ class _Purifier:
         if not is_literal(lit):
             raise UnsupportedAtomError(f"combination expects literals, got {lit!r}")
         atom, sign = literal_atom(lit)
-        if isinstance(atom, (In, Subset)):
-            out: Formula = type(atom)(self._rebuild(atom.left), self._rebuild(atom.right))
-            target = "mls"
-        elif isinstance(atom, Leq):
-            out = Leq(self._rebuild(atom.left), self._rebuild(atom.right))
-            target = "lra"
-        elif isinstance(atom, AtomPred):
-            out = AtomPred(self._rebuild(atom.arg))
-            target = "list"
+        target = ATOM_THEORY.get(type(atom))
+        if type(atom) is AtomPred:
+            out: Formula = AtomPred(self._rebuild(atom.arg))
+        elif target is not None:
+            out = type(atom)(self._rebuild(atom.left), self._rebuild(atom.right))
         elif isinstance(atom, Eq):
             left = self._rebuild(atom.left)
             right = self._rebuild(atom.right)
@@ -163,18 +157,14 @@ def purify(literals: Sequence[Formula]) -> TheoryProblem:
     partition (set, arithmetic, list order) mentioning either; as a last
     resort to the set partition.
     """
-    pur = _Purifier(v for lit in literals for v in free_vars(lit))
+    pur = _Purifier(free_vars(*literals))
     deferred: List[Tuple[Formula, Tuple[str, str]]] = []
     for lit in literals:
         d = pur.route(lit)
         if d is not None:
             deferred.append(d)
 
-    occurs: Dict[str, Dict[str, None]] = {t: {} for t in THEORIES}
-    for t in THEORIES:
-        for lit in pur.parts[t]:
-            for v in free_vars(lit):
-                occurs[t].setdefault(v)
+    occurs = {t: dict.fromkeys(free_vars(*pur.parts[t])) for t in THEORIES}
     for lit, (x, y) in deferred:
         both = [t for t in THEORIES if x in occurs[t] and y in occurs[t]]
         either = [t for t in THEORIES if x in occurs[t] or y in occurs[t]]
@@ -219,7 +209,7 @@ class MlsTheory:
         self._vars: Tuple[str, ...] = ()
 
     def assert_literals(self, literals: Sequence[Formula]) -> bool:
-        self._vars = tuple(dict.fromkeys(v for lit in literals for v in free_vars(lit)))
+        self._vars = tuple(free_vars(*literals))
         self._nc = normalize(list(literals))
         # one decision per round; implied_equalities asks its engines split
         # queries, on the same meter, and lists no places
@@ -350,11 +340,7 @@ def solve_combined(
                 f"unknown plugin {name!r} (choose from {', '.join(THEORIES)})"
             )
     meter = Budget.of(budget)
-    branches = split_disjuncts(and_(*asserts)) if asserts else [[]]
-    last: Optional[CombinedResult] = None
-    for branch in branches:
-        res = propagate(purify(branch), _plugins(plugin_names, meter))
-        if res.is_sat:
-            return res
-        last = res
-    return last
+    return first_sat(
+        split_disjuncts(and_(*asserts)) if asserts else [[]],
+        lambda branch: propagate(purify(branch), _plugins(plugin_names, meter)),
+    )

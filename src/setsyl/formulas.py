@@ -4,6 +4,14 @@ The language is single-sorted on the surface: one pool of variables is
 shared by the set-theoretic, arithmetic and list signatures, and atoms are
 classified after parsing.  Everything here is an immutable dataclass so
 formulas can live in sets and dict keys.
+
+The vocabulary is declared once.  The arity dicts SET_OPS, EXT_OPS,
+ARITH_OPS and LIST_OPS are the only source of each operator's internal
+name and arity: the term classes check against them, and the reader's
+operator table in `sexpr` is built from them.  The theory table,
+TERM_THEORY for term classes and ATOM_THEORY for atom classes but Eq
+(whose theory is its sides'), is the only source of which theory a symbol
+belongs to, for classify_atom here and for purification in `combine`.
 """
 
 from __future__ import annotations
@@ -25,6 +33,11 @@ MLS_EXT = "mls-ext"
 LRA = "lra"
 LIST = "list"
 SHARED = "shared"
+
+
+def arguments(n: int) -> str:
+    """An argument count as arity messages print it: '1 argument', '2 arguments'."""
+    return f"{n} argument" if n == 1 else f"{n} arguments"
 
 
 @dataclass(frozen=True)
@@ -52,27 +65,26 @@ class SetOp:
 
 
 @dataclass(frozen=True)
-class ExtOp:
+class _Application:
+    """An operator of OPS applied to a tuple of arguments of its arity;
+    FAMILY names the family in the error for an unknown operator."""
+
     op: str
     args: Tuple["Term", ...]
 
     def __post_init__(self):
-        if self.op not in EXT_OPS:
-            raise ValueError(f"unknown extension operator {self.op!r}")
-        if len(self.args) != EXT_OPS[self.op]:
-            raise ValueError(f"{self.op} expects {EXT_OPS[self.op]} arguments")
+        if self.op not in self.OPS:
+            raise ValueError(f"unknown {self.FAMILY} operator {self.op!r}")
+        if len(self.args) != self.OPS[self.op]:
+            raise ValueError(f"{self.op} expects {arguments(self.OPS[self.op])}")
 
 
-@dataclass(frozen=True)
-class ArithOp:
-    op: str
-    args: Tuple["Term", ...]
+class ExtOp(_Application):
+    OPS, FAMILY = EXT_OPS, "extension"
 
-    def __post_init__(self):
-        if self.op not in ARITH_OPS:
-            raise ValueError(f"unknown arithmetic operator {self.op!r}")
-        if len(self.args) != ARITH_OPS[self.op]:
-            raise ValueError(f"{self.op} expects {ARITH_OPS[self.op]} arguments")
+
+class ArithOp(_Application):
+    OPS, FAMILY = ARITH_OPS, "arithmetic"
 
 
 @dataclass(frozen=True)
@@ -80,16 +92,8 @@ class RationalConst:
     value: Fraction
 
 
-@dataclass(frozen=True)
-class ListOp:
-    op: str
-    args: Tuple["Term", ...]
-
-    def __post_init__(self):
-        if self.op not in LIST_OPS:
-            raise ValueError(f"unknown list operator {self.op!r}")
-        if len(self.args) != LIST_OPS[self.op]:
-            raise ValueError(f"{self.op} expects {LIST_OPS[self.op]} arguments")
+class ListOp(_Application):
+    OPS, FAMILY = LIST_OPS, "list"
 
 
 Term = Union[Var, Empty, SetOp, ExtOp, ArithOp, RationalConst, ListOp]
@@ -153,6 +157,10 @@ class Or:
 Formula = Union[Atom, Not, And, Or]
 
 ATOM_TYPES = (In, Eq, Subset, Leq, AtomPred)
+
+# A bare Var commits to no signature, so it has no entry.
+TERM_THEORY = {Empty: MLS, SetOp: MLS, ExtOp: MLS_EXT, ArithOp: LRA, RationalConst: LRA, ListOp: LIST}
+ATOM_THEORY = {In: MLS, Subset: MLS, Leq: LRA, AtomPred: LIST}
 
 
 def and_(*parts: Formula) -> Formula:
@@ -224,10 +232,11 @@ def _formula_vars(f: Formula, acc: dict) -> None:
         raise TypeError(f"not a formula: {f!r}")
 
 
-def free_vars(f: Formula) -> list:
-    """Variable names in order of first occurrence."""
+def free_vars(*fs: Formula) -> list:
+    """The variable names of fs, in order of first occurrence, in one walk."""
     acc: dict = {}
-    _formula_vars(f, acc)
+    for f in fs:
+        _formula_vars(f, acc)
     return list(acc)
 
 
@@ -246,26 +255,16 @@ def max_fresh_index(prefix: str, names: Iterable[str]) -> int:
 
 
 def _term_signatures(t: Term, acc: set) -> None:
-    if isinstance(t, Empty):
-        acc.add(MLS)
-    elif isinstance(t, SetOp):
-        acc.add(MLS)
+    tag = TERM_THEORY.get(type(t))
+    if tag is None:
+        return  # bare Var: no signature commitment
+    acc.add(tag)
+    if isinstance(t, SetOp):
         _term_signatures(t.left, acc)
         _term_signatures(t.right, acc)
-    elif isinstance(t, ExtOp):
-        acc.add(MLS_EXT)
+    elif isinstance(t, _Application):
         for a in t.args:
             _term_signatures(a, acc)
-    elif isinstance(t, (ArithOp, RationalConst)):
-        acc.add(LRA)
-        if isinstance(t, ArithOp):
-            for a in t.args:
-                _term_signatures(a, acc)
-    elif isinstance(t, ListOp):
-        acc.add(LIST)
-        for a in t.args:
-            _term_signatures(a, acc)
-    # bare Var: no signature commitment
 
 
 def classify_atom(a: Atom) -> str:
@@ -277,22 +276,16 @@ def classify_atom(a: Atom) -> str:
     MixedAtomError, which names every family.
     """
     sigs: set = set()
-    if isinstance(a, In) or isinstance(a, Subset):
-        sigs.add(MLS)
-        _term_signatures(a.left, sigs)
-        _term_signatures(a.right, sigs)
-    elif isinstance(a, Leq):
-        sigs.add(LRA)
-        _term_signatures(a.left, sigs)
-        _term_signatures(a.right, sigs)
-    elif isinstance(a, AtomPred):
-        sigs.add(LIST)
-        _term_signatures(a.arg, sigs)
-    elif isinstance(a, Eq):
-        _term_signatures(a.left, sigs)
-        _term_signatures(a.right, sigs)
-    else:
+    tag = ATOM_THEORY.get(type(a))
+    if tag is not None:
+        sigs.add(tag)
+    elif type(a) is not Eq:
         raise TypeError(f"not an atom: {a!r}")
+    if type(a) is AtomPred:
+        _term_signatures(a.arg, sigs)
+    else:
+        _term_signatures(a.left, sigs)
+        _term_signatures(a.right, sigs)
 
     # The two set-theoretic layers share a signature family.
     families = set()

@@ -38,7 +38,7 @@ Here w, e, z and v are fresh, minted in the order shown.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from .errors import InvariantViolation, UnsupportedAtomError
 from .formulas import (
@@ -183,6 +183,22 @@ def _disjuncts(h: Formula) -> Iterator[List[Formula]]:
                 stack.append(_disjuncts(parts[len(picked)]))
     else:
         raise TypeError(f"unexpected formula after nnf: {h!r}")
+
+
+def first_sat(branches: Iterable[List[Formula]], decide: Callable[[List[Formula]], Any]) -> Any:
+    """Decide branches in turn with decide, whose result has is_sat.
+
+    Returns the first satisfiable result, else the last result (None when
+    there is no branch).  `setsyl solve` walks split_disjuncts' branches
+    through here on both of its paths, each decide spending the command's
+    one meter.
+    """
+    res = None
+    for branch in branches:
+        res = decide(branch)
+        if res.is_sat:
+            break
+    return res
 
 
 def _is_set_term(t: Term) -> bool:
@@ -365,7 +381,7 @@ def normalize_with_plan(literals: Sequence[Formula]):
     produce a model of the output.
     """
     literals = list(dict.fromkeys(literals))  # repeated literals must not mint fresh vars twice
-    n = _Normalizer(v for lit in literals for v in free_vars(lit))
+    n = _Normalizer(free_vars(*literals))
     for lit in literals:
         n.process(lit)
     return NormalizedConjunction(n.mems, n.diffs), tuple(n.plan)

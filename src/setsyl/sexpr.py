@@ -5,9 +5,17 @@ A script is a sequence of forms:
     (assert <formula>)
     (set-option :<key> <value>)
 
-Formulas and terms follow a small SMT-flavoured grammar; see the README
-for the operator table.  parse and print are exact inverses on the
-canonical form: parse_script(print_script(s)) reproduces s.
+Formulas and terms follow a small SMT-flavoured grammar (the README lists
+it).  parse and print are exact inverses on the canonical form:
+parse_script(print_script(s)) reproduces s.
+
+Two tables hold the vocabulary, and the reader, the printer and the
+reserved words read only them.  The operator table maps each surface name
+to its term class, internal name and arity; it is built from the arity
+dicts of `formulas`, and only arithmetic is written under other names
+than it is stored (`+` is plus, `-` is neg).  The predicate table maps
+each predicate to its atom class and arity.  Every "takes n arguments"
+message comes from _arity_error, which writes "1 argument" singular.
 
 The reader splits the text into tokens with one regular expression.  A
 token is a plain string: a parenthesis, or a run of characters other than
@@ -48,6 +56,7 @@ from .formulas import (
     Subset,
     Term,
     Var,
+    arguments,
 )
 
 # Deepest parenthesis nesting a script may use.  The parser and the later
@@ -58,17 +67,22 @@ MAX_NESTING = 200
 _IDENT = re.compile(r"[A-Za-z_'][A-Za-z0-9_']*\Z")
 _NUMBER = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
 
-_PRED_NAMES = {"in", "=", "subset", "<=", "atom"}
-_OP_SURFACE = {"plus": "+", "neg": "-"}
-_SURFACE_OP = {"+": "plus", "-": "neg"}
-_RESERVED = (
-    {"assert", "set-option", "empty", "not", "and", "or"}
-    | _PRED_NAMES
-    | set(SET_OPS)
-    | set(EXT_OPS)
-    | set(LIST_OPS)
-    | {"+", "-"}
-)
+# The operator table: surface name -> (term class, internal name, arity).
+# Arithmetic alone is written under other names than it is stored.
+_OPERATORS = {
+    name: (cls, name, arity)
+    for cls, ops in ((SetOp, SET_OPS), (ExtOp, EXT_OPS), (ListOp, LIST_OPS))
+    for name, arity in ops.items()
+}
+_OPERATORS["+"] = (ArithOp, "plus", ARITH_OPS["plus"])
+_OPERATORS["-"] = (ArithOp, "neg", ARITH_OPS["neg"])
+# The predicate table: surface name -> (atom class, arity).
+_PREDICATES = {"in": (In, 2), "=": (Eq, 2), "subset": (Subset, 2), "<=": (Leq, 2), "atom": (AtomPred, 1)}
+
+# The printer's names, read off the two tables.
+_OPERATOR_NAME = {(cls, name): surface for surface, (cls, name, _) in _OPERATORS.items()}
+_PREDICATE_NAME = {cls: surface for surface, (cls, _) in _PREDICATES.items()}
+_RESERVED = {"assert", "set-option", "empty", "not", "and", "or"} | _PREDICATES.keys() | _OPERATORS.keys()
 
 
 # One match per token or comment: group 1 holds the token, and a comment
@@ -127,21 +141,31 @@ class _Reader:
             raise ParseError(f"expected {text!r}, found {t!r}", *self.at(self.pos - 1))
 
 
+def _items(r: _Reader, head: int, item, unterminated: str) -> list:
+    """What item(r) reads, repeatedly, up to and including the ')' closing
+    the form whose head is token head; unterminated names the form in the
+    error for a missing ')'."""
+    out = []
+    while True:
+        nxt = r.peek()
+        if nxt is None:
+            raise ParseError(f"unterminated {unterminated}", *r.at(head))
+        if nxt == ")":
+            r.next()
+            return out
+        out.append(item(r))
+
+
+def _arity_error(r: _Reader, head: int, name: str, want: int, got: int) -> ArityError:
+    return ArityError(f"{name} takes {arguments(want)}, got {got}", *r.at(head))
+
+
 def _parse_term(r: _Reader) -> Term:
     tok = r.next("term")
     if tok == "(":
         head = r.pos
         op = r.next("operator")
-        args: List[Term] = []
-        while True:
-            nxt = r.peek()
-            if nxt is None:
-                raise ParseError("unterminated term", *r.at(head))
-            if nxt == ")":
-                r.next()
-                break
-            args.append(_parse_term(r))
-        return _build_term(r, op, args, head)
+        return _build_term(r, op, _items(r, head, _parse_term, "term"), head)
     var = r.vars.get(tok)
     if var is not None:
         return var
@@ -163,24 +187,13 @@ def _parse_term(r: _Reader) -> Term:
 
 
 def _build_term(r: _Reader, op: str, args: List[Term], head: int) -> Term:
-    if op in SET_OPS:
-        if len(args) != SET_OPS[op]:
-            raise ArityError(f"{op} takes {SET_OPS[op]} arguments, got {len(args)}", *r.at(head))
-        return SetOp(op, args[0], args[1])
-    if op in EXT_OPS:
-        if len(args) != EXT_OPS[op]:
-            raise ArityError(f"{op} takes {EXT_OPS[op]} arguments, got {len(args)}", *r.at(head))
-        return ExtOp(op, tuple(args))
-    if op in _SURFACE_OP:
-        name = _SURFACE_OP[op]
-        if len(args) != ARITH_OPS[name]:
-            raise ArityError(f"{op} takes {ARITH_OPS[name]} arguments, got {len(args)}", *r.at(head))
-        return ArithOp(name, tuple(args))
-    if op in LIST_OPS:
-        if len(args) != LIST_OPS[op]:
-            raise ArityError(f"{op} takes {LIST_OPS[op]} arguments, got {len(args)}", *r.at(head))
-        return ListOp(op, tuple(args))
-    raise ParseError(f"unknown operator {op!r}", *r.at(head))
+    entry = _OPERATORS.get(op)
+    if entry is None:
+        raise ParseError(f"unknown operator {op!r}", *r.at(head))
+    cls, name, arity = entry
+    if len(args) != arity:
+        raise _arity_error(r, head, op, arity, len(args))
+    return SetOp(name, *args) if cls is SetOp else cls(name, tuple(args))
 
 
 def _parse_formula(r: _Reader) -> Formula:
@@ -190,45 +203,22 @@ def _parse_formula(r: _Reader) -> Formula:
     head = r.pos
     kw = r.next("predicate or connective")
     if kw in ("and", "or", "not"):
-        parts: List[Formula] = []
-        while True:
-            nxt = r.peek()
-            if nxt is None:
-                raise ParseError(f"unterminated ({kw} ...)", *r.at(head))
-            if nxt == ")":
-                r.next()
-                break
-            parts.append(_parse_formula(r))
+        parts = _items(r, head, _parse_formula, f"({kw} ...)")
         if kw == "not":
             if len(parts) != 1:
-                raise ArityError(f"not takes 1 argument, got {len(parts)}", *r.at(head))
+                raise _arity_error(r, head, kw, 1, len(parts))
             return Not(parts[0])
         if not parts:
             raise ArityError(f"{kw} needs at least one argument", *r.at(head))
         return And(tuple(parts)) if kw == "and" else Or(tuple(parts))
-    if kw in _PRED_NAMES:
-        args: List[Term] = []
-        while True:
-            nxt = r.peek()
-            if nxt is None:
-                raise ParseError(f"unterminated ({kw} ...)", *r.at(head))
-            if nxt == ")":
-                r.next()
-                break
-            args.append(_parse_term(r))
-        want = 1 if kw == "atom" else 2
-        if len(args) != want:
-            raise ArityError(f"{kw} takes {want} arguments, got {len(args)}", *r.at(head))
-        if kw == "in":
-            return In(args[0], args[1])
-        if kw == "=":
-            return Eq(args[0], args[1])
-        if kw == "subset":
-            return Subset(args[0], args[1])
-        if kw == "<=":
-            return Leq(args[0], args[1])
-        return AtomPred(args[0])
-    raise ParseError(f"unknown predicate or connective {kw!r}", *r.at(head))
+    pred = _PREDICATES.get(kw)
+    if pred is None:
+        raise ParseError(f"unknown predicate or connective {kw!r}", *r.at(head))
+    cls, arity = pred
+    args = _items(r, head, _parse_term, f"({kw} ...)")
+    if len(args) != arity:
+        raise _arity_error(r, head, kw, arity, len(args))
+    return cls(*args)
 
 
 def parse_script(text: str) -> Script:
@@ -272,30 +262,22 @@ def print_term(t: Term) -> str:
         return t.name
     if isinstance(t, Empty):
         return "empty"
-    if isinstance(t, SetOp):
-        return f"({t.op} {print_term(t.left)} {print_term(t.right)})"
-    if isinstance(t, ExtOp):
-        return "(" + " ".join([t.op] + [print_term(a) for a in t.args]) + ")"
-    if isinstance(t, ArithOp):
-        return "(" + " ".join([_OP_SURFACE[t.op]] + [print_term(a) for a in t.args]) + ")"
-    if isinstance(t, ListOp):
-        return "(" + " ".join([t.op] + [print_term(a) for a in t.args]) + ")"
     if isinstance(t, RationalConst):
         return str(t.value)
-    raise TypeError(f"not a term: {t!r}")
+    if isinstance(t, SetOp):
+        args = (t.left, t.right)
+    elif isinstance(t, (ExtOp, ArithOp, ListOp)):
+        args = t.args
+    else:
+        raise TypeError(f"not a term: {t!r}")
+    return "(" + " ".join([_OPERATOR_NAME[type(t), t.op], *map(print_term, args)]) + ")"
 
 
 def print_formula(f: Formula) -> str:
-    if isinstance(f, In):
-        return f"(in {print_term(f.left)} {print_term(f.right)})"
-    if isinstance(f, Eq):
-        return f"(= {print_term(f.left)} {print_term(f.right)})"
-    if isinstance(f, Subset):
-        return f"(subset {print_term(f.left)} {print_term(f.right)})"
-    if isinstance(f, Leq):
-        return f"(<= {print_term(f.left)} {print_term(f.right)})"
-    if isinstance(f, AtomPred):
-        return f"(atom {print_term(f.arg)})"
+    name = _PREDICATE_NAME.get(type(f))
+    if name is not None:
+        args = (f.arg,) if isinstance(f, AtomPred) else (f.left, f.right)
+        return "(" + " ".join([name, *map(print_term, args)]) + ")"
     if isinstance(f, Not):
         return f"(not {print_formula(f.body)})"
     if isinstance(f, And):

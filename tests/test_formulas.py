@@ -37,14 +37,20 @@ x, y, z = Var("x"), Var("y"), Var("z")
 
 
 def test_operator_arity_is_validated():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown set operator 'bogus'$"):
         SetOp("bogus", x, y)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^pow expects 1 argument$"):
         ExtOp("pow", (x, y))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^plus expects 2 arguments$"):
         ArithOp("plus", (x,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^car expects 1 argument$"):
         ListOp("car", (x, y))
+    with pytest.raises(ValueError, match="^unknown extension operator 'car'$"):
+        ExtOp("car", (x,))
+    with pytest.raises(ValueError, match="^unknown arithmetic operator '\\+'$"):
+        ArithOp("+", (x, y))
+    with pytest.raises(ValueError, match="^unknown list operator 'pow'$"):
+        ListOp("pow", (x,))
 
 
 def test_terms_are_hashable_values():

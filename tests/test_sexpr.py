@@ -1,5 +1,6 @@
 """Script parsing and printing round-trips."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,8 @@ from setsyl.formulas import (
 )
 from setsyl.sexpr import (
     MAX_NESTING,
+    _OPERATORS,
+    _PREDICATES,
     _Reader,
     parse_formula,
     parse_script,
@@ -213,10 +216,18 @@ def _big_script(n):
         (parse_script, "(assert (in x y))\n(assert (= x (frob y z)))", ParseError, "unknown operator 'frob'", 2, 15),
         (parse_script, _big_script(20000)[: -len("\n; 19999\n") - 1],
          ParseError, "unexpected end of input, expected )", 39999, 61),
+        (parse_script, "(assert (in x y))\n(assert (frob x y))", ParseError,
+         "unknown predicate or connective 'frob'", 2, 10),
+        (parse_formula, "(= x (plus y z))", ParseError, "unknown operator 'plus'", 1, 7),
+        (parse_formula, "(= x\n (union y", ParseError, "unterminated term", 2, 3),
+        (parse_formula, "(and (in x y)", ParseError, "unterminated (and ...)", 1, 2),
+        (parse_formula, "(or\n(in x (car y)",ParseError, "unterminated (in ...)", 2, 2),
     ],
     ids=["crlf-after-comment", "tab-indented", "end-after-last-token", "comment-only-formula",
          "trailing-input", "nesting-in-script", "bad-option-key", "bad-option-value",
-         "unknown-operator-line-2", "corrupted-large-script"],
+         "unknown-operator-line-2", "corrupted-large-script", "unknown-predicate",
+         "internal-name-is-not-surface", "unterminated-term", "unterminated-connective",
+         "unterminated-predicate"],
 )
 def test_diagnostics_name_class_message_and_position(parse, text, kind, message, line, col):
     with pytest.raises(ParseError) as ei:
@@ -224,3 +235,75 @@ def test_diagnostics_name_class_message_and_position(parse, text, kind, message,
     assert type(ei.value) is kind
     assert str(ei.value) == f"{line}:{col}: {message}"
     assert (ei.value.line, ei.value.col) == (line, col)
+
+
+# Every operator and predicate of the surface syntax, with its arity.
+OPERATORS = [("union", 2), ("inter", 2), ("setminus", 2),
+             ("single", 1), ("pow", 1), ("bigU", 1), ("bigI", 1), ("cross", 2), ("ucross", 2),
+             ("+", 2), ("-", 1), ("cons", 2), ("car", 1), ("cdr", 1)]
+PREDICATES = [("in", 2), ("=", 2), ("subset", 2), ("<=", 2), ("atom", 1)]
+ARGS = ["a", "b", "c"]
+
+
+def _arity_text(name, want, got):
+    return f"{name} takes {want} argument{'' if want == 1 else 's'}, got {got}"
+
+
+def test_tables_hold_exactly_these_names():
+    assert sorted(_OPERATORS) == sorted(n for n, _ in OPERATORS)
+    assert sorted(_PREDICATES) == sorted(n for n, _ in PREDICATES)
+    assert all(_OPERATORS[n][2] == k for n, k in OPERATORS)
+    assert all(_PREDICATES[n][1] == k for n, k in PREDICATES)
+
+
+def test_one_argument_is_singular():
+    with pytest.raises(ArityError, match=r"^1:16: car takes 1 argument, got 2$"):
+        parse_script("(assert (atom (car x y)))")
+
+
+@pytest.mark.parametrize("name, arity", OPERATORS, ids=[n for n, _ in OPERATORS])
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_operator_arity_error_text_and_position(name, arity, delta):
+    got = arity + delta
+    text = f"(assert (in x y))\n  (assert (= x ({' '.join([name] + ARGS[:got])})))"
+    with pytest.raises(ArityError) as ei:
+        parse_script(text)
+    assert str(ei.value) == "2:17: " + _arity_text(name, arity, got)
+
+
+@pytest.mark.parametrize("name, arity", PREDICATES, ids=[n for n, _ in PREDICATES])
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_predicate_arity_error_text_and_position(name, arity, delta):
+    got = arity + delta
+    with pytest.raises(ArityError) as ei:
+        parse_script(f"(assert ({' '.join([name] + ARGS[:got])}))")
+    assert str(ei.value) == "1:10: " + _arity_text(name, arity, got)
+
+
+def test_not_arity_error_text():
+    with pytest.raises(ArityError) as ei:
+        parse_formula("(not (in x y) (in y x))")
+    assert str(ei.value) == "1:2: not takes 1 argument, got 2"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [f"(= x ({' '.join([n] + ARGS[:k])}))" for n, k in OPERATORS]
+    + [f"({' '.join([n] + ARGS[:k])})" for n, k in PREDICATES],
+)
+def test_each_name_prints_as_it_reads(text):
+    f = parse_formula(text)
+    assert print_formula(f) == text
+    assert parse_formula(print_formula(f)) == f
+
+
+@pytest.mark.parametrize(
+    "name", [n for n, _ in OPERATORS + PREDICATES] + ["assert", "set-option", "not", "and", "or"]
+)
+def test_each_name_is_refused_as_a_variable(name):
+    with pytest.raises(ParseError) as ei:
+        parse_formula(f"(in x {name})")
+    if re.fullmatch(r"[A-Za-z_'][A-Za-z0-9_']*", name):
+        assert str(ei.value) == f"1:7: reserved word {name!r} cannot be a variable"
+    else:
+        assert str(ei.value) == f"1:7: not a term: {name!r}"

@@ -213,6 +213,7 @@ def cmd_normalize(args) -> int:
                 "vars": list(nc.vars),
                 "memberships": [list(m) for m in nc.memberships],
                 "differences": [list(d) for d in nc.differences],
+                "disequalities": [list(q) for q in nc.disequalities],
             }
             for nc in ncs
         ],
@@ -513,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_json(sp)
     sp.set_defaults(func=cmd_solve)
 
-    sp = sub.add_parser("normalize", help="print the two-literal normal form")
+    sp = sub.add_parser("normalize", help="print the normal form")
     sp.add_argument("file")
     sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                     help="step budget, one step per disjunct of the script's disjunctive "

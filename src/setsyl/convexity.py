@@ -62,6 +62,7 @@ def pad_vars(
 
     A variable foreign to nc is given a harmless membership into a fresh
     set, which constrains nothing but brings it into the solver's domain.
+    nc's literals, its disequalities included, are kept.
     """
     missing: Dict[str, None] = {}
     names: List[str] = []
@@ -77,7 +78,7 @@ def pad_vars(
     for v in missing:
         top += 1
         mems.append((v, f"_g{top}"))
-    return NormalizedConjunction(mems, nc.differences)
+    return NormalizedConjunction(mems, nc.differences, nc.disequalities)
 
 
 def _require(cond: bool, what: str) -> None:
@@ -97,7 +98,7 @@ def enlarge(
     base must satisfy nc with base[x] = base[y]; separating must satisfy nc
     with separating[x] != separating[y].  The result keeps every membership
     and difference literal of nc, keeps every disequality base satisfied,
-    and makes x != y.
+    nc's own included, and makes x != y.
     """
     names = nc.vars
     _require(x in names and y in names, f"pair ({x}, {y}) not covered by the conjunction")

@@ -1,11 +1,12 @@
-"""Reduction of set formulas to the two-literal normal form.
+"""Reduction of set formulas to the normal form of three literal shapes.
 
 Every conjunction over the set-theoretic atoms (=, subset, in, with union,
 inter, setminus, empty in terms) is equisatisfiable with a conjunction
-using only two literal shapes:
+using only three literal shapes:
 
     x in y            membership between variables
     x = y setminus z  a difference constraint between variables
+    x != y            a disequality between variables
 
 normalize performs that reduction with a fixed rule order and deterministic
 fresh names _g1, _g2, ...  Fresh variables are existential witnesses, so a
@@ -23,8 +24,7 @@ the names to one rule method:
     eq_empty  x = empty         x = x setminus x
               x != empty        w in x
     eq_var    x = y             x = y setminus e,  e = e setminus e
-              x != y            w = x union y,  z = x inter y,  v in w,
-                                v not in z
+              x != y            kept
     eq_op     x = y setminus z  kept
               x = y inter z     w = y setminus z,  x = y setminus w
               x = y union z     w = x setminus y,  w = z setminus y,
@@ -32,7 +32,9 @@ the names to one rule method:
               x != y op z       x != w,  w = y op z
               x subset y        as x = y inter x, with either sign
 
-Here w, e, z and v are fresh, minted in the order shown.
+Here w and e are fresh, minted in the order shown.  A disequality between
+variables mints nothing: the solver decides it from the other literals
+(the Disequalities section of the solver module).
 """
 
 from __future__ import annotations
@@ -66,30 +68,38 @@ from .formulas import (
     max_fresh_index,
     nnf,
 )
-from .hf import HFSet, hf, set_diff, set_inter, set_union
+from .hf import HFSet, hf, set_diff
 from .oracle import eval_term
 
 
 class NormalizedConjunction:
-    """A conjunction of membership pairs and difference triples.
+    """A conjunction of membership pairs, difference triples and
+    disequality pairs.
 
     memberships holds (x, y) for "x in y"; differences holds (x, y, z) for
-    "x = y setminus z".  Both are duplicate-free and keep first-emission
-    order, so equal inputs normalize to equal objects.  vars lists the
-    variables in order of first occurrence, memberships before
-    differences; it is computed once, here.
+    "x = y setminus z"; disequalities holds (x, y) for "x != y".  Each is
+    duplicate-free and keeps first-emission order, so equal inputs
+    normalize to equal objects.  vars lists the variables in order of
+    first occurrence, memberships before differences before
+    disequalities; it is computed once, here.
     """
 
-    __slots__ = ("memberships", "differences", "vars")
+    __slots__ = ("memberships", "differences", "disequalities", "vars")
 
     def __init__(
         self,
         memberships: Iterable[Tuple[str, str]] = (),
         differences: Iterable[Tuple[str, str, str]] = (),
+        disequalities: Iterable[Tuple[str, str]] = (),
     ):
         self.memberships = tuple(dict.fromkeys(tuple(m) for m in memberships))
         self.differences = tuple(dict.fromkeys(tuple(d) for d in differences))
         lits = self.memberships + self.differences
+        if disequalities:
+            self.disequalities = tuple(dict.fromkeys(tuple(q) for q in disequalities))
+            lits += self.disequalities
+        else:
+            self.disequalities = ()
         self.vars: Tuple[str, ...] = tuple(dict.fromkeys(chain.from_iterable(lits)))
 
     @classmethod
@@ -99,10 +109,11 @@ class NormalizedConjunction:
         differences: Tuple[Tuple[str, str, str], ...],
         vars: Tuple[str, ...],
     ) -> NormalizedConjunction:
-        """The conjunction of literals already duplicate-free, with vars
-        given in their order of first occurrence; nothing is checked."""
+        """The conjunction of literals already duplicate-free, with no
+        disequality and vars given in their order of first occurrence;
+        nothing is checked."""
         nc = cls.__new__(cls)
-        nc.memberships, nc.differences, nc.vars = memberships, differences, vars
+        nc.memberships, nc.differences, nc.disequalities, nc.vars = memberships, differences, (), vars
         return nc
 
     def literals(self) -> List[Formula]:
@@ -110,6 +121,7 @@ class NormalizedConjunction:
         lits.extend(
             Eq(Var(x), SetOp("setminus", Var(y), Var(z))) for x, y, z in self.differences
         )
+        lits.extend(Not(Eq(Var(x), Var(y))) for x, y in self.disequalities)
         return lits
 
     def to_formula(self) -> Formula:
@@ -122,16 +134,19 @@ class NormalizedConjunction:
         if not isinstance(other, NormalizedConjunction):
             return NotImplemented
         return (
-            self.memberships == other.memberships and self.differences == other.differences
+            self.memberships == other.memberships
+            and self.differences == other.differences
+            and self.disequalities == other.disequalities
         )
 
     def __hash__(self) -> int:
-        return hash((self.memberships, self.differences))
+        return hash((self.memberships, self.differences, self.disequalities))
 
     def __repr__(self) -> str:
         mems = ", ".join(f"{x} in {y}" for x, y in self.memberships)
         diffs = ", ".join(f"{x} = {y}\\{z}" for x, y, z in self.differences)
-        body = "; ".join(p for p in (mems, diffs) if p)
+        diseqs = ", ".join(f"{x} != {y}" for x, y in self.disequalities)
+        body = "; ".join(p for p in (mems, diffs, diseqs) if p)
         return f"NormalizedConjunction({body})"
 
 
@@ -241,9 +256,6 @@ PLAN_TERM = "term"
 PLAN_MIN_MEMBER = "min_member"
 PLAN_SINGLETON = "singleton"
 PLAN_DIFF = "diff"
-PLAN_UNION = "union"
-PLAN_INTER = "inter"
-PLAN_SYMDIFF_MIN = "symdiff_min"
 
 
 class _Normalizer:
@@ -251,6 +263,7 @@ class _Normalizer:
         self.counter = max_fresh_index("_g", taken)
         self.mems: List[Tuple[str, str]] = []
         self.diffs: List[Tuple[str, str, str]] = []
+        self.diseqs: List[Tuple[str, str]] = []
         self.plan: List[tuple] = []
 
     def fresh(self, kind: str, *payload) -> str:
@@ -341,14 +354,7 @@ class _Normalizer:
             self.diffs.append((x, y, e))
             self.diffs.append((e, e, e))
         else:
-            # x != y: some v lies in the union but not the intersection.
-            w = self.fresh(PLAN_UNION, x, y)
-            z = self.fresh(PLAN_INTER, x, y)
-            v = self.fresh(PLAN_SYMDIFF_MIN, x, y)
-            self.eq_op(True, w, "union", x, y)
-            self.eq_op(True, z, "inter", x, y)
-            self.mems.append((v, w))
-            self.mem(False, v, z)
+            self.diseqs.append((x, y))
 
     def eq_op(self, sign: bool, x: str, op: str, y: str, z: str) -> None:
         if not sign:
@@ -384,7 +390,7 @@ def normalize_with_plan(literals: Sequence[Formula]):
     n = _Normalizer(free_vars(*literals))
     for lit in literals:
         n.process(lit)
-    return NormalizedConjunction(n.mems, n.diffs), tuple(n.plan)
+    return NormalizedConjunction(n.mems, n.diffs, n.diseqs), tuple(n.plan)
 
 
 def normalize(literals: Sequence[Formula]) -> NormalizedConjunction:
@@ -421,15 +427,6 @@ def apply_plan(plan: Sequence[tuple], base: Mapping[str, HFSet]) -> Dict[str, HF
             val = hf((cur[entry[2]],))
         elif kind == PLAN_DIFF:
             val = set_diff(cur[entry[2]], cur[entry[3]])
-        elif kind == PLAN_UNION:
-            val = set_union(cur[entry[2]], cur[entry[3]])
-        elif kind == PLAN_INTER:
-            val = set_inter(cur[entry[2]], cur[entry[3]])
-        elif kind == PLAN_SYMDIFF_MIN:
-            a, b = cur[entry[2]], cur[entry[3]]
-            val = min(set(a.children) ^ set(b.children), default=None)
-            if val is None:
-                raise InvariantViolation("witness plan needs a separating element")
         else:
             raise InvariantViolation(f"unknown plan opcode {kind!r}")
         cur[name] = val

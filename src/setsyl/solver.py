@@ -1,7 +1,8 @@
 """Decision procedure for normalized set conjunctions.
 
 Satisfiability of a conjunction of "x in y" and "x = y setminus z" literals
-is decided in three layers:
+is decided in three layers, and its "x != y" literals are decided after
+them, from the same decision (Disequalities, below):
 
 1. Places: boolean valuations of the variables consistent with every
    difference literal read as a pointwise biconditional.  Each element of a
@@ -176,16 +177,22 @@ Before the engine is asked anything, solve applies two reductions.
   are well founded, so no model has a chain x1 in x2 in ... in x1 (a
   self-membership being the shortest).  A cycle in the graph of
   membership literals refutes the conjunction outright.
-* Components.  Variables are connected when a literal mentions both; the
-  literals split into the components of that relation, and no literal
-  spans two of them.  A component keeps its literals in nc's order and
-  needs no second deduplication, since nc's literals are duplicate-free.
-  Its variables are nc's vars restricted to it, in the same order: each
-  of its variables occurs only in its own literals, so it first occurs
-  there, at the same place relative to the component's other variables
-  as in nc.  Each component is peeled on its own places, under
+* Components.  Variables are connected when a membership or difference
+  literal mentions both; those literals split into the components of that
+  relation, and no literal spans two of them.  A disequality connects
+  nothing and belongs to no component, and a variable that occurs only in
+  disequalities is a component of its own, with no literal: its places
+  are the empty place and the one holding it.  A component keeps its
+  literals in nc's order and needs no second deduplication, since nc's
+  literals are duplicate-free.  Its variables are nc's vars restricted to
+  it, in the same order: each of its variables occurs in no other
+  component's literals, and nc's vars list disequalities last, so it first
+  occurs in its own literals, at the same place relative to the
+  component's other variables as in nc; a component of one variable is
+  trivially in order.  Each component is peeled on its own places, under
   one shared budget (the nodes of every query and the models built).
-  The conjunction is satisfiable iff every component is: a model of the
+  The conjunction without its disequalities is satisfiable iff every
+  component is: a model of the
   whole restricts to each part, and the merged witness below builds a
   model of the whole from the parts.  The merged witness concatenates the
   components' sigma, junk and topo over all the variables.  A component's
@@ -273,6 +280,39 @@ only to itself and in no class.  This is the convexity of the theory in
 its cheapest form: one decision and fewer split queries than variables,
 with no enumeration of models or places and no probe conjunction of its
 own.
+
+Disequalities.  Let G be nc without its disequalities x1 != y1, ...,
+xk != yk.  The places, the placement and the split places above are
+G's alone: no disequality constrains a place.  MLS is convex, so
+G and the disequalities are satisfiable together iff G is satisfiable
+and implies none of the equalities xi = yi: if every model of G made
+some xi = yi, G would imply their disjunction and, by convexity, one of
+them.  So the decision peels G and makes its junk-free build as above,
+and then:
+
+* A pair the junk-free build keeps apart needs no query.  Seeding junk
+  never merges two distinct values (layer 3), so every later build keeps
+  it apart too.
+* Any other pair asks for its split place.  With none, xi = yi is implied
+  by G (the (<=) argument above) and nc is unsat; x != x is such a pair.
+* Otherwise each such pair's split place is seeded in its component, with
+  that component's collision junk J.  J with any further places still
+  separates every collision, so by layer 3 and the merging argument the
+  build is a model of G, and the tag of a pair's split place lies in
+  exactly one of its two values, as in (=>).  So the build is a model of
+  nc.  It is built once, one step, and re-verified against the whole of
+  nc, disequalities included.
+
+A component with a seeded pair keeps J and the pairs' split places as its
+junk; a separating build for a and b seeds these with a and b's split
+place, and the (=>) argument goes through unchanged, so separating models
+keep every disequality.  Implied equalities do not change either: the
+places do not depend on the pairs, so the split queries ask what they
+asked of G, and a pair implied by nc when nc is satisfiable is implied by
+G, by the convexity argument above.  So one decision answers nc with
+disequalities at the cost of at most one split query per pair, where
+writing x != y with fresh variables would have added seven variables to
+the places of a component.
 """
 
 from __future__ import annotations
@@ -497,9 +537,12 @@ def _group(names: Iterable[str], split: Callable, key: Optional[Callable] = None
 
 
 def _components(nc: NormalizedConjunction) -> List[NormalizedConjunction]:
-    """nc split into its variable-connected components, by first variable.
+    """nc's memberships and differences split into their variable-connected
+    components, by first variable.
 
-    A connected (or empty) conjunction comes back as [nc] itself.
+    No component holds a disequality, and a name that occurs only in
+    disequalities is a component of its own, with no literal.  A connected
+    (or empty) conjunction without disequalities comes back as [nc] itself.
     """
     # group[v] is the set of variables connected to v so far, shared by all
     # of them; a literal merges the smaller of two groups into the larger.
@@ -519,11 +562,12 @@ def _components(nc: NormalizedConjunction) -> List[NormalizedConjunction]:
                 g |= h
                 for u in h:
                     group[u] = g
-    if not group or len(group[nc.vars[0]]) == len(group):
+    if not nc.disequalities and (not group or len(group[nc.vars[0]]) == len(group)):
         return [nc]
-    parts: Dict[int, Tuple[List, List, List[str]]] = {}
+    parts: Dict[Union[int, str], Tuple[List, List, List[str]]] = {}
     for v in nc.vars:
-        parts.setdefault(id(group[v]), ([], [], []))[2].append(v)
+        g = group.get(v)
+        parts.setdefault(v if g is None else id(g), ([], [], []))[2].append(v)
     for m in nc.memberships:
         parts[id(group[m[0]])][0].append(m)
     for d in nc.differences:
@@ -657,6 +701,10 @@ def satisfies(nc: NormalizedConjunction, model: Mapping[str, HFSet]) -> bool:
     for x, y, z in nc.differences:
         if model[x] is not set_diff(model[y], model[z]):
             return False
+    if nc.disequalities:
+        for x, y in nc.disequalities:
+            if model[x] is model[y]:
+                return False
     return True
 
 
@@ -669,7 +717,9 @@ class _Part:
     build (module docstring, Components), so verified says whether its own
     build verifies, and its collision junk J of layer 3 is read off the
     same values, at most once: when the component fails, or when a
-    separating build needs it.
+    disequality or a separating build needs it.  splits holds the split
+    places of the disequalities seeded in this component (module
+    docstring, Disequalities).
     """
 
     engine: _Engine
@@ -677,6 +727,7 @@ class _Part:
     sigma: Tuple[Tuple[str, frozenset], ...]
     free: Dict[str, HFSet]
     verified: bool
+    splits: Tuple[frozenset, ...] = ()
     _collisions: Optional[Tuple[frozenset, ...]] = None
 
     def collisions(self) -> Tuple[frozenset, ...]:
@@ -706,9 +757,17 @@ class _Part:
             self._collisions = tuple(sorted(chosen, key=self.engine.order))
         return self._collisions
 
+    def seeded(self, *places: frozenset) -> Tuple[frozenset, ...]:
+        """J, the disequalities' split places and places, each once, in
+        place order."""
+        return tuple(sorted({*self.collisions(), *self.splits, *places}, key=self.engine.order))
+
     @property
     def junk(self) -> Tuple[frozenset, ...]:
-        """The junk solve seeds: none when the junk-free build verifies, else J."""
+        """The junk solve seeds: J and the split places when a disequality
+        is seeded here, else none when the junk-free build verifies, else J."""
+        if self.splits:
+            return self.seeded()
         return () if self.verified else self.collisions()
 
 
@@ -829,14 +888,15 @@ class _Decision:
         when a = b is implied.
 
         The decision's witness, with the junk of the split place p's part
-        replaced by J and p, is built once (module docstring).
+        replaced by J, the part's disequality split places and p, is built
+        once (module docstring).
         """
         hit = self.split(a, b)
         if hit is None:
             return None
         k, p = hit
         junk = [part.junk for part in self.parts]
-        junk[k] = sorted({*self.parts[k].collisions(), p}, key=self.parts[k].engine.order)
+        junk[k] = self.parts[k].seeded(p)
         self.meter.spend("building candidate models")
         model = build_model(replace(self.result.witness, junk=tuple(q for seeds in junk for q in seeds)))
         if not satisfies(self.nc, model) or model[a] is model[b]:
@@ -870,13 +930,26 @@ def _decide(nc: NormalizedConjunction, budget: Union[int, Budget, None]) -> _Dec
     model = build_model(witness)
     # each component's literals, checked once against the one build
     parts = [_Part(e, classes, sigma, model, satisfies(e.nc, model)) for e, (classes, sigma, _) in peels]
-    if not all(part.verified for part in parts):
+    decision = _Decision(nc, meter, Sat(model, witness), parts)
+    seeded = not all(part.verified for part in parts)
+    if nc.disequalities:
+        # a pair the junk-free build keeps apart stays apart; any other is
+        # seeded at its split place, or refutes nc when it has none
+        for a, b in nc.disequalities:
+            if model[a] is model[b]:
+                hit = decision.split(a, b)
+                if hit is None:
+                    return _Decision(nc, meter, Unsat(), [])
+                parts[hit[0]].splits += (hit[1],)
+                seeded = True
+    if seeded:
         witness = replace(witness, junk=tuple(p for part in parts for p in part.junk))
         meter.spend("building candidate models")
         model = build_model(witness)
         if not satisfies(nc, model):
             raise InvariantViolation("admissible placement built a non-model")
-    return _Decision(nc, meter, Sat(model, witness), parts)
+        decision.result = Sat(model, witness)
+    return decision
 
 
 def solve(
@@ -886,10 +959,11 @@ def solve(
 
     budget caps the total count of search steps over all components: the
     nodes the place engine visits for its queries, which meter the
-    peeling, and one step for the decision's junk-free build, plus one
-    more when junk is seeded.  Exceeding it raises ResourceLimitError.
-    None means unbounded.  No place is listed: a conjunction without
-    memberships takes one step, its build.
+    peeling and the disequalities' split queries, and one step for the
+    decision's junk-free build, plus one more when junk is seeded.
+    Exceeding it raises ResourceLimitError.  None means unbounded.  No
+    place is listed: a conjunction without memberships or disequalities
+    takes one step, its build.
     """
     return _decide(nc, budget).result
 

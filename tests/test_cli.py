@@ -290,9 +290,10 @@ def test_normalize_golden_subset(tmp_path, capsys):
 
 def test_normalize_pins_every_rewrite_rule(capsys):
     # fixtures/normal_forms.syl applies every rewrite rule of the normal
-    # form.  The golden files were printed by the normalizer that built each
-    # rewrite step as In, Eq and SetOp terms, so they pin that the rules on
-    # variable names print the same bytes.
+    # form.  The golden files were printed when x != y became a literal of
+    # the normal form; test_normalize_matches_the_reference_normalizer
+    # compares the rules with the reference that builds each rewrite step
+    # as In, Eq and SetOp terms.
     fixture = os.path.join(FIXTURES, "normal_forms.syl")
     golden = os.path.join(os.path.dirname(__file__), "golden", "normal_forms.normalize")
     for flags, suffix in (((), ".txt"), (("--json",), ".json")):
@@ -324,9 +325,10 @@ def test_arithmetic_sample_keeps_its_bytes(capsys):
     ids=["witness", "solve-witness"],
 )
 def test_printed_models_match_the_golden_bytes(capsys, argv, golden):
-    # The golden files were printed when models were still wrapped in an
-    # assignment class, so they pin that plain dicts print the same bytes,
-    # in text and JSON.
+    # The golden files pin the printed models and witnesses, in text and
+    # JSON.  The enlargement one was printed when models were still wrapped
+    # in an assignment class; the two-component one when b != c became a
+    # literal decided by its split place.
     path = os.path.join(os.path.dirname(__file__), "golden", golden)
     for flags, suffix in (((), ".txt"), (("--json",), ".json")):
         code, out, err = run(capsys, *argv, *flags)

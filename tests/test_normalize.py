@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setsyl.errors import MixedAtomError, UnsupportedAtomError
+from setsyl.errors import MixedAtomError, ResourceLimitError, UnsupportedAtomError
 from setsyl.formulas import (
     EMPTY,
     MLS,
@@ -39,12 +39,9 @@ from setsyl.formulas import (
 from setsyl.hf import hf
 from setsyl.normalize import (
     PLAN_DIFF,
-    PLAN_INTER,
     PLAN_MIN_MEMBER,
     PLAN_SINGLETON,
-    PLAN_SYMDIFF_MIN,
     PLAN_TERM,
-    PLAN_UNION,
     NormalizedConjunction,
     _check_mls_atom,
     _is_set_atom,
@@ -64,7 +61,7 @@ def lits_of(nc):
     return set(nc.memberships), set(nc.differences)
 
 
-# the nine rewrite shapes ------------------------------------------------------
+# the rewrite shapes -----------------------------------------------------------
 
 def test_membership_passes_through():
     nc = normalize([In(x, y)])
@@ -94,6 +91,27 @@ def test_non_membership():
     mems, diffs = lits_of(nc)
     assert ("x", "_g1") in mems
     assert ("_g1", "_g1", "y") in diffs
+
+
+def test_disequality_is_kept():
+    nc, plan = normalize_with_plan([Not(Eq(x, y))])
+    assert nc.disequalities == (("x", "y"),)
+    assert (nc.memberships, nc.differences, plan, nc.vars) == ((), (), (), ("x", "y"))
+
+
+def test_disequality_with_a_compound_side_names_it_once():
+    nc, plan = normalize_with_plan([Not(Eq(x, SetOp("union", y, z)))])
+    assert nc.disequalities == (("x", "_g1"),)
+    assert nc.differences == (("_g2", "_g1", "y"), ("_g2", "z", "y"), ("_g3", "y", "_g1"), ("_g3", "_g3", "_g3"))
+    assert [step[:2] for step in plan] == [("_g1", "term"), ("_g2", "diff"), ("_g3", "diff")]
+
+
+def test_disequality_round_trips_through_literals():
+    nc = normalize([In(x, y), Not(Eq(y, z)), Not(Eq(x, y))])
+    assert nc.vars == ("x", "y", "z")
+    assert nc.literals()[1:] == [Not(Eq(y, z)), Not(Eq(x, y))]
+    assert normalize(nc.literals()) == nc
+    assert nc != normalize([In(x, y)]) and "y != z" in repr(nc)
 
 
 def test_plain_equality():
@@ -128,20 +146,12 @@ def test_subset_golden():
 
 
 def test_negated_subset_plan_shape():
+    # x not subset y: x != _g1 with _g1 = y inter x, named once
     nc, plan = normalize_with_plan([Not(Subset(x, y))])
-    assert len(nc.vars) == 11
-    assert len(nc.memberships) + len(nc.differences) == 11
-    assert [step[1] for step in plan] == [
-        "term",
-        "union",
-        "inter",
-        "symdiff_min",
-        "diff",
-        "diff",
-        "diff",
-        "singleton",
-        "diff",
-    ]
+    assert nc.vars == ("_g2", "y", "x", "_g1")
+    assert nc.differences == (("_g2", "y", "x"), ("_g1", "y", "_g2"))
+    assert nc.disequalities == (("x", "_g1"),)
+    assert [step[1] for step in plan] == ["term", "diff"]
 
 
 def test_nested_terms_flatten_definitions_first():
@@ -264,11 +274,12 @@ def test_apply_plan_extends_model():
 
 def test_apply_plan_may_raise_rank():
     # a model of rank 1 can need rank 2 fresh values after rewriting
-    f = Not(Eq(x, y))
+    f = Not(In(x, y))
     nc, plan = normalize_with_plan([f])
-    base = {"x": hf(), "y": hf([hf()])}
+    base = {"x": hf([hf()]), "y": hf()}
     full = apply_plan(plan, base)
     assert eval_formula(nc.to_formula(), full)
+    assert max(v.rank for v in full.values()) == 2
 
 
 ATOM_BUILDERS = [
@@ -306,7 +317,7 @@ def _atom_op_nodes(a):
     )
 )
 def test_fresh_variable_growth_bound(picks):
-    """Each literal introduces at most 10 fresh variables after flattening
+    """Each literal introduces at most 3 fresh variables after flattening
     (the worst case is a negated union equality), plus at most three per
     operator node that had to be flattened out."""
     names = ["x", "y", "z"]
@@ -318,7 +329,7 @@ def test_fresh_variable_growth_bound(picks):
         # else is renamed apart before the rewrite rules run
         top_ops = 1 if isinstance(atom, Eq) and isinstance(atom.right, SetOp) else 0
         flatten_ops = _atom_op_nodes(atom) - top_ops
-        allowance += 10 + 3 * flatten_ops
+        allowance += 3 + 3 * flatten_ops
         lits.append(Not(atom) if neg else atom)
     nc = normalize(lits)
     base = {n for lit in lits for n in free_vars(lit)}
@@ -340,11 +351,11 @@ def test_fresh_variable_worst_cases_pinned():
         base = set(free_vars(lit))
         costs[label] = len([v for v in nc.vars if v not in base])
     assert costs == {
-        "not-subset": 9,
-        "not-eq-union": 10,
-        "not-eq-inter": 9,
-        "not-eq-setminus": 8,
-        "not-eq-var": 7,
+        "not-subset": 2,
+        "not-eq-union": 3,
+        "not-eq-inter": 2,
+        "not-eq-setminus": 1,
+        "not-eq-var": 0,
     }
 
 
@@ -379,11 +390,17 @@ def test_single_literal_equisatisfiable_with_plan(idx, neg, i, j, k):
 class _ReferenceNormalizer:
     """Reference: the normalizer as first written, which rebuilds every
     flattened literal as an In, Subset or Eq over Vars and has dispatch take
-    it apart again, rule by rule."""
+    it apart again, rule by rule.
 
-    def __init__(self, taken):
+    With native, x != y is kept as a disequality, as normalize keeps it.
+    Without, it takes the first rule: some fresh v lies in x union y and
+    not in x inter y, with fresh names for the union and the intersection,
+    so the normal form has memberships and differences only."""
+
+    def __init__(self, taken, native=True):
         self.counter = max_fresh_index("_g", taken)
-        self.mems, self.diffs, self.plan = [], [], []
+        self.native = native
+        self.mems, self.diffs, self.diseqs, self.plan = [], [], [], []
 
     def fresh(self, kind, *payload):
         self.counter += 1
@@ -472,11 +489,13 @@ class _ReferenceNormalizer:
         elif isinstance(rhs, Empty):
             w = self.fresh(PLAN_MIN_MEMBER, x)
             self.dispatch(True, In(Var(w), Var(x)))
+        elif isinstance(rhs, Var) and self.native:
+            self.diseqs.append((x, rhs.name))
         elif isinstance(rhs, Var):
             y = rhs.name
-            w = self.fresh(PLAN_UNION, x, y)
-            z = self.fresh(PLAN_INTER, x, y)
-            v = self.fresh(PLAN_SYMDIFF_MIN, x, y)
+            w = self.fresh("union", x, y)
+            z = self.fresh("inter", x, y)
+            v = self.fresh("symdiff_min", x, y)
             self.dispatch(True, Eq(Var(w), SetOp("union", Var(x), Var(y))))
             self.dispatch(True, Eq(Var(z), SetOp("inter", Var(x), Var(y))))
             self.dispatch(True, In(Var(v), Var(w)))
@@ -487,12 +506,12 @@ class _ReferenceNormalizer:
             self.dispatch(True, Eq(Var(w), rhs))
 
 
-def _reference_normalize(literals):
+def _reference_normalize(literals, native=True):
     literals = list(dict.fromkeys(literals))
-    n = _ReferenceNormalizer(v for lit in literals for v in free_vars(lit))
+    n = _ReferenceNormalizer((v for lit in literals for v in free_vars(lit)), native)
     for lit in literals:
         n.process(lit)
-    return NormalizedConjunction(n.mems, n.diffs), tuple(n.plan)
+    return NormalizedConjunction(n.mems, n.diffs, n.diseqs), tuple(n.plan)
 
 
 def _outcome(fn, *args):
@@ -574,6 +593,7 @@ def test_normalize_matches_the_reference_normalizer():
             (want_nc, want_plan), (got_nc, got_plan) = want, got
             assert got_nc.memberships == want_nc.memberships, lits
             assert got_nc.differences == want_nc.differences, lits
+            assert got_nc.disequalities == want_nc.disequalities, lits
             assert got_plan == want_plan, lits
     assert 1000 < raised < 5000  # both outcomes are drawn often
 
@@ -628,3 +648,30 @@ def test_dnf_split_raises_the_error_of_the_first_bad_atom():
         assert got == want, f
         raised += want != "ok"
     assert 300 < raised < 2700
+
+
+def test_disequalities_decide_as_the_first_rule_did():
+    # The old rule spelled x != y with seven fresh variables; deciding the
+    # disequality natively must give the same verdict wherever the old
+    # normal form is decided, and every model must satisfy the literals.
+    rng = random.Random(3101)
+    compared = sat = native = 0
+    for _ in range(1500):
+        lits = []
+        for _ in range(rng.randint(1, 4)):
+            atom = _random_atom(rng, 1.0)
+            lits.append(Not(atom) if rng.random() < 0.5 else atom)
+        old, _ = _reference_normalize(lits, native=False)
+        try:
+            want = solve(old, budget=10**4).is_sat
+        except ResourceLimitError:
+            continue
+        nc = normalize(lits)
+        got = solve(nc, budget=10**4)
+        assert got.is_sat == want, lits
+        native += bool(nc.disequalities)
+        if got.is_sat:
+            assert eval_formula(and_(*lits), got.model), lits
+            sat += 1
+        compared += 1
+    assert compared > 1300 and 300 < sat < compared - 300 and native > 600

@@ -267,14 +267,16 @@ def _build_model_naively(w):
 
 
 def test_build_model_matches_naive_build_on_two_thousand_components():
-    # x_i in y_i, each i its own component; y_i != z_i on a few of them
-    # needs junk, so the witness carries both element values and tags.
+    # x_i in y_i, each i its own component; x_i != z_i on a few of them,
+    # z_i a free component of its own, needs junk (the junk-free build
+    # makes both empty), so the witness carries both element values and
+    # tags.
     lits = [In(Var(f"x{i}"), Var(f"y{i}")) for i in range(2000)]
-    lits += [Not(Eq(Var(f"y{i}"), Var(f"z{i}"))) for i in range(0, 2000, 500)]
+    lits += [Not(Eq(Var(f"x{i}"), Var(f"z{i}"))) for i in range(0, 2000, 500)]
     nc = normalize(lits)
     res = solve(nc)
-    assert res.is_sat and res.witness.junk
-    assert len(_components(nc)) == 2000
+    assert res.is_sat and len(res.witness.junk) == 4
+    assert len(_components(nc)) == 2004
     built = build_model(res.witness)
     assert built == res.model
     naive = _build_model_naively(res.witness)
@@ -357,6 +359,7 @@ def _renamed(nc, name):
     return NormalizedConjunction(
         [tuple(map(name, m)) for m in nc.memberships],
         [tuple(map(name, d)) for d in nc.differences],
+        [tuple(map(name, q)) for q in nc.disequalities],
     )
 
 
@@ -364,6 +367,7 @@ def _joined(parts):
     return NormalizedConjunction(
         [m for p in parts for m in p.memberships],
         [d for p in parts for d in p.differences],
+        [q for p in parts for q in p.disequalities],
     )
 
 
@@ -566,7 +570,64 @@ def test_separating_models_satisfy_and_split_their_pairs():
             assert (model is None) == ((a, b) in implied)
             if model is not None:
                 assert satisfies(padded, model) and model[a] != model[b]
+                assert all(model[u] != model[w] for u, w in padded.disequalities)
                 assert sorted(model) == sorted(padded.vars)
+
+
+def test_minimized_models_keep_every_disequality():
+    # minimize_equalities enlarges along separating models; each step keeps
+    # the disequalities of the model before it, nc's own among them.
+    rng = random.Random("minimized")
+    minimized = 0
+    for seed in range(300):
+        nc = _with_disequalities(seed)
+        pairs = list(combinations(nc.vars, 2))
+        pairs = rng.sample(pairs, min(len(pairs), 10))
+        model, eqs = minimize_equalities(nc, pairs)
+        if not solve(nc).is_sat:
+            assert isinstance(model, Unsat)
+            continue
+        assert satisfies(nc, model)
+        assert all(model[a] != model[b] for a, b in nc.disequalities)
+        assert eqs.implied_pairs() == _implied(nc, pairs)
+        minimized += eqs.enlargements > 0
+    assert minimized >= 30
+
+
+def _steps(nc, budget=10**3):
+    """solve's result on nc within budget, and the steps it spent."""
+    meter = Budget(budget)
+    return solve(nc, budget=meter), budget - meter.left
+
+
+def _pairwise_distinct(names, lits=(), skip=0):
+    """lits and "a != b" for every pair of names but the last skip pairs."""
+    pairs = list(combinations([Var(v) for v in names], 2))
+    return normalize(list(lits) + [Not(Eq(a, b)) for a, b in pairs[: len(pairs) - skip]])
+
+
+def test_pairwise_disequalities_are_decided_by_split_queries():
+    # Two subsets imply v0 = v1, so the six (ten) disequalities among
+    # v0..v3 (v0..v4) are unsat.  With each x != y rewritten into seven
+    # fresh variables the normal form had 48 variables, refuting it took
+    # 195,184 steps, and five names did not finish.  Now the junk-free
+    # build is the only step: v0 and v1 have no split place.
+    v = [Var(f"v{i}") for i in range(8)]
+    for n in (4, 5):
+        nc = _pairwise_distinct([f"v{i}" for i in range(n)], [Subset(v[0], v[1]), Subset(v[1], v[0])])
+        assert len(nc.vars) == n + 2
+        res, spent = _steps(nc)
+        assert not res.is_sat and spent == 1
+    # v0 <= v2, v1 = v3 | v4 and eight of the ten disequalities among
+    # v0..v4 exhausted 10**6 steps; all 28 among eight free names 2 * 10**5
+    subset_union = [Subset(v[0], v[2]), Eq(v[1], SetOp("union", v[3], v[4]))]
+    for nc in (
+        _pairwise_distinct([f"v{i}" for i in range(5)], subset_union, skip=2),
+        _pairwise_distinct([f"v{i}" for i in range(8)]),
+    ):
+        res, spent = _steps(nc)
+        assert res.is_sat and satisfies(nc, res.model)
+        assert eval_formula(nc.to_formula(), res.model)
 
 
 def test_implied_pairs_of_a_subset_cycle_need_no_search(monkeypatch):
@@ -609,14 +670,28 @@ def _has_cycle(succ):
         left -= sinks
 
 
+def _listed_split(listings, of, a, b):
+    """Reference: the split place of a and b from the components' full
+    listings, as (component index, place), or None when a = b is implied.
+    of maps each variable to its component's index."""
+    i, j = of[a], of[b]
+    if i == j:
+        hits = [(i, p) for p in listings[i] if (a in p) != (b in p)]
+    else:
+        hits = [(i, p) for p in listings[i] if a in p] + [(j, p) for p in listings[j] if b in p]
+    return hits[0] if hits else None
+
+
 def _list_first_sat(nc):
     """Reference verdict: the placement search over each component's full
     listing.  The classes are the elements of equal signature.  Each class
     tries, in product order, the places that hold every set a member lies
     in, told apart only by the elements they hold, and every prefix whose
-    containment edges close a cycle is cut off."""
-    for part in _components(nc):
-        places = enumerate_places(part)
+    containment edges close a cycle is cut off.  By convexity the
+    disequalities then hold together iff each has a split place."""
+    comps = _components(nc)
+    listings = [enumerate_places(part) for part in comps]
+    for part, places in zip(comps, listings):
         elems = list(dict.fromkeys(u for u, _ in part.memberships))
         classes = {}
         for u in elems:
@@ -642,7 +717,8 @@ def _list_first_sat(nc):
 
         if not first([]):
             return False
-    return True
+    of = {v: k for k, part in enumerate(comps) for v in part.vars}
+    return all(_listed_split(listings, of, a, b) is not None for a, b in nc.disequalities)
 
 
 def _assert_admissible(nc, w):
@@ -670,13 +746,21 @@ def _draw(seed, nvars, nlits):
 
 def _with_disequalities(seed):
     """A small random conjunction and "a != b" for two or three pairs drawn
-    from its variables and two unconstrained ones, normalized: the fresh
-    variables of a disequality often need junk."""
+    from its variables and two unconstrained ones, normalized.  Each pair
+    is a disequality or, spelled out, a member e of a union b outside
+    a inter b; the fresh variables of that spelling often need junk."""
     rng = random.Random(seed)
     nc = random_normalized_conjunction(rng, rng.randint(1, 3), rng.randint(0, 2))
     pairs = list(combinations(nc.vars + ("v", "w"), 2))
     picked = rng.sample(pairs, min(len(pairs), rng.randint(2, 3)))
-    return normalize(nc.literals() + [Not(Eq(Var(a), Var(b))) for a, b in picked])
+    lits = nc.literals()
+    for i, (a, b) in enumerate(picked):
+        if rng.random() < 0.5:
+            lits.append(Not(Eq(Var(a), Var(b))))
+        else:
+            e, a, b = Var(f"e{i}"), Var(a), Var(b)
+            lits += [In(e, SetOp("union", a, b)), Not(In(e, SetOp("inter", a, b)))]
+    return normalize(lits)
 
 
 _conjunctions = st.one_of(
@@ -705,14 +789,18 @@ def test_targeted_junk_keeps_the_placement_and_separates_collisions(nc):
     assert index == sorted(set(index))
     # each is the first place to hold exactly one side of a collision: two
     # elements of one component that the junk-free build gives one value
-    # and sigma two places
-    part = {v: i for i, c in enumerate(_components(nc)) for v in c.vars}
+    # and sigma two places; or the split place of a disequality that build
+    # does not keep apart
+    comps = _components(nc)
+    part = {v: i for i, c in enumerate(comps) for v in c.vars}
     sig = dict(w.sigma)
     apart = [
         next(p for p in places if (u in p) != (v in p))
         for u, v in combinations(sig, 2)
         if part[u] == part[v] and free[u] == free[v] and sig[u] != sig[v]
     ]
+    listings = [enumerate_places(c) for c in comps]
+    apart += [_listed_split(listings, part, a, b)[1] for a, b in nc.disequalities if free[a] == free[b]]
     assert set(w.junk) <= set(apart)
 
 
@@ -754,26 +842,52 @@ def _reference_component(part, sig, topo):
     return places, satisfies(part, free), tuple(places[k] for k in sorted(seeds))
 
 
+def _reference_parts(nc, sigma, topo):
+    """Reference: per component of nc, for the placement sigma and topo,
+    the component, its listing, whether its own junk-free build verifies,
+    its J, and the split places of the disequalities seeded in it: those
+    of the pairs the merged junk-free build does not keep apart, from the
+    listings.  None when such a pair has no split place."""
+    sig = dict(sigma)
+    parts = [(part, *_reference_component(part, sig, topo)) for part in _components(nc)]
+    free = build_model(SolverWitness(nc.vars, sigma, (), topo))
+    of = {v: k for k, (part, *_) in enumerate(parts) for v in part.vars}
+    splits = [[] for _ in parts]
+    for a, b in nc.disequalities:
+        if free[a] == free[b]:
+            hit = _listed_split([places for _, places, *_ in parts], of, a, b)
+            if hit is None:
+                return None
+            if hit[1] not in splits[hit[0]]:
+                splits[hit[0]].append(hit[1])
+    return [(*part, tuple(seeds)) for part, seeds in zip(parts, splits)]
+
+
+def _part_junk(part, *places):
+    """Reference: a component's junk from _reference_parts, with places:
+    J and the split places when any is seeded, else J when the component's
+    build fails, else none."""
+    _, listing, ok, collisions, splits = part
+    if splits or places:
+        return tuple(sorted({*collisions, *splits, *places}, key=listing.index))
+    return () if ok else collisions
+
+
 def _reference_junk(nc, w):
-    """Reference: the junk of layer 3 for w's placement: the J of each
-    component whose own junk-free build fails."""
-    sig = dict(w.sigma)
-    junk = []
-    for part in _components(nc):
-        _, verified, collisions = _reference_component(part, sig, w.topo)
-        if not verified:
-            junk += collisions
-    return tuple(junk)
+    """Reference: the junk of layer 3 for w's placement: each component's
+    J when its own junk-free build fails or a disequality is seeded in it,
+    with the split places seeded there."""
+    return tuple(p for part in _reference_parts(nc, w.sigma, w.topo) for p in _part_junk(part))
 
 
 def _decide_by_component(nc):
     """Reference: the decision built and verified component by component,
     k + 1 builds for k components.  Each component is peeled, and its own
     junk-free witness built and verified; the merged witness seeds the J
-    of each component that fails and is built and verified once more.
-    Returns the result and, per component, the component, its listing,
-    whether it verified and its J; the components are None when nc is
-    unsat."""
+    of each component that fails or holds a disequality's split place,
+    with those places, and is built and verified once more.  Returns the
+    result and, per component, the entries of _reference_parts; the
+    components are None when nc is unsat."""
     peels = []
     for part in _components(nc):
         peel = _search(_Engine(part, Budget(None)))
@@ -782,8 +896,10 @@ def _decide_by_component(nc):
         peels.append((part, peel))
     sigma = tuple(s for _, (_, sg, _) in peels for s in sg)
     topo = tuple(u for _, (_, _, tp) in peels for u in tp)
-    parts = [(part, *_reference_component(part, dict(sigma), topo)) for part, _ in peels]
-    w = SolverWitness(nc.vars, sigma, tuple(p for *_, ok, junk in parts if not ok for p in junk), topo)
+    parts = _reference_parts(nc, sigma, topo)
+    if parts is None:
+        return Unsat(), None
+    w = SolverWitness(nc.vars, sigma, tuple(p for part in parts for p in _part_junk(part)), topo)
     model = build_model(w)
     assert satisfies(nc, model)
     return Sat(model, w), parts
@@ -792,19 +908,16 @@ def _decide_by_component(nc):
 def _separating_by_component(w, parts, a, b):
     """Reference: the model separating a and b of the per-component
     decision w, parts, or None when a = b is implied.  The split place p
-    comes from the full listings, and p's component seeds its J and p,
-    every other component keeping its junk in w."""
+    comes from the full listings, and p's component seeds its J, its
+    disequalities' split places and p, every other component keeping its
+    junk in w."""
     of = {v: k for k, (part, *_) in enumerate(parts) for v in part.vars}
-    i, j = of[a], of[b]
-    if i == j:
-        hits = [(i, p) for p in parts[i][1] if (a in p) != (b in p)]
-    else:
-        hits = [(i, p) for p in parts[i][1] if a in p] + [(j, p) for p in parts[j][1] if b in p]
-    if not hits:
+    hit = _listed_split([places for _, places, *_ in parts], of, a, b)
+    if hit is None:
         return None
-    k, p = hits[0]
-    junk = [() if ok else collisions for _, _, ok, collisions in parts]
-    junk[k] = sorted({*parts[k][3], p}, key=parts[k][1].index)
+    k, p = hit
+    junk = [_part_junk(part) for part in parts]
+    junk[k] = _part_junk(parts[k], p)
     return build_model(SolverWitness(w.vars, w.sigma, tuple(q for seeds in junk for q in seeds), w.topo))
 
 
@@ -827,7 +940,9 @@ def test_one_build_decides_as_the_component_builds_did(monkeypatch):
     build, verify = solver.build_model, solver.satisfies
     monkeypatch.setattr(solver, "build_model", lambda w: builds.append(w) or build(w))
     monkeypatch.setattr(
-        solver, "satisfies", lambda nc, m: checks.extend(nc.memberships + nc.differences) or verify(nc, m)
+        solver,
+        "satisfies",
+        lambda nc, m: checks.extend(nc.memberships + nc.differences + nc.disequalities) or verify(nc, m),
     )
     rng = random.Random("one-build")
     failing = 0
@@ -835,11 +950,18 @@ def test_one_build_decides_as_the_component_builds_did(monkeypatch):
         builds.clear()
         checks.clear()
         decision = _decide(nc, None)
-        # one build, and a second only when some component needs junk;
-        # each literal is checked once per build
-        needs_junk = decision.result.is_sat and not all(part.verified for part in decision.parts)
-        assert len(builds) == decision.result.is_sat + needs_junk
-        assert sorted(checks) == sorted((nc.memberships + nc.differences) * len(builds))
+        # one build, and a second only when some component needs junk or
+        # a disequality is seeded; each literal is checked once per build,
+        # a disequality the first build keeps apart by its two values
+        # the junk-free build comes once every component is peeled, even
+        # when a disequality then refutes nc
+        peeled = all(_search(_Engine(part, Budget(None))) is not None for part in _components(nc))
+        needs_junk = decision.result.is_sat and not all(
+            part.verified and not part.splits for part in decision.parts
+        )
+        assert len(builds) == peeled + needs_junk
+        lits = nc.memberships + nc.differences
+        assert sorted(checks) == sorted(lits * peeled + (lits + nc.disequalities) * needs_junk)
         failing += needs_junk and len(decision.parts) > 1
 
         # the references call the unpatched build_model and satisfies
@@ -902,7 +1024,7 @@ def test_queries_match_the_full_listing(nc, rnd):
 
 
 def test_member_of_a_set_built_from_itself_is_refuted_at_once():
-    # e in (e minus a) puts e inside itself.  The normal form has 656 places
+    # e in (e minus a) puts e inside itself.  The normal form has 48 places
     # in one component; every place holding the targets of e's class also
     # holds e, so that class has no candidate and no placement is tried.
     script = parse_script(
@@ -913,7 +1035,7 @@ def test_member_of_a_set_built_from_itself_is_refuted_at_once():
         "(assert (in e (setminus e a)))"
     )
     nc = normalize(list(script.asserts))
-    assert len(enumerate_places(nc)) == 656
+    assert len(enumerate_places(nc)) == 48
     assert solve(nc, budget=10_000) == Unsat()
 
 

@@ -11,9 +11,8 @@ using only three literal shapes:
 normalize performs that reduction with a fixed rule order and deterministic
 fresh names _g1, _g2, ...  Fresh variables are existential witnesses, so a
 model of the output restricted to the original variables is a model of the
-input.  normalize_with_plan additionally returns a recipe that extends any
-model of the input to the fresh variables, which is how the tests check
-equisatisfiability constructively instead of re-searching.
+input; the tests extend a model of the input to the fresh variables with
+a reference normalizer's witness plan.
 
 _Normalizer.process names each side of a literal with term_to_var (a
 compound term t becomes a fresh g with g = t rewritten below) and hands
@@ -40,9 +39,9 @@ variables mints nothing: the solver decides it from the other literals
 from __future__ import annotations
 
 from itertools import chain
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import Any, Callable, Iterable, Iterator, List, Sequence, Tuple
 
-from .errors import InvariantViolation, UnsupportedAtomError
+from .errors import UnsupportedAtomError
 from .formulas import (
     ATOM_TYPES,
     MLS,
@@ -68,8 +67,6 @@ from .formulas import (
     max_fresh_index,
     nnf,
 )
-from .hf import HFSet, hf, set_diff
-from .oracle import eval_term
 
 
 class NormalizedConjunction:
@@ -250,27 +247,16 @@ def dnf_split(f: Formula) -> Iterator[List[Formula]]:
     return split_disjuncts(f)
 
 
-# Witness-plan opcodes: how to compute a fresh variable's value from the
-# assignment built so far.
-PLAN_TERM = "term"
-PLAN_MIN_MEMBER = "min_member"
-PLAN_SINGLETON = "singleton"
-PLAN_DIFF = "diff"
-
-
 class _Normalizer:
     def __init__(self, taken: Iterable[str]):
         self.counter = max_fresh_index("_g", taken)
         self.mems: List[Tuple[str, str]] = []
         self.diffs: List[Tuple[str, str, str]] = []
         self.diseqs: List[Tuple[str, str]] = []
-        self.plan: List[tuple] = []
 
-    def fresh(self, kind: str, *payload) -> str:
+    def fresh(self) -> str:
         self.counter += 1
-        name = f"_g{self.counter}"
-        self.plan.append((name, kind) + payload)
-        return name
+        return f"_g{self.counter}"
 
     # -- flattening ---------------------------------------------------
 
@@ -280,15 +266,13 @@ class _Normalizer:
         if kind is Var:
             return t.name
         if kind is Empty:
-            g = self.fresh(PLAN_TERM, EMPTY)
+            g = self.fresh()
             self.eq_empty(True, g)
             return g
         if kind is SetOp:
             y = self.term_to_var(t.left)
             z = self.term_to_var(t.right)
-            if type(t.left) is not Var or type(t.right) is not Var:
-                t = SetOp(t.op, Var(y), Var(z))  # the payload is over names
-            g = self.fresh(PLAN_TERM, t)
+            g = self.fresh()
             self.eq_op(True, g, t.op, y, z)
             return g
         raise UnsupportedAtomError(f"not a set term: {t!r}")
@@ -335,7 +319,7 @@ class _Normalizer:
             self.mems.append((x, y))
         else:
             # x not in y: put x into a fresh set disjoint from y.
-            w = self.fresh(PLAN_SINGLETON, x)
+            w = self.fresh()
             self.mems.append((x, w))
             self.diffs.append((w, w, y))
 
@@ -345,12 +329,12 @@ class _Normalizer:
             self.diffs.append((x, x, x))
         else:
             # x nonempty: witness a member.
-            self.mems.append((self.fresh(PLAN_MIN_MEMBER, x), x))
+            self.mems.append((self.fresh(), x))
 
     def eq_var(self, sign: bool, x: str, y: str) -> None:
         if sign:
             # x = y  <=>  x = y setminus e  and  e empty
-            e = self.fresh(PLAN_TERM, EMPTY)
+            e = self.fresh()
             self.diffs.append((x, y, e))
             self.diffs.append((e, e, e))
         else:
@@ -359,38 +343,24 @@ class _Normalizer:
     def eq_op(self, sign: bool, x: str, op: str, y: str, z: str) -> None:
         if not sign:
             # x != y op z: name the compound side, then disequality.
-            w = self.fresh(PLAN_TERM, SetOp(op, Var(y), Var(z)))
+            w = self.fresh()
             self.eq_var(False, x, w)
             self.eq_op(True, w, op, y, z)
         elif op == "setminus":
             self.diffs.append((x, y, z))
         elif op == "inter":
             # x = y inter z  <=>  w = y setminus z  and  x = y setminus w
-            w = self.fresh(PLAN_DIFF, y, z)
+            w = self.fresh()
             self.diffs.append((w, y, z))
             self.diffs.append((x, y, w))
         else:
             # x = y union z  <=>  w = x\y = z\y  and  y\x empty
-            w = self.fresh(PLAN_DIFF, x, y)
-            e = self.fresh(PLAN_DIFF, y, x)
+            w = self.fresh()
+            e = self.fresh()
             self.diffs.append((w, x, y))
             self.diffs.append((w, z, y))
             self.diffs.append((e, y, x))
             self.diffs.append((e, e, e))
-
-
-def normalize_with_plan(literals: Sequence[Formula]):
-    """Normalize a literal conjunction; also return the witness plan.
-
-    The plan is a list of (fresh_name, opcode, payload...) tuples in
-    definition order; apply_plan folds it over a model of the input to
-    produce a model of the output.
-    """
-    literals = list(dict.fromkeys(literals))  # repeated literals must not mint fresh vars twice
-    n = _Normalizer(free_vars(*literals))
-    for lit in literals:
-        n.process(lit)
-    return NormalizedConjunction(n.mems, n.diffs, n.diseqs), tuple(n.plan)
 
 
 def normalize(literals: Sequence[Formula]) -> NormalizedConjunction:
@@ -403,31 +373,8 @@ def normalize(literals: Sequence[Formula]) -> NormalizedConjunction:
     would under an up-front check.  Callers that take literals from
     dnf_split have had every atom checked already.
     """
-    nc, _ = normalize_with_plan(literals)
-    return nc
-
-
-def apply_plan(plan: Sequence[tuple], base: Mapping[str, HFSet]) -> Dict[str, HFSet]:
-    """Extend a model of the original literals to the fresh variables.
-
-    Only valid when base satisfies the literals the plan came from; each
-    step computes a witness value from the assignment built so far.
-    """
-    cur = dict(base)
-    for entry in plan:
-        name, kind = entry[0], entry[1]
-        if kind == PLAN_TERM:
-            val = eval_term(entry[2], cur)
-        elif kind == PLAN_MIN_MEMBER:
-            src = cur[entry[2]]
-            if not src.children:
-                raise InvariantViolation(f"witness plan needs a member of empty {entry[2]}")
-            val = src.children[0]
-        elif kind == PLAN_SINGLETON:
-            val = hf((cur[entry[2]],))
-        elif kind == PLAN_DIFF:
-            val = set_diff(cur[entry[2]], cur[entry[3]])
-        else:
-            raise InvariantViolation(f"unknown plan opcode {kind!r}")
-        cur[name] = val
-    return cur
+    literals = list(dict.fromkeys(literals))  # repeated literals must not mint fresh vars twice
+    n = _Normalizer(free_vars(*literals))
+    for lit in literals:
+        n.process(lit)
+    return NormalizedConjunction(n.mems, n.diffs, n.diseqs)

@@ -294,7 +294,8 @@ and then:
   never merges two distinct values (layer 3), so every later build keeps
   it apart too.
 * Any other pair asks for its split place.  With none, xi = yi is implied
-  by G (the (<=) argument above) and nc is unsat; x != x is such a pair.
+  by G (the (<=) argument above) and nc is unsat.  x != x is such a pair
+  whatever G is, so it refutes nc before any peel, spending no step.
 * Otherwise each such pair's split place is seeded in its component, with
   that component's collision junk J.  J with any further places still
   separates every collision, so by layer 3 and the merging argument the
@@ -911,7 +912,7 @@ def _decide(nc: NormalizedConjunction, budget: Union[int, Budget, None]) -> _Dec
     for x, y in nc.memberships:
         edges.setdefault(x, []).append(y)
         edges.setdefault(y, [])
-    if not _acyclic(edges):
+    if not _acyclic(edges) or any(a == b for a, b in nc.disequalities):
         return _Decision(nc, meter, Unsat(), [])
     peels = []
     for comp in _components(nc):

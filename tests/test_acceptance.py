@@ -27,9 +27,10 @@ from setsyl.convexity import (
     random_normalized_conjunction,
 )
 from setsyl.formulas import EMPTY, Eq, In, Leq, ListOp, Not, SetOp, Subset, Var
-from setsyl.normalize import NormalizedConjunction, apply_plan, normalize_with_plan
+from setsyl.normalize import NormalizedConjunction
 from setsyl.oracle import bounded_models, eval_formula, oracle_sat
 from setsyl.solver import Unsat, satisfies, solve
+from test_normalize import _apply_plan, _normalize_with_plan
 from test_solver import _implied
 
 FIXTURE = os.path.join(
@@ -346,13 +347,13 @@ def test_criterion_8_normalizer_preserves_verdicts_exhaustively():
                 continue
             seen.add(lit)
             cases += 1
-            nc, plan = normalize_with_plan([lit])
+            nc, plan = _normalize_with_plan([lit])
             res = oracle_sat(lit, 3)
             if res.is_sat != solve(nc).is_sat:
                 mismatches += 1
                 continue
             if res.is_sat:
-                full = apply_plan(plan, res.model)
+                full = _apply_plan(plan, res.model)
                 if not eval_formula(nc.to_formula(), full):
                     mismatches += 1
         assert cases == 330

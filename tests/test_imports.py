@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, the
-package's attribute of each module's name is that module, and importing
-the package loads none of them."""
+package's attribute of each module's name is that module, importing
+the package loads none of them, and the solver and the combination load
+no oracle."""
 
 import ast
 import importlib
@@ -74,3 +75,15 @@ def test_importing_the_package_loads_no_module():
         env={**os.environ, "PYTHONPATH": str(SRC.parent)},
     ).stdout
     assert out == "[]\n['__version__']\n"
+
+
+@pytest.mark.parametrize("name", ["solver", "combine"])
+def test_the_decision_procedure_loads_no_oracle(name):
+    # The brute-force oracle checks the solver and the combination; neither
+    # may depend on it, so that a fault of one cannot hide in the other.
+    probe = f"import sys, setsyl.{name}\nprint('setsyl.oracle' in sys.modules)\n"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    ).stdout
+    assert out == "False\n"

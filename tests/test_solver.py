@@ -657,6 +657,16 @@ def test_implied_pairs_of_a_forty_membership_chain_are_decided_within_budget():
     assert _implied(nc, [(v, v) for v in nc.vars], budget=10**5) == tuple((v, v) for v in nc.vars)
 
 
+def test_a_self_disequality_is_refuted_before_any_peel():
+    # The membership chain alone needs 37,843 steps; v0 != v0 refutes it
+    # before the chain is peeled, spending none.
+    chain = _chain(160)
+    with pytest.raises(ResourceLimitError):
+        solve(chain, budget=1)
+    res, spent = _steps(NormalizedConjunction(chain.memberships, (), [("v0", "v0")]), budget=1)
+    assert res == Unsat() and spent == 0
+
+
 # ---------------------------------------------------------- targeted junk
 
 

@@ -339,6 +339,8 @@ def solve_combined(
             raise UnsupportedAtomError(
                 f"unknown plugin {name!r} (choose from {', '.join(THEORIES)})"
             )
+        if plugin_names.count(name) > 1:
+            raise UnsupportedAtomError(f"plugin {name!r} listed twice")
     meter = Budget.of(budget)
     return first_sat(
         split_disjuncts(and_(*asserts)) if asserts else [[]],

@@ -13,12 +13,13 @@ literal and every disequality it satisfied before.  It works in two phases:
   whose left side grew; growing sets are propagated upward along the
   original membership structure, wave by wave, until nothing changes.
 
-Iterating `enlarge` drives `minimize_equalities`: starting from any model,
-each step falsifies one more falsifiable equality while keeping the old
-disequalities, so it bottoms out in a model that falsifies every equality
-that is not outright implied.  That fixpoint is exactly what convexity
-promises, and `convexity_fuzz` cross-checks the promise against the
-brute-force oracle on random instances.
+`enlarge` drives `minimize_equalities`: starting from the solver's model,
+it walks the pairs once, and each enlargement falsifies one more
+falsifiable equality while keeping the old disequalities, so the walk ends
+in a model that falsifies every equality that is not outright implied.
+That model is exactly what convexity promises, and `convexity_fuzz`
+cross-checks the promise against the brute-force oracle on random
+instances.
 """
 
 from __future__ import annotations
@@ -324,13 +325,18 @@ def minimize_equalities(
 
     Returns (assignment, EqualitySet) where the assignment falsifies every
     Falsifiable pair at once, or (Unsat(), EqualitySet) when the conjunction
-    itself is unsatisfiable (then every pair is vacuously implied).  The
-    descent performs at most len(pairs) enlargements: each one falsifies a
-    designated equality for good, since enlargement preserves disequalities.
+    itself is unsatisfiable (then every pair is vacuously implied).
 
-    The conjunction is decided once.  A pair's probe is one split query on
-    that decision and, when the pair has a split place, one separating
-    build (the `solver` module docstring); budget is one meter for the
+    The conjunction is decided once, and the pairs are walked once, in
+    order, a repeated pair once.  A pair the current model separates needs
+    nothing.  Any other asks the decision for a separating model: one split
+    query and, when the pair has a split place, one build (the `solver`
+    module docstring).  With none the pair is implied; else the model is
+    enlarged along it.  Enlargement never merges two distinct values and
+    keeps satisfying the conjunction, so a pair separated once stays
+    separated, and an implied pair stays equal in every later model: one
+    pass settles every pair, with at most one enlargement each, and walking
+    the pairs again would find nothing to do.  budget is one meter for the
     decision and every probe.
     """
     pairs = tuple((a, b) for a, b in pairs)
@@ -342,31 +348,17 @@ def minimize_equalities(
         eqs = EqualitySet(pairs, tuple(Implied() for _ in pairs), 0)
         return Unsat(), eqs
 
-    # pair -> a model of padded separating it, or None when it is implied
-    probes: Dict[Tuple[str, str], Optional[Dict[str, HFSet]]] = {}
-
-    def probe(pair: Tuple[str, str]) -> Optional[Dict[str, HFSet]]:
-        if pair not in probes:
-            probes[pair] = decision.separating(*pair)
-        return probes[pair]
-
     model = decision.result.model
     steps = 0
-    while True:
-        for pair in pairs:
-            a, b = pair
-            if model[a] == model[b] and probe(pair) is not None:
-                model, _ = enlarge(padded, model, probe(pair), a, b)
+    for a, b in dict.fromkeys(pairs):
+        if model[a] == model[b]:
+            separating = decision.separating(a, b)
+            if separating is not None:
+                model, _ = enlarge(padded, model, separating, a, b)
                 steps += 1
-                if steps > len(pairs):
-                    raise InvariantViolation("equality descent failed to terminate")
-                break
-        else:
-            break
 
-    # The last pass probed every pair the model equates and found it
-    # implied; a pair the model separates is falsified by the model itself,
-    # which satisfies padded, so it needs no probe.
+    # A pair the model equates was found implied; a pair it separates is
+    # falsified by the model itself, which satisfies padded.
     classification = tuple(
         Implied() if model[a] == model[b] else Falsifiable(model) for a, b in pairs
     )
@@ -449,11 +441,10 @@ def convexity_fuzz(
     `implied_disjunctions` counts implications that hold within the bound.
     Because a disjunction can hold at every rank below the bound yet fail
     above it, a candidate is recorded only after an exact confirmation: no
-    single equality is implied by the decision procedure, and the
-    minimization fixpoint cannot produce a concrete model separating every
-    pair at once.  A violation record
-    carries a standalone reproducer script.  The report is a pure function
-    of the arguments.
+    single equality is implied by the decision procedure, and minimization
+    cannot produce a concrete model separating every pair at once.  A
+    violation record carries a standalone reproducer script.  The report
+    is a pure function of the arguments.
     """
     _require(vars >= 1, "fuzz variable count must be at least 1")
     _require(vars <= 4, "fuzz variable count capped at 4 to keep the oracle searches small")

@@ -267,19 +267,22 @@ split place as the answer: by (=>), a kept place holding exactly one of
 two variables tells them apart.  A variable is compared only with the
 head h of the same kept places and the same value in the decision's
 model: that model satisfies nc, so a pair it separates is not implied.
-A comparison needs no search either when h and the variable share a
-component and the propagation of h = True sets the variable True and
-that of h = False sets it False, a contradiction counting as either: a
-propagated value is the one every place agreeing with the assumption
-takes (layer 1), so no place holds exactly one of them.  Each head is
-propagated once per value.  The classes of two or more are the answer,
-members in the order asked and classes by first member, with no pair
-listed.  When nc is unsatisfiable every name is in one class.  A
-variable nc does not mention is unconstrained, so it is implied equal
-only to itself and in no class.  This is the convexity of the theory in
-its cheapest form: one decision and fewer split queries than variables,
-with no enumeration of models or places and no probe conjunction of its
-own.
+The classes of two or more are the answer, members in the order asked
+and classes by first member, with no pair listed.  When nc is
+unsatisfiable every name is in one class.  A variable nc does not
+mention is unconstrained, so it is implied equal only to itself and in
+no class.  This is the convexity of the theory in its cheapest form: one
+decision and fewer split queries than variables, with no enumeration of
+models or places and no probe conjunction of its own.
+
+A split query asks no search when propagation ties its pair: in one
+component, a = True propagates b = True and a = False propagates b =
+False, a contradiction counting as either; in two, a = True and b = True
+each meet a contradiction.  A propagated value is the one every place
+agreeing with the assumption takes (layer 1), so no place holds exactly
+one of a and b.  The pair's own queries would meet the same contradiction
+before searching; the test saves their propagation, since each engine
+propagates a name once per value however many pairs ask.
 
 Disequalities.  Let G be nc without its disequalities x1 != y1, ...,
 xk != yk.  The places, the placement and the split places above are
@@ -287,15 +290,18 @@ G's alone: no disequality constrains a place.  MLS is convex, so
 G and the disequalities are satisfiable together iff G is satisfiable
 and implies none of the equalities xi = yi: if every model of G made
 some xi = yi, G would imply their disjunction and, by convexity, one of
-them.  So the decision peels G and makes its junk-free build as above,
-and then:
+them.  So the decision goes as follows.
 
-* A pair the junk-free build keeps apart needs no query.  Seeding junk
-  never merges two distinct values (layer 3), so every later build keeps
-  it apart too.
+* A pair propagation ties refutes nc before any search, spending no
+  step: it has no split place, so by the (<=) argument every model of G
+  makes xi = yi.  That argument reads G's places, not a model found, so
+  it holds whether or not G is satisfiable.  x != x is always tied.
+* Otherwise the decision peels G and makes its junk-free build as above.
+  A pair that build keeps apart needs no query.  Seeding junk never
+  merges two distinct values (layer 3), so every later build keeps it
+  apart too.
 * Any other pair asks for its split place.  With none, xi = yi is implied
-  by G (the (<=) argument above) and nc is unsat.  x != x is such a pair
-  whatever G is, so it refutes nc before any peel, spending no step.
+  by G (the (<=) argument) and nc is unsat.
 * Otherwise each such pair's split place is seeded in its component, with
   that component's collision junk J.  J with any further places still
   separates every collision, so by layer 3 and the merging argument the
@@ -304,16 +310,16 @@ and then:
   nc.  It is built once, one step, and re-verified against the whole of
   nc, disequalities included.
 
-A component with a seeded pair keeps J and the pairs' split places as its
-junk; a separating build for a and b seeds these with a and b's split
-place, and the (=>) argument goes through unchanged, so separating models
+One seeded build serves solve and every separating model: each
+component seeds its J with the given places that hold its names, or,
+when none does, J if its junk-free build fails.  solve gives it the
+pairs' split places, and a separating build these and a and b's split
+place; the (=>) argument goes through unchanged, so separating models
 keep every disequality.  Implied equalities do not change either: the
 places do not depend on the pairs, so the split queries ask what they
-asked of G, and a pair implied by nc when nc is satisfiable is implied by
-G, by the convexity argument above.  So one decision answers nc with
-disequalities at the cost of at most one split query per pair, where
-writing x != y with fresh variables would have added seven variables to
-the places of a component.
+asked of G, and a pair implied by nc when nc is satisfiable is implied
+by G, by the convexity argument above.  So one decision answers nc with
+disequalities at the cost of at most one split query per pair.
 """
 
 from __future__ import annotations
@@ -384,6 +390,7 @@ class _Engine:
                 self.watch[t[1]].append(t)
             if t[2] != t[0] and t[2] != t[1]:
                 self.watch[t[2]].append(t)
+        self._propagated: Dict[Tuple[str, bool], Optional[List[int]]] = {}
 
     def _assign(self, val: List[int], trail: List[int], i: int, b: int) -> bool:
         """Set variable i to b and all it forces, extending the trail of
@@ -457,12 +464,14 @@ class _Engine:
                 return None
             i = i + 1 if assign(val, trail, i, b) else -1
 
-    def forced(self, assume: Sequence[Tuple[str, bool]]) -> Optional[List[int]]:
-        """The codes, by variable index, that assume sets and propagates, 2
-        where unset; None when no place agrees with assume.  Every place
-        that agrees with assume takes these values (layer 1)."""
-        start = self._start(assume)
-        return None if start is None else start[0]
+    def propagated(self, v: str, b: bool) -> Optional[List[int]]:
+        """The codes, by variable index, that v = b sets and propagates, 2
+        where unset; None when no place gives v that value.  Every place
+        that does takes these values (layer 1).  Made once per v and b."""
+        if (v, b) not in self._propagated:
+            start = self._start(((v, b),))
+            self._propagated[v, b] = None if start is None else start[0]
+        return self._propagated[v, b]
 
     def places(self, assume: Sequence[Tuple[str, bool]] = ()) -> Iterator[frozenset]:
         """The places that agree with assume, drawn lazily in place order.
@@ -718,9 +727,7 @@ class _Part:
     build (module docstring, Components), so verified says whether its own
     build verifies, and its collision junk J of layer 3 is read off the
     same values, at most once: when the component fails, or when a
-    disequality or a separating build needs it.  splits holds the split
-    places of the disequalities seeded in this component (module
-    docstring, Disequalities).
+    disequality or a separating build seeds a place in it.
     """
 
     engine: _Engine
@@ -728,7 +735,6 @@ class _Part:
     sigma: Tuple[Tuple[str, frozenset], ...]
     free: Dict[str, HFSet]
     verified: bool
-    splits: Tuple[frozenset, ...] = ()
     _collisions: Optional[Tuple[frozenset, ...]] = None
 
     def collisions(self) -> Tuple[frozenset, ...]:
@@ -757,19 +763,6 @@ class _Part:
                         chosen.append(p)
             self._collisions = tuple(sorted(chosen, key=self.engine.order))
         return self._collisions
-
-    def seeded(self, *places: frozenset) -> Tuple[frozenset, ...]:
-        """J, the disequalities' split places and places, each once, in
-        place order."""
-        return tuple(sorted({*self.collisions(), *self.splits, *places}, key=self.engine.order))
-
-    @property
-    def junk(self) -> Tuple[frozenset, ...]:
-        """The junk solve seeds: J and the split places when a disequality
-        is seeded here, else none when the junk-free build verifies, else J."""
-        if self.splits:
-            return self.seeded()
-        return () if self.verified else self.collisions()
 
 
 _Peel = Tuple[List[List[str]], Tuple[Tuple[str, frozenset], ...], Tuple[str, ...]]
@@ -824,32 +817,48 @@ def _search(engine: _Engine) -> Optional[_Peel]:
 class _Decision:
     """solve's verdict on nc, kept to answer equality questions about nc.
 
-    On Sat, parts holds each component's engine and peeled placement, and
-    the split queries and separating builds run on the decision's meter.
+    engines holds one engine per component of nc, in component order, on
+    the decision's meter.  On Sat, parts holds each component's peeled
+    placement, in the same order, and splits the split places of the
+    disequalities the junk-free build does not keep apart.
     """
 
-    def __init__(
-        self, nc: NormalizedConjunction, meter: Budget, result: SolveResult, parts: List[_Part]
-    ) -> None:
-        self.nc, self.meter, self.result, self.parts = nc, meter, result, parts
+    def __init__(self, nc: NormalizedConjunction, meter: Budget, engines: List[_Engine]) -> None:
+        self.nc, self.meter, self.engines = nc, meter, engines
+        self.result: SolveResult = Unsat()
+        self.parts: List[_Part] = []
+        self.splits: List[frozenset] = []
 
     @cached_property
     def of(self) -> Dict[str, int]:
-        """Each variable of nc, mapped to the index of its part."""
-        return {v: k for k, part in enumerate(self.parts) for v in part.engine.nc.vars}
+        """Each variable of nc, mapped to the index of its component."""
+        return {v: k for k, engine in enumerate(self.engines) for v in engine.nc.vars}
 
-    def split(self, a: str, b: str) -> Optional[Tuple[int, frozenset]]:
-        """The split place of two variables of a Sat nc, with the index of
-        its part; None when a = b is implied (module docstring)."""
+    def tied(self, a: str, b: str) -> bool:
+        """Whether propagation alone ties a and b, so that a = b in every
+        model of nc without its disequalities (module docstring).  No
+        search, so no step."""
+        i, j = self.of[a], self.of[b]
+        up = self.engines[i].propagated(a, True)
+        if i != j:
+            return up is None and self.engines[j].propagated(b, True) is None
+        k = self.engines[i].pos[b]
+        if up is not None and up[k] != 1:
+            return False
+        down = self.engines[i].propagated(a, False)
+        return down is None or down[k] == 0
+
+    def split(self, a: str, b: str) -> Optional[frozenset]:
+        """The split place of two variables of nc, or None when a = b is
+        implied (module docstring); a tied pair asks no search.  The place
+        holds names of its own component only."""
+        if self.tied(a, b):
+            return None
         i, j = self.of[a], self.of[b]
         if i == j:
-            p = self.parts[i].engine.split(a, b)
-            return None if p is None else (i, p)
-        for k, v in ((i, a), (j, b)):
-            p = self.parts[k].engine.first(((v, True),))
-            if p is not None:
-                return k, p
-        return None
+            return self.engines[i].split(a, b)
+        # a place holding a is not empty, so not false
+        return self.engines[i].first(((a, True),)) or self.engines[j].first(((b, True),))
 
     def classes(self, names: Iterable[str]) -> List[List[str]]:
         """The classes of two or more names whose equality holds in every
@@ -857,99 +866,93 @@ class _Decision:
 
         When nc is unsat every name is in one class.  Otherwise two
         variables of nc are in one class when they have no split place,
-        and a name nc does not mention is in none.  The variables are
-        grouped with the model's value as key, each comparison settled by
-        propagation first and by the split query only when that decides
-        nothing (module docstring).
+        and a name nc does not mention is in none; they are grouped with
+        the model's value as key (module docstring).
         """
         names = list(dict.fromkeys(names))
         if not self.result.is_sat:
             return [names] if len(names) > 1 else []
         model = self.result.model
-        # a head's forced values under head = True and under head = False
-        forces: Dict[str, Tuple[Optional[List[int]], ...]] = {}
-
-        def split(h: str, v: str) -> Optional[frozenset]:
-            k = self.of[h]
-            if self.of[v] == k:
-                engine = self.parts[k].engine
-                if h not in forces:
-                    forces[h] = (engine.forced(((h, True),)), engine.forced(((h, False),)))
-                i = engine.pos[v]
-                if all(f is None or f[i] == c for f, c in zip(forces[h], (1, 0))):
-                    return None
-            hit = self.split(h, v)
-            return None if hit is None else hit[1]
-
-        groups = _group([v for v in names if v in model], split, model.__getitem__)
+        groups = _group([v for v in names if v in model], self.split, model.__getitem__)
         return [group for group in groups if len(group) > 1]
+
+    def build(self, *places: frozenset) -> Sat:
+        """The Sat decision's placement built once with junk, and verified:
+        each part seeds its J with the places and splits that hold its
+        names, in place order, or, when none does, J if its junk-free build
+        fails (module docstring, Disequalities).  One step."""
+        seeds = (*self.splits, *places)
+        junk: List[frozenset] = []
+        for part in self.parts:
+            mine = [p for p in seeds if next(iter(p)) in part.engine.pos]
+            if mine:
+                junk += sorted({*part.collisions(), *mine}, key=part.engine.order)
+            elif not part.verified:
+                junk += part.collisions()
+        witness = replace(self.result.witness, junk=tuple(junk))
+        self.meter.spend("building candidate models")
+        model = build_model(witness)
+        if not satisfies(self.nc, model):
+            raise InvariantViolation("admissible placement built a non-model")
+        return Sat(model, witness)
 
     def separating(self, a: str, b: str) -> Optional[Dict[str, HFSet]]:
         """A verified model of a Sat nc in which a and b differ, or None
-        when a = b is implied.
-
-        The decision's witness, with the junk of the split place p's part
-        replaced by J, the part's disequality split places and p, is built
-        once (module docstring).
-        """
-        hit = self.split(a, b)
-        if hit is None:
+        when a = b is implied: the build that also seeds their split place
+        (module docstring)."""
+        p = self.split(a, b)
+        if p is None:
             return None
-        k, p = hit
-        junk = [part.junk for part in self.parts]
-        junk[k] = self.parts[k].seeded(p)
-        self.meter.spend("building candidate models")
-        model = build_model(replace(self.result.witness, junk=tuple(q for seeds in junk for q in seeds)))
-        if not satisfies(self.nc, model) or model[a] is model[b]:
-            raise InvariantViolation("separating build is not a model that splits its pair")
+        model = self.build(p).model
+        if model[a] is model[b]:
+            raise InvariantViolation("separating build does not split its pair")
         return model
 
 
 def _decide(nc: NormalizedConjunction, budget: Union[int, Budget, None]) -> _Decision:
-    """solve's verdict on nc, kept with the parts of nc's components."""
+    """solve's verdict on nc, kept with the engines and parts of nc's components."""
     meter = Budget.of(budget)
     edges: Dict[str, List[str]] = {}
     for x, y in nc.memberships:
         edges.setdefault(x, []).append(y)
         edges.setdefault(y, [])
-    if not _acyclic(edges) or any(a == b for a, b in nc.disequalities):
-        return _Decision(nc, meter, Unsat(), [])
+    if not _acyclic(edges):
+        return _Decision(nc, meter, [])
+    decision = _Decision(nc, meter, [_Engine(comp, meter) for comp in _components(nc)])
+    # a pair propagation ties refutes nc before any search (Disequalities)
+    if nc.disequalities and any(decision.tied(a, b) for a, b in nc.disequalities):
+        return decision
     peels = []
-    for comp in _components(nc):
-        engine = _Engine(comp, meter)
+    for engine in decision.engines:
         peel = _search(engine)
         if peel is None:
-            return _Decision(nc, meter, Unsat(), [])
-        peels.append((engine, peel))
+            return decision
+        peels.append(peel)
     witness = SolverWitness(
         vars=nc.vars,
-        sigma=tuple(s for _, (_, sigma, _) in peels for s in sigma),
+        sigma=tuple(s for _, sigma, _ in peels for s in sigma),
         junk=(),
-        topo=tuple(u for _, (_, _, topo) in peels for u in topo),
+        topo=tuple(u for _, _, topo in peels for u in topo),
     )
     meter.spend("building candidate models")
     model = build_model(witness)
     # each component's literals, checked once against the one build
-    parts = [_Part(e, classes, sigma, model, satisfies(e.nc, model)) for e, (classes, sigma, _) in peels]
-    decision = _Decision(nc, meter, Sat(model, witness), parts)
-    seeded = not all(part.verified for part in parts)
-    if nc.disequalities:
-        # a pair the junk-free build keeps apart stays apart; any other is
-        # seeded at its split place, or refutes nc when it has none
-        for a, b in nc.disequalities:
-            if model[a] is model[b]:
-                hit = decision.split(a, b)
-                if hit is None:
-                    return _Decision(nc, meter, Unsat(), [])
-                parts[hit[0]].splits += (hit[1],)
-                seeded = True
-    if seeded:
-        witness = replace(witness, junk=tuple(p for part in parts for p in part.junk))
-        meter.spend("building candidate models")
-        model = build_model(witness)
-        if not satisfies(nc, model):
-            raise InvariantViolation("admissible placement built a non-model")
-        decision.result = Sat(model, witness)
+    decision.parts = [
+        _Part(e, classes, sigma, model, satisfies(e.nc, model))
+        for e, (classes, sigma, _) in zip(decision.engines, peels)
+    ]
+    decision.result = Sat(model, witness)
+    # a pair the junk-free build keeps apart stays apart; any other is
+    # seeded at its split place, or refutes nc when it has none
+    for a, b in nc.disequalities:
+        if model[a] is model[b]:
+            p = decision.split(a, b)
+            if p is None:
+                decision.result = Unsat()
+                return decision
+            decision.splits.append(p)
+    if decision.splits or not all(part.verified for part in decision.parts):
+        decision.result = decision.build()
     return decision
 
 
@@ -964,7 +967,8 @@ def solve(
     decision's junk-free build, plus one more when junk is seeded.
     Exceeding it raises ResourceLimitError.  None means unbounded.  No
     place is listed: a conjunction without memberships or disequalities
-    takes one step, its build.
+    takes one step, its build, and a disequality whose sides propagation
+    ties refutes nc in none.
     """
     return _decide(nc, budget).result
 

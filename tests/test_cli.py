@@ -131,6 +131,13 @@ def test_solve_plugin_order_flag(tmp_path, capsys):
     assert err.splitlines() == ["error: unknown plugin 'bogus' (choose from mls, lra, list)"]
 
 
+def test_solve_repeated_plugin_is_a_usage_error(capsys):
+    f = os.path.join(FIXTURES, "planted_mixed.syl")
+    code, out, err = run(capsys, "solve", f, "--plugins", "mls,mls,lra,list")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: plugin 'mls' listed twice"]
+
+
 def test_solve_extension_operators_rejected(tmp_path, capsys):
     f = script(tmp_path, "(assert (= x (pow y)))\n")
     code, _, err = run(capsys, "solve", f)

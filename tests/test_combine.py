@@ -727,6 +727,12 @@ def test_solve_combined_rejects_unknown_plugin():
         solve_combined([In(x, y)], plugin_names=["mls", "bogus"])
 
 
+def test_solve_combined_rejects_a_repeated_plugin():
+    # two set plugins would each decide the set literals
+    with pytest.raises(UnsupportedAtomError, match="^plugin 'mls' listed twice$"):
+        solve_combined([In(x, y)], plugin_names=("mls", "mls", "lra", "list"))
+
+
 def test_empty_assertions_are_satisfiable():
     res = solve_combined([])
     assert res.is_sat

@@ -21,13 +21,14 @@ from setsyl.convexity import (
     random_normalized_conjunction,
     write_reproducers,
 )
-from setsyl.errors import PreconditionError
+from setsyl.errors import Budget, PreconditionError
 from setsyl.formulas import Eq, In, Not, SetOp, Subset, Var, or_
 from setsyl.oracle import oracle_implies
 from setsyl.hf import braces, hf, parse_braces, to_strings
 from setsyl.normalize import NormalizedConjunction, normalize
-from setsyl.solver import Unsat, satisfies, solve
-from test_solver import _implied
+from setsyl import solver
+from setsyl.solver import Unsat, _decide, satisfies, solve
+from test_solver import _implied, _with_disequalities
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
@@ -249,6 +250,82 @@ def test_minimize_classifies_separated_pairs_without_probing(monkeypatch):
     assert all(model[a] != model[b] for a, b in pairs)
     # one separating build per enlargement, not one per pair
     assert len(builds) == eqs.enlargements < len(pairs)
+
+
+def _minimize_by_restarts(nc, pairs, budget):
+    """Reference: minimize_equalities as it rescanned the pairs from the
+    first after every enlargement, each pair's separating model asked once
+    and kept, and a scan longer than the pairs an error."""
+    pairs = tuple(pairs)
+    padded = pad_vars(nc, pairs)
+    decision = _decide(padded, budget)
+    if not decision.result.is_sat:
+        return Unsat(), EqualitySet(pairs, tuple(Implied() for _ in pairs), 0)
+    probes = {}
+
+    def probe(pair):
+        if pair not in probes:
+            probes[pair] = decision.separating(*pair)
+        return probes[pair]
+
+    model = decision.result.model
+    steps = 0
+    while True:
+        for pair in pairs:
+            a, b = pair
+            if model[a] == model[b] and probe(pair) is not None:
+                model, _ = enlarge(padded, model, probe(pair), a, b)
+                steps += 1
+                assert steps <= len(pairs)
+                break
+        else:
+            break
+    classification = tuple(
+        Implied() if model[a] == model[b] else Falsifiable(model) for a, b in pairs
+    )
+    return model, EqualitySet(pairs, classification, steps)
+
+
+def _minimize_draws(count):
+    """Seeded conjunctions, a third with disequalities, each with a sample
+    of pairs over its names, some repeated, and over a foreign name q in
+    every fourth draw.  First a pinned one: b = c is implied, though
+    propagation does not tie b and c, so its split query spends a step,
+    and the pair is asked twice."""
+    yield NormalizedConjunction([], [("b", "d", "a"), ("a", "c", "d"), ("d", "a", "d")]), [("b", "c")] * 2
+    for seed in range(count):
+        rng = random.Random(f"minimize/{seed}")
+        if seed % 3 == 0:
+            nc = _with_disequalities(rng.getrandbits(32))
+        else:
+            nc = random_normalized_conjunction(rng, rng.randint(1, 4), rng.randint(0, 6))
+        names = list(nc.vars) + ["q"] * (seed % 4 == 0)
+        pairs = [(a, b) for a in names for b in names if a < b]
+        if not pairs:
+            continue
+        picked = [rng.choice(pairs) for _ in range(rng.randint(1, 8))]
+        yield nc, picked
+
+
+def test_one_pass_minimizes_as_the_restarts_did(monkeypatch):
+    builds = []
+    build = solver.build_model
+    monkeypatch.setattr(solver, "build_model", lambda w: builds.append(w) or build(w))
+    draws = enlarged = diseqs = foreign = 0
+    for nc, pairs in _minimize_draws(1500):
+        got = []
+        for minimize in (minimize_equalities, _minimize_by_restarts):
+            builds.clear()
+            meter = Budget(10**6)
+            model, eqs = minimize(nc, pairs, meter)
+            strings = None if isinstance(model, Unsat) else to_strings(model)
+            got.append((strings, eqs.classification, eqs.enlargements, len(builds), meter.left))
+        assert got[0] == got[1], (nc, pairs)
+        draws += 1
+        enlarged += got[0][2]
+        diseqs += bool(nc.disequalities)
+        foreign += any("q" in pair for pair in pairs)
+    assert draws >= 1000 and enlarged >= 300 and diseqs >= 300 and foreign >= 200
 
 
 def test_minimize_foreign_variable_is_padded():

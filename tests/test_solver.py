@@ -22,6 +22,7 @@ from setsyl.solver import (
     Unsat,
     _components,
     _decide,
+    _Decision,
     _Engine,
     _group,
     _search,
@@ -610,14 +611,14 @@ def test_pairwise_disequalities_are_decided_by_split_queries():
     # Two subsets imply v0 = v1, so the six (ten) disequalities among
     # v0..v3 (v0..v4) are unsat.  With each x != y rewritten into seven
     # fresh variables the normal form had 48 variables, refuting it took
-    # 195,184 steps, and five names did not finish.  Now the junk-free
-    # build is the only step: v0 and v1 have no split place.
+    # 195,184 steps, and five names did not finish.  Now no step at all:
+    # propagation ties v0 and v1, which refutes nc before the peel.
     v = [Var(f"v{i}") for i in range(8)]
     for n in (4, 5):
         nc = _pairwise_distinct([f"v{i}" for i in range(n)], [Subset(v[0], v[1]), Subset(v[1], v[0])])
         assert len(nc.vars) == n + 2
         res, spent = _steps(nc)
-        assert not res.is_sat and spent == 1
+        assert not res.is_sat and spent == 0
     # v0 <= v2, v1 = v3 | v4 and eight of the ten disequalities among
     # v0..v4 exhausted 10**6 steps; all 28 among eight free names 2 * 10**5
     subset_union = [Subset(v[0], v[2]), Eq(v[1], SetOp("union", v[3], v[4]))]
@@ -665,6 +666,21 @@ def test_a_self_disequality_is_refuted_before_any_peel():
         solve(chain, budget=1)
     res, spent = _steps(NormalizedConjunction(chain.memberships, (), [("v0", "v0")]), budget=1)
     assert res == Unsat() and spent == 0
+
+
+def test_tied_disequalities_are_refuted_before_any_peel():
+    # a and b tied by two subsets, or both empty in two components: either
+    # pair refutes the membership chain before it is peeled, spending no
+    # step, where peeling first took the chain's 37,843 steps.
+    chain = _chain(160).literals()
+    a, b = Var("a"), Var("b")
+    for lits in ([Subset(a, b), Subset(b, a)], [Eq(a, EMPTY), Eq(b, EMPTY)]):
+        nc = normalize(chain + lits + [Not(Eq(a, b))])
+        res, spent = _steps(nc, budget=1)
+        assert res == Unsat() and spent == 0
+    # the two empty sides lie in two components
+    (ea,) = [part for part in _components(nc) if "a" in part.vars]
+    assert "b" not in ea.vars
 
 
 # ---------------------------------------------------------- targeted junk
@@ -814,6 +830,23 @@ def test_targeted_junk_keeps_the_placement_and_separates_collisions(nc):
     assert set(w.junk) <= set(apart)
 
 
+@settings(max_examples=300, deadline=None)
+@given(_conjunctions)
+def test_tied_pairs_have_no_split_place(nc):
+    # A pair propagation ties in one component has no place holding
+    # exactly one side; two names of two components whose sides each
+    # contradict True have no place holding either.  Either way a = b in
+    # every model, so a tied disequality refutes nc.
+    parts = _components(nc)
+    decision = _Decision(nc, Budget(None), [_Engine(part, Budget(None)) for part in parts])
+    listings = [list(engine.places()) for engine in decision.engines]
+    of = {v: k for k, part in enumerate(parts) for v in part.vars}
+    for a in nc.vars:
+        for b in nc.vars:
+            if decision.tied(a, b):
+                assert _listed_split(listings, of, a, b) is None
+
+
 # ------------------------------------------------ queries to the engine
 
 
@@ -945,6 +978,31 @@ def _one_build_draws(count):
         yield _joined([_renamed(part, lambda v, i=i: f"{v}{i}") for i, part in enumerate(parts)])
 
 
+def _tie_refutes(nc):
+    """Whether propagation alone ties the two sides of a disequality of nc:
+    in one component, setting one side True and then False sets the other
+    alike, a contradiction counting as either; in two, setting each side
+    True meets a contradiction."""
+    engine = {}
+    for part in _components(nc):
+        e = _Engine(part, Budget(None))
+        engine.update(dict.fromkeys(part.vars, e))
+
+    def contradicts(v, b):
+        return engine[v]._start([(v, b)]) is None
+
+    def forced(a, b, value):
+        start = engine[a]._start([(a, value)])
+        return start is None or start[0][engine[a].pos[b]] == value
+
+    return any(
+        forced(a, b, True) and forced(a, b, False)
+        if engine[a] is engine[b]
+        else contradicts(a, True) and contradicts(b, True)
+        for a, b in nc.disequalities
+    )
+
+
 def test_one_build_decides_as_the_component_builds_did(monkeypatch):
     builds, checks = [], []
     build, verify = solver.build_model, solver.satisfies
@@ -955,7 +1013,7 @@ def test_one_build_decides_as_the_component_builds_did(monkeypatch):
         lambda nc, m: checks.extend(nc.memberships + nc.differences + nc.disequalities) or verify(nc, m),
     )
     rng = random.Random("one-build")
-    failing = 0
+    failing = refuted = 0
     for nc in _one_build_draws(500):
         builds.clear()
         checks.clear()
@@ -964,15 +1022,18 @@ def test_one_build_decides_as_the_component_builds_did(monkeypatch):
         # a disequality is seeded; each literal is checked once per build,
         # a disequality the first build keeps apart by its two values
         # the junk-free build comes once every component is peeled, even
-        # when a disequality then refutes nc
-        peeled = all(_search(_Engine(part, Budget(None))) is not None for part in _components(nc))
-        needs_junk = decision.result.is_sat and not all(
-            part.verified and not part.splits for part in decision.parts
+        # when a disequality then refutes nc; a disequality whose sides
+        # propagation ties refutes nc before the peel, with no build
+        tied = _tie_refutes(nc)
+        peeled = not tied and all(_search(_Engine(part, Budget(None))) is not None for part in _components(nc))
+        needs_junk = decision.result.is_sat and bool(
+            decision.splits or not all(part.verified for part in decision.parts)
         )
         assert len(builds) == peeled + needs_junk
         lits = nc.memberships + nc.differences
         assert sorted(checks) == sorted(lits * peeled + (lits + nc.disequalities) * needs_junk)
         failing += needs_junk and len(decision.parts) > 1
+        refuted += tied
 
         # the references call the unpatched build_model and satisfies
         expected, parts = _decide_by_component(nc)
@@ -986,7 +1047,7 @@ def test_one_build_decides_as_the_component_builds_did(monkeypatch):
             for a, b in rng.sample(pairs, min(len(pairs), 12)):
                 want = _separating_by_component(got.witness, parts, a, b)
                 assert decision.separating(a, b) == want
-    assert failing >= 10
+    assert failing >= 10 and refuted >= 5
 
 
 @settings(max_examples=300, deadline=None)

@@ -41,10 +41,7 @@ from .formulas import (
     LRA,
     MLS_EXT,
     Eq,
-    ExtOp,
-    Formula,
     Not,
-    SetOp,
     Var,
     and_,
     atoms,
@@ -63,7 +60,7 @@ from .oracle import (
     oracle_implies,
     oracle_sat,
 )
-from .sexpr import parse_script, print_formula
+from .sexpr import parse_formula, parse_script, print_formula
 from .solver import solve
 
 _EQ_FLAG = re.compile(r"([A-Za-z_'][A-Za-z0-9_']*)=([A-Za-z_'][A-Za-z0-9_']*)\Z")
@@ -92,11 +89,6 @@ def _check_budget(budget: Optional[int]) -> Optional[int]:
     return budget
 
 
-def _conjoin(asserts: Sequence[Formula]) -> Formula:
-    """The conjunction of a script's asserts; with none, a true formula."""
-    return and_(*asserts) if asserts else Eq(EMPTY, EMPTY)
-
-
 def _emit(doc: dict, as_json: bool, lines: Sequence[str]) -> None:
     if as_json:
         print(json.dumps(doc, indent=2, sort_keys=True))
@@ -119,8 +111,7 @@ def cmd_solve(args) -> int:
     script = _read_script(args.file)
     budget = _check_budget(args.budget)
     asserts = list(script.asserts)
-    f = _conjoin(asserts)
-    tags = {classify_atom(a) for a in atoms(f)}
+    tags = {classify_atom(a) for f in asserts for a in atoms(f)}
     if MLS_EXT in tags:
         raise UnsupportedAtomError(
             "extension operators are outside the decision procedure; "
@@ -158,7 +149,10 @@ def cmd_solve(args) -> int:
         return 0
 
     # tags are within {MLS, SHARED} here, which is all dnf_split would check
-    sat_res = first_sat(split_disjuncts(f), lambda branch: solve(normalize(branch), budget=meter))
+    sat_res = first_sat(
+        split_disjuncts(and_(*asserts)) if asserts else [[]],
+        lambda branch: solve(normalize(branch), budget=meter),
+    )
     if not sat_res.is_sat:
         _emit(
             {"command": "solve", "engine": "mls", "verdict": "unsat",
@@ -168,7 +162,7 @@ def cmd_solve(args) -> int:
         )
         return 0
 
-    model = to_strings({v: sat_res.model[v] for v in free_vars(f) if v in sat_res.model})
+    model = to_strings({v: sat_res.model[v] for v in free_vars(*asserts) if v in sat_res.model})
     doc = {
         "command": "solve",
         "engine": "mls",
@@ -201,30 +195,39 @@ def cmd_solve(args) -> int:
 def cmd_normalize(args) -> int:
     script = _read_script(args.file)
     meter = Budget(_check_budget(args.budget))
-    f = _conjoin(script.asserts)
-    ncs = []
-    for branch in dnf_split(f):
+    asserts = script.asserts
+
+    def branches():
+        return dnf_split(and_(*asserts)) if asserts else [[]]
+
+    # A first walk spends the budget and keeps no branch, so a run that
+    # exhausts it prints nothing; the second normalizes each branch as it
+    # is printed.
+    count = 0
+    for _ in branches():
         meter.spend("normalizing disjuncts")
-        ncs.append(normalize(branch))
-    doc = {
-        "command": "normalize",
-        "disjuncts": [
-            {
-                "vars": list(nc.vars),
-                "memberships": [list(m) for m in nc.memberships],
-                "differences": [list(d) for d in nc.differences],
-                "disequalities": [list(q) for q in nc.disequalities],
-            }
-            for nc in ncs
-        ],
-    }
-    lines: List[str] = []
+        count += 1
+    ncs = map(normalize, branches())
+    if args.json:
+        doc = {
+            "command": "normalize",
+            "disjuncts": [
+                {
+                    "vars": list(nc.vars),
+                    "memberships": [list(m) for m in nc.memberships],
+                    "differences": [list(d) for d in nc.differences],
+                    "disequalities": [list(q) for q in nc.disequalities],
+                }
+                for nc in ncs
+            ],
+        }
+        _emit(doc, True, ())
+        return 0
     for i, nc in enumerate(ncs):
-        if len(ncs) > 1:
-            lines.append(f"; disjunct {i}")
+        if count > 1:
+            print(f"; disjunct {i}")
         for lit in nc.literals():
-            lines.append(f"(assert {print_formula(lit)})")
-    _emit(doc, args.json, lines)
+            print(f"(assert {print_formula(lit)})")
     return 0
 
 
@@ -234,7 +237,8 @@ def cmd_normalize(args) -> int:
 def cmd_oracle(args) -> int:
     script = _read_script(args.file)
     rank = _check_rank(args.rank)
-    f = _conjoin(script.asserts)
+    # with no assert, the oracle searches a true formula over no variable
+    f = and_(*script.asserts) if script.asserts else Eq(EMPTY, EMPTY)
     res = oracle_sat(f, rank)
     if res.is_sat:
         doc = {
@@ -383,37 +387,21 @@ def cmd_fuzz(args) -> int:
 # nonconvex-demo -------------------------------------------------------------
 
 
+# The minimal non-convex instance of each extension operator: its kind, its
+# formula, and for a probe the variable to pad and the number of copies.
+_DEMOS = {
+    "mlss": ("probe", "(and (= x (single y)) (= xp (single yp)) (= xbar (union x xp)))", "xbar", 2),
+    "mlsp": ("probe", "(and (= x empty) (= y (pow x)) (= xbar (pow y)))", "xbar", 2),
+    "mlsu": ("probe", "(and (= x empty) (= (bigU y) x) (= (bigU xbar) y))", "xbar", 2),
+    "mlsx": ("product", "(and (= e (cross x y)) (= e (setminus e e)))", None, None),
+    "mlsox": ("product", "(and (= e (ucross x y)) (= e (setminus e e)))", None, None),
+}
+
+
 def _demo_fixture(theory: str):
     """The minimal non-convex instance for each extension operator."""
-    v = {n: Var(n) for n in ("x", "y", "xp", "yp", "xbar", "e")}
-    single = lambda t: ExtOp("single", (t,))
-    if theory == "mlss":
-        phi = and_(
-            Eq(v["x"], single(v["y"])),
-            Eq(v["xp"], single(v["yp"])),
-            Eq(v["xbar"], SetOp("union", v["x"], v["xp"])),
-        )
-        return ("probe", phi, "xbar", 2)
-    if theory == "mlsp":
-        phi = and_(
-            Eq(v["x"], EMPTY),
-            Eq(v["y"], ExtOp("pow", (v["x"],))),
-            Eq(v["xbar"], ExtOp("pow", (v["y"],))),
-        )
-        return ("probe", phi, "xbar", 2)
-    if theory == "mlsu":
-        phi = and_(
-            Eq(v["x"], EMPTY),
-            Eq(ExtOp("bigU", (v["y"],)), v["x"]),
-            Eq(ExtOp("bigU", (v["xbar"],)), v["y"]),
-        )
-        return ("probe", phi, "xbar", 2)
-    op = "cross" if theory == "mlsx" else "ucross"
-    phi = and_(
-        Eq(v["e"], ExtOp(op, (v["x"], v["y"]))),
-        Eq(v["e"], SetOp("setminus", v["e"], v["e"])),
-    )
-    return ("product", phi, None, None)
+    kind, text, xbar, k = _DEMOS[theory]
+    return kind, parse_formula(text), xbar, k
 
 
 def cmd_nonconvex(args) -> int:
@@ -518,8 +506,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                     help="step budget, one step per disjunct of the script's disjunctive "
-                         "normal form (default %(default)s): it bounds how many disjuncts "
-                         "are built and kept for printing, not the memory they take")
+                         "normal form (default %(default)s); text output prints each "
+                         "disjunct as it comes, while --json holds every disjunct until "
+                         "it prints")
     add_json(sp)
     sp.set_defaults(func=cmd_normalize)
 

@@ -301,28 +301,6 @@ def classify_atom(a: Atom) -> str:
     return next(iter(sigs))
 
 
-def nnf(f: Formula) -> Formula:
-    """Negation normal form; negations end up directly on atoms."""
-    if is_atom(f):
-        return f
-    if isinstance(f, Not):
-        body = f.body
-        if is_atom(body):
-            return f
-        if isinstance(body, Not):
-            return nnf(body.body)
-        if isinstance(body, And):
-            return Or(tuple(nnf(Not(p)) for p in body.parts))
-        if isinstance(body, Or):
-            return And(tuple(nnf(Not(p)) for p in body.parts))
-        raise TypeError(f"not a formula: {body!r}")
-    if isinstance(f, And):
-        return And(tuple(nnf(p) for p in f.parts))
-    if isinstance(f, Or):
-        return Or(tuple(nnf(p) for p in f.parts))
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def conjuncts(f: Formula) -> list:
     """Flatten nested conjunctions into a list of non-And formulas."""
     if isinstance(f, And):

@@ -11,6 +11,11 @@ graph, extended with three structural rules:
   * non-atoms are constructed: asserting not atom(x) introduces
     cons(car(x), cdr(x)) = x.
 
+The first two are congruence too, once a cons(a, b) of class r also signs
+a as ("car", r) and b as ("cdr", r): the closure is one signature table,
+in which a key that two classes share merges them, whether it is
+congruence, projection or injectivity.
+
 A class may not be marked atom and contain a cons node.  There is no
 acyclicity rule: x = cons(a, x) is satisfiable (the models are rational
 trees).  The theory is stably infinite, and conjunctions of literals are
@@ -51,9 +56,9 @@ def _term_key(t: Term) -> _Key:
 
 
 class ListTheory:
-    """The cons-cell plugin: term graph plus union-find, congruence-closed
-    by each `assert_literals`, which replaces every earlier node, atom and
-    disequality.
+    """The cons-cell plugin: term graph plus union-find, closed under one
+    signature table by each `assert_literals`, which replaces every earlier
+    node, atom and disequality.
 
     Nodes are interned subterms; `find` maps a node to its class
     representative (the earliest-created member).  `atom_ids` holds the
@@ -145,41 +150,30 @@ class ListTheory:
     # closure ------------------------------------------------------------
 
     def _close(self) -> None:
+        """Merge to the least fixpoint of one signature table.
+
+        Each round scans the nodes once, into a fresh table.  A node enters
+        (op, its argument classes) -> node, and a cons(a, b) of class r also
+        enters ("car", r) -> a and ("cdr", r) -> b.  Two entries under one
+        key merge: two nodes are congruence, a car or cdr node and a cons
+        are projection, and two cons nodes of one class are injectivity.
+        A round that merges nothing leaves no two classes under one key, so
+        every rule holds, and every merge is one the rules force.
+        """
+        find, union, args_of = self.find, self._union, self.node_args
         changed = True
         while changed:
             changed = False
-            n = len(self.parent)
-            # congruence: same op, argwise-equal classes
             sig: Dict[Tuple, int] = {}
-            for i in range(n):
-                if self.node_op[i] is None:
+            for i, op in enumerate(self.node_op):
+                if op is None:
                     continue
-                s = (self.node_op[i],) + tuple(self.find(a) for a in self.node_args[i])
-                j = sig.get(s)
-                if j is None:
-                    sig[s] = i
-                elif self._union(i, j):
-                    changed = True
-            # projection and injectivity around cons nodes
-            cons_of: Dict[int, int] = {}
-            for i in range(n):
-                if self.node_op[i] != "cons":
-                    continue
-                r = self.find(i)
-                other = cons_of.get(r)
-                if other is None:
-                    cons_of[r] = i
-                else:
-                    for x, y in zip(self.node_args[i], self.node_args[other]):
-                        if self._union(x, y):
-                            changed = True
-            for i in range(n):
-                if self.node_op[i] in ("car", "cdr"):
-                    cell = cons_of.get(self.find(self.node_args[i][0]))
-                    if cell is not None:
-                        pick = 0 if self.node_op[i] == "car" else 1
-                        if self._union(i, self.node_args[cell][pick]):
-                            changed = True
+                args = args_of[i]
+                changed |= union(i, sig.setdefault((op, *map(find, args)), i))
+                if op == "cons":
+                    r = find(i)
+                    for proj, a in zip(("car", "cdr"), args):
+                        changed |= union(a, sig.setdefault((proj, r), a))
         self._judge()
 
     def _judge(self) -> None:

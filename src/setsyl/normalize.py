@@ -63,9 +63,8 @@ from .formulas import (
     atoms,
     classify_atom,
     free_vars,
-    is_literal,
+    is_atom,
     max_fresh_index,
-    nnf,
 )
 
 
@@ -163,22 +162,33 @@ def split_disjuncts(f: Formula) -> Iterator[List[Formula]]:
     deduplicated within each conjunction.  The conjunctions are generated
     one at a time, so a caller that stops at the first satisfiable one
     never builds the rest of the product.
+
+    One walk carries the sign of the subformula, flipped at each Not, so
+    negations reach the atoms as by De Morgan's laws: under a positive sign
+    an Or lists its parts' disjuncts and an And multiplies them, under a
+    negative sign the other way round, and an atom is the literal atom or
+    Not(atom).
     """
-    return _disjuncts(nnf(f))
+    return _disjuncts(f, True)
 
 
-def _disjuncts(h: Formula) -> Iterator[List[Formula]]:
-    if is_literal(h):
-        yield [h]
-    elif isinstance(h, Or):
+def _disjuncts(h: Formula, positive: bool) -> Iterator[List[Formula]]:
+    if isinstance(h, Not):
+        yield from _disjuncts(h.body, not positive)
+    elif is_atom(h):
+        yield [h if positive else Not(h)]
+    elif not isinstance(h, (And, Or)):
+        raise TypeError(f"not a formula: {h!r}")
+    elif isinstance(h, Or) == positive:
+        # an Or under a positive sign, or an And under a negative one
         for p in h.parts:
-            yield from _disjuncts(p)
-    elif isinstance(h, And):
+            yield from _disjuncts(p, positive)
+    else:
         # The product over the parts, first part slowest, walked with one
         # iterator per part on an explicit stack: a script's top-level And
         # may have thousands of parts.
         parts = h.parts
-        stack = [_disjuncts(parts[0])]
+        stack = [_disjuncts(parts[0], positive)]
         picked: List[List[Formula]] = []
         while stack:
             lits = next(stack[-1], None)
@@ -192,9 +202,7 @@ def _disjuncts(h: Formula) -> Iterator[List[Formula]]:
                 yield list(dict.fromkeys(lit for ls in picked for lit in ls))
                 picked.pop()
             else:
-                stack.append(_disjuncts(parts[len(picked)]))
-    else:
-        raise TypeError(f"unexpected formula after nnf: {h!r}")
+                stack.append(_disjuncts(parts[len(picked)], positive))
 
 
 def first_sat(branches: Iterable[List[Formula]], decide: Callable[[List[Formula]], Any]) -> Any:

@@ -151,14 +151,11 @@ def _split(f: Formula, out: List[Formula]) -> None:
     Not(p) for each p, Not(Not(x)) becomes x, and any other formula is one
     conjunct as it stands.
 
-    These are the conjuncts of conjuncts(nnf(f)), one for one and in the
-    same order: nnf maps And, Not(Or) and Not(Not) exactly so, and every
-    other formula becomes one non-And formula with the same truth under
-    eval_formula (which takes Not, And and Or anywhere) and the same free
-    variables in the same order, since nnf never reorders leaves.  The
-    schedule reads only those truths and variables, so its variable order,
-    its check depths and therefore the order of the models are the ones
-    the nnf conjuncts give.
+    Each step keeps the truth of f under eval_formula, which takes Not,
+    And and Or anywhere: the conjunction of the parts is f by De Morgan's
+    law and double negation.  No step reorders leaves, so the variables of
+    the conjuncts, read in order, are f's free variables in order of first
+    occurrence, which the schedule needs.
     """
     if type(f) is And:
         for p in f.parts:

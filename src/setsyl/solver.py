@@ -11,20 +11,16 @@ them, from the same decision (Disequalities, below):
    boolean layer refutes the conjunction outright.  The places are listed
    by a depth-first search that decides the variables in vars order, False
    before True, and after each decision propagates the difference
-   literals x <-> y & ~z it touches:
-
-     y = F or z = T forces x = F;       y = T and z = F forces x = T;
-     x = T forces y = T and z = F;      x = F and y = T forces z = T;
-     x = F and z = F forces y = F.
-
-   A variable already forced is not branched on, and a value forced both
-   ways ends the branch.  Each rule is a consequence of x <-> y & ~z, so a
-   forced value is the one every consistent completion of the branch
-   takes, and a contradiction means the branch has no consistent
-   completion: propagation cuts only subtrees without a place.  A literal
-   is looked at again whenever one of its variables is set, so at a full
-   valuation the first two rules have checked every literal, and every
-   leaf is a place.  The leaves are therefore exactly the consistent
+   literals x <-> y & ~z it touches: a literal sets each of its unset
+   variables on which every completion satisfying x == y & ~z agrees, and
+   a literal no completion satisfies ends the branch.  A variable already
+   forced is not branched on, and a value forced both ways ends the
+   branch.  By construction a forced value is the one every consistent
+   completion of the branch takes, and a contradiction means the branch
+   has no consistent completion: propagation cuts only subtrees without a
+   place.  A literal is looked at again whenever one of its variables is
+   set, and a set literal that fails has no satisfying completion, so
+   every leaf is a place.  The leaves are therefore exactly the consistent
    valuations, in the order of a plain False-before-True enumeration of
    vars, which checks each literal once its last variable is set.  A node
    of the search sits at the first variable still unset; the prefix before
@@ -33,10 +29,11 @@ them, from the same decision (Disequalities, below):
    The search keeps its pending decisions on a stack and undoes a branch
    by popping the trail of variables it set, so no recursion is needed.
    A valuation is a list of codes, one per variable: 0 for False, 1 for
-   True, 2 while unset.  The rules are tabulated once, for the 27 coded
-   values of a literal's (x, y, z), at index 9x + 3y + z: each entry lists
-   the (slot, value) pairs it forces on unset slots, or is None when a
-   rule contradicts a set slot, so a watched literal costs one lookup.
+   True, 2 while unset.  The rules are derived once from the definition,
+   for the 27 coded values of a literal's (x, y, z), at index 9x + 3y + z:
+   each entry lists the (slot, value) pairs on which every satisfying
+   completion agrees, or is None when none satisfies it, so a watched
+   literal costs one lookup.
    Each node the search visits costs one budget step.
 
    The same search answers queries.  Given a partial valuation A (the
@@ -341,28 +338,27 @@ _TAG_TOP_STEP = 16
 def _difference_rules() -> Tuple[Optional[Tuple[Tuple[int, int], ...]], ...]:
     """The unit rules of x <-> y & ~z, indexed by 9x + 3y + z.
 
-    A value is 0 (False), 1 (True) or 2 (unset).  An entry lists the
-    (slot, value) pairs the rules of layer 1 force on unset slots, or is
-    None when a rule contradicts a set slot.
+    A value is 0 (False), 1 (True) or 2 (unset).  An entry lists, in slot
+    order, the (slot, value) pairs of the unset slots on which every
+    completion satisfying x == y & ~z agrees, or is None when no completion
+    satisfies it.
     """
     table = []
     for known in product((0, 1, 2), repeat=3):
-        x, y, z = known
-        need = []
-        if y == 0 or z == 1:
-            need.append((0, 0))
-        if y == 1 and z == 0:
-            need.append((0, 1))
-        if x == 1:
-            need += [(1, 1), (2, 0)]
-        if x == 0 and y == 1:
-            need.append((2, 1))
-        if x == 0 and z == 0:
-            need.append((1, 0))
-        if any(known[s] != 2 and known[s] != c for s, c in need):
+        # the completions of known that satisfy the definition (on 0 and 1,
+        # y & ~z is y and not z)
+        fits = [
+            v
+            for v in product((0, 1), repeat=3)
+            if v[0] == v[1] & ~v[2] and all(k == 2 or k == b for k, b in zip(known, v))
+        ]
+        if not fits:
             table.append(None)
-        else:
-            table.append(tuple(dict.fromkeys((s, c) for s, c in need if known[s] == 2)))
+            continue
+        first = fits[0]
+        table.append(tuple(
+            (s, first[s]) for s in range(3) if known[s] == 2 and all(v[s] == first[s] for v in fits)
+        ))
     return tuple(table)
 
 

@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 from jsonschema import Draft7Validator
@@ -138,6 +139,27 @@ def test_solve_repeated_plugin_is_a_usage_error(capsys):
     assert err.splitlines() == ["error: plugin 'mls' listed twice"]
 
 
+def test_solve_empty_plugin_list_is_a_usage_error(tmp_path, capsys):
+    f = script(tmp_path, "(assert (in x y))\n")
+    code, out, err = run(capsys, "solve", f, "--plugins", ",")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: empty plugin list"]
+
+
+def test_solve_script_without_asserts_is_one_empty_conjunction(tmp_path, capsys):
+    # No assert is the empty conjunction: sat, with no variable anywhere,
+    # not even a fresh one.
+    f = script(tmp_path, "(set-option :seed 4)\n")
+    code, out, err = run(capsys, "solve", f, "--witness", "--json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    schema("solve").validate(doc)
+    assert doc["verdict"] == "sat" and doc["model"] == {}
+    assert doc["witness"] == {"vars": [], "sigma": [], "junk": [], "topo": [], "full_model": {}}
+    code, out, _ = run(capsys, "solve", f, "--witness")
+    assert (code, out) == (0, "sat\nwitness: topo = (none)\n")
+
+
 def test_solve_extension_operators_rejected(tmp_path, capsys):
     f = script(tmp_path, "(assert (= x (pow y)))\n")
     code, _, err = run(capsys, "solve", f)
@@ -221,6 +243,56 @@ def test_normalize_budget_counts_disjuncts(tmp_path, capsys):
     assert (code, out) == (3, "")
     assert err.splitlines() == [
         "resource limit: budget of 15 steps exhausted while normalizing disjuncts (16 steps reached)"
+    ]
+
+
+_PEAK_RSS = (
+    "import resource, sys\n"
+    "from setsyl.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "sys.stdout.flush()\n"
+    "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+)
+
+
+def _peak_rss_kb(*args):
+    """The exit code of `setsyl args` in a child process, and the child's
+    own peak resident set in KB; stdout is discarded."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, *args],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    code, kb = proc.stderr.split()
+    return int(code), int(kb)
+
+
+def test_normalize_text_output_holds_no_disjunct(tmp_path):
+    # k two-way clauses have 2**k disjuncts.  Text output prints each as it
+    # is normalized, so sixteen times as many add almost no memory, where
+    # keeping the 2**12 disjuncts for printing would take about 25 MB.
+    peak = {}
+    for k in (8, 12):
+        path = tmp_path / f"wide{k}.syl"
+        path.write_text("".join(f"(assert (or (in a{i} b{i}) (subset a{i} c{i})))\n" for i in range(k)))
+        code, peak[k] = _peak_rss_kb("normalize", str(path))
+        assert code == 0
+    assert peak[12] - peak[8] < 5 * 1024
+
+
+def test_normalize_script_without_asserts_prints_nothing(tmp_path, capsys):
+    f = script(tmp_path, "; no assert\n")
+    code, out, err = run(capsys, "normalize", f)
+    assert (code, out, err) == (0, "", "")
+    code, out, _ = run(capsys, "normalize", f, "--json")
+    assert code == 0
+    assert json.loads(out)["disjuncts"] == [
+        {"vars": [], "memberships": [], "differences": [], "disequalities": []}
     ]
 
 
@@ -374,6 +446,22 @@ def test_oracle_sat_and_unsat(tmp_path, capsys):
     assert doc["verdict"] == "unsat" and doc["model"] is None
 
 
+def test_oracle_on_a_formula_without_variables(tmp_path, capsys):
+    # the search binds no variable: the ground conjuncts alone decide
+    f = script(tmp_path, "(assert (not (in empty empty)))\n")
+    code, out, _ = run(capsys, "oracle", f, "--json")
+    assert code == 0
+    assert json.loads(out)["model"] == {}
+    code, out, _ = run(capsys, "oracle", f)
+    assert (code, out) == (0, "sat within rank 3\n")
+    f = script(tmp_path, "(assert (in empty empty))\n")
+    code, out, _ = run(capsys, "oracle", f)
+    assert (code, out) == (0, "no model within rank 3\n")
+    f = script(tmp_path, "")
+    code, out, _ = run(capsys, "oracle", f)
+    assert (code, out) == (0, "sat within rank 3\n")
+
+
 def test_oracle_handles_extension_operators(tmp_path, capsys):
     f = script(tmp_path, "(assert (= y (pow x)))\n(assert (= x empty))\n")
     code, out, _ = run(capsys, "oracle", f, "--rank", "2")
@@ -447,6 +535,34 @@ def test_witness_without_equal_model(tmp_path, capsys):
     assert "no model with x = y" in err
 
 
+def test_witness_reports_failing_checks_with_exit_4(monkeypatch, capsys):
+    real = cli.check_trace_invariants
+    failed = []
+
+    def one_failing(trace, base, nc):
+        first, *rest = real(trace, base, nc)
+        failed.append(first.name)
+        return (replace(first, ok=False, index=1, detail="synthetic"), *rest)
+
+    monkeypatch.setattr(cli, "check_trace_invariants", one_failing)
+    code, out, err = run(capsys, "witness", FIXTURE, "--eq", "xbar=ybar")
+    assert code == 4
+    lines = out.splitlines()
+    assert "invariant checks: 25/26 pass" in lines
+    assert [ln for ln in lines if ln.startswith("FAIL ")] == [f"FAIL {failed[0]} [stage 1]: synthetic"]
+    assert err == "invariant checks failed\n"
+    code, out, err = run(capsys, "witness", FIXTURE, "--eq", "xbar=ybar", "--json")
+    assert code == 4 and json.loads(out)["all_pass"] is False
+    assert err == "invariant checks failed\n"
+
+
+def test_witness_assignment_option_needs_equals(tmp_path, capsys):
+    f = script(tmp_path, "(set-option :base x={},xy)\n(assert (in x y))\n")
+    code, out, err = run(capsys, "witness", f, "--eq", "x=y", "--rank", "2")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: expected name=braces in assignment option, got 'xy'"]
+
+
 # ------------------------------------------------------------------- fuzz
 
 
@@ -472,6 +588,43 @@ def test_fuzz_guard_exit_code(tmp_path, capsys):
         code, out, err = run(capsys, "fuzz-convexity", *flags)
         assert code == 2, flags
         assert out == "" and len(err.splitlines()) == 1, flags
+
+
+def test_fuzz_violation_writes_reproducers(monkeypatch, tmp_path, capsys):
+    # Force the violation branch: every checked iteration's disjunction is
+    # implied with no single equality, and no model separates the pairs.
+    import setsyl.convexity as convexity
+    from setsyl.solver import Unsat
+
+    class NoneImplied:
+        def implied_pairs(self):
+            return ()
+
+    monkeypatch.setattr(convexity, "_bounded_implied", lambda nc, pairs, rank: ())
+    monkeypatch.setattr(convexity, "minimize_equalities", lambda nc, pairs: (Unsat(), NoneImplied()))
+    code, out, err = run(
+        capsys, "fuzz-convexity", "--vars", "2", "--lits", "2", "--iters", "4", "--seed", "5",
+        "--rank", "2", "--trace", str(tmp_path),
+    )
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    report = convexity.convexity_fuzz(2, 2, 4, 5, 2)
+    assert report.violations and len(report.violations) == report.checked
+    assert lines[2] == f"violations: {len(report.violations)}"
+    assert lines[3:] == [
+        f"reproducer: {tmp_path / f'convexity-violation-{v.iteration}.sexpr'}"
+        for v in report.violations
+    ]
+    v = report.violations[0]
+    script_lines = (tmp_path / f"convexity-violation-{v.iteration}.sexpr").read_text().splitlines()
+    assert script_lines[:2] == [
+        "; equality-disjunction implied but no single equality implied",
+        f"; stream 5/{v.iteration}, rank bound 2",
+    ]
+    assert script_lines[-1] == "; disjunction: " + " or ".join(f"{a}={b}" for a, b in v.pairs)
+    # the asserts between read back as the conjunction that was checked
+    asserts = parse_script("\n".join(script_lines)).asserts
+    assert len(asserts) == len(v.memberships) + len(v.differences)
 
 
 # --------------------------------------------------------- nonconvex-demo

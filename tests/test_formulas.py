@@ -16,7 +16,6 @@ from setsyl.formulas import (
     Leq,
     ListOp,
     Not,
-    Or,
     RationalConst,
     SetOp,
     Subset,
@@ -25,11 +24,9 @@ from setsyl.formulas import (
     classify_atom,
     conjuncts,
     free_vars,
-    is_atom,
     is_literal,
     literal_atom,
     max_fresh_index,
-    nnf,
     or_,
 )
 
@@ -71,21 +68,6 @@ def test_conjuncts_flattens_nested_and():
     f = and_(In(x, y), and_(Eq(x, y), In(y, z)))
     assert conjuncts(f) == [In(x, y), Eq(x, y), In(y, z)]
     assert conjuncts(In(x, y)) == [In(x, y)]
-
-
-def test_nnf_pushes_negations_to_atoms():
-    f = Not(And((In(x, y), Or((Eq(x, y), In(y, z))))))
-    g = nnf(f)
-
-    def no_negated_compound(h):
-        if isinstance(h, Not):
-            assert is_atom(h.body)
-        elif isinstance(h, (And, Or)):
-            for p in h.parts:
-                no_negated_compound(p)
-
-    no_negated_compound(g)
-    assert nnf(Not(Not(In(x, y)))) == In(x, y)
 
 
 def test_free_vars_first_occurrence_order():

@@ -1,5 +1,7 @@
 """Congruence closure for cons/car/cdr terms and the atom predicate, through the plugin API."""
 
+import random
+
 import pytest
 
 from setsyl.errors import UnsupportedAtomError
@@ -171,3 +173,88 @@ def test_implied_via_projection():
 def test_implied_ignores_unknown_names():
     s = state(Eq(x, y))
     assert s.implied_equalities(["x", "q", "y"]) == [["x", "y"]]
+
+
+# ------------------------------------------------------ reference closure
+
+
+class _ThreePassListTheory(ListTheory):
+    """Reference: the closure as first written, three passes a round:
+    congruence by signature, then injectivity and projection around one
+    cons node per class."""
+
+    def _close(self) -> None:
+        changed = True
+        while changed:
+            changed = False
+            n = len(self.parent)
+            sig = {}
+            for i in range(n):
+                if self.node_op[i] is None:
+                    continue
+                s = (self.node_op[i],) + tuple(self.find(a) for a in self.node_args[i])
+                j = sig.get(s)
+                if j is None:
+                    sig[s] = i
+                elif self._union(i, j):
+                    changed = True
+            cons_of = {}
+            for i in range(n):
+                if self.node_op[i] != "cons":
+                    continue
+                r = self.find(i)
+                other = cons_of.get(r)
+                if other is None:
+                    cons_of[r] = i
+                else:
+                    for a, b in zip(self.node_args[i], self.node_args[other]):
+                        if self._union(a, b):
+                            changed = True
+            for i in range(n):
+                if self.node_op[i] in ("car", "cdr"):
+                    cell = cons_of.get(self.find(self.node_args[i][0]))
+                    if cell is not None:
+                        pick = 0 if self.node_op[i] == "car" else 1
+                        if self._union(i, self.node_args[cell][pick]):
+                            changed = True
+        self._judge()
+
+
+_LIST_NAMES = ("a", "b", "c")
+
+
+def _random_list_term(rng, depth):
+    if depth == 0 or rng.random() < 0.4:
+        return Var(rng.choice(_LIST_NAMES))
+    roll = rng.random()
+    if roll < 0.4:
+        return cons(_random_list_term(rng, depth - 1), _random_list_term(rng, depth - 1))
+    return (car if roll < 0.7 else cdr)(_random_list_term(rng, depth - 1))
+
+
+def _random_list_literal(rng):
+    if rng.random() < 0.2:
+        atom = AtomPred(_random_list_term(rng, 2))
+    else:
+        atom = Eq(_random_list_term(rng, 3), _random_list_term(rng, 3))
+    return Not(atom) if rng.random() < 0.4 else atom
+
+
+def test_one_signature_table_closes_as_the_three_passes_did():
+    rng = random.Random(3502)
+    sat = 0
+    reasons = set()
+    for _ in range(20000):
+        lits = [_random_list_literal(rng) for _ in range(rng.randint(1, 8))]
+        got, want = ListTheory(), _ThreePassListTheory()
+        assert got.assert_literals(lits) == want.assert_literals(lits), lits
+        assert got.unsat_reason == want.unsat_reason, lits
+        # the same classes, each rooted at its least node
+        assert [got.find(i) for i in range(len(got.parent))] == [
+            want.find(i) for i in range(len(want.parent))
+        ], lits
+        assert got.implied_equalities(_LIST_NAMES) == want.implied_equalities(_LIST_NAMES)
+        assert list(got.model_fragment().items()) == list(want.model_fragment().items())
+        sat += got.unsat_reason is None
+        reasons.add(got.unsat_reason)
+    assert 5000 < sat < 15000 and len(reasons) == 3

@@ -9,6 +9,7 @@ form equals normalize's, so the plan belongs to exactly that form."""
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -54,6 +55,7 @@ from setsyl.normalize import (
 )
 from setsyl.oracle import bounded_models, eval_formula, eval_term, oracle_sat
 from setsyl.solver import solve
+from test_oracle import nnf
 
 x, y, z, w = Var("x"), Var("y"), Var("z"), Var("w")
 
@@ -226,6 +228,59 @@ def test_dnf_split_rejects_extension_atoms():
 def test_split_disjuncts_is_theory_agnostic():
     f = or_(Eq(x, ExtOp("pow", (y,))), In(x, y))
     assert len(list(split_disjuncts(f))) == 2
+
+
+def test_split_disjuncts_applies_de_morgan_and_double_negation():
+    a, b, c = In(x, y), Eq(x, y), In(y, z)
+    # not (a and (b or c)) is (not a) or (not b and not c)
+    assert list(split_disjuncts(Not(And((a, Or((b, c))))))) == [[Not(a)], [Not(b), Not(c)]]
+    # not (a or b) is one conjunction; not (a and b) is two disjuncts
+    assert list(split_disjuncts(Not(Or((a, b))))) == [[Not(a), Not(b)]]
+    assert list(split_disjuncts(Not(And((a, b))))) == [[Not(a)], [Not(b)]]
+    assert list(split_disjuncts(Not(Not(a)))) == [[a]]
+    assert list(split_disjuncts(Not(Not(Not(a))))) == [[Not(a)]]
+    # a literal met twice, once through a double negation, is kept once
+    assert list(split_disjuncts(And((a, Not(Not(a)), Not(b))))) == [[a, Not(b)]]
+
+
+def _reference_disjuncts(h):
+    """Reference: the split as first written, a walk over nnf(f)."""
+    if is_literal(h):
+        yield [h]
+    elif isinstance(h, Or):
+        for p in h.parts:
+            yield from _reference_disjuncts(p)
+    else:
+        for picked in product(*(list(_reference_disjuncts(p)) for p in h.parts)):
+            yield list(dict.fromkeys(lit for ls in picked for lit in ls))
+
+
+_SMALL_ATOMS = (In(x, y), In(y, x), Eq(x, y), Subset(x, z), AtomPred(x), Leq(y, z))
+
+
+def _random_nested(rng, depth):
+    """A formula over a few atoms, so that literals repeat, with every
+    connective at every depth; half the negations use up no depth, so
+    negations stack."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(_SMALL_ATOMS)
+    roll = rng.random()
+    if roll < 0.3:
+        return Not(_random_nested(rng, depth - (rng.random() < 0.5)))
+    parts = tuple(_random_nested(rng, depth - 1) for _ in range(rng.randint(1, 3)))
+    return And(parts) if roll < 0.65 else Or(parts)
+
+
+def test_split_disjuncts_matches_the_nnf_walk():
+    rng = random.Random(3501)
+    many = negated = 0
+    for _ in range(10000):
+        f = _random_nested(rng, 4)
+        got = list(split_disjuncts(f))
+        assert got == list(_reference_disjuncts(nnf(f))), f
+        many += len(got) > 1
+        negated += any(type(lit) is Not for branch in got for lit in branch)
+    assert 3000 < many < 9000 and 3000 < negated < 9000
 
 
 def test_split_is_lazy():

@@ -25,7 +25,7 @@ from setsyl.formulas import (
     and_,
     conjuncts,
     free_vars,
-    nnf,
+    is_atom,
     or_,
 )
 from setsyl.hf import enumerate_universe, hf, is_subset, to_strings
@@ -167,6 +167,29 @@ def _random_formula(rng, names, depth):
         return Not(_random_formula(rng, names, depth - 1))
     parts = tuple(_random_formula(rng, names, depth - 1) for _ in range(rng.randint(2, 3)))
     return rng.choice((And, Or))(parts)
+
+
+def nnf(f):
+    """Reference: negation normal form, negations directly on atoms, as the
+    formulas module once built it for the disjunction split."""
+    if is_atom(f):
+        return f
+    if isinstance(f, Not):
+        body = f.body
+        if is_atom(body):
+            return f
+        if isinstance(body, Not):
+            return nnf(body.body)
+        if isinstance(body, And):
+            return Or(tuple(nnf(Not(p)) for p in body.parts))
+        if isinstance(body, Or):
+            return And(tuple(nnf(Not(p)) for p in body.parts))
+        raise TypeError(f"not a formula: {body!r}")
+    if isinstance(f, And):
+        return And(tuple(nnf(p) for p in f.parts))
+    if isinstance(f, Or):
+        return Or(tuple(nnf(p) for p in f.parts))
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def _reference_schedule(f):

@@ -104,6 +104,37 @@ def test_difference_rules_force_what_every_completion_agrees_on():
         assert set(entry) == agreed
 
 
+def _hand_written_rules():
+    """Reference: the unit rules of x <-> y & ~z as first written, five
+    rules, each entry's forced pairs in the order the rules name them."""
+    table = []
+    for known in product((0, 1, 2), repeat=3):
+        x, y, z = known
+        need = []
+        if y == 0 or z == 1:
+            need.append((0, 0))
+        if y == 1 and z == 0:
+            need.append((0, 1))
+        if x == 1:
+            need += [(1, 1), (2, 0)]
+        if x == 0 and y == 1:
+            need.append((2, 1))
+        if x == 0 and z == 0:
+            need.append((1, 0))
+        if any(known[s] != 2 and known[s] != c for s, c in need):
+            table.append(None)
+        else:
+            table.append(tuple(dict.fromkeys((s, c) for s, c in need if known[s] == 2)))
+    return tuple(table)
+
+
+def test_derived_difference_rules_equal_the_hand_written_ones():
+    # entry for entry, and each entry's pairs in the same order, so the
+    # engine sets the same slots in the same order as before
+    assert _FORCES == _hand_written_rules()
+    assert sum(entry is None for entry in _FORCES) == 6
+
+
 def _enumerate_places_by_testing(nc, budget):
     """Reference: branch on every variable in vars order, False first, and
     check each difference once its last variable is set."""

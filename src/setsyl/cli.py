@@ -209,19 +209,20 @@ def cmd_normalize(args) -> int:
         count += 1
     ncs = map(normalize, branches())
     if args.json:
-        doc = {
-            "command": "normalize",
-            "disjuncts": [
-                {
-                    "vars": list(nc.vars),
-                    "memberships": [list(m) for m in nc.memberships],
-                    "differences": [list(d) for d in nc.differences],
-                    "disequalities": [list(q) for q in nc.disequalities],
-                }
-                for nc in ncs
-            ],
-        }
-        _emit(doc, True, ())
+        # the bytes of json.dumps(doc, indent=2, sort_keys=True) for
+        # {"command": "normalize", "disjuncts": [...]}, one disjunct at a time
+        write = sys.stdout.write
+        write('{\n  "command": "normalize",\n  "disjuncts": [')
+        for i, nc in enumerate(ncs):
+            disjunct = {
+                "vars": list(nc.vars),
+                "memberships": [list(m) for m in nc.memberships],
+                "differences": [list(d) for d in nc.differences],
+                "disequalities": [list(q) for q in nc.disequalities],
+            }
+            text = json.dumps(disjunct, indent=2, sort_keys=True)
+            write((",\n    " if i else "\n    ") + text.replace("\n", "\n    "))
+        write("\n  ]\n}\n" if count else "]\n}\n")
         return 0
     for i, nc in enumerate(ncs):
         if count > 1:

@@ -33,11 +33,11 @@ equality:
   elimination only ever sees inequalities over the unsolved variables;
 - each elimination stage keeps one row per direction, the tightest, where
   a direction is a coefficient vector divided by its gcd;
-- implied equalities are grouped by value at one sample point of the
-  rows, since a point that separates two variables refutes their
-  equality, and a variable is probed only against the class heads of its
-  value, since implied equality is transitive: fewer probes than
-  variables.
+- implied equalities are grouped as the set solver groups them: a
+  variable is probed only against the one class head that its value at
+  one sample point, and each separating point a probe kept, leave
+  possible, since a solution that separates two variables refutes their
+  equality: fewer probes than variables.
 
 The theory is stably infinite (any satisfiable constraint set has solutions
 in the infinite rationals), which is what the equality-propagating
@@ -68,6 +68,7 @@ from .formulas import (
     is_literal,
     literal_atom,
 )
+from .normalize import _group
 
 _ZERO = Fraction(0)
 
@@ -239,14 +240,6 @@ def _back_substitute(stages: List[List[Row]], order: Sequence[str]) -> Dict[str,
     return val
 
 
-def _sample_ineqs(
-    ineqs: List[Row], order: Sequence[str], meter: Budget
-) -> Optional[Dict[str, Fraction]]:
-    """A solution of an inequality system, or None when there is none."""
-    stages = _eliminate(ineqs, order, meter)
-    return None if stages is None else _back_substitute(stages, order)
-
-
 # A solved equality "a*v + sum c*x + k = 0", as (v, a, c, k), in integers.
 Definition = Tuple[str, int, Dict[str, int], int]
 
@@ -299,7 +292,8 @@ class LraTheory:
     fresh theory holds the empty system.  Elimination and entailment probes
     spend steps from budget, one meter for every assertion.  The sample of
     the rewritten inequalities is computed at most once per assertion and
-    shared by `implied_equalities` and `model_fragment`.
+    shared by `implied_equalities` and `model_fragment`; `_separation`
+    gives every other point.
     """
 
     name = "lra"
@@ -368,12 +362,33 @@ class LraTheory:
             return True
         self._budget.spend("probing arithmetic equalities")
         c, k = _substitute(target[0], target[1], self.defs)
-        if not c:
-            return k == 0
-        base, order, meter = self.stages[0], self.order, self._budget
-        pos = base + [({v: -a for v, a in c.items()}, -k, LT)]
-        neg = base + [(c, k, LT)]
-        return _eliminate(pos, order, meter) is None and _eliminate(neg, order, meter) is None
+        return k == 0 if not c else self._separation(c, k) is None
+
+    def _separation(self, c: Dict[str, int], k: int) -> Optional[List[List[Row]]]:
+        """The elimination of the rewritten rows plus "c.x + k < 0", or else
+        "c.x + k > 0", over the unsolved variables; None when the rows put
+        c.x + k at zero.  The rows must be feasible."""
+        for sign in (1, -1):
+            strict = ({v: sign * a for v, a in c.items()}, sign * k, LT)
+            stages = _eliminate(self.stages[0] + [strict], self.order, self._budget)
+            if stages is not None:
+                return stages
+        return None
+
+    def _split(self, h: str, v: str) -> Optional[frozenset]:
+        """None when the rows force h = v, else the variables that share v's
+        value at one solution of the rows off h = v.  A probe is one step,
+        as in `entails_zero`; a ground h - v is implied, since `_group`
+        compares only variables of one sample value."""
+        if self.stages is None:
+            return None
+        self._budget.spend("probing arithmetic equalities")
+        c, k = _substitute({h: 1, v: -1}, 0, self.defs)
+        stages = self._separation(c, k) if c else None
+        if stages is None:
+            return None
+        point = self.extend(_back_substitute(stages, self.order))
+        return frozenset(n for n, x in point.items() if x == point[v])
 
     def _point(self) -> Dict[str, Fraction]:
         """The sample point of the rewritten inequalities; the rows must be feasible."""
@@ -393,30 +408,16 @@ class LraTheory:
         or more: members in shared order, classes by first member.
 
         A pair is implied exactly when both strict separations are
-        infeasible.  The variables are grouped by their value at one sample
-        point of the rows: the point satisfies the rows, so a pair it
-        separates is not implied.  Implied equality is transitive, so a
-        variable is probed only against the head of each class of its
-        value.  When the rows are infeasible every variable's value is
+        infeasible.  `_group` groups the variables by their value at the
+        sample point and at `_split`'s points, all solutions of the rows,
+        which give every implied pair one value: fewer probes than
+        variables.  When the rows are infeasible every variable's value is
         None, every probe says implied, and all variables form one class.
         Only variables that actually occur are considered.
         """
-        if self.stages is None:
-            point = dict.fromkeys(self.vars())
-        else:
-            point = self.extend(self._point())
-        by_value: Dict[Optional[Fraction], List[List[str]]] = {}
-        classes: List[List[str]] = []
-        for v in (v for v in shared if v in point):
-            group = by_value.setdefault(point[v], [])
-            for c in group:
-                if self.entails_zero(({c[0]: 1, v: -1}, 0, EQ)):
-                    c.append(v)
-                    break
-            else:
-                group.append([v])
-                classes.append(group[-1])
-        return [c for c in classes if len(c) > 1]
+        point = dict.fromkeys(self.vars()) if self.stages is None else self.extend(self._point())
+        names = [v for v in dict.fromkeys(shared) if v in point]
+        return [c for c in _group(names, self._split, point.__getitem__) if len(c) > 1]
 
     def model_fragment(self) -> Dict[str, Fraction]:
         """One exact solution of the system, rows first, then hyperplane repair.
@@ -442,14 +443,10 @@ class LraTheory:
             if _value(c, k, val) != 0:
                 cleared.append((c, k))
                 continue
-            target: Optional[Dict[str, Fraction]] = None
-            for sign in (1, -1):
-                strict = ({v: sign * a for v, a in c.items()}, sign * k, LT)
-                target = _sample_ineqs(self.stages[0] + [strict], order, self._budget)
-                if target is not None:
-                    break
-            if target is None:
+            stages = self._separation(c, k)
+            if stages is None:
                 raise InvariantViolation("sampling an unsatisfiable arithmetic system")
+            target = _back_substitute(stages, order)
             cleared.append((c, k))
             for step in range(1, len(cleared) + 2):
                 t = Fraction(1, step)

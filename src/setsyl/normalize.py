@@ -39,7 +39,7 @@ variables mints nothing: the solver decides it from the other literals
 from __future__ import annotations
 
 from itertools import chain
-from typing import Any, Callable, Iterable, Iterator, List, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import UnsupportedAtomError
 from .formulas import (
@@ -219,6 +219,41 @@ def first_sat(branches: Iterable[List[Formula]], decide: Callable[[List[Formula]
         if res.is_sat:
             break
     return res
+
+
+def _group(names: Iterable[str], split: Callable, key: Optional[Callable] = None) -> List[List[str]]:
+    """names grouped into the classes split cannot tell apart, by first member.
+
+    split(h, v) is None when h and v are in one class, and otherwise a set
+    of names that one model tells apart from the others: it holds exactly
+    one of h and v, and each class lies wholly inside or outside it.  Two
+    names of one class also have one key.  Every set split returns is
+    kept, and a name is compared only with the class head of its key that
+    the same kept sets hold, since a kept set tells apart every two names
+    it holds exactly one of.  A comparison either settles the name or
+    keeps one more set, after which no head matches the name, so there are
+    fewer comparisons than names.  The set solver's sets are places; the
+    arithmetic plugin's are the names that share a value at one point.
+    """
+    kept: List[frozenset] = []
+    # (key, signature) -> the class of that head, in class order; bit j of
+    # a signature: kept[j] holds the name
+    heads: Dict[Tuple[object, int], List[str]] = {}
+    for v in names:
+        k = key(v) if key else None
+        sig = sum(1 << j for j, p in enumerate(kept) if v in p) if kept else 0
+        group = heads.get((k, sig))
+        if group is not None:
+            p = split(group[0], v)
+            if p is None:
+                group.append(v)
+                continue
+            bit = 1 << len(kept)
+            kept.append(p)
+            heads = {(hk, hs | bit if g[0] in p else hs): g for (hk, hs), g in heads.items()}
+            sig |= bit if v in p else 0
+        heads[k, sig] = [v]
+    return list(heads.values())
 
 
 def _is_set_term(t: Term) -> bool:

@@ -324,11 +324,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations, compress, product
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from .errors import DEFAULT_BUDGET, Budget, InvariantViolation
 from .hf import HFSet, hf, nested_singleton, set_diff
-from .normalize import NormalizedConjunction
+from .normalize import NormalizedConjunction, _group
 
 # The rank of a tag's largest member is rounded up to a multiple of this, so
 # that conjunctions with nearby variable counts share one interned tag family.
@@ -507,39 +507,6 @@ class _Engine:
         """The first place holding exactly one of u and w, or None.  Query
         (iii) of layer 2."""
         return min(self.splits(u, w), key=self.order, default=None)
-
-
-def _group(names: Iterable[str], split: Callable, key: Optional[Callable] = None) -> List[List[str]]:
-    """names grouped into the classes split cannot tell apart, by first member.
-
-    split(h, v) is a place holding exactly one of h and v, or None when h
-    and v are in one class; two names of one class have one key.  Every
-    place split returns is kept, and a name is compared only with the
-    class head of its key that the same kept places hold, since a kept
-    place tells apart every two names it holds exactly one of.  A
-    comparison either settles the name or keeps one more place, after
-    which no head matches the name, so there are fewer comparisons than
-    names.
-    """
-    kept: List[frozenset] = []
-    # (key, signature) -> the class of that head, in class order; bit j of
-    # a signature: kept[j] holds the name
-    heads: Dict[Tuple[object, int], List[str]] = {}
-    for v in names:
-        k = key(v) if key else None
-        sig = sum(1 << j for j, p in enumerate(kept) if v in p) if kept else 0
-        group = heads.get((k, sig))
-        if group is not None:
-            p = split(group[0], v)
-            if p is None:
-                group.append(v)
-                continue
-            bit = 1 << len(kept)
-            kept.append(p)
-            heads = {(hk, hs | bit if g[0] in p else hs): g for (hk, hs), g in heads.items()}
-            sig |= bit if v in p else 0
-        heads[k, sig] = [v]
-    return list(heads.values())
 
 
 def _components(nc: NormalizedConjunction) -> List[NormalizedConjunction]:

@@ -15,6 +15,7 @@ from setsyl.cli import main
 from setsyl.errors import InvariantViolation
 from setsyl.formulas import EMPTY, Eq, Var, and_
 from setsyl.hf import parse_braces, to_strings
+from setsyl.normalize import dnf_split, normalize
 from setsyl.oracle import eval_formula, nonconvexity_schema, oracle_implies
 from setsyl.sexpr import parse_script
 
@@ -272,17 +273,62 @@ def _peak_rss_kb(*args):
     return int(code), int(kb)
 
 
-def test_normalize_text_output_holds_no_disjunct(tmp_path):
-    # k two-way clauses have 2**k disjuncts.  Text output prints each as it
-    # is normalized, so sixteen times as many add almost no memory, where
-    # keeping the 2**12 disjuncts for printing would take about 25 MB.
+def _normalize_growth_kb(tmp_path, *flags):
+    """The peak resident set that `setsyl normalize` adds, in KB, going
+    from 2**8 to 2**12 disjuncts: k two-way clauses have 2**k."""
     peak = {}
     for k in (8, 12):
         path = tmp_path / f"wide{k}.syl"
         path.write_text("".join(f"(assert (or (in a{i} b{i}) (subset a{i} c{i})))\n" for i in range(k)))
-        code, peak[k] = _peak_rss_kb("normalize", str(path))
+        code, peak[k] = _peak_rss_kb("normalize", str(path), *flags)
         assert code == 0
-    assert peak[12] - peak[8] < 5 * 1024
+    return peak[12] - peak[8]
+
+
+def test_normalize_text_output_holds_no_disjunct(tmp_path):
+    # Text output prints each disjunct as it is normalized, so sixteen times
+    # as many add almost no memory, where keeping the 2**12 disjuncts for
+    # printing would take about 25 MB.
+    assert _normalize_growth_kb(tmp_path) < 5 * 1024
+
+
+def test_normalize_json_output_holds_no_disjunct(tmp_path):
+    # So does --json, which writes its document one disjunct at a time.
+    assert _normalize_growth_kb(tmp_path, "--json") < 5 * 1024
+
+
+def _normalize_doc(path):
+    """The document `setsyl normalize --json` prints, built whole."""
+    with open(path) as fh:
+        asserts = parse_script(fh.read()).asserts
+    branches = dnf_split(and_(*asserts)) if asserts else [[]]
+    disjuncts = [
+        {
+            "vars": list(nc.vars),
+            "memberships": [list(m) for m in nc.memberships],
+            "differences": [list(d) for d in nc.differences],
+            "disequalities": [list(q) for q in nc.disequalities],
+        }
+        for nc in map(normalize, branches)
+    ]
+    return {"command": "normalize", "disjuncts": disjuncts}
+
+
+@pytest.mark.parametrize("text", [None, "; no assert\n", "(assert (or (in x y) (subset y x)))\n"],
+                         ids=["normal_forms", "no_assert", "two_disjuncts"])
+def test_normalize_json_streams_the_bytes_of_one_dump(tmp_path, capsys, text):
+    path = os.path.join(FIXTURES, "normal_forms.syl") if text is None else script(tmp_path, text)
+    code, out, err = run(capsys, "normalize", path, "--json")
+    assert (code, err) == (0, "")
+    assert out == json.dumps(_normalize_doc(path), indent=2, sort_keys=True) + "\n"
+
+
+def test_normalize_json_prints_no_disjunct_as_an_empty_list(tmp_path, capsys, monkeypatch):
+    # Every script has a disjunct, so this replaces the split to reach the case.
+    monkeypatch.setattr(cli, "dnf_split", lambda f: iter(()))
+    code, out, _ = run(capsys, "normalize", script(tmp_path, "(assert (in x y))\n"), "--json")
+    assert code == 0
+    assert out == json.dumps({"command": "normalize", "disjuncts": []}, indent=2, sort_keys=True) + "\n"
 
 
 def test_normalize_script_without_asserts_prints_nothing(tmp_path, capsys):

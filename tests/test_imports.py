@@ -1,7 +1,7 @@
 """Every name a package module imports is used in that module, the
 package's attribute of each module's name is that module, importing
-the package loads none of them, and the solver and the combination load
-no oracle."""
+the package loads none of them, the solver and the combination load no
+oracle, and the arithmetic plugin loads no set solver."""
 
 import ast
 import importlib
@@ -87,3 +87,15 @@ def test_the_decision_procedure_loads_no_oracle(name):
         env={**os.environ, "PYTHONPATH": str(SRC.parent)},
     ).stdout
     assert out == "False\n"
+
+
+def test_the_arithmetic_plugin_loads_no_set_solver():
+    # lra groups its classes with the routine the set solver uses, which
+    # lives beside the normal form, so the plugin stays free of the set
+    # solver and of its hereditarily finite sets.
+    probe = "import sys, setsyl.lra\nprint(sorted({'setsyl.solver', 'setsyl.hf'} & set(sys.modules)))\n"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    ).stdout
+    assert out == "[]\n"

@@ -1,6 +1,7 @@
 """Exact rational arithmetic over weak inequalities and disequalities."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from setsyl.combine import MlsTheory, propagate, purify
 from setsyl.errors import Budget, InvariantViolation, NonlinearTermError, UnsupportedAtomError
 from setsyl.formulas import (
     ArithOp,
@@ -24,6 +26,8 @@ from setsyl.formulas import (
 )
 from setsyl.lists import ListTheory
 from setsyl.lra import LE, LT, EQ, LraTheory
+from setsyl.normalize import _group
+from test_combine import _mixed_draw
 from test_solver import in_classes
 
 x, y, z = Var("x"), Var("y"), Var("z")
@@ -171,21 +175,50 @@ def test_infeasible_rows_imply_one_class():
     assert s.implied_equalities(["z", "q", "y", "x"]) == [["z", "y", "x"]]
 
 
-def test_classes_probe_each_variable_against_heads_only(monkeypatch):
+PROBES = "probing arithmetic equalities"
+
+
+class _LayerMeter(Budget):
+    """An unlimited meter that counts the steps charged to each layer."""
+
+    __slots__ = ("steps",)
+
+    def __init__(self) -> None:
+        super().__init__(None)
+        self.steps: Counter = Counter()
+
+    def spend(self, layer: str, steps: int = 1) -> None:
+        self.steps[layer] += steps
+        super().spend(layer, steps)
+
+
+def _probes(names, *lits):
+    """implied_equalities' classes over names, and the probes it charged."""
+    meter = _LayerMeter()
+    s = LraTheory(meter)
+    s.assert_literals(lits)
+    before = meter.steps[PROBES]
+    classes = s.implied_equalities(names)
+    return classes, meter.steps[PROBES] - before
+
+
+def test_classes_probe_each_variable_against_heads_only():
     # x0 <= x1 <= ... <= x11 <= x0 makes all twelve one class; each
     # variable after the first is probed once, against the head.
     names = [f"x{i}" for i in range(12)]
-    s = state(*(Leq(Var(a), Var(b)) for a, b in zip(names, names[1:] + names[:1])))
-    probes = []
-    entails_zero = LraTheory.entails_zero
+    cycle = [Leq(Var(a), Var(b)) for a, b in zip(names, names[1:] + names[:1])]
+    assert _probes(names, *cycle) == ([names], 11)
 
-    def counting(theory, target):
-        probes.append(target)
-        return entails_zero(theory, target)
 
-    monkeypatch.setattr(LraTheory, "entails_zero", counting)
-    assert s.implied_equalities(names) == [names]
-    assert len(probes) <= 11
+def test_unrelated_variables_take_fewer_probes_than_variables():
+    # 0 <= xi alone implies no pair, and puts every xi at 1 at the sample
+    # point.  Probing each variable against every class head of its value
+    # took 40 * 39 / 2 = 780 probes; a failed probe keeps the point that
+    # separated its pair, so no head matches the variable again.
+    names = [f"x{i}" for i in range(40)]
+    classes, probes = _probes(names, *(Leq(rc(0), Var(v)) for v in names))
+    assert classes == []
+    assert probes <= len(names) - 1
 
 
 # ----------------------------------------------------------------- sample
@@ -554,15 +587,26 @@ class _ReferenceLra:
             return True
         self._budget.spend("probing arithmetic equalities")
         c, k = _reference_substitute(target[0], target[1], self.defs)
-        if not c:
-            return k == 0
-        base, order, meter = self.stages[0], self.order, self._budget
-        pos = base + [({v: -a for v, a in c.items()}, -k, LT)]
-        neg = base + [(c, k, LT)]
-        return (
-            _reference_eliminate(pos, order, meter) is None
-            and _reference_eliminate(neg, order, meter) is None
-        )
+        return k == 0 if not c else self._separation(c, k) is None
+
+    def _separation(self, c, k):
+        for sign in (1, -1):
+            strict = ({v: sign * a for v, a in c.items()}, sign * k, LT)
+            stages = _reference_eliminate(self.stages[0] + [strict], self.order, self._budget)
+            if stages is not None:
+                return stages
+        return None
+
+    def _split(self, h, v):
+        if self.stages is None:
+            return None
+        self._budget.spend("probing arithmetic equalities")
+        c, k = _reference_substitute({h: Fraction(1), v: Fraction(-1)}, _ZERO, self.defs)
+        stages = self._separation(c, k) if c else None
+        if stages is None:
+            return None
+        point = self.extend(_reference_back_substitute(stages, self.order))
+        return frozenset(n for n, x in point.items() if x == point[v])
 
     def extend(self, val):
         full = dict(val)
@@ -575,18 +619,8 @@ class _ReferenceLra:
             point = dict.fromkeys(self.vars())
         else:
             point = self.extend(_reference_back_substitute(self.stages, self.order))
-        by_value: Dict[Optional[Fraction], List[List[str]]] = {}
-        classes = []
-        for v in (v for v in shared if v in point):
-            group = by_value.setdefault(point[v], [])
-            for c in group:
-                if self.entails_zero(({c[0]: Fraction(1), v: Fraction(-1)}, _ZERO, EQ)):
-                    c.append(v)
-                    break
-            else:
-                group.append([v])
-                classes.append(group[-1])
-        return [c for c in classes if len(c) > 1]
+        names = [v for v in dict.fromkeys(shared) if v in point]
+        return [c for c in _group(names, self._split, point.__getitem__) if len(c) > 1]
 
     def model_fragment(self) -> Dict[str, Fraction]:
         if self.stages is None:
@@ -599,15 +633,10 @@ class _ReferenceLra:
             if _reference_value(c, k, val) != 0:
                 cleared.append((c, k))
                 continue
-            target = None
-            for sign in (1, -1):
-                strict = ({v: sign * a for v, a in c.items()}, sign * k, LT)
-                stages = _reference_eliminate(self.stages[0] + [strict], order, self._budget)
-                if stages is not None:
-                    target = _reference_back_substitute(stages, order)
-                    break
-            if target is None:
+            stages = self._separation(c, k)
+            if stages is None:
                 raise InvariantViolation("sampling an unsatisfiable arithmetic system")
+            target = _reference_back_substitute(stages, order)
             cleared.append((c, k))
             for step in range(1, len(cleared) + 2):
                 t = Fraction(1, step)
@@ -680,3 +709,59 @@ def test_integer_rows_match_the_fraction_reference():
         assert got == want, lits
         verdicts.add(got[0][0])
     assert verdicts == {True, False}
+
+
+# ------------------------------------------------------- by-value grouping
+
+
+def _by_value_classes(theory: LraTheory, shared) -> List[List[str]]:
+    """implied_equalities as it grouped before it called `_group`: the
+    variables by value at the sample point, each probed with entails_zero
+    against every class head of its value until one is implied, which
+    costs k(k - 1)/2 probes for k unrelated variables of one value."""
+    if theory.stages is None:
+        point = dict.fromkeys(theory.vars())
+    else:
+        point = theory.extend(theory._point())
+    by_value: Dict[Optional[Fraction], List[List[str]]] = {}
+    classes = []
+    for v in (v for v in shared if v in point):
+        group = by_value.setdefault(point[v], [])
+        for c in group:
+            if theory.entails_zero(({c[0]: 1, v: -1}, 0, EQ)):
+                c.append(v)
+                break
+        else:
+            group.append([v])
+            classes.append(group[-1])
+    return [c for c in classes if len(c) > 1]
+
+
+@pytest.mark.parametrize("seed, draws", [(29, 2500), (7, 20000)])
+def test_grouping_matches_the_by_value_loop(seed, draws):
+    rng = random.Random(seed)
+    merged = 0
+    for _ in range(draws):
+        lits = _random_system(rng)
+        s = state(*lits)
+        classes = s.implied_equalities(_NAMES)
+        assert classes == _by_value_classes(s, _NAMES), lits
+        merged += s.stages is not None and classes != []
+    assert merged >= draws // 30
+
+
+def test_grouping_matches_the_by_value_loop_through_propagate():
+    answers = []
+
+    class Checked(LraTheory):
+        def implied_equalities(self, shared):
+            classes = super().implied_equalities(shared)
+            assert classes == _by_value_classes(self, shared)
+            answers.append(classes)
+            return classes
+
+    rng = random.Random(16)
+    for _ in range(300):
+        problem = purify(_mixed_draw(rng, rng.randrange(3, 7)))
+        propagate(problem, [MlsTheory(), Checked(), ListTheory()])
+    assert sum(classes != [] for classes in answers) >= 30

@@ -49,17 +49,10 @@ from .formulas import (
     conjuncts,
     free_vars,
     is_literal,
-    or_,
 )
 from .hf import MAX_RANK_BOUND, HFSet, braces, hf, parse_braces, to_strings
 from .normalize import dnf_split, first_sat, normalize, split_disjuncts
-from .oracle import (
-    bounded_models,
-    eval_formula,
-    nonconvexity_schema,
-    oracle_implies,
-    oracle_sat,
-)
+from .oracle import bounded_models, first_countermodels, nonconvexity_schema, oracle_sat
 from .sexpr import parse_formula, parse_script, print_formula
 from .solver import solve
 
@@ -309,11 +302,12 @@ def cmd_witness(args) -> int:
     opts = dict(script.options)
     eq = Eq(Var(x), Var(y))
     models = {}
+    meter = Budget(DEFAULT_BUDGET)  # both searches
     for key, goal, rel in (("base", eq, "="), ("separating", Not(eq), "!=")):
         if key in opts:
             models[key] = _parse_assignment(opts[key])
             continue
-        res = oracle_sat(and_(nc.to_formula(), goal), rank)
+        res = oracle_sat(and_(nc.to_formula(), goal), rank, meter)
         if not res.is_sat:
             raise UsageError(f"no model with {x} {rel} {y} within rank {rank}")
         models[key] = res.model
@@ -399,15 +393,10 @@ _DEMOS = {
 }
 
 
-def _demo_fixture(theory: str):
-    """The minimal non-convex instance for each extension operator."""
-    kind, text, xbar, k = _DEMOS[theory]
-    return kind, parse_formula(text), xbar, k
-
-
 def cmd_nonconvex(args) -> int:
     rank = _check_rank(args.rank)
-    kind, phi, xbar, k = _demo_fixture(args.theory)
+    kind, text, xbar, k = _DEMOS[args.theory]
+    phi = parse_formula(text)
     if kind == "probe":
         big, pairs = nonconvexity_schema(phi, xbar, k)
         disjuncts = [(f"{a} = {b}", Eq(Var(a), Var(b))) for a, b in pairs]
@@ -416,19 +405,12 @@ def cmd_nonconvex(args) -> int:
         big = phi
         disjuncts = [(print_formula(d), d) for d in (Eq(Var("x"), EMPTY), Eq(Var("y"), EMPTY))]
         noun = "disjunct"
-    implied = oracle_implies(big, or_(*[d for _, d in disjuncts]), rank).implied
-    # A disjunct's countermodel is the first model of big that falsifies it,
-    # so one pass finds them all.
-    counter: Dict[int, dict] = {}
-    for m in bounded_models(big, rank):
-        for i, (_, d) in enumerate(disjuncts):
-            if i not in counter and not eval_formula(d, m):
-                counter[i] = to_strings(m)
-        if len(counter) == len(disjuncts):
-            break
+    meter = Budget(DEFAULT_BUDGET)  # every walk of the demo
+    implied, counter = first_countermodels(big, [d for _, d in disjuncts], rank, meter)
     cases = [
-        {"label": label, "refuted": i in counter, "countermodel": counter.get(i)}
-        for i, (label, _) in enumerate(disjuncts)
+        {"label": label, "refuted": m is not None,
+         "countermodel": None if m is None else to_strings(m)}
+        for (label, _), m in zip(disjuncts, counter)
     ]
 
     pinned = None
@@ -436,7 +418,7 @@ def cmd_nonconvex(args) -> int:
         want = hf([hf(), hf([hf()])])
         seen = 0
         pinned = True
-        for m in bounded_models(phi, rank):
+        for m in bounded_models(phi, rank, meter):
             seen += 1
             if m["xbar"] is not want:
                 pinned = False

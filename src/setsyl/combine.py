@@ -14,11 +14,13 @@ a set of pairs.  Implied equality is an equivalence, so each plugin answers
 with its classes: lists of two or more names, members in `shared` order,
 classes by first member.  A union-find over `shared` keeps the classes
 found so far; each plugin class is merged member by member into its first
-member, a (head, member) pair counts only when it merges two classes, and
-only those merging pairs are asserted back to the plugins.  They form a
-spanning forest of the classes, so at most |shared| - 1 pairs are ever
-asserted and at most |shared| - 1 rounds can merge anything, which is the
-convex case's polynomial bound with no case split.
+member, and a (head, member) pair counts only when it merges two classes.
+The merging pairs form a spanning forest of the classes, so at most
+|shared| - 1 rounds can merge anything, which is the convex case's
+polynomial bound with no case split.  Each plugin hears and tells only
+about the shared variables its own partition mentions: it is given each
+class restricted to them, as the equalities from the class's first such
+member to each other one, at most one fewer than those variables.
 
 Plugins are polled in a caller-chosen order.  The order can change which
 pairs of a class are listed in `propagated` (the first reported pair that
@@ -51,9 +53,9 @@ from .formulas import (
     Var,
     and_,
     free_vars,
+    fresh_names,
     is_literal,
     literal_atom,
-    max_fresh_index,
 )
 from .hf import to_strings
 from .lists import ListTheory
@@ -79,24 +81,22 @@ class TheoryProblem:
 
     `parts` maps each name of THEORIES, which is also its plugin's name, to
     that theory's literals.  `shared` lists variables occurring in at least
-    two partitions, in first-occurrence order.  The purifier's defining
-    equalities sit in their home partitions.
+    two partitions, in first-occurrence order, and `mentions` maps each
+    name of THEORIES to the shared variables its partition mentions, in
+    `shared` order.  The purifier's defining equalities sit in their home
+    partitions.
     """
 
     parts: Mapping[str, Tuple[Formula, ...]]
     shared: Tuple[str, ...]
+    mentions: Mapping[str, Tuple[str, ...]]
 
 
 class _Purifier:
     def __init__(self, taken: Iterable[str]):
-        self._next = max_fresh_index("_p", taken) + 1
+        self.fresh = fresh_names("_p", taken)
         self.memo: Dict[Term, Var] = {}
         self.parts: Dict[str, List[Formula]] = {t: [] for t in THEORIES}
-
-    def _fresh(self) -> Var:
-        v = Var(f"_p{self._next}")
-        self._next += 1
-        return v
 
     def _rebuild(self, t: Term) -> Term:
         if isinstance(t, SetOp):
@@ -113,7 +113,7 @@ class _Purifier:
         got = self.memo.get(flat)
         if got is not None:
             return got
-        v = self._fresh()
+        v = Var(next(self.fresh))
         self.memo[flat] = v
         self.parts[_top_theory(flat)].append(Eq(v, flat))
         return v
@@ -178,9 +178,9 @@ def purify(literals: Sequence[Formula]) -> TheoryProblem:
         for v in occurs[t]:
             counts[v] = counts.get(v, 0) + 1
     # occurs[t] holds parts[t]'s variables in first-occurrence order
-    shared = dict.fromkeys(v for t in THEORIES for v in occurs[t] if counts[v] >= 2)
-
-    return TheoryProblem({t: tuple(pur.parts[t]) for t in THEORIES}, tuple(shared))
+    shared = tuple(dict.fromkeys(v for t in THEORIES for v in occurs[t] if counts[v] >= 2))
+    mentions = {t: tuple(v for v in shared if v in occurs[t]) for t in THEORIES}
+    return TheoryProblem({t: tuple(pur.parts[t]) for t in THEORIES}, shared, mentions)
 
 
 class TheoryPlugin(Protocol):
@@ -253,10 +253,13 @@ def propagate(
 ) -> CombinedResult:
     """Run the equality-exchange loop to a fixpoint.
 
-    Each round asserts every partition together with the merging pairs
-    kept so far, as `Eq` literals, and then polls the plugins for their
-    classes of implied equalities.  Each class [h, *rest] is offered as the
-    pairs (h, b) for b in rest.  A pair whose variables are already in one
+    Each round asserts to each plugin its partition together with the
+    classes found so far, restricted to the shared variables that its
+    partition mentions (`problem.mentions`): for each class, `Eq` literals
+    from the first member it mentions to each other member it mentions.
+    Then it polls each plugin for its classes of implied equalities among
+    those same variables.  Each class [h, *rest] is offered as the pairs
+    (h, b) for b in rest.  A pair whose variables are already in one
     class is dropped; a pair that joins two classes is kept, appended to
     `propagated`, and asserted from the next round on.  The loop ends at
     the first round that merges nothing.  Each counted round merges at
@@ -265,10 +268,15 @@ def propagate(
 
     Keeping only the forest loses nothing against asserting every implied
     pair.  The forest generates the same partition as all the pairs it
-    stands for, so each plugin is given a logically equivalent
-    conjunction.  Every variable of a class with two or more members is in
-    some forest pair, so it is still mentioned, and each plugin reports
-    the same classes.  Verdicts and culprits are therefore the same.
+    stands for, and restricting that partition to a plugin's variables
+    loses nothing either: a model of the partition and the restricted
+    equalities extends to every other variable of a class by the value of
+    a member the plugin mentions (a class it mentions none of takes any
+    one value), since no other literal of the plugin holds such a
+    variable.  So each plugin is given a conjunction equivalent, over its
+    own variables, to its partition and all the pairs, and it reports the
+    same classes among them.  Verdicts and culprits are therefore the
+    same, and no fragment names a variable its partition does not mention.
 
     Offering classes gives the same `propagated` as offering every implied
     pair (x, y) of a plugin, x before y in `shared`, sorted by the position
@@ -302,15 +310,15 @@ def propagate(
         return v
 
     known: List[Tuple[str, str]] = []
+    eqs: Dict[str, List[Formula]] = {p.name: [] for p in plugins}
     rounds = 0
     while True:
-        eq_lits = [Eq(Var(a), Var(b)) for a, b in known]
         for p in plugins:
-            if not p.assert_literals(list(problem.parts[p.name]) + eq_lits):
+            if not p.assert_literals(list(problem.parts[p.name]) + eqs[p.name]):
                 return CombinedResult(None, p.name, tuple(known), rounds, problem)
         merged = False
         for p in plugins:
-            for h, *rest in p.implied_equalities(problem.shared):
+            for h, *rest in p.implied_equalities(problem.mentions[p.name]):
                 for b in rest:
                     ra, rb = find(h), find(b)
                     if ra != rb:
@@ -321,6 +329,13 @@ def propagate(
             frags = {p.name: p.model_fragment() for p in plugins}
             return CombinedResult(frags, None, tuple(known), rounds, problem)
         rounds += 1
+        for p in plugins:
+            # the next round's literals: each class, restricted to the
+            # plugin's names, as the equalities from its first member to
+            # each other member
+            first: Dict[str, str] = {}
+            pairs = [(first.setdefault(find(v), v), v) for v in problem.mentions[p.name]]
+            eqs[p.name] = [Eq(Var(h), Var(v)) for h, v in pairs if h != v]
 
 
 def solve_combined(

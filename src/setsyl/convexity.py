@@ -29,11 +29,11 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .errors import DEFAULT_BUDGET, InvariantViolation, PreconditionError
-from .formulas import max_fresh_index
+from .errors import DEFAULT_BUDGET, Budget, InvariantViolation, PreconditionError
+from .formulas import Eq, Var, fresh_names
 from .hf import HFSet, hf, nested_singleton, set_union
 from .normalize import NormalizedConjunction
-from .oracle import bounded_models
+from .oracle import first_countermodels
 from .sexpr import print_formula
 from .solver import Unsat, _decide, satisfies
 
@@ -74,11 +74,8 @@ def pad_vars(
             missing.setdefault(v)
     if not missing:
         return nc
-    top = max_fresh_index("_g", list(nc.vars) + names)
     mems = list(nc.memberships)
-    for v in missing:
-        top += 1
-        mems.append((v, f"_g{top}"))
+    mems.extend(zip(missing, fresh_names("_g", list(nc.vars) + names)))
     return NormalizedConjunction(mems, nc.differences, nc.disequalities)
 
 
@@ -319,7 +316,7 @@ class EqualitySet:
 def minimize_equalities(
     nc: NormalizedConjunction,
     pairs: Sequence[Tuple[str, str]],
-    budget: Optional[int] = DEFAULT_BUDGET,
+    budget: Union[int, Budget, None] = DEFAULT_BUDGET,
 ):
     """Classify each equality pair and exhibit one simultaneous countermodel.
 
@@ -415,20 +412,6 @@ def _reproducer(nc: NormalizedConjunction, pairs, seed: int, i: int, rank: int) 
     return "\n".join(lines) + "\n"
 
 
-def _bounded_implied(
-    nc: NormalizedConjunction, pairs: Sequence[Tuple[str, str]], rank: int
-) -> Optional[Tuple[Tuple[str, str], ...]]:
-    """One bounded-model pass over nc: None when some model within the rank
-    bound separates every pair (the disjunction of the equalities is not
-    implied), else the pairs that every such model makes equal."""
-    equal = tuple(pairs)
-    for m in bounded_models(nc.to_formula(), rank):
-        if all(m[a] != m[b] for a, b in pairs):
-            return None
-        equal = tuple((a, b) for a, b in equal if m[a] == m[b])
-    return equal
-
-
 def convexity_fuzz(
     vars: int, lits: int, iters: int, seed: int, rank_bound: int
 ) -> FuzzReport:
@@ -436,15 +419,17 @@ def convexity_fuzz(
 
     For each random conjunction whose variable-equality disjunction is
     implied, some single equality must be implied too.  Each checked
-    iteration makes one pass over the conjunction's models within the rank
-    bound, which answers the disjunction and every single equality at once;
-    `implied_disjunctions` counts implications that hold within the bound.
+    iteration makes one `first_countermodels` walk over the conjunction's
+    models within the rank bound, which answers the disjunction and every
+    single equality at once; `implied_disjunctions` counts implications
+    that hold within the bound.
     Because a disjunction can hold at every rank below the bound yet fail
     above it, a candidate is recorded only after an exact confirmation: no
     single equality is implied by the decision procedure, and minimization
-    cannot produce a concrete model separating every pair at once.  A
-    violation record carries a standalone reproducer script.  The report
-    is a pure function of the arguments.
+    cannot produce a concrete model separating every pair at once.  The
+    walk and the confirmation spend one meter of DEFAULT_BUDGET steps per
+    iteration.  A violation record carries a standalone reproducer script.
+    The report is a pure function of the arguments.
     """
     _require(vars >= 1, "fuzz variable count must be at least 1")
     _require(vars <= 4, "fuzz variable count capped at 4 to keep the oracle searches small")
@@ -467,16 +452,19 @@ def convexity_fuzz(
             for i1 in range(len(occurring))
             for i2 in range(i1 + 1, len(occurring))
         )
-        implied = _bounded_implied(nc, pairs, rank_bound)
-        if implied is None:
+        meter = Budget(DEFAULT_BUDGET)  # the walk and the confirmation
+        implied, counter = first_countermodels(
+            nc.to_formula(), [Eq(Var(a), Var(b)) for a, b in pairs], rank_bound, meter
+        )
+        if not implied:
             continue
         implied_count += 1
-        if implied:
+        if None in counter:
             continue
         # No single equality holds within the rank bound, so each pair has a
         # genuine countermodel.  The disjunction premise is still suspect: it
         # may fail only above the bound.  Confirm exactly before recording.
-        model, eqs = minimize_equalities(nc, pairs)
+        model, eqs = minimize_equalities(nc, pairs, meter)
         if eqs.implied_pairs():
             continue
         if (

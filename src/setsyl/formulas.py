@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Iterable, Iterator, Tuple, Union
 
 from .errors import MixedAtomError
@@ -243,8 +244,8 @@ def free_vars(*fs: Formula) -> list:
 def max_fresh_index(prefix: str, names: Iterable[str]) -> int:
     """The largest n with prefix + n (decimal digits) among names, else 0.
 
-    Minters of fresh names such as _g1 or _p1 count on from here, so a
-    minted name never clashes with one the input already uses.
+    fresh_names counts on from here, so a minted name never clashes with
+    one the input already uses.
     """
     top = 0
     for name in names:
@@ -252,6 +253,14 @@ def max_fresh_index(prefix: str, names: Iterable[str]) -> int:
         if name.startswith(prefix) and digits.isascii() and digits.isdigit():
             top = max(top, int(digits))
     return top
+
+
+def fresh_names(prefix: str, taken: Iterable[str]) -> Iterator[str]:
+    """prefix + n for n = t + 1, t + 2, ..., t the max_fresh_index of
+    prefix in taken, which is read once, now.  The only minter of fresh
+    names: normalize's _g, purify's _p, pad_vars' _g and the
+    non-convexity schema's _m."""
+    return (f"{prefix}{n}" for n in count(max_fresh_index(prefix, taken) + 1))
 
 
 def _term_signatures(t: Term, acc: set) -> None:

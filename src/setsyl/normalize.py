@@ -63,8 +63,8 @@ from .formulas import (
     atoms,
     classify_atom,
     free_vars,
+    fresh_names,
     is_atom,
-    max_fresh_index,
 )
 
 
@@ -292,14 +292,10 @@ def dnf_split(f: Formula) -> Iterator[List[Formula]]:
 
 class _Normalizer:
     def __init__(self, taken: Iterable[str]):
-        self.counter = max_fresh_index("_g", taken)
+        self.fresh = fresh_names("_g", taken).__next__
         self.mems: List[Tuple[str, str]] = []
         self.diffs: List[Tuple[str, str, str]] = []
         self.diseqs: List[Tuple[str, str]] = []
-
-    def fresh(self) -> str:
-        self.counter += 1
-        return f"_g{self.counter}"
 
     # -- flattening ---------------------------------------------------
 

@@ -13,12 +13,15 @@ normal form, and the variable order is chosen greedily in one pass over
 the pending conjuncts per depth.  Every search spends one step budget,
 charged per expanded node, and raises ResourceLimitError when it runs
 out; there is no refusal by the size of the assignment space.
+first_countermodels answers a disjunction and each of its disjuncts in one
+walk over one formula's models, on one meter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from itertools import islice
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import (
     DEFAULT_BUDGET,
@@ -45,7 +48,7 @@ from .formulas import (
     and_,
     conjuncts,
     free_vars,
-    max_fresh_index,
+    fresh_names,
 )
 from .hf import (
     HFSet,
@@ -294,21 +297,48 @@ def oracle_implies(
     return oracle_sat(and_(f, Not(g)), rank_bound, budget)
 
 
+def first_countermodels(
+    f: Formula,
+    disjuncts: Sequence[Formula],
+    rank_bound: int,
+    budget: Union[int, Budget, None] = DEFAULT_BUDGET,
+) -> Tuple[bool, List[Optional[Dict[str, HFSet]]]]:
+    """One walk over f's models within the bound for a disjunction and its
+    disjuncts, whose variables must all be f's.
+
+    Returns (implied, counter): implied says whether every model of f
+    satisfies some disjunct, and counter[i] is the first model of f, in
+    bounded_models order, that falsifies disjuncts[i], or None when every
+    model satisfies it.  The walk stops at the first model that falsifies
+    every disjunct, which is then the countermodel of each one still open.
+    So implied, and which counter[i] are None, are what oracle_implies
+    answers for the disjunction and for each disjunct alone.  budget is as
+    for bounded_models.
+    """
+    counter: List[Optional[Dict[str, HFSet]]] = [None] * len(disjuncts)
+    for m in bounded_models(f, rank_bound, budget):
+        falsified = [i for i, d in enumerate(disjuncts) if not eval_formula(d, m)]
+        for i in falsified:
+            if counter[i] is None:
+                counter[i] = m
+        if len(falsified) == len(disjuncts):
+            return False, counter
+    return True, counter
+
+
 def nonconvexity_schema(phi: Formula, xbar: str, k: int):
     """Pad phi with k+1 fresh members of xbar.
 
-    Returns (Phi, pairs) where Phi adds membership probes _m(t+1) ..
-    _m(t+k+1) of xbar to phi, t being the largest n of a name _mn in phi
-    (0 when there is none), and pairs lists the C(k+1, 2) candidate
-    equalities among the probe variables.  If xbar can hold at most k
-    distinct elements, Phi forces the disjunction of the pairs without
-    forcing any single one, which is exactly the shape a non-convex
-    theory produces.
+    Returns (Phi, pairs) where Phi adds to phi membership probes of xbar,
+    k+1 names that fresh_names mints past every _m name of phi, and pairs
+    lists the C(k+1, 2) candidate equalities among the probe variables.
+    If xbar can hold at most k distinct elements, Phi forces the
+    disjunction of the pairs without forcing any single one, which is
+    exactly the shape a non-convex theory produces.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    top = max_fresh_index("_m", free_vars(phi))
-    names = [f"_m{top + i}" for i in range(1, k + 2)]
+    names = list(islice(fresh_names("_m", free_vars(phi)), k + 1))
     probes = [In(Var(nm), Var(xbar)) for nm in names]
     big = and_(*(conjuncts(phi) + probes))
     pairs = [(names[i], names[j]) for i in range(len(names)) for j in range(i + 1, len(names))]

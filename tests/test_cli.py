@@ -11,13 +11,14 @@ import pytest
 from jsonschema import Draft7Validator
 
 import setsyl.cli as cli
+import setsyl.convexity as convexity
 from setsyl.cli import main
-from setsyl.errors import InvariantViolation
+from setsyl.errors import DEFAULT_BUDGET, Budget, InvariantViolation
 from setsyl.formulas import EMPTY, Eq, Var, and_
 from setsyl.hf import parse_braces, to_strings
 from setsyl.normalize import dnf_split, normalize
 from setsyl.oracle import eval_formula, nonconvexity_schema, oracle_implies
-from setsyl.sexpr import parse_script
+from setsyl.sexpr import parse_formula, parse_script
 
 SCHEMA_DIR = os.path.join(os.path.dirname(cli.__file__), "schemas")
 FIXTURES = os.path.join(os.path.dirname(os.path.dirname(__file__)), "fixtures")
@@ -433,7 +434,9 @@ def test_arithmetic_sample_keeps_its_bytes(capsys):
     # equalities solved by substitution and a disequality on the rows'
     # sample, which the repair walk leaves.  The golden file was printed when
     # elimination still ran on Fraction rows, so it pins that integer rows
-    # sample the same point.
+    # sample the same point.  Its list fragment lists w alone: p and q are
+    # shared by the sets and the arithmetic, and the list literals never
+    # mention them.
     code, out, err = run(capsys, "solve", os.path.join(FIXTURES, "planted_mixed.syl"), "--json")
     assert (code, err) == (0, "")
     with open(os.path.join(os.path.dirname(__file__), "golden", "planted_mixed.solve.json")) as fh:
@@ -639,15 +642,18 @@ def test_fuzz_guard_exit_code(tmp_path, capsys):
 def test_fuzz_violation_writes_reproducers(monkeypatch, tmp_path, capsys):
     # Force the violation branch: every checked iteration's disjunction is
     # implied with no single equality, and no model separates the pairs.
-    import setsyl.convexity as convexity
     from setsyl.solver import Unsat
 
     class NoneImplied:
         def implied_pairs(self):
             return ()
 
-    monkeypatch.setattr(convexity, "_bounded_implied", lambda nc, pairs, rank: ())
-    monkeypatch.setattr(convexity, "minimize_equalities", lambda nc, pairs: (Unsat(), NoneImplied()))
+    monkeypatch.setattr(
+        convexity, "first_countermodels", lambda f, eqs, rank, meter: (True, [{} for _ in eqs])
+    )
+    monkeypatch.setattr(
+        convexity, "minimize_equalities", lambda nc, pairs, meter: (Unsat(), NoneImplied())
+    )
     code, out, err = run(
         capsys, "fuzz-convexity", "--vars", "2", "--lits", "2", "--iters", "4", "--seed", "5",
         "--rank", "2", "--trace", str(tmp_path),
@@ -699,7 +705,8 @@ def test_nonconvex_countermodels_match_the_oracle(capsys):
     # One pass over the models of the padded formula must pick, for each
     # disjunct, the countermodel a search for that disjunct alone finds.
     for theory in ("mlss", "mlsp", "mlsu", "mlsx", "mlsox"):
-        kind, phi, xbar, k = cli._demo_fixture(theory)
+        kind, text, xbar, k = cli._DEMOS[theory]
+        phi = parse_formula(text)
         if kind == "probe":
             big, pairs = nonconvexity_schema(phi, xbar, k)
             disjuncts = [Eq(Var(a), Var(b)) for a, b in pairs]
@@ -723,6 +730,35 @@ def test_nonconvex_demo_pins_padding_at_rank_four(capsys):
     assert (code, err) == (0, "")
     doc = json.loads(out)
     assert doc["passed"] is True and doc["pinned_padding"] is True
+
+
+def test_each_oracle_question_charges_one_meter(monkeypatch, tmp_path, capsys):
+    # nonconvex-demo's walks (mlsp's pin walk too) and witness's two
+    # searches spend one Budget per command; fuzz-convexity one per checked
+    # iteration, for its walk and its exact confirmation together.
+    made, confirmed = [], []
+    init, minimize = Budget.__init__, convexity.minimize_equalities
+    monkeypatch.setattr(Budget, "__init__", lambda self, limit: made.append(limit) or init(self, limit))
+    monkeypatch.setattr(
+        convexity, "minimize_equalities", lambda *a: confirmed.append(a) or minimize(*a)
+    )
+    for theory in cli._DEMOS:
+        made.clear()
+        code, out, _ = run(capsys, "nonconvex-demo", "--theory", theory, "--rank", "2")
+        assert (code, out.splitlines()[-1]) == (0, "demo: pass"), theory
+        assert made == [DEFAULT_BUDGET], theory
+    made.clear()
+    f = script(tmp_path, "(assert (in a b))\n(assert (subset b c))\n")
+    code, out, _ = run(capsys, "witness", f, "--eq", "b=c", "--rank", "2")
+    assert code == 0 and "invariant checks" in out
+    assert made == [DEFAULT_BUDGET]
+    made.clear()
+    # one of these iterations is implied at rank 2 with no single equality
+    code, out, _ = run(capsys, "fuzz-convexity", "--json", "--vars", "4", "--lits", "4",
+                       "--iters", "20", "--seed", "0", "--rank", "2")
+    doc = json.loads(out)
+    assert made == [DEFAULT_BUDGET] * doc["checked"]
+    assert len(confirmed) == 1 and isinstance(confirmed[0][2], Budget)
 
 
 def test_nonconvex_demo_requires_theory(capsys):

@@ -1,5 +1,6 @@
 """Purification and equality propagation across the three theories."""
 
+import os
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from setsyl import solver
 from setsyl.combine import (
+    THEORIES,
     ListTheory,
     LraTheory,
     MlsTheory,
@@ -434,8 +436,10 @@ def test_chain_of_forty_asserts_a_spanning_tree():
     assert res.culprit == "list"
     assert len(res.propagated) == 39
     assert _closure(res.propagated) == set(combinations(sorted(problem.shared), 2))
-    # round 0 asserts nothing shared; round 1 every merging pair, once
-    assert [p.eqs for p in plugins] == [[0, 39], [0, 39], [0, 39]]
+    # round 0 asserts nothing shared; round 1 every merging pair, once, to
+    # the sets and the arithmetic, and x0 = x39 alone to the lists, whose
+    # literals mention no other shared name
+    assert [p.eqs for p in plugins] == [[0, 39], [0, 39], [0, 1]]
 
 
 def _reference_propagate(problem, plugins):
@@ -513,9 +517,15 @@ def _pair_propagate(problem, plugins):
     """Reference: the exchange as it ran when plugins answered with pairs.
     Each plugin's implied pairs (x, y), x before y in `shared`, are offered
     sorted by the position of x and then of y, and a pair is kept when it
-    merges two union-find classes."""
+    merges two union-find classes.  Each plugin is told and asked only
+    about the shared names its literals mention: it gets a = b for each
+    such b, in `shared` order, a being the first such name in b's class."""
     pos = {v: i for i, v in enumerate(problem.shared)}
     heads = {v: v for v in problem.shared}
+    own = {
+        name: [v for v in problem.shared if v in free_vars(*lits)]
+        for name, lits in problem.parts.items()
+    }
 
     def find(v):
         while heads[v] != v:
@@ -525,13 +535,18 @@ def _pair_propagate(problem, plugins):
 
     known, rounds = [], 0
     while True:
-        eq_lits = [Eq(Var(a), Var(b)) for a, b in known]
         for p in plugins:
+            names = own[p.name]
+            eq_lits = []
+            for b in names:
+                a = next(a for a in names if find(a) == find(b))
+                if a != b:
+                    eq_lits.append(Eq(Var(a), Var(b)))
             if not p.assert_literals(list(problem.parts[p.name]) + eq_lits):
                 return None, p.name, tuple(known), rounds
         merged = False
         for p in plugins:
-            pairs = (pair for c in p.implied_equalities(problem.shared) for pair in combinations(c, 2))
+            pairs = (pair for c in p.implied_equalities(own[p.name]) for pair in combinations(c, 2))
             for a, b in sorted(pairs, key=lambda pair: (pos[pair[0]], pos[pair[1]])):
                 ra, rb = find(a), find(b)
                 if ra != rb:
@@ -556,6 +571,33 @@ def test_class_offers_match_the_pair_exchange():
         assert (res.fragments, res.culprit, res.propagated, res.rounds) == ref, lits
         merges += len(res.propagated) > 1
     assert merges >= 10
+
+
+def test_each_plugin_hears_and_tells_only_its_own_names():
+    # A plugin decides equalities between the shared names its literals
+    # mention, and its fragment lists no other name: a partition asked
+    # about a name it never sees would print a value the script never
+    # constrains there.
+    rng = random.Random(37)
+    sat = foreign = 0
+    for _ in range(300):
+        problem = purify(_mixed_draw(rng, rng.randrange(3, 7)))
+        names = {t: free_vars(*lits) for t, lits in problem.parts.items()}
+        for t in THEORIES:
+            assert problem.mentions[t] == tuple(v for v in problem.shared if v in names[t])
+        res = propagate(problem, [MlsTheory(), LraTheory(), ListTheory()])
+        if res.is_sat:
+            sat += 1
+            for t, frag in res.fragments.items():
+                assert set(frag) <= set(names[t]), (t, sorted(frag), names[t])
+            foreign += any(v not in names[t] for t in THEORIES for v in problem.shared)
+    assert sat >= 100 and foreign >= 50
+    # x and y are arithmetic and list names; the sets never mention them
+    path = os.path.join(os.path.dirname(__file__), "scripts", "foreign_names.syl")
+    with open(path) as fh:
+        res = solve_combined(parse_script(fh.read()).asserts)
+    assert res.is_sat and res.propagated == (("x", "y"),)
+    assert sorted(res.fragments["mls"]) == ["s", "t"]
 
 
 def _arrangements(names):
@@ -613,7 +655,11 @@ def test_propagate_matches_the_arrangement_reference():
     # Arithmetic never sees x.  Under the arrangement {x, y}, {z} it must
     # get y != z, not x != z, or the reference answers sat.
     sets, rows = (Subset(x, y), Not(Eq(y, z))), (Leq(y, z), Leq(z, y))
-    problem = TheoryProblem({"mls": sets, "lra": rows, "list": ()}, ("x", "y", "z"))
+    problem = TheoryProblem(
+        {"mls": sets, "lra": rows, "list": ()},
+        ("x", "y", "z"),
+        {"mls": ("x", "y", "z"), "lra": ("y", "z"), "list": ()},
+    )
     assert not _arrangement_sat(problem, makers)
     assert not propagate(problem).is_sat
     rng = random.Random(9)
@@ -674,7 +720,10 @@ def test_nonconvex_plugin_makes_propagation_incomplete():
     # 1979).  Guessing arrangements finds the conflict.
     ints = (Leq(rc(1), x), Leq(x, rc(2)), Eq(y, rc(1)), Eq(z, rc(2)))
     sets = (Not(Eq(x, y)), Not(Eq(x, z)))
-    problem = TheoryProblem({"mls": sets, "lra": ints, "list": ()}, ("x", "y", "z"))
+    both = ("x", "y", "z")
+    problem = TheoryProblem(
+        {"mls": sets, "lra": ints, "list": ()}, both, {"mls": both, "lra": both, "list": ()}
+    )
     assert propagate(problem, [MlsTheory(), _SmallInts()]).is_sat
     assert not _arrangement_sat(problem, {"mls": MlsTheory, "lra": _SmallInts})
     # Without the false claim the guard refuses the plugin.

@@ -12,7 +12,6 @@ from setsyl.convexity import (
     FuzzReport,
     FuzzViolation,
     Implied,
-    _bounded_implied,
     check_trace_invariants,
     convexity_fuzz,
     enlarge,
@@ -23,7 +22,7 @@ from setsyl.convexity import (
 )
 from setsyl.errors import Budget, PreconditionError
 from setsyl.formulas import Eq, In, Not, SetOp, Subset, Var, or_
-from setsyl.oracle import oracle_implies
+from setsyl.oracle import bounded_models, eval_formula, first_countermodels, oracle_implies
 from setsyl.hf import braces, hf, parse_braces, to_strings
 from setsyl.normalize import NormalizedConjunction, normalize
 from setsyl import solver
@@ -365,6 +364,9 @@ def test_random_conjunction_is_seed_deterministic():
 
 
 def test_bounded_implied_matches_oracle_implies():
+    # One walk answers the disjunction and each equality as oracle_implies
+    # does, and each countermodel is the first model that falsifies it.
+    refuted = 0
     for rank in (2, 3):
         rng = random.Random(f"bounded-implied/{rank}")
         draws = 0
@@ -375,25 +377,28 @@ def test_bounded_implied_matches_oracle_implies():
             draws += 1
             pairs = [(a, b) for i, a in enumerate(nc.vars) for b in nc.vars[i + 1 :]]
             f = nc.to_formula()
-            implied = _bounded_implied(nc, pairs, rank)
-            disj = or_(*(Eq(Var(a), Var(b)) for a, b in pairs))
-            assert (implied is not None) == oracle_implies(f, disj, rank).implied, nc
-            for a, b in pairs:
-                single = oracle_implies(f, Eq(Var(a), Var(b)), rank).implied
-                assert (implied is not None and (a, b) in implied) == single, (nc, a, b)
+            eqs = [Eq(Var(a), Var(b)) for a, b in pairs]
+            implied, counter = first_countermodels(f, eqs, rank)
+            assert implied == oracle_implies(f, or_(*eqs), rank).implied, nc
+            models = list(bounded_models(f, rank))
+            for eq, m in zip(eqs, counter):
+                assert (m is None) == oracle_implies(f, eq, rank).implied, (nc, eq)
+                assert m == next((m2 for m2 in models if not eval_formula(eq, m2)), None), (nc, eq)
+            refuted += not implied
+    assert refuted >= 10
 
 
 def test_fuzz_run_is_deterministic_and_clean(monkeypatch):
-    passes = []
-    search = convexity.bounded_models
+    walks = []
+    walk = convexity.first_countermodels
 
     def counted(*args, **kwargs):
-        passes.append(args)
-        return search(*args, **kwargs)
+        walks.append(args)
+        return walk(*args, **kwargs)
 
-    monkeypatch.setattr(convexity, "bounded_models", counted)
+    monkeypatch.setattr(convexity, "first_countermodels", counted)
     r1 = convexity_fuzz(vars=3, lits=3, iters=40, seed=7, rank_bound=2)
-    assert len(passes) == r1.checked
+    assert len(walks) == r1.checked
     r2 = convexity_fuzz(vars=3, lits=3, iters=40, seed=7, rank_bound=2)
     assert r1 == r2
     assert r1.checked + r1.skipped == 40
@@ -410,9 +415,10 @@ def test_rank_bounded_disjunction_artifact_is_dismissed():
         differences=[("a", "a", "c"), ("a", "a", "b"), ("d", "b", "c")],
     )
     pairs = [(a, b) for i, a in enumerate(nc.vars) for b in nc.vars[i + 1 :]]
-    disj = or_(*(Eq(Var(a), Var(b)) for a, b in pairs))
-    assert oracle_implies(nc.to_formula(), disj, 3).implied
-    assert _bounded_implied(nc, pairs, 3) == ()
+    eqs = [Eq(Var(a), Var(b)) for a, b in pairs]
+    assert oracle_implies(nc.to_formula(), or_(*eqs), 3).implied
+    implied, counter = first_countermodels(nc.to_formula(), eqs, 3)
+    assert implied and all(m is not None for m in counter)
     model, eqs = minimize_equalities(nc, pairs)
     assert eqs.implied_pairs() == ()
     assert not isinstance(model, Unsat)

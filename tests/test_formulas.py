@@ -24,6 +24,7 @@ from setsyl.formulas import (
     classify_atom,
     conjuncts,
     free_vars,
+    fresh_names,
     is_literal,
     literal_atom,
     max_fresh_index,
@@ -82,6 +83,12 @@ def test_max_fresh_index_reads_only_prefix_and_ascii_digits():
     assert max_fresh_index("_g", ["_g3", "x", "_g12", "_p40", "_g", "_g2a"]) == 12
     assert max_fresh_index("_g", ["_g007", "a_g9", "_g\u0661"]) == 7
     assert max_fresh_index("_p", ["_p0"]) == 0
+    # fresh_names counts on past the largest taken index, read when called
+    taken = ["_g3", "x", "_g12", "_g2a", "_g\u0661"]
+    names = fresh_names("_g", taken)
+    taken.append("_g40")
+    assert [next(names) for _ in range(3)] == ["_g13", "_g14", "_g15"]
+    assert next(fresh_names("_m", [])) == "_m1"
 
 
 def test_classify_atom_tags():

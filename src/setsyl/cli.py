@@ -15,7 +15,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict
 from typing import Dict, List, Optional, Sequence
 
 from .combine import THEORIES, solve_combined
@@ -326,7 +325,7 @@ def cmd_witness(args) -> int:
         "waves": [sorted(w) for w in trace.waves],
         "stages": [to_strings(stage) for stage in trace.stages],
         "result": to_strings(enlarged),
-        "checks": [asdict(c) for c in checks],
+        "checks": [c.asdict() for c in checks],
         "all_pass": all(c.ok for c in checks),
     }
     lines = [
@@ -366,7 +365,7 @@ def cmd_witness(args) -> int:
 def cmd_fuzz(args) -> int:
     rank = _check_rank(args.rank)
     report = convexity_fuzz(args.vars, args.lits, args.iters, args.seed, rank)
-    doc = {"command": "fuzz-convexity", **asdict(report)}
+    doc = {"command": "fuzz-convexity", **report.asdict()}
     lines = [
         f"iterations: {report.iters} (checked {report.checked}, skipped {report.skipped})",
         f"implied disjunctions: {report.implied_disjunctions}",

@@ -30,7 +30,6 @@ not the verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Protocol, Sequence, Tuple, Union
 
 from .errors import DEFAULT_BUDGET, Budget, NonConvexPluginError, UnsupportedAtomError
@@ -48,6 +47,7 @@ from .formulas import (
     ListOp,
     Not,
     RationalConst,
+    Record,
     SetOp,
     Term,
     Var,
@@ -75,8 +75,7 @@ def _top_theory(t: Term) -> Optional[str]:
     return MLS if tag == MLS_EXT else tag
 
 
-@dataclass(frozen=True)
-class TheoryProblem:
+class TheoryProblem(Record):
     """A purified conjunction, split by theory.
 
     `parts` maps each name of THEORIES, which is also its plugin's name, to
@@ -87,9 +86,7 @@ class TheoryProblem:
     partitions.
     """
 
-    parts: Mapping[str, Tuple[Formula, ...]]
-    shared: Tuple[str, ...]
-    mentions: Mapping[str, Tuple[str, ...]]
+    __slots__ = ("parts", "shared", "mentions")
 
 
 class _Purifier:
@@ -231,17 +228,12 @@ def _plugins(names: Sequence[str], budget: Union[int, Budget, None]) -> List[The
     return [make[name]() for name in names]
 
 
-@dataclass(frozen=True)
-class CombinedResult:
+class CombinedResult(Record):
     """The verdict of the combination: culprit names the plugin that
     refuted the last round, and is None exactly when the conjunction is
     satisfiable, in which case fragments holds each plugin's model."""
 
-    fragments: Optional[Mapping[str, Mapping[str, object]]]
-    culprit: Optional[str]
-    propagated: Tuple[Tuple[str, str], ...]
-    rounds: int
-    problem: TheoryProblem
+    __slots__ = ("fragments", "culprit", "propagated", "rounds", "problem")
 
     @property
     def is_sat(self) -> bool:

@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import DEFAULT_BUDGET, Budget, InvariantViolation, PreconditionError
-from .formulas import Eq, Var, fresh_names
+from .formulas import Eq, Record, Var, fresh_names
 from .hf import HFSet, hf, nested_singleton, set_union
 from .normalize import NormalizedConjunction
 from .oracle import first_countermodels
@@ -38,8 +37,7 @@ from .sexpr import print_formula
 from .solver import Unsat, _decide, satisfies
 
 
-@dataclass(frozen=True)
-class EnlargementTrace:
+class EnlargementTrace(Record):
     """Full record of one enlargement run.
 
     waves[k] is the set of variables whose values grow at step k; the last
@@ -48,12 +46,7 @@ class EnlargementTrace:
     stages[stabilized_at] equals every later stage.
     """
 
-    fresh_element: HFSet
-    separator: HFSet
-    direction: str
-    waves: Tuple[frozenset, ...]
-    stages: Tuple[Dict[str, HFSet], ...]
-    stabilized_at: int
+    __slots__ = ("fresh_element", "separator", "direction", "waves", "stages", "stabilized_at")
 
 
 def pad_vars(
@@ -166,12 +159,14 @@ def enlarge(
     return final, trace
 
 
-@dataclass(frozen=True)
-class InvariantCheck:
-    name: str
-    index: Optional[int]
-    ok: bool
-    detail: str = ""
+class InvariantCheck(Record):
+    __slots__ = ("name", "index", "ok", "detail")
+
+    def __init__(self, name: str, index: Optional[int], ok: bool, detail: str = "") -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "detail", detail)
 
 
 def check_trace_invariants(
@@ -289,21 +284,32 @@ def check_trace_invariants(
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Implied:
-    pass
+class Implied(Record):
+    __slots__ = ()
+
+    def __init__(self) -> None:
+        pass
 
 
-@dataclass(frozen=True)
-class Falsifiable:
-    countermodel: Dict[str, HFSet]
+class Falsifiable(Record):
+    __slots__ = ("countermodel",)
+
+    def __init__(self, countermodel: Dict[str, HFSet]) -> None:
+        object.__setattr__(self, "countermodel", countermodel)
 
 
-@dataclass(frozen=True)
-class EqualitySet:
-    equalities: Tuple[Tuple[str, str], ...]
-    classification: Tuple[Union[Implied, Falsifiable], ...]
-    enlargements: int
+class EqualitySet(Record):
+    __slots__ = ("equalities", "classification", "enlargements")
+
+    def __init__(
+        self,
+        equalities: Tuple[Tuple[str, str], ...],
+        classification: Tuple[Union[Implied, Falsifiable], ...],
+        enlargements: int,
+    ) -> None:
+        object.__setattr__(self, "equalities", equalities)
+        object.__setattr__(self, "classification", classification)
+        object.__setattr__(self, "enlargements", enlargements)
 
     def implied_pairs(self) -> Tuple[Tuple[str, str], ...]:
         return tuple(
@@ -380,26 +386,15 @@ def random_normalized_conjunction(
     return NormalizedConjunction(mems, diffs)
 
 
-@dataclass(frozen=True)
-class FuzzViolation:
-    iteration: int
-    memberships: Tuple[Tuple[str, str], ...]
-    differences: Tuple[Tuple[str, str, str], ...]
-    pairs: Tuple[Tuple[str, str], ...]
-    script: str
+class FuzzViolation(Record):
+    __slots__ = ("iteration", "memberships", "differences", "pairs", "script")
 
 
-@dataclass(frozen=True)
-class FuzzReport:
-    vars: int
-    lits: int
-    iters: int
-    seed: int
-    rank_bound: int
-    checked: int
-    skipped: int
-    implied_disjunctions: int
-    violations: Tuple[FuzzViolation, ...]
+class FuzzReport(Record):
+    __slots__ = (
+        "vars", "lits", "iters", "seed", "rank_bound", "checked", "skipped",
+        "implied_disjunctions", "violations",
+    )
 
 
 def _reproducer(nc: NormalizedConjunction, pairs, seed: int, i: int, rank: int) -> str:

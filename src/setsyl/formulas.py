@@ -2,8 +2,10 @@
 
 The language is single-sorted on the surface: one pool of variables is
 shared by the set-theoretic, arithmetic and list signatures, and atoms are
-classified after parsing.  Everything here is an immutable dataclass so
-formulas can live in sets and dict keys.
+classified after parsing.  Every node is a Record: an immutable value
+whose fields are its class's __slots__, compared and hashed by class and
+fields, so formulas can live in sets and dict keys.  Record is also the
+base of the package's other value classes (verdicts, witnesses, reports).
 
 The vocabulary is declared once.  The arity dicts SET_OPS, EXT_OPS,
 ARITH_OPS and LIST_OPS are the only source of each operator's internal
@@ -16,9 +18,9 @@ belongs to, for classify_atom here and for purification in `combine`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
+from operator import attrgetter
 from typing import Iterable, Iterator, Tuple, Union
 
 from .errors import MixedAtomError
@@ -41,118 +43,214 @@ def arguments(n: int) -> str:
     return f"{n} argument" if n == 1 else f"{n} arguments"
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Record:
+    """An immutable value whose fields are its class's __slots__ (its
+    bases' first), each set once by the constructor.
+
+    Records are equal when they have the same class and equal fields, and
+    hash as the tuple of their fields.  repr prints Name(field=value, ...).
+    A record pickles and copies by calling its class with its fields in
+    order, so a subclass's __init__ takes them positionally in that order,
+    and by name for replace.  The generic __init__ here takes exactly the
+    fields; a class that validates or is made often defines its own, which
+    sets each field with object.__setattr__.
+    """
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        fields = cls._fields = tuple(
+            f for c in reversed(cls.__mro__) for f in c.__dict__.get("__slots__", ())
+        )
+        # a record hashes as the tuple of its fields; attrgetter of one name
+        # returns the bare value, so that tuple is built here
+        if len(fields) == 1:
+            key = attrgetter(*fields)
+
+            def __hash__(self) -> int:
+                return hash((key(self),))
+
+        else:
+            key = attrgetter(*fields) if fields else (lambda record: ())
+
+            def __hash__(self) -> int:
+                return hash(key(self))
+
+        def __eq__(self, other) -> bool:
+            if other.__class__ is self.__class__:
+                return key(self) == key(other)
+            return NotImplemented
+
+        cls.__eq__, cls.__hash__ = __eq__, __hash__
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self._fields
+        if len(args) > len(names) or kwargs.keys() != set(names[len(args):]):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        for name, value in zip(names, (*args, *(kwargs[n] for n in names[len(args):]))):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({body})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def replace(self, **changes) -> "Record":
+        """A record of the same class with the named fields changed."""
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+    def asdict(self) -> dict:
+        """The fields by name; a record among them, or inside a tuple among
+        them, as its own asdict."""
+        return {f: _plain(v) for f, v in zip(self._fields, self._values())}
 
 
-@dataclass(frozen=True)
-class Empty:
-    pass
+def _plain(v):
+    if isinstance(v, Record):
+        return v.asdict()
+    if isinstance(v, tuple):
+        return tuple(_plain(x) for x in v)
+    return v
+
+
+class Var(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        object.__setattr__(self, "name", name)
+
+
+class Empty(Record):
+    __slots__ = ()
 
 
 EMPTY = Empty()
 
 
-@dataclass(frozen=True)
-class SetOp:
-    op: str
-    left: "Term"
-    right: "Term"
+class SetOp(Record):
+    __slots__ = ("op", "left", "right")
 
-    def __post_init__(self):
-        if self.op not in SET_OPS:
-            raise ValueError(f"unknown set operator {self.op!r}")
+    def __init__(self, op: str, left: "Term", right: "Term") -> None:
+        if op not in SET_OPS:
+            raise ValueError(f"unknown set operator {op!r}")
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class _Application:
+class _Application(Record):
     """An operator of OPS applied to a tuple of arguments of its arity;
     FAMILY names the family in the error for an unknown operator."""
 
-    op: str
-    args: Tuple["Term", ...]
+    __slots__ = ("op", "args")
 
-    def __post_init__(self):
-        if self.op not in self.OPS:
-            raise ValueError(f"unknown {self.FAMILY} operator {self.op!r}")
-        if len(self.args) != self.OPS[self.op]:
-            raise ValueError(f"{self.op} expects {arguments(self.OPS[self.op])}")
+    def __init__(self, op: str, args: Tuple["Term", ...]) -> None:
+        if op not in self.OPS:
+            raise ValueError(f"unknown {self.FAMILY} operator {op!r}")
+        if len(args) != self.OPS[op]:
+            raise ValueError(f"{op} expects {arguments(self.OPS[op])}")
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "args", args)
 
 
 class ExtOp(_Application):
+    __slots__ = ()
     OPS, FAMILY = EXT_OPS, "extension"
 
 
 class ArithOp(_Application):
+    __slots__ = ()
     OPS, FAMILY = ARITH_OPS, "arithmetic"
 
 
-@dataclass(frozen=True)
-class RationalConst:
-    value: Fraction
+class RationalConst(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: Fraction) -> None:
+        object.__setattr__(self, "value", value)
 
 
 class ListOp(_Application):
+    __slots__ = ()
     OPS, FAMILY = LIST_OPS, "list"
 
 
 Term = Union[Var, Empty, SetOp, ExtOp, ArithOp, RationalConst, ListOp]
 
 
-@dataclass(frozen=True)
-class In:
-    left: Term
-    right: Term
+class _Binary(Record):
+    """An atom over two terms."""
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Term, right: Term) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Eq:
-    left: Term
-    right: Term
+class In(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Subset:
-    left: Term
-    right: Term
+class Eq(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Leq:
-    left: Term
-    right: Term
+class Subset(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AtomPred:
-    arg: Term
+class Leq(_Binary):
+    __slots__ = ()
+
+
+class AtomPred(Record):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Term) -> None:
+        object.__setattr__(self, "arg", arg)
 
 
 Atom = Union[In, Eq, Subset, Leq, AtomPred]
 
 
-@dataclass(frozen=True)
-class Not:
-    body: "Formula"
+class Not(Record):
+    __slots__ = ("body",)
+
+    def __init__(self, body: "Formula") -> None:
+        object.__setattr__(self, "body", body)
 
 
-@dataclass(frozen=True)
-class And:
-    parts: Tuple["Formula", ...]
+class _Junction(Record):
+    """A conjunction or disjunction of one or more parts."""
 
-    def __post_init__(self):
-        if not self.parts:
-            raise ValueError("And needs at least one part")
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: Tuple["Formula", ...]) -> None:
+        if not parts:
+            raise ValueError(f"{type(self).__name__} needs at least one part")
+        object.__setattr__(self, "parts", parts)
 
 
-@dataclass(frozen=True)
-class Or:
-    parts: Tuple["Formula", ...]
+class And(_Junction):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.parts:
-            raise ValueError("Or needs at least one part")
+
+class Or(_Junction):
+    __slots__ = ()
 
 
 Formula = Union[Atom, Not, And, Or]
@@ -172,10 +270,14 @@ def or_(*parts: Formula) -> Formula:
     return parts[0] if len(parts) == 1 else Or(tuple(parts))
 
 
-@dataclass
-class Script:
-    asserts: Tuple[Formula, ...]
-    options: Tuple[Tuple[str, str], ...] = ()
+class Script(Record):
+    __slots__ = ("asserts", "options")
+
+    def __init__(
+        self, asserts: Tuple[Formula, ...], options: Tuple[Tuple[str, str], ...] = ()
+    ) -> None:
+        object.__setattr__(self, "asserts", asserts)
+        object.__setattr__(self, "options", options)
 
 
 def is_atom(f: Formula) -> bool:

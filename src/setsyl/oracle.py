@@ -19,7 +19,6 @@ walk over one formula's models, on one meter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -41,6 +40,7 @@ from .formulas import (
     Leq,
     Not,
     Or,
+    Record,
     SetOp,
     Subset,
     Term,
@@ -129,8 +129,7 @@ def eval_formula(f: Formula, m: Mapping[str, HFSet]) -> bool:
     return eval_atom(f, m)
 
 
-@dataclass
-class BoundedResult:
+class BoundedResult(Record):
     """The first model within the rank bound, or None when there is none.
 
     Bounded implication is bounded satisfiability of f and not g, so one
@@ -138,7 +137,10 @@ class BoundedResult:
     Either verdict says nothing about models above the rank bound searched.
     """
 
-    model: Optional[Dict[str, HFSet]]
+    __slots__ = ("model",)
+
+    def __init__(self, model: Optional[Dict[str, HFSet]]) -> None:
+        object.__setattr__(self, "model", model)
 
     @property
     def is_sat(self) -> bool:

@@ -321,12 +321,11 @@ disequalities at the cost of at most one split query per pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property
 from itertools import combinations, compress, product
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from .errors import DEFAULT_BUDGET, Budget, InvariantViolation
+from .formulas import Record
 from .hf import HFSet, hf, nested_singleton, set_diff
 from .normalize import NormalizedConjunction, _group
 
@@ -515,7 +514,9 @@ def _components(nc: NormalizedConjunction) -> List[NormalizedConjunction]:
 
     No component holds a disequality, and a name that occurs only in
     disequalities is a component of its own, with no literal.  A connected
-    (or empty) conjunction without disequalities comes back as [nc] itself.
+    (or empty) conjunction without disequalities comes back as [nc] itself,
+    and one whose memberships and differences connect every name as nc
+    without its disequalities.
     """
     # group[v] is the set of variables connected to v so far, shared by all
     # of them; a literal merges the smaller of two groups into the larger.
@@ -537,6 +538,8 @@ def _components(nc: NormalizedConjunction) -> List[NormalizedConjunction]:
                     group[u] = g
     if not nc.disequalities and (not group or len(group[nc.vars[0]]) == len(group)):
         return [nc]
+    if len(group) == len(nc.vars) and len(group[nc.vars[0]]) == len(group):
+        return [NormalizedConjunction._unchecked(nc.memberships, nc.differences, nc.vars)]
     parts: Dict[Union[int, str], Tuple[List, List, List[str]]] = {}
     for v in nc.vars:
         g = group.get(v)
@@ -586,29 +589,43 @@ def enumerate_places(
     return [p for part in _components(nc) for p in _Engine(part, meter).places()]
 
 
-@dataclass(frozen=True)
-class SolverWitness:
+class SolverWitness(Record):
     """Everything needed to rebuild a model without re-searching: each
     element's place and the junk places, as frozensets of names."""
 
-    vars: Tuple[str, ...]
-    sigma: Tuple[Tuple[str, frozenset], ...]
-    junk: Tuple[frozenset, ...]
-    topo: Tuple[str, ...]
+    __slots__ = ("vars", "sigma", "junk", "topo")
+
+    def __init__(
+        self,
+        vars: Tuple[str, ...],
+        sigma: Tuple[Tuple[str, frozenset], ...],
+        junk: Tuple[frozenset, ...],
+        topo: Tuple[str, ...],
+    ) -> None:
+        object.__setattr__(self, "vars", vars)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "junk", junk)
+        object.__setattr__(self, "topo", topo)
 
 
-@dataclass(frozen=True)
-class Sat:
-    model: Dict[str, HFSet]
-    witness: SolverWitness
+class Sat(Record):
+    __slots__ = ("model", "witness")
+
+    def __init__(self, model: Dict[str, HFSet], witness: SolverWitness) -> None:
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "witness", witness)
 
     @property
     def is_sat(self) -> bool:
         return True
 
 
-@dataclass(frozen=True)
-class Unsat:
+class Unsat(Record):
+    __slots__ = ()
+
+    def __init__(self) -> None:
+        pass
+
     @property
     def is_sat(self) -> bool:
         return False
@@ -681,7 +698,6 @@ def satisfies(nc: NormalizedConjunction, model: Mapping[str, HFSet]) -> bool:
     return True
 
 
-@dataclass(eq=False)
 class _Part:
     """One component's engine and peeled classes, with the decision's
     junk-free build and whether the component's literals hold in it.
@@ -693,12 +709,17 @@ class _Part:
     disequality or a separating build seeds a place in it.
     """
 
-    engine: _Engine
-    classes: List[List[str]]
-    sigma: Tuple[Tuple[str, frozenset], ...]
-    free: Dict[str, HFSet]
-    verified: bool
-    _collisions: Optional[Tuple[frozenset, ...]] = None
+    def __init__(
+        self,
+        engine: _Engine,
+        classes: List[List[str]],
+        sigma: Tuple[Tuple[str, frozenset], ...],
+        free: Dict[str, HFSet],
+        verified: bool,
+    ) -> None:
+        self.engine, self.classes, self.sigma = engine, classes, sigma
+        self.free, self.verified = free, verified
+        self._collisions: Optional[Tuple[frozenset, ...]] = None
 
     def collisions(self) -> Tuple[frozenset, ...]:
         """J: places separating every collision of the junk-free build, in place order.
@@ -791,17 +812,21 @@ class _Decision:
         self.result: SolveResult = Unsat()
         self.parts: List[_Part] = []
         self.splits: List[frozenset] = []
+        self.of: Optional[Dict[str, int]] = None
 
-    @cached_property
-    def of(self) -> Dict[str, int]:
-        """Each variable of nc, mapped to the index of its component."""
-        return {v: k for k, engine in enumerate(self.engines) for v in engine.nc.vars}
+    def where(self, a: str, b: str) -> Tuple[int, int]:
+        """The indices of the components of a and b.  The map from each
+        variable of nc to its component's index is built on first use."""
+        of = self.of
+        if of is None:
+            of = self.of = {v: k for k, engine in enumerate(self.engines) for v in engine.nc.vars}
+        return of[a], of[b]
 
     def tied(self, a: str, b: str) -> bool:
         """Whether propagation alone ties a and b, so that a = b in every
         model of nc without its disequalities (module docstring).  No
         search, so no step."""
-        i, j = self.of[a], self.of[b]
+        i, j = self.where(a, b)
         up = self.engines[i].propagated(a, True)
         if i != j:
             return up is None and self.engines[j].propagated(b, True) is None
@@ -817,7 +842,7 @@ class _Decision:
         holds names of its own component only."""
         if self.tied(a, b):
             return None
-        i, j = self.of[a], self.of[b]
+        i, j = self.where(a, b)
         if i == j:
             return self.engines[i].split(a, b)
         # a place holding a is not empty, so not false
@@ -852,7 +877,7 @@ class _Decision:
                 junk += sorted({*part.collisions(), *mine}, key=part.engine.order)
             elif not part.verified:
                 junk += part.collisions()
-        witness = replace(self.result.witness, junk=tuple(junk))
+        witness = self.result.witness.replace(junk=tuple(junk))
         self.meter.spend("building candidate models")
         model = build_model(witness)
         if not satisfies(self.nc, model):

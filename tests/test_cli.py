@@ -5,7 +5,6 @@ import os
 import resource
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 from jsonschema import Draft7Validator
@@ -591,7 +590,7 @@ def test_witness_reports_failing_checks_with_exit_4(monkeypatch, capsys):
     def one_failing(trace, base, nc):
         first, *rest = real(trace, base, nc)
         failed.append(first.name)
-        return (replace(first, ok=False, index=1, detail="synthetic"), *rest)
+        return (first.replace(ok=False, index=1, detail="synthetic"), *rest)
 
     monkeypatch.setattr(cli, "check_trace_invariants", one_failing)
     code, out, err = run(capsys, "witness", FIXTURE, "--eq", "xbar=ybar")

@@ -1,6 +1,5 @@
 """Enlargement surgery, equality minimization, and the convexity fuzzer."""
 
-import dataclasses
 import random
 
 import pytest
@@ -124,9 +123,7 @@ def test_tampered_trace_is_caught():
     _, trace = enlarge(nc, base, separating, "xbar", "ybar")
     last = dict(trace.stages[-1])
     last["z"] = hf([])  # z forgets everything it gained
-    bad = dataclasses.replace(
-        trace, stages=trace.stages[:-1] + (last,)
-    )
+    bad = trace.replace(stages=trace.stages[:-1] + (last,))
     rows = check_trace_invariants(bad, base, nc)
     assert not all(r.ok for r in rows)
     broken = {r.name for r in rows if not r.ok}

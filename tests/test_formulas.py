@@ -1,5 +1,7 @@
 """Formula construction, classification, and normal-form helpers."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from setsyl.formulas import (
     Leq,
     ListOp,
     Not,
+    Or,
     RationalConst,
     SetOp,
     Subset,
@@ -55,6 +58,67 @@ def test_terms_are_hashable_values():
     assert SetOp("union", x, y) == SetOp("union", x, y)
     assert len({SetOp("union", x, y), SetOp("union", x, y)}) == 1
     assert Var("x") == x
+
+
+def test_records_are_equal_by_class_and_fields():
+    assert In(x, y) != Subset(x, y)
+    assert ExtOp("single", (x,)) != ListOp("car", (x,))
+    assert ExtOp("pow", (x,)) != ArithOp("neg", (x,))
+    assert In(x, y) != In(y, x)
+    assert hash(In(Var("x"), Var("y"))) == hash(In(x, y))
+    assert hash(Not(In(x, y))) == hash(Not(In(Var("x"), y)))
+    assert EMPTY == type(EMPTY)() and hash(EMPTY) == hash(type(EMPTY)())
+
+
+def test_record_fields_cannot_be_assigned_or_deleted():
+    atom = In(x, y)
+    with pytest.raises(AttributeError, match="^cannot assign to field 'left'$"):
+        atom.left = z
+    with pytest.raises(AttributeError, match="^cannot delete field 'right'$"):
+        del atom.right
+    with pytest.raises(AttributeError):
+        x.other = 1
+    assert atom == In(x, y)
+
+
+def test_record_repr_is_the_dataclass_repr():
+    # CI's diagnose step pins this line for `(assert (in x (pow y)))`
+    assert repr(In(x, ExtOp("pow", (y,)))) == (
+        "In(left=Var(name='x'), right=ExtOp(op='pow', args=(Var(name='y'),)))"
+    )
+    assert repr(And((Leq(RationalConst(Fraction(1, 2)), x), Not(Eq(EMPTY, y))))) == (
+        "And(parts=(Leq(left=RationalConst(value=Fraction(1, 2)), right=Var(name='x')),"
+        " Not(body=Eq(left=Empty(), right=Var(name='y')))))"
+    )
+
+
+def test_records_pickle_and_copy_as_equal_records():
+    f = Or((
+        In(x, ExtOp("pow", (y,))),
+        Not(Eq(SetOp("union", x, z), EMPTY)),
+        AtomPred(ListOp("car", (x,))),
+    ))
+    for twin in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
+        assert twin == f and hash(twin) == hash(f) and repr(twin) == repr(f)
+    assert pickle.loads(pickle.dumps(EMPTY)) == EMPTY
+
+
+def test_record_replace_and_asdict():
+    atom = In(x, y)
+    assert atom.replace(right=z) == In(x, z) and atom == In(x, y)
+    with pytest.raises(TypeError):
+        atom.replace(middle=z)
+    with pytest.raises(ValueError, match="^unknown set operator 'bogus'$"):
+        SetOp("union", x, y).replace(op="bogus")
+    assert Not(atom).asdict() == {"body": {"left": {"name": "x"}, "right": {"name": "y"}}}
+    assert And((atom,)).asdict() == {"parts": ({"left": {"name": "x"}, "right": {"name": "y"}},)}
+
+
+def test_junctions_need_a_part():
+    with pytest.raises(ValueError, match="^And needs at least one part$"):
+        And(())
+    with pytest.raises(ValueError, match="^Or needs at least one part$"):
+        Or(())
 
 
 def test_and_or_sugar():

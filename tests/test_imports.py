@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, the
 package's attribute of each module's name is that module, importing
 the package loads none of them, the solver and the combination load no
-oracle, and the arithmetic plugin loads no set solver."""
+oracle, the arithmetic plugin loads no set solver, and the CLI loads no
+dataclasses."""
 
 import ast
 import importlib
@@ -94,6 +95,18 @@ def test_the_arithmetic_plugin_loads_no_set_solver():
     # lives beside the normal form, so the plugin stays free of the set
     # solver and of its hereditarily finite sets.
     probe = "import sys, setsyl.lra\nprint(sorted({'setsyl.solver', 'setsyl.hf'} & set(sys.modules)))\n"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    ).stdout
+    assert out == "[]\n"
+
+
+def test_the_cli_loads_no_dataclasses():
+    # The value classes are Records, which generate no code at import, so
+    # `import setsyl.cli` pays neither for dataclasses nor for the inspect,
+    # ast, dis and tokenize modules it loads.
+    probe = "import sys, setsyl.cli\nprint(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(SRC.parent)},

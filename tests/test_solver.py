@@ -379,6 +379,32 @@ def test_components_share_one_budget():
         solve(whole, budget=6)
 
 
+def test_components_are_nc_restricted_to_their_names():
+    # Random conjunctions with up to two disequalities, over their own names
+    # and a name "v" of no other literal.  A connected conjunction whose
+    # disequalities name no other variable is one component.
+    rng = random.Random("components")
+    connected = 0
+    for _ in range(600):
+        base = random_normalized_conjunction(rng, rng.randint(1, 5), rng.randint(1, 7))
+        names = base.vars + ("v",)
+        pairs = [tuple(rng.sample(names, 2)) for _ in range(rng.randint(0, 2))]
+        nc = NormalizedConjunction(base.memberships, base.differences, pairs)
+        comps = _components(nc)
+        assert sorted(v for c in comps for v in c.vars) == sorted(nc.vars)
+        firsts = [nc.vars.index(c.vars[0]) for c in comps]
+        assert firsts == sorted(firsts)
+        for c in comps:
+            mine = set(c.vars)
+            assert c.disequalities == ()
+            assert c.memberships == tuple(m for m in nc.memberships if set(m) <= mine)
+            assert c.differences == tuple(d for d in nc.differences if set(d) <= mine)
+            assert c.vars == tuple(v for v in nc.vars if v in mine)
+        if nc.disequalities and len(comps) == 1 and "v" not in nc.vars:
+            connected += 1
+    assert connected > 50
+
+
 def test_enumerate_places_lists_each_component_in_turn():
     nc = NormalizedConjunction([("x", "y"), ("a", "b")])
     places = enumerate_places(nc)

@@ -55,6 +55,21 @@ them, from the same decision (Disequalities, below):
    both set before their positions, and a node's descendants set its own
    variable, so no two nodes of a query reach the same node of the full
    search.
+
+   Free components.  A component with no difference literal constrains no
+   valuation, so every valuation of its variables is a place, and a query
+   for the first place needs no search.  With no literal, propagation sets
+   nothing beyond A, and A contradicts itself only by assuming one
+   variable both ways: then no place agrees with A, and the search visits
+   no node.  Otherwise it decides each unset variable False, with no
+   backtrack, and its first leaf is the place holding exactly the names A
+   sets True, reached after 1 + (variables A leaves unset) nodes.  That
+   place is the answer and those nodes are charged.  It is built from its
+   names in vars order, as the leaf is, so the two frozensets are equal
+   and iterate alike, and verdicts, models and witnesses come out the
+   same.  The nodes go in one charge, cut at one more than the budget has
+   left: a search charging them one by one raises at that node, so
+   running out reports the same count.
 2. A placement sigma maps each element variable (one that occurs on the
    left of a membership) to the place its value will occupy.  sigma must
    put x somewhere inside y for every "x in y", must be constant on
@@ -118,6 +133,23 @@ them, from the same decision (Disequalities, below):
    (iii) The first place holding exactly one of u and w is the earlier, in
    place order, of the first place holding u but not w and the first
    holding w but not u; layer 3 seeds junk there.
+   (iv) A component with no difference literal, of n variables, is
+   peeled in closed form, with the answers and costs of layer 1's free
+   components.  The place {h} holds h but not u, so every element is its
+   own class, in elems order.  Grouping compares each element after the
+   first with the element h before it, the one head that no kept place
+   tells apart from it, and the first query finds {h} in n - 1 nodes: it
+   sets two variables and decides the rest False.  So there are
+   len(elems) - 1 queries, and none when there are fewer than two
+   elements.  A round's query for an element sets the unpeeled elements
+   False and its targets True; it contradicts itself, at no step, iff a
+   target is unpeeled.  Otherwise its first place is exactly the targets,
+   reached in 1 + n - (unpeeled elements) - (targets) nodes.  So each
+   round peels the first element, in elems order, none of whose targets
+   is unpeeled, at the place of its targets, and the component is
+   unsatisfiable when no element is eligible.  The peel charges all these
+   nodes at once, at its end.  The search charges nothing else meanwhile,
+   so the capped charge of layer 1 runs out at the same count.
 3. From an admissible sigma, such as the peeled one, a concrete
    hereditarily finite model is built bottom-up along topo: each
    variable's value collects the values of the elements whose place holds
@@ -486,9 +518,30 @@ class _Engine:
             leaf = self._descend(val, trail, pending, -1)
 
     def first(self, assume: Sequence[Tuple[str, bool]]) -> Optional[frozenset]:
-        """The first place that agrees with assume, or None."""
-        start = self._start(assume)
-        return None if start is None else self._descend(start[0], start[1], [], 0)
+        """The first place that agrees with assume, or None.  Without a
+        difference literal, the names assumed True (layer 1, Free
+        components), at the search's cost."""
+        if self.nc.differences:
+            start = self._start(assume)
+            return None if start is None else self._descend(start[0], start[1], [], 0)
+        given: Dict[str, bool] = {}
+        for v, b in assume:
+            if given.setdefault(v, b) != b:
+                return None
+        self.charge(1 + len(self.nc.vars) - len(given))
+        return self.place([v for v, b in given.items() if b])
+
+    def charge(self, nodes: int) -> None:
+        """Spend the steps of nodes visited one at a time, in one call: past
+        the limit, only up to the node that runs it out, so exhaustion
+        reports the same count."""
+        left = self.meter.left
+        self.meter.spend("enumerating places", nodes if left is None else min(nodes, left + 1))
+
+    def place(self, names: Iterable[str]) -> frozenset:
+        """The place holding exactly names, built in vars order as a leaf
+        is, so that it iterates alike."""
+        return frozenset(sorted(names, key=self.pos.__getitem__))
 
     def order(self, p: frozenset) -> Tuple[bool, ...]:
         """p's key in place order, False before True over the vars."""
@@ -756,10 +809,14 @@ def _search(engine: _Engine) -> Optional[_Peel]:
     """Peel the classes of engine's component: the classes, sigma and
     topo, or None when the component is unsat.
 
-    The places come from queries to the engine, never from a full listing.
-    Nothing is built here; the decision builds every component at once.
+    The places are the first leaves of the engine's queries, never a full
+    listing; a component with no difference literal is peeled in closed
+    form, at the queries' cost (layer 2 (iv)).  Nothing is built here; the
+    decision builds every component at once.
     """
     nc = engine.nc
+    if not nc.differences:
+        return _peel_free(engine)
     elems: List[str] = list(dict.fromkeys(x for x, _ in nc.memberships))
     if len(elems) < 2:  # most components: nothing to compare, and the call would cost more
         classes = [[u] for u in elems]
@@ -796,6 +853,34 @@ def _search(engine: _Engine) -> Optional[_Peel]:
     # the reverse peel order builds every element before the sets holding it
     topo = tuple(u for k in reversed(peeled) for u in classes[k])
     return classes, tuple((u, sig[u]) for u in elems), topo
+
+
+def _peel_free(engine: _Engine) -> Optional[_Peel]:
+    """_search on a component with no difference literal, in closed form:
+    each element its own class, and each round peels the first element
+    none of whose targets is left, at the place of its targets, charging
+    the nodes the queries would visit (layer 2 (iv))."""
+    n = len(engine.nc.vars)
+    targets: Dict[str, List[str]] = {}  # by element, in elems order
+    for x, y in engine.nc.memberships:
+        targets.setdefault(x, []).append(y)
+    k = len(targets)
+    nodes = (k - 1) * (n - 1) if k > 1 else 0  # the grouping's queries
+    sig: Dict[str, frozenset] = {}
+    left = dict.fromkeys(targets)  # the unpeeled elements, in elems order
+    unpeeled = left.keys()
+    while left:
+        for u in left:
+            if unpeeled.isdisjoint(targets[u]):
+                break
+        else:
+            engine.charge(nodes)
+            return None
+        nodes += 1 + n - len(left) - len(targets[u])
+        sig[u] = engine.place(targets[u])
+        del left[u]
+    engine.charge(nodes)
+    return [[u] for u in targets], tuple((u, sig[u]) for u in targets), tuple(reversed(sig))
 
 
 class _Decision:

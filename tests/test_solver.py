@@ -1124,7 +1124,11 @@ def test_queries_match_the_full_listing(nc, rnd):
         got, spent = _spent(lambda m: _Engine(part, m).places(assume))
         assert got == [p for p in places if _agree(p, assume)]
         assert spent <= cost
-        assert engine.first(assume) == next(iter(got), None)
+        # first is the search's first leaf, in its steps, or the closed form
+        # of a component with no difference literal at the same cost
+        first, first_cost = _spent(lambda m: [_Engine(part, m).first(assume)])
+        assert first == [next(iter(got), None)]
+        assert first_cost == _spent(lambda m: [next(_Engine(part, m).places(assume), None)])[1]
 
         signature = {v: tuple(v in p for p in places) for v in part.vars}
         elems = list(dict.fromkeys(u for u, _ in part.memberships))
@@ -1238,10 +1242,17 @@ def _chain(n):
 
 def _reference_search(engine):
     """Reference: the peel as each query restated every unpeeled element,
-    one full propagation per class query (layer 2 (ii))."""
+    one full propagation per class query (layer 2 (ii)).  Every query is
+    the search's first leaf, so a component with no difference literal is
+    searched too, not answered in closed form."""
+
+    def first(assume):
+        return next(engine.places(assume), None)
+
     nc = engine.nc
     elems = list(dict.fromkeys(x for x, _ in nc.memberships))
-    classes = _group(elems, lambda h, u: next(engine.splits(h, u), None))
+    # a place holding h is not empty, so not false
+    classes = _group(elems, lambda h, u: first([(h, True), (u, False)]) or first([(u, True), (h, False)]))
     of = {u: k for k, group in enumerate(classes) for u in group}
     targets = [[] for _ in classes]
     for x, y in nc.memberships:
@@ -1252,7 +1263,7 @@ def _reference_search(engine):
     while left:
         unpeeled = [(u, False) for k in left for u in classes[k]]
         for k in left:
-            p = engine.first(targets[k] + unpeeled)
+            p = first(targets[k] + unpeeled)
             if p is not None:
                 break
         else:
@@ -1313,24 +1324,130 @@ def test_components_are_their_reference_construction():
         assert set(nc.vars) == {v for p in parts for v in p.vars}
 
 
-def test_chain_set_up_is_quadratic_by_count(monkeypatch):
-    # Restating every unpeeled element in each class query made the chain's
-    # set-up cubic: 13,701, 97,801 and 733,201 _assign calls at n = 40, 80
-    # and 160.  One propagated base per peel round makes it quadratic.
+def test_chain_is_peeled_without_search(monkeypatch):
+    # The chain has no difference literal, so it is peeled in closed form:
+    # no variable is assigned and no search descends, yet the steps are
+    # those the search spent.  (Restating every unpeeled element in each
+    # class query once made the search's set-up cubic: 13,701, 97,801 and
+    # 733,201 _assign calls at n = 40, 80 and 160.)
     calls = []
-    assign = _Engine._assign
+    for name in ("_assign", "_descend"):
+        method = getattr(_Engine, name)
 
-    def counting(engine, *args):
-        calls.append(None)
-        return assign(engine, *args)
+        def counting(engine, *args, name=name, method=method):
+            calls.append(name)
+            return method(engine, *args)
 
-    monkeypatch.setattr(_Engine, "_assign", counting)
-    counts = []
-    for n in (40, 80, 160):
-        calls.clear()
-        assert solve(_chain(n), budget=None).is_sat
-        counts.append(len(calls))
-    assert counts[2] < 5 * counts[1] and counts[1] < 5 * counts[0]
+        monkeypatch.setattr(_Engine, name, counting)
+    for n, steps in ((40, 2263), (80, 9323), (160, 37843)):
+        res, spent = _steps(_chain(n), budget=10**6)
+        assert res.is_sat and spent == steps
+    assert calls == []
+
+
+def _free_draws(count):
+    """NormalizedConjunction() and seeded conjunctions with no difference
+    literal: memberships over 0 to 20 variables, half of the draws acyclic
+    (vi in vj only for i < j), and up to two disequalities, whose names
+    may occur in no membership."""
+    yield NormalizedConjunction()
+    for seed in range(count):
+        rng = random.Random(f"free/{seed}")
+        n = rng.randint(0, 20)
+        acyclic = rng.random() < 0.5
+        mems = []
+        for _ in range(rng.randint(0, n) if n > 1 else 0):
+            i, j = rng.sample(range(n), 2)
+            mems.append((f"v{min(i, j)}", f"v{max(i, j)}") if acyclic else (f"v{i}", f"v{j}"))
+        names = [f"v{i}" for i in range(n)] + ["w0", "w1"]
+        pairs = [tuple(rng.sample(names, 2)) for _ in range(rng.randint(0, 2))]
+        yield NormalizedConjunction(mems, (), pairs)
+
+
+def _exhaustion(query, budget):
+    """The (layer, count, limit) of the exhaustion query meets on a meter of
+    budget steps, or None when it finishes."""
+    try:
+        query(Budget(budget))
+    except ResourceLimitError as e:
+        return e.layer, e.count, e.limit
+    return None
+
+
+def _same_run(query, reference):
+    """Assert that query and reference give equal answers in equal steps,
+    and run out alike on every smaller budget; the two answers."""
+    (got,), spent = _spent(lambda m: [query(m)])
+    (want,), cost = _spent(lambda m: [reference(m)])
+    assert got == want and spent == cost
+    for budget in range(cost):
+        # the search charges one node at a time: the node past the limit raises
+        assert _exhaustion(query, budget) == _exhaustion(reference, budget) == (
+            "enumerating places", budget + 1, budget
+        )
+    return got, want
+
+
+def test_free_components_are_answered_as_the_search_answers():
+    # A component with no difference literal answers first and the peel in
+    # closed form (layer 1, Free components; layer 2 (iv)): the same places,
+    # iterating in the same order, in the same steps, and the same
+    # exhaustion on every smaller budget as the search's first leaves.
+    rng = random.Random("free")
+    outcomes = {"contradiction": 0, "place": 0, "sat": 0, "unsat": 0}
+    for nc in _free_draws(300):
+        for part in _components(nc) + [nc]:
+            for _ in range(3):
+                # assumptions with repeats, and sometimes a contradiction
+                draws = rng.randint(0, 4) if part.vars else 0
+                assume = [(rng.choice(part.vars), rng.random() < 0.5) for _ in range(draws)]
+                if assume and rng.random() < 0.25:
+                    v, b = rng.choice(assume)
+                    assume.insert(rng.randint(0, len(assume)), (v, not b))
+                got, want = _same_run(
+                    lambda m: _Engine(part, m).first(assume),
+                    lambda m: next(_Engine(part, m).places(assume), None),
+                )
+                assert got is None or list(got) == list(want)
+                outcomes["place" if got is not None else "contradiction"] += 1
+            got, want = _same_run(
+                lambda m: _search(_Engine(part, m)), lambda m: _reference_search(_Engine(part, m))
+            )
+            if got is not None:
+                assert [list(p) for _, p in got[1]] == [list(p) for _, p in want[1]]
+            outcomes["sat" if got is not None else "unsat"] += 1
+    assert min(outcomes.values()) >= 50
+    # the empty conjunction: one component of no variable, peeled in no
+    # step, and its junk-free build
+    assert _steps(NormalizedConjunction()) == (solve(NormalizedConjunction()), 1)
+
+
+def test_free_components_decide_as_the_search_decides(monkeypatch):
+    # The decision on conjunctions with no difference literal, with its
+    # classes and separating models, equals the one whose every query is
+    # the search's first leaf, step for step.
+    draws = list(_free_draws(300))
+
+    def decisions():
+        out = []
+        for nc in draws:
+            meter = Budget(10**9)
+            decision = _decide(nc, meter)
+            got = [decision.result, 10**9 - meter.left]
+            if decision.result.is_sat:
+                got += [[list(p) for _, p in decision.result.witness.sigma]]
+                got += [[list(p) for p in decision.result.witness.junk], decision.classes(nc.vars)]
+                for a, b in combinations(nc.vars[:5], 2):
+                    model = decision.separating(a, b)
+                    got.append(None if model is None else to_strings(model))
+            out.append((got, 10**9 - meter.left))
+        return out
+
+    closed = decisions()
+    monkeypatch.setattr(_Engine, "first", lambda engine, assume: next(engine.places(assume), None))
+    monkeypatch.setattr(solver, "_search", _reference_search)
+    assert closed == decisions()
+    assert sum(got[0].is_sat for got, _ in closed) >= 100
 
 
 def _acyclic_draw(rng, n):
